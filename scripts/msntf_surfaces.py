@@ -20,7 +20,6 @@ def main() -> None:
         k=tuple(range(2, n_max)),
         r=(0.5, 0.7, 0.9),
         bc=(BalanceCondition.BC1, BalanceCondition.BC2, BalanceCondition.BC3),
-        threads=4,
     )
     rows = run_sweep_msntf(spec)
     path = outdir / "msntf_surfaces.csv"

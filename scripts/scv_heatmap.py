@@ -21,7 +21,6 @@ def main() -> None:
         r=(0.9,),
         bc=(BalanceCondition.BC1, BalanceCondition.BC2, BalanceCondition.BC3),
         presets=("ER", "EXP", "HE"),
-        threads=4,
     )
     rows = run_sweep_scv(spec)
     path = outdir / "scv_heatmap.csv"

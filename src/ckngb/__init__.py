@@ -3,8 +3,10 @@ under random shocks, with a Monte Carlo oracle for verification."""
 
 from .chain import (
     ConsolidatedChain,
+    CountChain,
     TransitionCounts,
     build_consolidated,
+    build_count_chain,
     full_transition_matrix,
     mstep_prob,
     nonfailed_states,
@@ -15,6 +17,7 @@ from .errors import (
     CapacityExceeded,
     CknGBError,
     ConfigError,
+    InvariantViolation,
     NoTieSets,
     NonConvergence,
     OddNUnsupported,
@@ -23,6 +26,7 @@ from .errors import (
 from .montecarlo import SimulationResult, sample_ph, simulate_sntf, simulate_ttf
 from .sntf import (
     DiscretePhaseType,
+    count_distribution,
     factorial_moment,
     mean_closed,
     pmf_direct,
@@ -45,6 +49,7 @@ from .system import (
 from .tiesets import (
     TieSet,
     TieSetCollection,
+    count_profile,
     enumerate_min_tiesets,
     is_nonfailed,
     structure_function,

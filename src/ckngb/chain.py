@@ -1,23 +1,33 @@
-"""Absorbing shock chain over the nonfailed states.
+"""Absorbing shock chains: the consolidated chain over the nonfailed
+states and the operating-count chain.
 
-All failed states are consolidated into a single absorbing state, so the
-chain keeps one row per nonfailed state plus an absorption column.  In
-canonical order (ascending state index, all-ones first) the subtransition
-matrix is upper triangular because failed units never revive; solves
-against it are exact back-substitutions.
+The consolidated chain is the paper's model.  All failed states are
+consolidated into a single absorbing state, so the chain keeps one row per
+nonfailed state plus an absorption column.  In canonical order (ascending
+state index, all-ones first) the subtransition matrix is upper triangular
+because failed units never revive; solves against it are exact
+back-substitutions.  It serves the golden matrices, the chain dump and the
+validation oracle.
+
+The count chain carries the same shock-count law on at most n + 1 states.
+Each shock thins the operating count j binomially, and a state with j
+operating units is nonfailed with probability q_j = c_j / C(n, j), where
+c_j is the count profile.  Both chains give P{M > m} = alpha P^m w, with
+w = q on the count chain and w = e on the consolidated one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import CapacityExceeded
+from .errors import CapacityExceeded, InvariantViolation
 from .system import BalanceCondition, SystemState
-from .tiesets import enumerate_min_tiesets, nonfailed_table
+from .tiesets import count_profile, nonfailed_closure
 
 DENSE_LIMIT = 4096
 
@@ -60,10 +70,8 @@ def mstep_prob(xa: SystemState, xb: SystemState, m: int, r: float) -> float:
 
 @lru_cache(maxsize=128)
 def _nonfailed_masks(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
-    collection = enumerate_min_tiesets(n, k, bc)
-    table = nonfailed_table(collection)
-    masks = np.nonzero(table)[0].astype(np.int64)
-    masks = masks[::-1].copy()  # descending mask == ascending canonical index
+    # descending mask == ascending canonical index
+    masks = np.flatnonzero(nonfailed_closure(n, k, bc))[::-1].astype(np.int64)
     masks.flags.writeable = False
     return masks
 
@@ -80,8 +88,7 @@ class ConsolidatedChain:
 
     ``transition`` is row-substochastic and upper triangular; ``absorb``
     holds the per-row probability of jumping to the consolidated failed
-    state.  ``n_operating`` caches the per-state operating-unit counts,
-    which double as the pair counts against the all-ones start state.
+    state.
     """
 
     states: tuple[SystemState, ...]
@@ -92,11 +99,15 @@ class ConsolidatedChain:
     k: int
     bc: BalanceCondition
     r: float
-    n_operating: np.ndarray
 
     @property
     def size(self) -> int:
         return len(self.states)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Every state of this chain is nonfailed: w = e."""
+        return np.ones(self.size)
 
     @property
     def is_dense(self) -> bool:
@@ -163,16 +174,64 @@ def build_consolidated(
         )
         row_sums = np.asarray(P.sum(axis=1)).ravel()
 
-    # the solves rely on back-substitution, so triangularity is load-bearing
-    if isinstance(P, np.ndarray):
-        assert not np.tril(P, -1).any(), "subtransition matrix must be upper triangular"
-    else:
-        coo = P.tocoo()
-        assert (coo.col >= coo.row).all(), "subtransition matrix must be upper triangular"
-
+    check_upper_triangular(P)
     absorb = 1.0 - row_sums
     states = tuple(SystemState(int(m), n) for m in masks)
-    return ConsolidatedChain(states, masks, P, absorb, n, k, bc, r, pops)
+    return ConsolidatedChain(states, masks, P, absorb, n, k, bc, r)
+
+
+def check_upper_triangular(P: np.ndarray | sp.spmatrix) -> None:
+    """Raise InvariantViolation when P stores an entry below the diagonal.
+
+    The solves rely on back-substitution, so triangularity is load-bearing.
+    """
+    if sp.issparse(P):
+        coo = P.tocoo()
+        below = bool((coo.col < coo.row).any())
+    else:
+        below = bool(np.tril(P, -1).any())
+    if below:
+        raise InvariantViolation("subtransition matrix must be upper triangular")
+
+
+@dataclass(frozen=True, eq=False)
+class CountChain:
+    """Binomial-thinning chain on the operating-unit count.
+
+    State i holds j = n - i operating units, from the all-ones start state
+    j = n down to the fewest operating units of any nonfailed state, so
+    ``transition`` is upper triangular as in the consolidated chain.
+    ``weights`` holds q_j, and ``absorb`` = w - P w the probability that
+    the next shock fails the system from each state.
+    """
+
+    transition: np.ndarray
+    absorb: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.weights.size
+
+
+def build_count_chain(n: int, k: int, bc: BalanceCondition, r: float) -> CountChain:
+    """Count chain of the system at unit reliability r, started state first."""
+    if not 0.0 < r < 1.0:
+        raise ValueError(f"r must lie strictly inside (0, 1), got {r}")
+    counts = count_profile(n, k, bc)
+    j = np.arange(n + 1)
+    binom = np.array([[math.comb(a, b) for b in j] for a in j], dtype=np.float64)
+    q = counts / binom[n]
+    # The nonfailed set is an up-set, so q is nondecreasing in j (the LYM
+    # inequality).  Rounding c_j / C(n, j) is monotone, so this is exact.
+    if (np.diff(q) < 0.0).any():
+        raise InvariantViolation(f"q_j = c_j / C(n, j) decreases in j: {q.tolist()}")
+    # full[a, b]: a operating units become b after one shock (zero for b > a)
+    full = binom * r ** j[None, :] * (1.0 - r) ** np.maximum(j[:, None] - j[None, :], 0)
+    # Rows of full sum to one, so w - P w is this sum of nonnegative terms.
+    absorb = (full * (q[:, None] - q[None, :])).sum(axis=1)
+    states = np.arange(n, int(np.argmax(counts > 0)) - 1, -1)
+    return CountChain(full[np.ix_(states, states)], absorb[states], q[states])
 
 
 def full_transition_matrix(n: int, r: float) -> np.ndarray:

@@ -14,7 +14,14 @@ import numpy as np
 
 from . import experiments
 from .chain import build_consolidated, chain_csv
-from .errors import CapacityExceeded, ConfigError, NoTieSets, NonConvergence, SingularSystem
+from .errors import (
+    CapacityExceeded,
+    ConfigError,
+    InvariantViolation,
+    NoTieSets,
+    NonConvergence,
+    SingularSystem,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -147,7 +154,9 @@ def main(argv: list[str] | None = None) -> int:
     except NoTieSets as exc:
         print(f"infeasible system: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (NonConvergence, SingularSystem, CapacityExceeded, np.linalg.LinAlgError) as exc:
+    except (
+        NonConvergence, SingularSystem, CapacityExceeded, InvariantViolation, np.linalg.LinAlgError
+    ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

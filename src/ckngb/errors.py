@@ -25,5 +25,9 @@ class SingularSystem(CknGBError, ArithmeticError):
     """A linear solve hit a singular matrix."""
 
 
+class InvariantViolation(CknGBError, ArithmeticError):
+    """A built model breaks a structural property its solvers rely on."""
+
+
 class NonConvergence(CknGBError, ArithmeticError):
     """An iterative evaluation exhausted its term budget before converging."""

@@ -225,10 +225,9 @@ def run_tiesets(spec: ExperimentSpec) -> str:
 
 def run_sntf_pmf(spec: ExperimentSpec, use_matrix: bool = False) -> list[dict]:
     config = spec.single()
-    dist = sntf.sntf_distribution(config)
     rows = []
     if use_matrix:
-        pmf, surv = sntf.pmf_survival_series(dist, spec.m_max)
+        pmf, surv = sntf.pmf_survival_series(sntf.sntf_distribution(config), spec.m_max)
         for m in range(1, spec.m_max + 1):
             rows.append({"m": m, "pmf": float(pmf[m - 1]), "survival": float(surv[m - 1])})
     else:
@@ -245,7 +244,7 @@ def run_sntf_pmf(spec: ExperimentSpec, use_matrix: bool = False) -> list[dict]:
 
 def run_sntf_moments(spec: ExperimentSpec) -> list[dict]:
     config = spec.single()
-    dist = sntf.sntf_distribution(config)
+    dist = sntf.count_distribution(config)
     mean = sntf.mean_closed(dist)
     second = sntf.factorial_moment(dist, 2) + mean
     return [
@@ -267,7 +266,7 @@ def run_ttf(spec: ExperimentSpec) -> tuple[list[dict], dict]:
         if len(spec.presets) > 1:
             raise ConfigError("shock.preset: this command needs a single preset")
         raise ConfigError("shock: required for the ttf command")
-    dist = sntf.sntf_distribution(config)
+    dist = sntf.count_distribution(config)
     Z = ttf.compound_ph(dist, config.shock.resolve())
     zs = np.linspace(0.0, spec.z_max, spec.z_steps + 1)
     dens, surv = ttf.pdf_grid(Z, zs)
@@ -300,7 +299,7 @@ def run_sweep_msntf(spec: ExperimentSpec) -> list[dict]:
         bc_value, n, k, r = point
         try:
             config = SystemConfig(n, k, r, BalanceCondition(bc_value))
-            dist = sntf.sntf_distribution(config)
+            dist = sntf.count_distribution(config)
             msntf: Any = sntf.mean_closed(dist)
         except (NoTieSets, OddNUnsupported):
             msntf = INFEASIBLE
@@ -329,7 +328,7 @@ def run_sweep_scv(spec: ExperimentSpec) -> list[dict]:
         row: dict[str, Any] = {"bc": bc_value, "preset": preset, "n": n, "k": k, "r": r}
         try:
             config = SystemConfig(n, k, r, BalanceCondition(bc_value))
-            dist = sntf.sntf_distribution(config)
+            dist = sntf.count_distribution(config)
             Y = ttf.ph_from_preset(preset)
             Z = ttf.compound_ph(dist, Y)
             mean_y, _ = ttf.ph_mean_scv(Y)

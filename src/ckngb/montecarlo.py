@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .system import SystemConfig
-from .tiesets import enumerate_min_tiesets, nonfailed_table
+from .tiesets import nonfailed_closure
 from .ttf import ContinuousPhaseType
 
 BATCH_SIZE = 8192
@@ -112,8 +112,7 @@ def _summarize(kind: str, samples: np.ndarray, seed: int, integer_bins: bool) ->
 def _sntf_samples(config: SystemConfig, seed: int, reps: int) -> np.ndarray:
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    collection = enumerate_min_tiesets(config.n, config.k, config.bc)
-    table = nonfailed_table(collection)
+    table = nonfailed_closure(config.n, config.k, config.bc)
     parts = []
     for batch, size in enumerate(_batch_sizes(reps)):
         rng = _batch_rng(seed, batch)
@@ -167,8 +166,7 @@ def _ttf_samples(config: SystemConfig, seed: int, reps: int) -> np.ndarray:
     if config.shock is None:
         raise ConfigError("shock: required for time-to-failure simulation")
     Y = config.shock.resolve()
-    collection = enumerate_min_tiesets(config.n, config.k, config.bc)
-    table = nonfailed_table(collection)
+    table = nonfailed_closure(config.n, config.k, config.bc)
     parts = []
     for batch, size in enumerate(_batch_sizes(reps)):
         rng = _batch_rng(seed, batch)

@@ -1,10 +1,15 @@
 """Shock count to system failure as a discrete phase-type distribution.
 
-The pmf is available through two independent routes: the matrix form
-(initial vector times powers of the subtransition matrix) and a direct
-summation over nonfailed states that needs no matrix powers at all.  The
-two must agree to floating-point accuracy, which the validation suite
-exercises aggressively.
+A law is an initial vector alpha, an upper triangular substochastic
+matrix P and a weight vector w, with P{M > m} = alpha P^m w.  Two chains
+carry it: the operating-count chain (``count_distribution``, at most
+n + 1 states, w = q), which the CLI commands use, and the paper's
+consolidated chain (``sntf_distribution``, one state per nonfailed state,
+w = e), which serves the golden matrices and the validation oracle.
+Every function of a law below serves both.
+
+The pmf is also available without any matrix: the direct route sums the
+count profile, P{M > m} = sum_j c_j p^j (1 - p)^(n - j) with p = r^m.
 """
 
 from __future__ import annotations
@@ -17,9 +22,10 @@ import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import spsolve_triangular
 
-from .chain import ConsolidatedChain, build_consolidated
+from .chain import ConsolidatedChain, CountChain, build_consolidated, build_count_chain
 from .errors import NonConvergence, SingularSystem
 from .system import SystemConfig
+from .tiesets import count_profile
 
 _SERIES_BLOCK = 256
 _SERIES_CAP = 10**7
@@ -27,10 +33,10 @@ _SERIES_CAP = 10**7
 
 @dataclass(frozen=True, eq=False)
 class DiscretePhaseType:
-    """Initial distribution plus the consolidated subtransition matrix."""
+    """Initial distribution plus a shock chain: P{M > m} = alpha P^m w."""
 
     alpha: np.ndarray
-    chain: ConsolidatedChain
+    chain: ConsolidatedChain | CountChain
 
     @property
     def transition(self) -> np.ndarray | sp.csr_matrix:
@@ -41,20 +47,33 @@ class DiscretePhaseType:
         return self.chain.absorb
 
     @property
+    def weights(self) -> np.ndarray:
+        return self.chain.weights
+
+    @property
     def size(self) -> int:
         return self.chain.size
 
 
-def sntf_distribution(config: SystemConfig) -> DiscretePhaseType:
-    """Shock-count law of the system started in the all-ones state."""
-    chain = build_consolidated(config.n, config.k, config.bc, config.r)
+def _started(chain: ConsolidatedChain | CountChain) -> DiscretePhaseType:
+    """The law of the system started in the all-ones state, chain state 0."""
     alpha = np.zeros(chain.size)
     alpha[0] = 1.0
     return DiscretePhaseType(alpha, chain)
 
 
+def sntf_distribution(config: SystemConfig) -> DiscretePhaseType:
+    """Shock-count law on the paper's consolidated chain."""
+    return _started(build_consolidated(config.n, config.k, config.bc, config.r))
+
+
+def count_distribution(config: SystemConfig) -> DiscretePhaseType:
+    """The same shock-count law on the operating-count chain."""
+    return _started(build_count_chain(config.n, config.k, config.bc, config.r))
+
+
 def pmf_matrix(dist: DiscretePhaseType, m: int) -> float:
-    """P{M = m} via alpha P^(m-1) (e - P e)."""
+    """P{M = m} via alpha P^(m-1) (w - P w)."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     v = dist.alpha.copy()
@@ -64,82 +83,77 @@ def pmf_matrix(dist: DiscretePhaseType, m: int) -> float:
 
 
 def survival(dist: DiscretePhaseType, m: int) -> float:
-    """P{M > m} = alpha P^m e."""
+    """P{M > m} = alpha P^m w."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     v = dist.alpha.copy()
     for _ in range(m):
         v = v @ dist.transition
-    return float(v.sum())
+    return float(v @ dist.weights)
 
 
 def pmf_survival_series(dist: DiscretePhaseType, m_max: int) -> tuple[np.ndarray, np.ndarray]:
     """pmf and survival for m = 1..m_max in a single sweep."""
     pmf = np.empty(m_max)
     surv = np.empty(m_max)
+    w = dist.weights
     v = dist.alpha.copy()
     for m in range(1, m_max + 1):
         pmf[m - 1] = v @ dist.absorb
         v = v @ dist.transition
-        surv[m - 1] = v.sum()
+        surv[m - 1] = v @ w
     return pmf, surv
 
 
-def _start_counts(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    chain = build_consolidated(config.n, config.k, config.bc, config.r)
-    ones = chain.n_operating.astype(np.float64)
-    return ones, config.n - ones
+def _survival_terms(config: SystemConfig, p: float | np.ndarray) -> np.ndarray:
+    """Per operating count j (last axis), c_j p^j (1 - p)^(n - j); 0**0 = 1."""
+    j = np.arange(config.n + 1, dtype=np.float64)
+    return count_profile(config.n, config.k, config.bc) * (p**j * (1.0 - p) ** (config.n - j))
 
 
 def survival_direct(config: SystemConfig, m: int) -> float:
-    """P{M > m} summed state by state, without any matrix."""
+    """P{M > m} summed over the count profile, without any matrix."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    ones, zeros = _start_counts(config)
-    rm = config.r**m
-    return float((rm**ones * (1.0 - rm) ** zeros).sum())
+    return float(_survival_terms(config, config.r**m).sum())
 
 
 def pmf_direct(config: SystemConfig, m: int) -> float:
-    """P{M = m} by direct summation over nonfailed states.
+    """P{M = m} by direct summation over the count profile.
 
-    Each state contributes its (m-1)-step reach probability minus its
-    m-step one; with 0**0 = 1 the m = 1 term reduces to one minus the
+    Each count contributes its (m-1)-step survival term minus its m-step
+    one; with 0**0 = 1 the m = 1 term reduces to one minus the
     single-shock survival.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    ones, zeros = _start_counts(config)
-    prev = config.r ** (m - 1)
-    curr = config.r**m
-    terms = prev**ones * (1.0 - prev) ** zeros - curr**ones * (1.0 - curr) ** zeros
+    terms = _survival_terms(config, config.r ** (m - 1)) - _survival_terms(config, config.r**m)
     return float(terms.sum())
 
 
-def _solve_upper(chain: ConsolidatedChain, rhs: np.ndarray) -> np.ndarray:
+def _solve_upper(chain: ConsolidatedChain | CountChain, rhs: np.ndarray) -> np.ndarray:
     """Back-substitution against (I - P); P is upper triangular."""
     N = chain.size
     try:
-        if chain.is_dense:
-            A = np.eye(N) - chain.transition
-            return solve_triangular(A, rhs, lower=False)
-        A = (sp.eye(N, format="csr") - chain.transition).tocsr()
-        return spsolve_triangular(A, rhs, lower=False)
+        if sp.issparse(chain.transition):
+            A = (sp.eye(N, format="csr") - chain.transition).tocsr()
+            return spsolve_triangular(A, rhs, lower=False)
+        return solve_triangular(np.eye(N) - chain.transition, rhs, lower=False)
     except Exception as exc:  # singular or badly scaled system
         raise SingularSystem(str(exc)) from exc
 
 
 def mean_closed(dist: DiscretePhaseType) -> float:
-    """Mean shock count alpha (I - P)^(-1) e via one triangular solve."""
-    x = _solve_upper(dist.chain, np.ones(dist.size))
+    """Mean shock count alpha (I - P)^(-1) w via one triangular solve."""
+    x = _solve_upper(dist.chain, dist.weights)
     return float(dist.alpha @ x)
 
 
 def factorial_moment(dist: DiscretePhaseType, p: int) -> float:
-    """E[M(M-1)...(M-p+1)] = p! alpha (I-P)^(-p) P^(p-1) e."""
+    """E[M(M-1)...(M-p+1)] = p! alpha P^(p-1) (I-P)^(-p) w."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    w = np.ones(dist.size)
+    w = dist.weights
     for _ in range(p - 1):
         w = dist.transition @ w
     for _ in range(p):
@@ -150,18 +164,16 @@ def factorial_moment(dist: DiscretePhaseType, p: int) -> float:
 def raw_moment_series(config: SystemConfig, p: int, tol: float = 1e-12) -> float:
     """E[M^p] by truncated summation of the direct pmf.
 
-    The cut uses a geometric tail bound with ratio rho = max row sum of
-    the subtransition matrix; summation stops once the bound drops below
-    tol (absolute).
+    The cut uses a geometric tail bound with ratio rho = P{M > 1}: the
+    nonfailed set is an up-set, so no state survives a shock more often
+    than the all-ones start state.  Summation stops once the bound drops
+    below tol (absolute).
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    chain = build_consolidated(config.n, config.k, config.bc, config.r)
-    ones = chain.n_operating.astype(np.float64)
-    zeros = config.n - ones
-    rho = float(1.0 - chain.absorb.min())
+    rho = float(_survival_terms(config, config.r).sum())
     tail_shift = rho / (1.0 - rho)
 
     total = 0.0
@@ -169,8 +181,7 @@ def raw_moment_series(config: SystemConfig, p: int, tol: float = 1e-12) -> float
     m0 = 1
     while True:
         ms = np.arange(m0, m0 + _SERIES_BLOCK, dtype=np.float64)
-        rm = config.r ** ms[:, None]
-        surv = (rm ** ones[None, :] * (1.0 - rm) ** zeros[None, :]).sum(axis=1)
+        surv = _survival_terms(config, config.r ** ms[:, None]).sum(axis=1)
         pmf = np.concatenate(([prev_surv], surv[:-1])) - surv
         total += float((ms**p * pmf).sum())
         prev_surv = float(surv[-1])

@@ -1,9 +1,11 @@
-"""Minimum tie-set enumeration and structure-function reliability.
+"""Minimum tie-set enumeration, the nonfailed set and its count profile.
 
 A tie-set is an inclusion-minimal set of at least k units whose joint
 operation keeps the system balanced; a state is nonfailed exactly when
 its operating set contains one (surplus units can be switched off to
-rebalance).
+rebalance).  Equivalently, the nonfailed set is the superset closure of
+the balanced sets of at least k units, which ``nonfailed_closure``
+computes without listing the tie-sets.
 """
 
 from __future__ import annotations
@@ -97,6 +99,42 @@ def nonfailed_table(collection: TieSetCollection) -> np.ndarray:
     for t in collection.masks:
         table |= (masks & t) == t
     return table
+
+
+@lru_cache(maxsize=16)
+def nonfailed_closure(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
+    """Bool array over all 2**n bitmasks: the operating set contains a
+    balanced set of at least k units.
+
+    Equals ``nonfailed_table(enumerate_min_tiesets(n, k, bc))``.  The
+    closure takes one in-place OR pass per unit, lifting every marked mask
+    to the mask with that unit's bit also set.  The array is read-only and
+    shared between callers; raises NoTieSets when it is empty.
+    """
+    table = balanced_mask_table(n, bc) & (np.bitwise_count(np.arange(1 << n)) >= k)
+    if not table.any():
+        raise NoTieSets(f"no tie-sets for n={n}, k={k}, bc={bc.value}")
+    for b in range(n):
+        halves = table.reshape(-1, 2, 1 << b)  # axis 1 is bit b of the mask
+        halves[:, 1, :] |= halves[:, 0, :]
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=128)
+def count_profile(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
+    """c_j for j = 0..n: the number of nonfailed states with exactly j
+    operating units.
+
+    Every lifetime quantity depends on the nonfailed set only through these
+    counts: after m shocks each unit still operates with probability
+    p = r**m, independently, so P{M > m} = sum_j c_j p**j (1 - p)**(n - j).
+    The array is read-only and shared between callers.
+    """
+    nonfailed = np.flatnonzero(nonfailed_closure(n, k, bc))
+    counts = np.bincount(np.bitwise_count(nonfailed), minlength=n + 1).astype(np.int64)
+    counts.flags.writeable = False
+    return counts
 
 
 def system_reliability_product(collection: TieSetCollection, r: float) -> float:

@@ -122,14 +122,21 @@ class InterShockSpec:
 class CompoundPhaseType:
     """Failure-time law: shock-count phases crossed with inter-shock phases.
 
-    Kept in factored form; the dense subgenerator is only materialized on
-    demand for small systems.
+    P{Z > z} = alpha exp(z T_Z) (w x e), with w the shock-count weights
+    (all ones, the default, for a plain phase-type law).  Kept in factored
+    form; the dense subgenerator is only materialized on demand for small
+    systems.
     """
 
     alpha: np.ndarray  # length N*K
     transition: np.ndarray | sp.csr_matrix  # shock-count subtransition (N x N)
-    absorb: np.ndarray  # shock-count absorption vector (N,)
+    absorb: np.ndarray  # shock-count absorption vector w - P w (N,)
     shock: ContinuousPhaseType
+    weights: np.ndarray | None = None  # shock-count weights w (N,)
+
+    def __post_init__(self) -> None:
+        if self.weights is None:
+            object.__setattr__(self, "weights", np.ones(self.absorb.size))
 
     @property
     def states(self) -> int:
@@ -167,10 +174,11 @@ def compound_ph(
     if dim > max_dim:
         raise CapacityExceeded(f"compound dimension {dim} exceeds cap {max_dim}")
     alpha = np.kron(dist.alpha, Y.alpha)
-    return CompoundPhaseType(alpha, dist.chain.transition, dist.chain.absorb, Y)
+    return CompoundPhaseType(alpha, dist.transition, dist.absorb, Y, dist.weights)
 
 
 def compound_from_config(config: SystemConfig) -> CompoundPhaseType:
+    """Failure-time law on the paper's consolidated chain."""
     if config.shock is None:
         raise ConfigError("shock: an inter-shock specification is required")
     return compound_ph(sntf_distribution(config), config.shock.resolve())
@@ -222,16 +230,20 @@ def _density_from(Z: CompoundPhaseType, U: np.ndarray) -> float:
     return float((U @ Z.shock.exit_rates) @ Z.absorb)
 
 
+def _survival_from(Z: CompoundPhaseType, U: np.ndarray) -> float:
+    return float(U.sum(axis=1) @ Z.weights)
+
+
 def pdf(Z: CompoundPhaseType, z: float) -> float:
-    """Failure-time density -alpha exp(z T_Z) T_Z e at a single point."""
+    """Failure-time density -alpha exp(z T_Z) T_Z (w x e) at a single point."""
     U = _exp_action_left(Z, _alpha_matrix(Z), z)
     return _density_from(Z, U)
 
 
 def cdf_survival(Z: CompoundPhaseType, z: float) -> float:
-    """P{failure later than z} = alpha exp(z T_Z) e."""
+    """P{failure later than z} = alpha exp(z T_Z) (w x e)."""
     U = _exp_action_left(Z, _alpha_matrix(Z), z)
-    return float(U.sum())
+    return _survival_from(Z, U)
 
 
 def pdf_grid(Z: CompoundPhaseType, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,7 +260,7 @@ def pdf_grid(Z: CompoundPhaseType, zs: np.ndarray) -> tuple[np.ndarray, np.ndarr
         U = _exp_action_left(Z, U, float(z) - prev)
         prev = float(z)
         dens[i] = _density_from(Z, U)
-        surv[i] = U.sum()
+        surv[i] = _survival_from(Z, U)
     return dens, surv
 
 
@@ -296,10 +308,10 @@ def _solve_neg_generator(Z: CompoundPhaseType, B: np.ndarray) -> np.ndarray:
 
 
 def raw_moment(Z: CompoundPhaseType, p: int) -> float:
-    """E[Z^p] = p! alpha (-T_Z)^(-p) e via p successive block solves."""
+    """E[Z^p] = p! alpha (-T_Z)^(-p) (w x e) via p successive block solves."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    X = np.ones((Z.states, Z.K))
+    X = np.repeat(Z.weights[:, None], Z.K, axis=1)
     for _ in range(p):
         X = _solve_neg_generator(Z, X)
     return float(math.factorial(p) * (_alpha_matrix(Z) * X).sum())

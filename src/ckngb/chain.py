@@ -7,7 +7,8 @@ nonfailed state plus an absorption column.  In canonical order (ascending
 state index, all-ones first) the subtransition matrix is upper triangular
 because failed units never revive; solves against it are exact
 back-substitutions.  It serves the golden matrices, the chain dump and the
-validation oracle.
+validation oracle, is stored dense and is refused above MAX_CHAIN_STATES
+states.
 
 The count chain carries the same shock-count law on at most n + 1 states.
 Each shock thins the operating count j binomially, and a state with j
@@ -23,13 +24,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CapacityExceeded, InvariantViolation
 from .system import BalanceCondition, SystemState
 from .tiesets import count_profile, nonfailed_closure
 
-DENSE_LIMIT = 4096
+# Dense N x N storage caps the consolidated chain: 15 000 states take
+# 1.8 GB.  Every n <= 14 system fits (the largest, n=14 k=2 BC2, has
+# 14 199); n=16 k=4 BC3 (41 479) does not.
+MAX_CHAIN_STATES = 15_000
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,7 @@ class ConsolidatedChain:
 
     states: tuple[SystemState, ...]
     masks: np.ndarray
-    transition: np.ndarray | sp.csr_matrix
+    transition: np.ndarray
     absorb: np.ndarray
     n: int
     k: int
@@ -109,20 +112,11 @@ class ConsolidatedChain:
         """Every state of this chain is nonfailed: w = e."""
         return np.ones(self.size)
 
-    @property
-    def is_dense(self) -> bool:
-        return isinstance(self.transition, np.ndarray)
-
-    def dense_transition(self) -> np.ndarray:
-        if self.is_dense:
-            return self.transition
-        return self.transition.toarray()
-
     def full_matrix(self) -> np.ndarray:
         """Stochastic (N+1)x(N+1) matrix with the absorbing state appended."""
         N = self.size
         out = np.zeros((N + 1, N + 1))
-        out[:N, :N] = self.dense_transition()
+        out[:N, :N] = self.transition
         out[:N, N] = self.absorb
         out[N, N] = 1.0
         return out
@@ -130,67 +124,73 @@ class ConsolidatedChain:
 
 def _transition_rows(
     masks: np.ndarray, pops: np.ndarray, r: float, row_start: int, row_stop: int
-) -> np.ndarray:
-    """Dense block of transition probabilities for rows [row_start, row_stop)."""
-    rt = 1.0 - r
+) -> tuple[np.ndarray, np.ndarray]:
+    """Subset mask and dense block of one-shock transition probabilities for
+    rows [row_start, row_stop): sub[i, b] says the units of state b are a
+    subset of those of row i, which then becomes b with probability
+    r^|b| (1 - r)^(|i| - |b|)."""
     sub = (masks[row_start:row_stop, None] & masks[None, :]) == masks[None, :]
-    c1 = pops[None, :].astype(np.float64)
-    c2 = (pops[row_start:row_stop, None] - pops[None, :]).astype(np.float64)
-    vals = r**c1 * rt ** np.maximum(c2, 0.0)
-    return np.where(sub, vals, 0.0)
+    j = np.arange(int(pops.max()) + 1, dtype=np.float64)
+    keep = r**j
+    lose = np.append((1.0 - r) ** j, 0.0)  # index -1: not a subset
+    lost = np.where(sub, pops[row_start:row_stop, None] - pops[None, :], -1)
+    return sub, keep[pops][None, :] * lose[lost]
 
 
-@lru_cache(maxsize=6)
-def build_consolidated(
-    n: int, k: int, bc: BalanceCondition, r: float, dense_limit: int = DENSE_LIMIT
-) -> ConsolidatedChain:
+def _binomial_terms(coef: np.ndarray, a: np.ndarray, r: float) -> np.ndarray:
+    """coef[i, b] r^b (1 - r)^(a_i - b): one shock leaves b of a_i operating
+    units (coef = C(a_i, b)) or one given b-subset of them (coef = 1)."""
+    b = np.arange(coef.shape[-1])
+    return coef * r ** b[None, :] * (1.0 - r) ** np.maximum(a[:, None] - b[None, :], 0)
+
+
+def _binomials(n: int) -> np.ndarray:
+    """C(a, b) for 0 <= a, b <= n, zero for b > a."""
+    j = range(n + 1)
+    return np.array([[math.comb(a, b) for b in j] for a in j], dtype=np.float64)
+
+
+@lru_cache(maxsize=1)  # a chain at the cap takes 1.8 GB
+def build_consolidated(n: int, k: int, bc: BalanceCondition, r: float) -> ConsolidatedChain:
+    """Consolidated chain at unit reliability r, all-ones state first.
+
+    Raises CapacityExceeded, before allocating the matrix, when the system
+    has more than MAX_CHAIN_STATES nonfailed states.
+    """
     if not 0.0 < r < 1.0:
         raise ValueError(f"r must lie strictly inside (0, 1), got {r}")
     masks = _nonfailed_masks(n, k, bc)
     N = masks.size
+    if N > MAX_CHAIN_STATES:
+        raise CapacityExceeded(
+            f"consolidated chain capped at {MAX_CHAIN_STATES} states, need {N}"
+        )
     pops = np.bitwise_count(masks).astype(np.int64)
+    by_count = (pops[:, None] == np.arange(n + 1)[None, :]).astype(np.float64)
     chunk = max(1, (1 << 22) // max(N, 1))
 
-    if N <= dense_limit:
-        P: np.ndarray | sp.csr_matrix = np.zeros((N, N))
-        for i0 in range(0, N, chunk):
-            i1 = min(N, i0 + chunk)
-            P[i0:i1] = _transition_rows(masks, pops, r, i0, i1)
-        row_sums = P.sum(axis=1)
-    else:
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        data: list[np.ndarray] = []
-        for i0 in range(0, N, chunk):
-            i1 = min(N, i0 + chunk)
-            block = _transition_rows(masks, pops, r, i0, i1)
-            rr, cc = np.nonzero(block)
-            rows.append(rr + i0)
-            cols.append(cc)
-            data.append(block[rr, cc])
-        P = sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(N, N),
-        )
-        row_sums = np.asarray(P.sum(axis=1)).ravel()
-
+    P = np.zeros((N, N))
+    # failed[i, j]: j-unit subsets of row i's operating units that are failed
+    failed = _binomials(n)[pops]
+    for i0 in range(0, N, chunk):
+        i1 = min(N, i0 + chunk)
+        sub, P[i0:i1] = _transition_rows(masks, pops, r, i0, i1)
+        failed[i0:i1] -= sub @ by_count
     check_upper_triangular(P)
-    absorb = 1.0 - row_sums
+    # The probability of a failed successor, as a sum of nonnegative terms
+    # rather than 1 - row sum, which cancels where failing is rare.
+    absorb = _binomial_terms(failed, pops, r).sum(axis=1)
     states = tuple(SystemState(int(m), n) for m in masks)
     return ConsolidatedChain(states, masks, P, absorb, n, k, bc, r)
 
 
-def check_upper_triangular(P: np.ndarray | sp.spmatrix) -> None:
+def check_upper_triangular(P: np.ndarray) -> None:
     """Raise InvariantViolation when P stores an entry below the diagonal.
 
     The solves rely on back-substitution, so triangularity is load-bearing.
+    Rows are scanned in blocks, so no N x N temporary is made.
     """
-    if sp.issparse(P):
-        coo = P.tocoo()
-        below = bool((coo.col < coo.row).any())
-    else:
-        below = bool(np.tril(P, -1).any())
-    if below:
+    if any(np.tril(P[i : i + 256], i - 1).any() for i in range(0, P.shape[0], 256)):
         raise InvariantViolation("subtransition matrix must be upper triangular")
 
 
@@ -220,14 +220,14 @@ def build_count_chain(n: int, k: int, bc: BalanceCondition, r: float) -> CountCh
         raise ValueError(f"r must lie strictly inside (0, 1), got {r}")
     counts = count_profile(n, k, bc)
     j = np.arange(n + 1)
-    binom = np.array([[math.comb(a, b) for b in j] for a in j], dtype=np.float64)
+    binom = _binomials(n)
     q = counts / binom[n]
     # The nonfailed set is an up-set, so q is nondecreasing in j (the LYM
     # inequality).  Rounding c_j / C(n, j) is monotone, so this is exact.
     if (np.diff(q) < 0.0).any():
         raise InvariantViolation(f"q_j = c_j / C(n, j) decreases in j: {q.tolist()}")
     # full[a, b]: a operating units become b after one shock (zero for b > a)
-    full = binom * r ** j[None, :] * (1.0 - r) ** np.maximum(j[:, None] - j[None, :], 0)
+    full = _binomial_terms(binom, j, r)
     # Rows of full sum to one, so w - P w is this sum of nonnegative terms.
     absorb = (full * (q[:, None] - q[None, :])).sum(axis=1)
     states = np.arange(n, int(np.argmax(counts > 0)) - 1, -1)
@@ -243,7 +243,7 @@ def full_transition_matrix(n: int, r: float) -> np.ndarray:
         raise CapacityExceeded(f"full chain oracle bounded at n <= 8, got n={n}")
     masks = np.arange((1 << n) - 1, -1, -1, dtype=np.int64)
     pops = np.bitwise_count(masks).astype(np.int64)
-    return _transition_rows(masks, pops, r, 0, masks.size)
+    return _transition_rows(masks, pops, r, 0, masks.size)[1]
 
 
 def chain_csv(chain: ConsolidatedChain) -> str:

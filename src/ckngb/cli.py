@@ -92,11 +92,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "sntf-pmf":
+        if args.dump_chain:
+            # built first, so a chain over the state cap fails before any output
+            config = spec.single()
+            chain = build_consolidated(config.n, config.k, config.bc, config.r)
         rows = experiments.run_sntf_pmf(spec, use_matrix=args.matrix)
         _emit(experiments.rows_to_csv(["m", "pmf", "survival"], rows), spec.out)
         if args.dump_chain:
-            config = spec.single()
-            chain = build_consolidated(config.n, config.k, config.bc, config.r)
             with open(args.dump_chain, "w", encoding="utf-8") as fh:
                 fh.write(chain_csv(chain))
         return EXIT_OK

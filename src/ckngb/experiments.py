@@ -374,7 +374,7 @@ def run_validate(
     dist = sntf.DiscretePhaseType(np.r_[1.0, np.zeros(chain.size - 1)], chain)
     checks: list[dict] = []
 
-    P = chain.dense_transition()
+    P = chain.transition
     row_err = float(np.abs(P.sum(axis=1) + chain.absorb - 1.0).max())
     bad_entries = bool((P < 0).any() or (P > 1).any() or np.tril(P, -1).any())
     checks.append(

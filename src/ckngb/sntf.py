@@ -15,12 +15,10 @@ count profile, P{M > m} = sum_j c_j p^j (1 - p)^(n - j) with p = r^m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import solve_triangular
-from scipy.sparse.linalg import spsolve_triangular
 
 from .chain import ConsolidatedChain, CountChain, build_consolidated, build_count_chain
 from .errors import NonConvergence, SingularSystem
@@ -39,7 +37,7 @@ class DiscretePhaseType:
     chain: ConsolidatedChain | CountChain
 
     @property
-    def transition(self) -> np.ndarray | sp.csr_matrix:
+    def transition(self) -> np.ndarray:
         return self.chain.transition
 
     @property
@@ -105,10 +103,15 @@ def pmf_survival_series(dist: DiscretePhaseType, m_max: int) -> tuple[np.ndarray
     return pmf, surv
 
 
+def _subset_probs(n: int, p: float | np.ndarray) -> np.ndarray:
+    """Per operating count j (last axis), p^j (1 - p)^(n - j); 0**0 = 1."""
+    j = np.arange(n + 1, dtype=np.float64)
+    return p**j * (1.0 - p) ** (n - j)
+
+
 def _survival_terms(config: SystemConfig, p: float | np.ndarray) -> np.ndarray:
-    """Per operating count j (last axis), c_j p^j (1 - p)^(n - j); 0**0 = 1."""
-    j = np.arange(config.n + 1, dtype=np.float64)
-    return count_profile(config.n, config.k, config.bc) * (p**j * (1.0 - p) ** (config.n - j))
+    """Per operating count j (last axis), c_j p^j (1 - p)^(n - j)."""
+    return count_profile(config.n, config.k, config.bc) * _subset_probs(config.n, p)
 
 
 def survival_direct(config: SystemConfig, m: int) -> float:
@@ -133,12 +136,8 @@ def pmf_direct(config: SystemConfig, m: int) -> float:
 
 def _solve_upper(chain: ConsolidatedChain | CountChain, rhs: np.ndarray) -> np.ndarray:
     """Back-substitution against (I - P); P is upper triangular."""
-    N = chain.size
     try:
-        if sp.issparse(chain.transition):
-            A = (sp.eye(N, format="csr") - chain.transition).tocsr()
-            return spsolve_triangular(A, rhs, lower=False)
-        return solve_triangular(np.eye(N) - chain.transition, rhs, lower=False)
+        return solve_triangular(np.eye(chain.size) - chain.transition, rhs, lower=False)
     except Exception as exc:  # singular or badly scaled system
         raise SingularSystem(str(exc)) from exc
 
@@ -173,8 +172,15 @@ def raw_moment_series(config: SystemConfig, p: int, tol: float = 1e-12) -> float
         raise ValueError(f"p must be >= 1, got {p}")
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
+    n = config.n
     rho = float(_survival_terms(config, config.r).sum())
-    tail_shift = rho / (1.0 - rho)
+    # 1 - rho summed over the failed subsets: the difference rounds to 0
+    # where one shock almost never fails the system.
+    failed = np.array([comb(n, j) for j in range(n + 1)]) - count_profile(n, config.k, config.bc)
+    fail_1 = float((failed * _subset_probs(n, config.r)).sum())
+    if fail_1 == 0.0:
+        raise NonConvergence(f"P{{M = 1}} underflows at r={config.r}; the tail bound is void")
+    tail_shift = rho / fail_1
 
     total = 0.0
     prev_surv = 1.0  # P{M > 0}
@@ -186,7 +192,7 @@ def raw_moment_series(config: SystemConfig, p: int, tol: float = 1e-12) -> float
         total += float((ms**p * pmf).sum())
         prev_surv = float(surv[-1])
         m_last = m0 + _SERIES_BLOCK - 1
-        bound = prev_surv / (1.0 - rho) * (m_last + tail_shift) ** p
+        bound = prev_surv / fail_1 * (m_last + tail_shift) ** p
         if bound < tol:
             return total
         m0 += _SERIES_BLOCK

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CapacityExceeded, ConfigError, NonConvergence, SingularSystem
 from .sntf import DiscretePhaseType, sntf_distribution
@@ -25,7 +24,6 @@ from .system import SystemConfig
 PRESET_LABELS = ("ER", "EXP", "HE")
 
 _DENSE_CAP = 4096
-_MAX_COMPOUND_DIM = 1 << 20
 _POISSON_TAIL = 1e-14
 _STEP_BUDGET = 50.0  # max uniformization rate*length handled per stride
 _TERM_CAP = 100_000
@@ -123,20 +121,15 @@ class CompoundPhaseType:
     """Failure-time law: shock-count phases crossed with inter-shock phases.
 
     P{Z > z} = alpha exp(z T_Z) (w x e), with w the shock-count weights
-    (all ones, the default, for a plain phase-type law).  Kept in factored
-    form; the dense subgenerator is only materialized on demand for small
-    systems.
+    (all ones for a plain phase-type law).  Kept in factored form; the
+    dense subgenerator is only materialized on demand for small systems.
     """
 
     alpha: np.ndarray  # length N*K
-    transition: np.ndarray | sp.csr_matrix  # shock-count subtransition (N x N)
+    transition: np.ndarray  # shock-count subtransition (N x N)
     absorb: np.ndarray  # shock-count absorption vector w - P w (N,)
     shock: ContinuousPhaseType
-    weights: np.ndarray | None = None  # shock-count weights w (N,)
-
-    def __post_init__(self) -> None:
-        if self.weights is None:
-            object.__setattr__(self, "weights", np.ones(self.absorb.size))
+    weights: np.ndarray  # shock-count weights w (N,)
 
     @property
     def states(self) -> int:
@@ -159,20 +152,16 @@ class CompoundPhaseType:
             raise CapacityExceeded(
                 f"dense subgenerator capped at {_DENSE_CAP}, need {self.dim}"
             )
-        P = self.transition
-        if sp.issparse(P):
-            P = P.toarray()
         block = np.outer(self.shock.exit_rates, self.shock.alpha)
-        return np.kron(np.eye(self.states), self.shock.T) + np.kron(P, block)
+        return np.kron(np.eye(self.states), self.shock.T) + np.kron(self.transition, block)
 
 
-def compound_ph(
-    dist: DiscretePhaseType, Y: ContinuousPhaseType, max_dim: int = _MAX_COMPOUND_DIM
-) -> CompoundPhaseType:
-    """Random sum of per-shock durations as one phase-type distribution."""
-    dim = dist.size * Y.K
-    if dim > max_dim:
-        raise CapacityExceeded(f"compound dimension {dim} exceeds cap {max_dim}")
+def compound_ph(dist: DiscretePhaseType, Y: ContinuousPhaseType) -> CompoundPhaseType:
+    """Random sum of per-shock durations as one phase-type distribution.
+
+    Its dimension is the shock-count chain's size times Y.K, so the chain's
+    own bounds are the only cap it needs.
+    """
     alpha = np.kron(dist.alpha, Y.alpha)
     return CompoundPhaseType(alpha, dist.transition, dist.absorb, Y, dist.weights)
 
@@ -284,24 +273,14 @@ def _solve_neg_generator(Z: CompoundPhaseType, B: np.ndarray) -> np.ndarray:
     """Solve (-T_Z) x = b by block back-substitution over the shock states."""
     N, K = Z.states, Z.K
     P = Z.transition
-    dense = not sp.issparse(P)
-    diag = P.diagonal() if not dense else np.diag(P)
-    inverses = _diag_block_inverses(Z, np.asarray(diag))
-    if not dense:
-        indptr, indices, data = P.indptr, P.indices, P.data
-
+    diag = np.diag(P)
+    inverses = _diag_block_inverses(Z, diag)
     X = np.zeros((N, K))
     routed = np.zeros(N)  # alpha_c . X[b], filled back to front
     exit_c = Z.shock.exit_rates
     alpha_c = Z.shock.alpha
     for a in range(N - 1, -1, -1):
-        if dense:
-            s = P[a, a + 1 :] @ routed[a + 1 :]
-        else:
-            lo, hi = indptr[a], indptr[a + 1]
-            cols = indices[lo:hi]
-            ahead = cols > a
-            s = data[lo:hi][ahead] @ routed[cols[ahead]]
+        s = P[a, a + 1 :] @ routed[a + 1 :]
         X[a] = inverses[float(diag[a])] @ (B[a] + s * exit_c)
         routed[a] = alpha_c @ X[a]
     return X

@@ -76,7 +76,7 @@ def test_criterion_01_consolidated_matrix_golden():
     elapsed = time.perf_counter() - start
     state_ok = [str(s) for s in chain.states] == TABLE_STATES
     entry_gap = max(
-        float(np.abs(chain.dense_transition() - CONSOLIDATED_P).max()),
+        float(np.abs(chain.transition - CONSOLIDATED_P).max()),
         float(np.abs(chain.absorb - CONSOLIDATED_ABSORB).max()),
     )
     _report(

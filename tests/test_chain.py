@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ckngb.chain import (
+    MAX_CHAIN_STATES,
     build_consolidated,
     chain_csv,
     full_transition_matrix,
@@ -14,6 +17,7 @@ from ckngb.chain import (
 )
 from ckngb.errors import CapacityExceeded
 from ckngb.system import BalanceCondition, SystemState
+from ckngb.tiesets import count_profile, nonfailed_closure
 from goldens import CONSOLIDATED_ABSORB, CONSOLIDATED_P, TABLE_STATES
 
 BC1, BC2, BC3 = BalanceCondition.BC1, BalanceCondition.BC2, BalanceCondition.BC3
@@ -73,38 +77,56 @@ class TestTransitionCounts:
 class TestConsolidated:
     def test_reference_matrix(self):
         chain = build_consolidated(4, 2, BC3, 0.7)
-        assert np.abs(chain.dense_transition() - CONSOLIDATED_P).max() < 5e-4
+        assert np.abs(chain.transition - CONSOLIDATED_P).max() < 5e-4
         assert np.abs(chain.absorb - CONSOLIDATED_ABSORB).max() < 5e-4
 
     def test_second_row(self):
         chain = build_consolidated(4, 2, BC3, 0.7)
         expected = np.array([0.0, 0.343, 0.0, 0.0, 0.147, 0.0, 0.0])
-        assert np.abs(chain.dense_transition()[1] - expected).max() < 5e-4
+        assert np.abs(chain.transition[1] - expected).max() < 5e-4
 
     def test_single_transient_state(self):
         chain = build_consolidated(2, 2, BC3, 0.6)
-        assert chain.dense_transition() == pytest.approx(np.array([[0.36]]))
+        assert chain.transition == pytest.approx(np.array([[0.36]]))
         assert chain.absorb == pytest.approx(np.array([0.64]))
 
     @pytest.mark.parametrize("n,k,bc,r", [(4, 2, BC3, 0.7), (6, 3, BC2, 0.5), (6, 2, BC1, 0.9), (7, 3, BC3, 0.3)])
     def test_rows_plus_absorb_are_stochastic(self, n, k, bc, r):
         chain = build_consolidated(n, k, bc, r)
-        P = chain.dense_transition()
+        P = chain.transition
         assert np.abs(P.sum(axis=1) + chain.absorb - 1.0).max() < 1e-12
         assert (P >= 0).all() and (P <= 1).all()
 
     @pytest.mark.parametrize("n,k,bc,r", [(5, 2, BC3, 0.5), (6, 2, BC2, 0.7), (8, 3, BC3, 0.9)])
     def test_upper_triangular(self, n, k, bc, r):
-        P = build_consolidated(n, k, bc, r).dense_transition()
+        P = build_consolidated(n, k, bc, r).transition
         assert not np.tril(P, -1).any()
 
-    def test_sparse_path_matches_dense(self):
-        dense = build_consolidated(6, 2, BC3, 0.7)
-        sparse = build_consolidated(6, 2, BC3, 0.7, dense_limit=1)
-        assert not sparse.is_dense
-        assert np.abs(sparse.dense_transition() - dense.transition).max() == 0.0
-        # row sums accumulate in a different order on the sparse path
-        assert np.abs(sparse.absorb - dense.absorb).max() < 1e-15
+    def test_absorb_matches_exact_arithmetic(self):
+        # P{M = 1} from the all-ones state is a sum of rare failed
+        # successors; formed as 1 - row sum it keeps only 10 or so digits
+        n, k, bc, r = 10, 2, BC1, 0.95
+        chain = build_consolidated(n, k, bc, r)
+        rf = Fraction(r)
+        exact = sum(
+            rf ** mask.bit_count() * (1 - rf) ** (n - mask.bit_count())
+            for mask, ok in enumerate(nonfailed_closure(n, k, bc))
+            if not ok
+        )
+        assert abs(Fraction(float(chain.absorb[0])) - exact) <= Fraction(1, 10**13) * exact
+
+    def test_state_cap_refuses_before_building(self):
+        with pytest.raises(CapacityExceeded, match="41479"):
+            build_consolidated(16, 4, BC3, 0.8)
+
+    def test_state_cap_admits_every_system_up_to_14_units(self):
+        largest = max(
+            int(count_profile(n, k, bc).sum())
+            for n in range(2, 15)
+            for k in range(2, n + 1)
+            for bc in (BC2, BC3) + ((BC1,) if n % 2 == 0 else ())
+        )
+        assert largest == 14199 <= MAX_CHAIN_STATES
 
     def test_full_matrix_partition(self):
         chain = build_consolidated(4, 2, BC3, 0.7)
@@ -194,7 +216,7 @@ class TestConsolidationFidelity:
         v_cons[0] = 1.0
         for _ in range(20):
             v_full = v_full @ full
-            v_cons = v_cons @ chain.dense_transition()
+            v_cons = v_cons @ chain.transition
             absorbed_full = 1.0 - v_full[nonfailed_idx].sum()
             absorbed_cons = 1.0 - v_cons.sum()
             assert abs(absorbed_full - absorbed_cons) < 1e-12

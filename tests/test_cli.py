@@ -1,5 +1,6 @@
 import copy
 import json
+import time
 
 import numpy as np
 import pytest
@@ -116,6 +117,29 @@ class TestExitCodes:
 
         monkeypatch.setattr(experiments, "run_validate", fake)
         assert main(["validate", "--config", config_file(REFERENCE_DOC)]) == 1
+
+
+class TestChainCap:
+    """A consolidated chain above the state cap is refused fast, with exit 4."""
+
+    DOC = {"n": 16, "k": 4, "r": 0.8, "bc": "BC3", "shock": {"preset": "HE"}}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sntf-pmf", "--matrix"], ["sntf-pmf", "--dump-chain", "chain.csv"], ["validate"]],
+        ids=["matrix", "dump-chain", "validate"],
+    )
+    def test_refused_before_any_output(self, argv, config_file, tmp_path, capsys):
+        argv = [str(tmp_path / a) if a == "chain.csv" else a for a in argv]
+        start = time.perf_counter()
+        rc = main(argv + ["--config", config_file(self.DOC)])
+        elapsed = time.perf_counter() - start
+        assert rc == 4
+        assert elapsed < 2.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "41479" in captured.err
+        assert not (tmp_path / "chain.csv").exists()
 
 
 class TestCommands:
@@ -329,6 +353,12 @@ class TestValidateNegativeControl:
         checks = experiments.run_validate(spec, chain_override=corrupted)
         by_name = {c["check"]: c["result"] for c in checks}
         assert by_name["row_stochasticity"] == "fail"
+
+    def test_validate_when_one_shock_almost_never_fails(self, config_file, capsys):
+        # 1 - P{M > 1} rounds to 0 here; the series must still converge
+        doc = {"n": 12, "k": 2, "r": 0.999, "bc": "BC3", "reps": 2000}
+        assert main(["validate", "--config", config_file(doc)]) == 0
+        assert "mean_closed_vs_series,pass" in capsys.readouterr().out
 
     def test_larger_system_consolidation_check(self):
         spec = experiments.parse_config({"n": 8, "k": 3, "r": 0.7, "bc": "BC3", "reps": 20000})

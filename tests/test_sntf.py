@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ckngb.chain import build_consolidated
 from ckngb.sntf import (
+    count_distribution,
     factorial_moment,
     mean_closed,
     pmf_direct,
@@ -149,6 +149,13 @@ class TestMoments:
             4.0 / 3.0, abs=1e-12
         )
 
+    def test_series_when_one_shock_almost_never_fails(self):
+        # P{M = 1} = 3.6e-17, so 1 - P{M > 1} rounds to 0
+        config = SystemConfig(12, 2, 0.999, BC3)
+        assert raw_moment_series(config, 1, 1e-12) == pytest.approx(
+            mean_closed(count_distribution(config)), rel=1e-12
+        )
+
     def test_mean_monotone_in_r(self):
         means = [
             mean_closed(sntf_distribution(SystemConfig(5, 3, r)))
@@ -171,17 +178,3 @@ class TestMoments:
         monkeypatch.setattr(sntf_mod, "_SERIES_CAP", 256)
         with pytest.raises(NonConvergence):
             raw_moment_series(SystemConfig(2, 2, 0.99), 1, 1e-12)
-
-
-class TestSparseBackend:
-    def test_moments_match_dense(self):
-        config = SystemConfig(6, 2, 0.7)
-        dense = sntf_distribution(config)
-        chain = build_consolidated(6, 2, BC3, 0.7, dense_limit=1)
-        sparse = type(dense)(dense.alpha, chain)
-        assert mean_closed(sparse) == pytest.approx(mean_closed(dense), rel=1e-13)
-        assert factorial_moment(sparse, 2) == pytest.approx(
-            factorial_moment(dense, 2), rel=1e-13
-        )
-        for m in (1, 3, 9):
-            assert pmf_matrix(sparse, m) == pytest.approx(pmf_matrix(dense, m), abs=1e-15)

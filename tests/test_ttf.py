@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ckngb.chain import build_consolidated
 from ckngb.errors import CapacityExceeded, ConfigError
-from ckngb.sntf import DiscretePhaseType, mean_closed, sntf_distribution
+from ckngb.sntf import mean_closed, sntf_distribution
 from ckngb.system import BalanceCondition, SystemConfig
 from ckngb.ttf import (
     CompoundPhaseType,
@@ -125,14 +124,9 @@ class TestCompound:
         assert raw_moment(Z, 1) == pytest.approx(1.0 / rate, rel=1e-12)
         assert scv(Z) == pytest.approx(1.0, abs=1e-10)
 
-    def test_dimension_cap(self, reference_config):
-        dist = sntf_distribution(reference_config)
-        with pytest.raises(CapacityExceeded):
-            compound_ph(dist, ph_from_preset("ER"), max_dim=10)
-
     def test_dense_cap(self):
         fake = CompoundPhaseType(
-            np.zeros(6000), np.zeros((3000, 3000)), np.zeros(3000), ph_from_preset("ER")
+            np.zeros(6000), np.zeros((3000, 3000)), np.zeros(3000), ph_from_preset("ER"), np.ones(3000)
         )
         with pytest.raises(CapacityExceeded):
             fake.to_dense()
@@ -212,20 +206,6 @@ class TestMoments:
             assert raw_moment(Z, p) == pytest.approx(
                 math.factorial(p) * float(Z.alpha @ x), rel=1e-11
             )
-
-    def test_sparse_chain_backend(self):
-        config = SystemConfig(6, 2, 0.7, BC3)
-        dense_dist = sntf_distribution(config)
-        sparse_chain = build_consolidated(6, 2, BC3, 0.7, dense_limit=1)
-        sparse_dist = DiscretePhaseType(dense_dist.alpha, sparse_chain)
-        for label in ("ER", "HE"):
-            Y = ph_from_preset(label)
-            a = compound_ph(dense_dist, Y)
-            b = compound_ph(sparse_dist, Y)
-            assert raw_moment(b, 1) == pytest.approx(raw_moment(a, 1), rel=1e-12)
-            assert raw_moment(b, 2) == pytest.approx(raw_moment(a, 2), rel=1e-12)
-            for z in (0.5, 2.0):
-                assert pdf(b, z) == pytest.approx(pdf(a, z), rel=1e-11)
 
     def test_moment_argument_validation(self, reference_config):
         Z = compound_from_config(reference_config)

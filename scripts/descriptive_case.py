@@ -25,7 +25,7 @@ def main() -> None:
 
     collection = enumerate_min_tiesets(config.n, config.k, config.bc)
     print(f"minimum tie-sets ({len(collection)}):", ", ".join(map(str, collection.tiesets)))
-    print(f"one-shock reliability: {system_reliability_exact(config.n, collection, config.r):.6f}")
+    print(f"one-shock reliability: {system_reliability_exact(collection, config.r):.6f}")
 
     chain = build_consolidated(config.n, config.k, config.bc, config.r)
     (outdir / "descriptive_chain.csv").write_text(chain_csv(chain))

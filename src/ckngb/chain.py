@@ -144,10 +144,13 @@ def _binomial_terms(coef: np.ndarray, a: np.ndarray, r: float) -> np.ndarray:
     return coef * r ** b[None, :] * (1.0 - r) ** np.maximum(a[:, None] - b[None, :], 0)
 
 
+@lru_cache(maxsize=32)
 def _binomials(n: int) -> np.ndarray:
-    """C(a, b) for 0 <= a, b <= n, zero for b > a."""
+    """C(a, b) for 0 <= a, b <= n, zero for b > a; read-only and shared."""
     j = range(n + 1)
-    return np.array([[math.comb(a, b) for b in j] for a in j], dtype=np.float64)
+    table = np.array([[math.comb(a, b) for b in j] for a in j], dtype=np.float64)
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=1)  # a chain at the cap takes 1.8 GB
@@ -214,6 +217,7 @@ class CountChain:
         return self.weights.size
 
 
+@lru_cache(maxsize=16)  # pmf_direct reads it once per m
 def build_count_chain(n: int, k: int, bc: BalanceCondition, r: float) -> CountChain:
     """Count chain of the system at unit reliability r, started state first."""
     if not 0.0 < r < 1.0:

@@ -8,22 +8,30 @@ consolidated chain (``sntf_distribution``, one state per nonfailed state,
 w = e), which serves the golden matrices and the validation oracle.
 Every function of a law below serves both.
 
-The pmf is also available without any matrix: the direct route sums the
-count profile, P{M > m} = sum_j c_j p^j (1 - p)^(n - j) with p = r^m.
+The law is also available without matrix powers: the direct route
+evaluates the reliability polynomial, P{M > m} = h(r^m) with
+h(p) = sum_j c_j p^j (1 - p)^(n - j).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .chain import ConsolidatedChain, CountChain, build_consolidated, build_count_chain
+from .chain import (
+    ConsolidatedChain,
+    CountChain,
+    _binomial_terms,
+    _binomials,
+    build_consolidated,
+    build_count_chain,
+)
 from .errors import NonConvergence, SingularSystem
 from .system import SystemConfig
-from .tiesets import count_profile
+from .tiesets import reliability_polynomial
 
 _SERIES_BLOCK = 256
 _SERIES_CAP = 10**7
@@ -103,35 +111,27 @@ def pmf_survival_series(dist: DiscretePhaseType, m_max: int) -> tuple[np.ndarray
     return pmf, surv
 
 
-def _subset_probs(n: int, p: float | np.ndarray) -> np.ndarray:
-    """Per operating count j (last axis), p^j (1 - p)^(n - j); 0**0 = 1."""
-    j = np.arange(n + 1, dtype=np.float64)
-    return p**j * (1.0 - p) ** (n - j)
-
-
-def _survival_terms(config: SystemConfig, p: float | np.ndarray) -> np.ndarray:
-    """Per operating count j (last axis), c_j p^j (1 - p)^(n - j)."""
-    return count_profile(config.n, config.k, config.bc) * _subset_probs(config.n, p)
-
-
 def survival_direct(config: SystemConfig, m: int) -> float:
-    """P{M > m} summed over the count profile, without any matrix."""
+    """P{M > m} = h(r^m), the reliability polynomial, without any matrix."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    return float(_survival_terms(config, config.r**m).sum())
+    return float(reliability_polynomial(config.n, config.k, config.bc, config.r**m))
 
 
 def pmf_direct(config: SystemConfig, m: int) -> float:
-    """P{M = m} by direct summation over the count profile.
+    """P{M = m} as a sum of nonnegative terms over the operating count.
 
-    Each count contributes its (m-1)-step survival term minus its m-step
-    one; with 0**0 = 1 the m = 1 term reduces to one minus the
-    single-shock survival.
+    After m - 1 shocks j units operate with probability
+    C(n, j) p^j (1 - p)^(n - j), p = r^(m - 1); such a state is nonfailed
+    and fails at the next shock with probability a_j, the count chain's
+    absorb.  No survival sums are subtracted, so nothing cancels.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    terms = _survival_terms(config, config.r ** (m - 1)) - _survival_terms(config, config.r**m)
-    return float(terms.sum())
+    n = config.n
+    chain = build_count_chain(n, config.k, config.bc, config.r)
+    reach = _binomial_terms(_binomials(n)[n:], np.array([n]), config.r ** (m - 1))[0]
+    return float(reach[n - np.arange(chain.size)] @ chain.absorb)
 
 
 def _solve_upper(chain: ConsolidatedChain | CountChain, rhs: np.ndarray) -> np.ndarray:
@@ -172,12 +172,10 @@ def raw_moment_series(config: SystemConfig, p: int, tol: float = 1e-12) -> float
         raise ValueError(f"p must be >= 1, got {p}")
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    n = config.n
-    rho = float(_survival_terms(config, config.r).sum())
-    # 1 - rho summed over the failed subsets: the difference rounds to 0
-    # where one shock almost never fails the system.
-    failed = np.array([comb(n, j) for j in range(n + 1)]) - count_profile(n, config.k, config.bc)
-    fail_1 = float((failed * _subset_probs(n, config.r)).sum())
+    rho = float(reliability_polynomial(config.n, config.k, config.bc, config.r))
+    # 1 - rho as P{M = 1}, a sum of nonnegative terms: the difference
+    # rounds to 0 where one shock almost never fails the system.
+    fail_1 = pmf_direct(config, 1)
     if fail_1 == 0.0:
         raise NonConvergence(f"P{{M = 1}} underflows at r={config.r}; the tail bound is void")
     tail_shift = rho / fail_1
@@ -187,7 +185,7 @@ def raw_moment_series(config: SystemConfig, p: int, tol: float = 1e-12) -> float
     m0 = 1
     while True:
         ms = np.arange(m0, m0 + _SERIES_BLOCK, dtype=np.float64)
-        surv = _survival_terms(config, config.r ** ms[:, None]).sum(axis=1)
+        surv = reliability_polynomial(config.n, config.k, config.bc, config.r**ms)
         pmf = np.concatenate(([prev_surv], surv[:-1])) - surv
         total += float((ms**p * pmf).sum())
         prev_surv = float(surv[-1])

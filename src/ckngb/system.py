@@ -186,31 +186,32 @@ def balanced_mask_table(n: int, bc: BalanceCondition) -> np.ndarray:
     if bc is BalanceCondition.BC1 and n % 2 != 0:
         raise OddNUnsupported(f"BC1 needs an even unit count, got n={n}")
     masks = np.arange(1 << n, dtype=np.int64)
-    # bits[:, p] = status of the unit at 0-based position p (unit p+1)
-    bits = ((masks[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1).astype(np.int8)
-    nonempty = masks != 0
-
-    if bc is BalanceCondition.BC3:
-        angles = 2.0 * np.pi * np.arange(n) / n
-        sx = bits @ np.cos(angles)
-        sy = bits @ np.sin(angles)
-        table = (np.hypot(sx, sy) <= BC3_TOLERANCE_PER_UNIT * n) & nonempty
-    elif bc is BalanceCondition.BC2:
+    if bc is BalanceCondition.BC2:
+        # A set invariant under rotation by s is also invariant under
+        # rotation by gcd(s, n), so the proper divisors of n suffice.
+        full = (1 << n) - 1
         table = np.zeros(1 << n, dtype=bool)
         for s in range(1, n):
-            perm = (np.arange(n) + s) % n
-            table |= (bits[:, perm] == bits).all(axis=1)
-        table &= nonempty
+            if n % s == 0:
+                table |= (((masks >> s) | (masks << (n - s))) & full) == masks
     else:
-        half = n // 2
-        sym = np.empty((1 << n, n), dtype=bool)
-        for j in range(n):
-            perm = (j - np.arange(n)) % n
-            sym[:, j] = (bits[:, perm] == bits).all(axis=1)
-        table = np.zeros(1 << n, dtype=bool)
-        for j in range(half):
-            table |= sym[:, j] & sym[:, j + half]
-        table &= nonempty
+        # bits[:, p] = status of the unit at 0-based position p (unit p+1)
+        bits = ((masks[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1).astype(np.int8)
+        if bc is BalanceCondition.BC3:
+            angles = 2.0 * np.pi * np.arange(n) / n
+            sx = bits @ np.cos(angles)
+            sy = bits @ np.sin(angles)
+            table = np.hypot(sx, sy) <= BC3_TOLERANCE_PER_UNIT * n
+        else:
+            half = n // 2
+            sym = np.empty((1 << n, n), dtype=bool)
+            for j in range(n):
+                perm = (j - np.arange(n)) % n
+                sym[:, j] = (bits[:, perm] == bits).all(axis=1)
+            table = np.zeros(1 << n, dtype=bool)
+            for j in range(half):
+                table |= sym[:, j] & sym[:, j + half]
+    table &= masks != 0
 
     table.flags.writeable = False
     return table

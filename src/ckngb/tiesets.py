@@ -1,22 +1,22 @@
-"""Minimum tie-set enumeration, the nonfailed set and its count profile.
+"""The nonfailed set, its minimum tie-sets and its count profile.
 
 A tie-set is an inclusion-minimal set of at least k units whose joint
 operation keeps the system balanced; a state is nonfailed exactly when
 its operating set contains one (surplus units can be switched off to
 rebalance).  Equivalently, the nonfailed set is the superset closure of
-the balanced sets of at least k units, which ``nonfailed_closure``
-computes without listing the tie-sets.
+the balanced sets of at least k units.  ``nonfailed_closure`` builds that
+closure; the tie-sets are its minimal elements, and the exact reliability
+is the polynomial of its count profile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
-from .errors import CapacityExceeded, NoTieSets
+from .errors import NoTieSets
 from .system import BalanceCondition, SystemState, balanced_mask_table
 
 
@@ -53,28 +53,6 @@ class TieSetCollection:
         return len(self.tiesets)
 
 
-@lru_cache(maxsize=128)
-def enumerate_min_tiesets(n: int, k: int, bc: BalanceCondition) -> TieSetCollection:
-    """Scan subsets by ascending cardinality, pruning supersets of found
-    tie-sets, and keep the balanced ones."""
-    table = balanced_mask_table(n, bc)
-    found: list[TieSet] = []
-    found_masks: list[int] = []
-    for size in range(k, n + 1):
-        for units in combinations(range(1, n + 1), size):
-            mask = 0
-            for i in units:
-                mask |= 1 << (n - i)
-            if any((mask & t) == t for t in found_masks):
-                continue
-            if table[mask]:
-                found.append(TieSet(units))
-                found_masks.append(mask)
-    if not found:
-        raise NoTieSets(f"no tie-sets for n={n}, k={k}, bc={bc.value}")
-    return TieSetCollection(tuple(found), n, k, bc, tuple(found_masks))
-
-
 def is_nonfailed(state: SystemState, collection: TieSetCollection) -> bool:
     """True when the operating set contains at least one tie-set."""
     return any((state.mask & t) == t for t in collection.masks)
@@ -92,22 +70,12 @@ def structure_function(state: SystemState, collection: TieSetCollection) -> int:
     return 1 - prod
 
 
-def nonfailed_table(collection: TieSetCollection) -> np.ndarray:
-    """Bool array over all 2**n bitmasks: mask contains some tie-set."""
-    masks = np.arange(1 << collection.n, dtype=np.int64)
-    table = np.zeros(masks.size, dtype=bool)
-    for t in collection.masks:
-        table |= (masks & t) == t
-    return table
-
-
 @lru_cache(maxsize=16)
 def nonfailed_closure(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
     """Bool array over all 2**n bitmasks: the operating set contains a
     balanced set of at least k units.
 
-    Equals ``nonfailed_table(enumerate_min_tiesets(n, k, bc))``.  The
-    closure takes one in-place OR pass per unit, lifting every marked mask
+    The closure takes one in-place OR pass per unit, lifting every marked mask
     to the mask with that unit's bit also set.  The array is read-only and
     shared between callers; raises NoTieSets when it is empty.
     """
@@ -119,6 +87,25 @@ def nonfailed_closure(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
         halves[:, 1, :] |= halves[:, 0, :]
     table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=128)
+def enumerate_min_tiesets(n: int, k: int, bc: BalanceCondition) -> TieSetCollection:
+    """The minimal elements of the nonfailed set.
+
+    A nonfailed mask S is minimal when S minus b is failed for every bit b
+    of S; one in-place pass per unit clears every mask whose bit-b-free
+    twin is nonfailed.  Raises NoTieSets when the nonfailed set is empty.
+    """
+    closure = nonfailed_closure(n, k, bc)
+    minimal = closure.copy()
+    for b in range(n):
+        below = closure.reshape(-1, 2, 1 << b)[:, 0, :]  # axis 1 is bit b of the mask
+        minimal.reshape(-1, 2, 1 << b)[:, 1, :] &= ~below
+    masks = np.flatnonzero(minimal)[::-1]
+    masks = masks[np.argsort(np.bitwise_count(masks), kind="stable")]
+    tiesets = tuple(TieSet(SystemState(int(m), n).operating_units()) for m in masks)
+    return TieSetCollection(tiesets, n, k, bc, tuple(int(m) for m in masks))
 
 
 @lru_cache(maxsize=128)
@@ -137,6 +124,15 @@ def count_profile(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
     return counts
 
 
+def reliability_polynomial(n: int, k: int, bc: BalanceCondition, p: float | np.ndarray) -> np.ndarray:
+    """h(p) = sum_j c_j p^j (1 - p)^(n - j), with 0**0 = 1: the probability
+    that the system is nonfailed when each unit operates independently with
+    probability p.  Evaluated elementwise over an array p."""
+    j = np.arange(n + 1, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)[..., None]
+    return (count_profile(n, k, bc) * (p**j * (1.0 - p) ** (n - j))).sum(axis=-1)
+
+
 def system_reliability_product(collection: TieSetCollection, r: float) -> float:
     """Product-form reliability 1 - prod_T (1 - r^|T|).
 
@@ -149,11 +145,6 @@ def system_reliability_product(collection: TieSetCollection, r: float) -> float:
     return 1.0 - prod
 
 
-def system_reliability_exact(n: int, collection: TieSetCollection, r: float) -> float:
-    """Exact one-shot reliability by full state enumeration (n <= 20)."""
-    if n > 20:
-        raise CapacityExceeded(f"exact enumeration bounded at n <= 20, got n={n}")
-    table = nonfailed_table(collection)
-    pops = np.bitwise_count(np.arange(1 << n, dtype=np.int64)).astype(np.float64)
-    weights = r**pops * (1.0 - r) ** (n - pops)
-    return float(weights[table].sum())
+def system_reliability_exact(collection: TieSetCollection, r: float) -> float:
+    """Exact one-shot reliability h(r), read off the count profile."""
+    return float(reliability_polynomial(collection.n, collection.k, collection.bc, r))

@@ -354,6 +354,21 @@ class TestValidateNegativeControl:
         by_name = {c["check"]: c["result"] for c in checks}
         assert by_name["row_stochasticity"] == "fail"
 
+    def test_entry_below_diagonal_fails_row_check(self):
+        # mass moved from absorption to an earlier state keeps every row sum
+        spec = experiments.parse_config(REFERENCE_DOC)
+        chain = build_consolidated(4, 2, BC3, 0.7)
+        P, absorb = chain.transition.copy(), chain.absorb.copy()
+        P[4, 1] += 0.05
+        absorb[4] -= 0.05
+        corrupted = copy.copy(chain)
+        object.__setattr__(corrupted, "transition", P)
+        object.__setattr__(corrupted, "absorb", absorb)
+        checks = experiments.run_validate(spec, chain_override=corrupted)
+        by_name = {c["check"]: c for c in checks}
+        assert by_name["row_stochasticity"]["result"] == "fail"
+        assert float(by_name["row_stochasticity"]["detail"].split()[-1]) <= 1e-12
+
     def test_validate_when_one_shock_almost_never_fails(self, config_file, capsys):
         # 1 - P{M > 1} rounds to 0 here; the series must still converge
         doc = {"n": 12, "k": 2, "r": 0.999, "bc": "BC3", "reps": 2000}

@@ -18,8 +18,9 @@ from ckngb.sntf import (
     sntf_distribution,
 )
 from ckngb.system import BalanceCondition, SystemConfig
-from ckngb.tiesets import count_profile, enumerate_min_tiesets, nonfailed_closure, nonfailed_table
+from ckngb.tiesets import count_profile, enumerate_min_tiesets, nonfailed_closure
 from ckngb.ttf import compound_ph, pdf_grid, ph_from_preset, raw_moment, scv
+from oracles import scan_min_tiesets, tieset_table
 
 BC1, BC2, BC3 = BalanceCondition.BC1, BalanceCondition.BC2, BalanceCondition.BC3
 
@@ -37,14 +38,17 @@ def _outcome(compute):
 
 
 def test_closure_equals_tieset_table():
+    """The closure equals the table of the subset scan's tie-sets, and its
+    minimal elements are those tie-sets in the scan's order."""
     mismatches = []
     for n, k, bc in CLOSURE_CASES:
-        expected = _outcome(lambda: nonfailed_table(enumerate_min_tiesets(n, k, bc)))
+        expected = _outcome(lambda: scan_min_tiesets(n, k, bc))
         got = _outcome(lambda: nonfailed_closure(n, k, bc))
-        if isinstance(expected, type) or isinstance(got, type):
-            same = expected is got
+        minimal = _outcome(lambda: enumerate_min_tiesets(n, k, bc).masks)
+        if isinstance(expected, type):
+            same = got is expected and minimal is expected
         else:
-            same = np.array_equal(got, expected)
+            same = minimal == expected and np.array_equal(got, tieset_table(expected, n))
         if not same:
             mismatches.append((n, k, bc.value))
     assert mismatches == []
@@ -70,10 +74,11 @@ def _close(got, want, tol, scale=None):
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_count_chain_matches_consolidated_chain(n):
-    """The chain's absorb = 1 - row sum loses digits where failing in one
-    shock is rare (3.6e-11 relative at n=10, k=2, BC1, r=0.95, against
-    exact rationals), so pmf and pdf are compared relative to the largest
-    value of their series; every other quantity pointwise."""
+    """Both chains form absorb as a sum of nonnegative failed-subset terms,
+    so a small pmf value keeps its relative accuracy on either (the pmf
+    series agree to 1.2e-15 pointwise over these cases).  pmf and pdf are
+    compared relative to the largest value of their series; every other
+    quantity pointwise."""
     tol = 1e-12
     zs = np.linspace(0.0, DEFAULT_Z_MAX, 41)
     failures = []
@@ -134,5 +139,7 @@ def test_count_chain_rejects_profile_that_is_not_an_up_set(monkeypatch):
     # all six 2-unit states but only one 3-unit state: q_3 = 1/4 < q_2 = 1
     profile = np.array([0, 0, 6, 1, 1])
     monkeypatch.setattr(chain_mod, "count_profile", lambda n, k, bc: profile)
+    build_count_chain.cache_clear()
     with pytest.raises(InvariantViolation):
         build_count_chain(4, 2, BC3, 0.7)
+    build_count_chain.cache_clear()

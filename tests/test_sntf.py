@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,6 +18,7 @@ from ckngb.sntf import (
     survival_direct,
 )
 from ckngb.system import BalanceCondition, SystemConfig
+from ckngb.tiesets import count_profile
 
 BC1, BC2, BC3 = BalanceCondition.BC1, BalanceCondition.BC2, BalanceCondition.BC3
 
@@ -118,6 +121,23 @@ def test_direct_equals_matrix_random_configs(n, r, m, data):
     config = SystemConfig(n, k, r, BC3)
     dist = sntf_distribution(config)
     assert abs(pmf_matrix(dist, m) - pmf_direct(config, m)) < 1e-12
+
+
+@pytest.mark.parametrize("n,k,bc,r", [(12, 2, BC3, 0.999), (10, 2, BC1, 0.95)])
+def test_pmf_direct_matches_exact_arithmetic(n, k, bc, r):
+    # failing in one shock is rare here, so P{M = 1} formed as a difference
+    # of survival sums would cancel
+    counts = [int(c) for c in count_profile(n, k, bc)]
+    rf = Fraction(r)
+
+    def survival_exact(m):
+        p = rf**m
+        return sum(c * p**j * (1 - p) ** (n - j) for j, c in enumerate(counts))
+
+    config = SystemConfig(n, k, r, bc)
+    for m in (1, 2, 10, 50):
+        exact = survival_exact(m - 1) - survival_exact(m)
+        assert abs(Fraction(pmf_direct(config, m)) - exact) <= Fraction(1, 10**13) * exact, m
 
 
 class TestMoments:

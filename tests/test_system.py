@@ -145,6 +145,12 @@ class TestTableAgreesWithScalarPredicates:
         expected = np.array([is_balanced(SystemState(m, n), bc) for m in range(1 << n)])
         assert (table == expected).all()
 
+    def test_bc2_rotation_divisors_match_scalar_predicate(self):
+        for n in range(2, 13):
+            table = balanced_mask_table(n, BC2)
+            expected = [is_balanced_bc2(SystemState(m, n)) for m in range(1 << n)]
+            assert table.tolist() == expected, n
+
     def test_table_is_read_only(self):
         table = balanced_mask_table(4, BC3)
         with pytest.raises(ValueError):

@@ -4,17 +4,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ckngb.tiesets as tiesets_mod
-from ckngb.errors import CapacityExceeded, NoTieSets
-from ckngb.sntf import survival_direct
+from ckngb.errors import NoTieSets
+from ckngb.sntf import sntf_distribution, survival
 from ckngb.system import BalanceCondition, SystemConfig, SystemState, balanced_mask_table, is_balanced
 from ckngb.tiesets import (
     enumerate_min_tiesets,
     is_nonfailed,
-    nonfailed_table,
+    nonfailed_closure,
     structure_function,
     system_reliability_exact,
     system_reliability_product,
 )
+from oracles import scan_min_tiesets, tieset_table
 
 BC1, BC2, BC3 = BalanceCondition.BC1, BalanceCondition.BC2, BalanceCondition.BC3
 
@@ -47,9 +48,11 @@ class TestEnumeration:
 
         monkeypatch.setattr(tiesets_mod, "balanced_mask_table", all_false)
         enumerate_min_tiesets.cache_clear()
+        nonfailed_closure.cache_clear()
         with pytest.raises(NoTieSets):
             enumerate_min_tiesets(4, 2, BC3)
         enumerate_min_tiesets.cache_clear()
+        nonfailed_closure.cache_clear()
 
 
 def _oracle_min_tiesets(n, k, bc):
@@ -106,7 +109,7 @@ class TestNonfailed:
             return
         for k in (2, max(2, n // 2), n):
             collection = enumerate_min_tiesets(n, k, bc)
-            table = nonfailed_table(collection)
+            table = tieset_table(collection.masks, n)
             for mask in range(1 << n):
                 s = SystemState(mask, n)
                 observed = structure_function(s, collection)
@@ -136,32 +139,38 @@ class TestReliability:
 
     def test_exact_enumeration_examples(self):
         collection = enumerate_min_tiesets(4, 2, BC3)
-        assert system_reliability_exact(4, collection, 0.7) == pytest.approx(0.7399, abs=1e-12)
+        assert system_reliability_exact(collection, 0.7) == pytest.approx(0.7399, abs=1e-12)
         pair = enumerate_min_tiesets(2, 2, BC3)
-        assert system_reliability_exact(2, pair, 0.5) == pytest.approx(0.25)
-        assert system_reliability_exact(4, collection, 1.0 - 1e-12) == pytest.approx(1.0)
+        assert system_reliability_exact(pair, 0.5) == pytest.approx(0.25)
+        assert system_reliability_exact(collection, 1.0 - 1e-12) == pytest.approx(1.0)
 
     def test_exact_equals_one_shock_survival(self):
         # independent route through the consolidated chain
         for n, k, r in [(4, 2, 0.7), (6, 3, 0.6), (8, 4, 0.85)]:
             collection = enumerate_min_tiesets(n, k, BC3)
             config = SystemConfig(n, k, r, BC3)
-            assert system_reliability_exact(n, collection, r) == pytest.approx(
-                survival_direct(config, 1), abs=1e-12
+            assert system_reliability_exact(collection, r) == pytest.approx(
+                survival(sntf_distribution(config), 1), abs=1e-12
             )
+
+    @pytest.mark.parametrize("n,k,bc", [(12, 4, BC3), (16, 3, BC2), (16, 4, BC3)])
+    def test_exact_equals_state_enumeration(self, n, k, bc):
+        # the polynomial of the count profile against a weight sum over
+        # every state that contains a tie-set of the subset scan
+        pops = np.bitwise_count(np.arange(1 << n))
+        table = tieset_table(scan_min_tiesets(n, k, bc), n)
+        collection = enumerate_min_tiesets(n, k, bc)
+        for r in (0.3, 0.7, 0.95):
+            enumerated = (r**pops * (1.0 - r) ** (n - pops))[table].sum()
+            assert system_reliability_exact(collection, r) == pytest.approx(enumerated, rel=1e-14)
 
     def test_overlapping_tiesets_break_product_form(self):
         # size-4 and size-3 tie-sets share units here, so the independence
         # shortcut deviates from the exact expectation
         collection = enumerate_min_tiesets(6, 3, BC3)
-        exact = system_reliability_exact(6, collection, 0.7)
+        exact = system_reliability_exact(collection, 0.7)
         product = system_reliability_product(collection, 0.7)
         assert abs(exact - product) > 1e-3
-
-    def test_capacity_bound(self):
-        collection = enumerate_min_tiesets(4, 2, BC3)
-        with pytest.raises(CapacityExceeded):
-            system_reliability_exact(21, collection, 0.5)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])

@@ -251,10 +251,19 @@ def full_transition_matrix(n: int, r: float) -> np.ndarray:
 
 
 def chain_csv(chain: ConsolidatedChain) -> str:
-    """Debug dump of the full partitioned matrix with state headers."""
+    """Debug dump of the full partitioned matrix with state headers.
+
+    Only nonzero entries are formatted: the chain holds no -0.0, so every
+    other cell is "0", as ``f"{0.0:.12g}"`` writes it.
+    """
+    N = chain.size
     labels = [str(s) for s in chain.states] + ["absorbed"]
-    full = chain.full_matrix()
     lines = ["state," + ",".join(labels)]
-    for label, row in zip(labels, full):
-        lines.append(label + "," + ",".join(f"{v:.12g}" for v in row))
+    for label, row, absorb in zip(labels, chain.transition, chain.absorb):
+        cells = ["0"] * N
+        nonzero = np.flatnonzero(row)
+        for j, v in zip(nonzero.tolist(), row[nonzero].tolist()):
+            cells[j] = f"{v:.12g}"
+        lines.append(f"{label},{','.join(cells)},{absorb:.12g}")
+    lines.append("absorbed," + "0," * N + "1")
     return "\n".join(lines) + "\n"

@@ -88,7 +88,7 @@ def _summarize(kind: str, samples: np.ndarray, seed: int, integer_bins: bool) ->
     mean = float(samples.mean())
     variance = float(samples.var(ddof=1)) if reps > 1 else 0.0
     stderr = float(np.sqrt(variance / reps)) if reps > 1 else 0.0
-    quantiles = {q: float(np.quantile(samples, q)) for q in QUANTILE_LEVELS}
+    quantiles = dict(zip(QUANTILE_LEVELS, np.quantile(samples, QUANTILE_LEVELS).tolist()))
     if integer_bins:
         top = int(samples.max())
         counts = np.bincount(samples.astype(np.int64), minlength=top + 1)[1:]

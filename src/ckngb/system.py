@@ -177,41 +177,70 @@ def is_balanced(state: SystemState, bc: BalanceCondition) -> bool:
     return _PREDICATES[bc](state)
 
 
+# Bits of the mask whose centroid sums the BC3 table holds at once: 2**16
+# complex values, against one table row per setting of the other bits.
+_BC3_LOW_BITS = 16
+
+
+def _bit_sums(weights: np.ndarray) -> np.ndarray:
+    """s[m] = sum of weights[b] over the set bits b of m, built by doubling."""
+    sums = np.zeros(1, dtype=weights.dtype)
+    for w in weights:
+        sums = np.concatenate((sums, sums + w))
+    return sums
+
+
+def _rotate_right(masks: np.ndarray, s: int, n: int) -> np.ndarray:
+    """Rotate n-bit masks right by s bits: position p moves to p + s."""
+    return ((masks >> s) | (masks << (n - s))) & ((1 << n) - 1)
+
+
+def _prime_factors(n: int) -> list[int]:
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+
+
 @lru_cache(maxsize=64)
 def balanced_mask_table(n: int, bc: BalanceCondition) -> np.ndarray:
     """Vectorized twin of the scalar predicates: one bool per bitmask.
 
-    The returned array is read-only and shared between callers.
+    BC3 adds the centroid sums of the low and the high bits of each mask;
+    BC1 and BC2 write their balanced masks from the repeated words they
+    consist of, so no route holds a per-unit value for every mask.  The
+    returned array is read-only and shared between callers.
     """
     if bc is BalanceCondition.BC1 and n % 2 != 0:
         raise OddNUnsupported(f"BC1 needs an even unit count, got n={n}")
-    masks = np.arange(1 << n, dtype=np.int64)
-    if bc is BalanceCondition.BC2:
-        # A set invariant under rotation by s is also invariant under
-        # rotation by gcd(s, n), so the proper divisors of n suffice.
-        full = (1 << n) - 1
+    if bc is BalanceCondition.BC3:
+        # Mask bit b is the unit at position n - 1 - b.
+        roots = np.exp(2j * np.pi * (n - 1 - np.arange(n)) / n)
+        lo = _bit_sums(roots[: min(n, _BC3_LOW_BITS)])
+        hi = _bit_sums(roots[min(n, _BC3_LOW_BITS) :])
+        table = np.empty(1 << n, dtype=bool)
+        for row, shift in zip(table.reshape(hi.size, lo.size), hi):
+            np.less_equal(np.abs(lo + shift), BC3_TOLERANCE_PER_UNIT * n, out=row)
+    elif bc is BalanceCondition.BC2:
+        # Invariance under rotation by d implies invariance under every
+        # multiple of d, and every proper divisor of n divides some n/p with
+        # p prime: the balanced sets are the words of d = n/p bits repeated
+        # p times, and word w repeated is w * (2**n - 1) / (2**d - 1).
         table = np.zeros(1 << n, dtype=bool)
-        for s in range(1, n):
-            if n % s == 0:
-                table |= (((masks >> s) | (masks << (n - s))) & full) == masks
+        for p in _prime_factors(n):
+            d = n // p
+            table[np.arange(1 << d, dtype=np.int64) * (((1 << n) - 1) // ((1 << d) - 1))] = True
     else:
-        # bits[:, p] = status of the unit at 0-based position p (unit p+1)
-        bits = ((masks[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1).astype(np.int8)
-        if bc is BalanceCondition.BC3:
-            angles = 2.0 * np.pi * np.arange(n) / n
-            sx = bits @ np.cos(angles)
-            sy = bits @ np.sin(angles)
-            table = np.hypot(sx, sy) <= BC3_TOLERANCE_PER_UNIT * n
-        else:
-            half = n // 2
-            sym = np.empty((1 << n, n), dtype=bool)
-            for j in range(n):
-                perm = (j - np.arange(n)) % n
-                sym[:, j] = (bits[:, perm] == bits).all(axis=1)
-            table = np.zeros(1 << n, dtype=bool)
-            for j in range(half):
-                table |= sym[:, j] & sym[:, j + half]
-    table &= masks != 0
+        # R_j o R_{j+h} is the rotation by h = n/2, so a BC1 set is a word of
+        # h bits repeated twice, on which the reflection R_j (p -> j - p)
+        # acts as the reflection q -> j - q of the h-gon: a bit reversal,
+        # then a rotation by j + 1, which takes every value mod h for j < h.
+        h = n // 2
+        words = np.arange(1 << h, dtype=np.int64)
+        reversed_words = _bit_sums(1 << np.arange(h - 1, -1, -1, dtype=np.int64))
+        symmetric = np.zeros(words.size, dtype=bool)
+        for s in range(h):
+            symmetric |= _rotate_right(reversed_words, s, h) == words
+        table = np.zeros(1 << n, dtype=bool)
+        table[words[symmetric] * ((1 << h) + 1)] = True
+    table[0] = False
 
     table.flags.writeable = False
     return table

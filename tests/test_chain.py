@@ -229,3 +229,13 @@ def test_chain_csv_layout():
     assert lines[0] == "state,11,absorbed"
     assert lines[1].startswith("11,0.25,0.75")
     assert lines[2] == "absorbed,0,1"
+
+
+@pytest.mark.parametrize("bc", [BC1, BC2, BC3])
+def test_chain_csv_matches_per_entry_format(bc):
+    chain = build_consolidated(8, 2, bc, 0.7)
+    labels = [str(s) for s in chain.states] + ["absorbed"]
+    expected = ["state," + ",".join(labels)]
+    for label, row in zip(labels, chain.full_matrix()):
+        expected.append(label + "," + ",".join(f"{v:.12g}" for v in row))
+    assert chain_csv(chain) == "\n".join(expected) + "\n"

@@ -17,6 +17,7 @@ from ckngb.system import (
     is_balanced_bc3,
     unit_angle,
 )
+from oracles import bit_matrix_table
 
 BC1, BC2, BC3 = BalanceCondition.BC1, BalanceCondition.BC2, BalanceCondition.BC3
 
@@ -135,7 +136,7 @@ class TestImplications:
 
 class TestTableAgreesWithScalarPredicates:
     @pytest.mark.parametrize("bc", [BC1, BC2, BC3])
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("n", list(range(2, 13)))
     def test_exhaustive(self, n, bc):
         if bc is BC1 and n % 2:
             with pytest.raises(OddNUnsupported):
@@ -150,6 +151,19 @@ class TestTableAgreesWithScalarPredicates:
             table = balanced_mask_table(n, BC2)
             expected = [is_balanced_bc2(SystemState(m, n)) for m in range(1 << n)]
             assert table.tolist() == expected, n
+
+    @pytest.mark.parametrize("bc", [BC1, BC2, BC3])
+    @pytest.mark.parametrize("n", list(range(2, 17)))
+    def test_matches_bit_matrix_oracle(self, n, bc):
+        if bc is BC1 and n % 2:
+            with pytest.raises(OddNUnsupported):
+                bit_matrix_table(n, bc)
+            with pytest.raises(OddNUnsupported):
+                balanced_mask_table(n, bc)
+            return
+        table = balanced_mask_table(n, bc)
+        assert table.dtype == bool and table.shape == (1 << n,)
+        assert (table == bit_matrix_table(n, bc)).all()
 
     def test_table_is_read_only(self):
         table = balanced_mask_table(4, BC3)

@@ -4,10 +4,11 @@ under random shocks, with a Monte Carlo oracle for verification."""
 from .chain import (
     ConsolidatedChain,
     CountChain,
+    StateChain,
     TransitionCounts,
     build_consolidated,
     build_count_chain,
-    full_transition_matrix,
+    build_state_chain,
     mstep_prob,
     nonfailed_states,
     one_step_prob,

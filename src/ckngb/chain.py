@@ -2,19 +2,27 @@
 states and the operating-count chain.
 
 The consolidated chain is the paper's model.  All failed states are
-consolidated into a single absorbing state, so the chain keeps one row per
-nonfailed state plus an absorption column.  In canonical order (ascending
-state index, all-ones first) the subtransition matrix is upper triangular
-because failed units never revive; solves against it are exact
-back-substitutions.  It serves the golden matrices, the chain dump and the
-validation oracle, is stored dense and is refused above MAX_CHAIN_STATES
-states.
+consolidated into a single absorbing state, so the chain keeps one state
+per nonfailed state plus absorption.  One shock thins every unit
+independently, so the one-step matrix over all 2**n states is the
+Kronecker product of n copies of the 2 x 2 kernel [[1, 0], [1 - r, r]]
+(rows and columns: bit value 0, 1).  Its action on a vector over masks
+(``kron_step``, ``kron_apply``) takes one small matrix product per group
+of four units, O(n 2^n) work.  ``StateChain`` is that operator restricted
+to the nonfailed closure: it stores no matrix.  It serves
+``sntf_distribution``, ``compound_from_config`` and the validation
+oracle.  ``build_consolidated`` stores the same chain as a dense matrix
+for the chain dump and the golden matrices only, and refuses it above
+MAX_CHAIN_STATES states.
 
 The count chain carries the same shock-count law on at most n + 1 states.
 Each shock thins the operating count j binomially, and a state with j
 operating units is nonfailed with probability q_j = c_j / C(n, j), where
 c_j is the count profile.  Both chains give P{M > m} = alpha P^m w, with
-w = q on the count chain and w = e on the consolidated one.
+w = q on the count chain and w = e on the state chain.  A shock never
+adds an operating unit, so P is block upper triangular over layers of
+equal operating count: ``layered_solve`` back-substitutes one layer at a
+time on either chain.
 """
 
 from __future__ import annotations
@@ -27,12 +35,23 @@ import numpy as np
 
 from .errors import CapacityExceeded, InvariantViolation
 from .system import BalanceCondition, SystemState
-from .tiesets import count_profile, nonfailed_closure
+from .tiesets import count_profile, nonfailed_closure, popcounts
 
-# Dense N x N storage caps the consolidated chain: 15 000 states take
-# 1.8 GB.  Every n <= 14 system fits (the largest, n=14 k=2 BC2, has
-# 14 199); n=16 k=4 BC3 (41 479) does not.
+# Dense N x N storage caps the dumped chain: 15 000 states take 1.8 GB.
+# Every n <= 14 system fits (the largest, n=14 k=2 BC2, has 14 199);
+# n=16 k=4 BC3 (41 479) does not.
 MAX_CHAIN_STATES = 15_000
+
+# The state chain holds a few float64 vectors over all 2**n masks (32 MB
+# each at n = 22), and its layered solves take one transform per layer,
+# O(n^2 2^n): `validate` at n = 22 takes about 15 s, n = 24 would take
+# minutes.
+MAX_STATE_UNITS = 22
+
+# Units per Kronecker factor of the state chain's one-step operator: 16 x 16
+# blocks keep a transform to a few matrix products and every output a sum
+# of at most 16 nonnegative terms.
+_FACTOR_UNITS = 4
 
 
 @dataclass(frozen=True)
@@ -87,7 +106,7 @@ def nonfailed_states(n: int, k: int, bc: BalanceCondition) -> tuple[SystemState,
 
 @dataclass(frozen=True, eq=False)
 class ConsolidatedChain:
-    """One-step law of the shock process restricted to nonfailed states.
+    """The consolidated chain stored as a dense matrix, for the chain dump.
 
     ``transition`` is row-substochastic and upper triangular; ``absorb``
     holds the per-row probability of jumping to the consolidated failed
@@ -106,20 +125,6 @@ class ConsolidatedChain:
     @property
     def size(self) -> int:
         return len(self.states)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Every state of this chain is nonfailed: w = e."""
-        return np.ones(self.size)
-
-    def full_matrix(self) -> np.ndarray:
-        """Stochastic (N+1)x(N+1) matrix with the absorbing state appended."""
-        N = self.size
-        out = np.zeros((N + 1, N + 1))
-        out[:N, :N] = self.transition
-        out[:N, N] = self.absorb
-        out[N, N] = 1.0
-        return out
 
 
 def _transition_rows(
@@ -197,6 +202,131 @@ def check_upper_triangular(P: np.ndarray) -> None:
         raise InvariantViolation("subtransition matrix must be upper triangular")
 
 
+@lru_cache(maxsize=64)
+def _kernel(units: int, r: float) -> np.ndarray:
+    """One shock on `units` units as a 2**units square matrix, row the mask
+    before and column the mask after: the Kronecker power of
+    [[1, 0], [1 - r, r]], written entry by entry as the dense chain's rows
+    are.  Read-only and shared."""
+    masks = np.arange(1 << units)
+    kernel = _transition_rows(masks, popcounts(units).astype(np.int64), r, 0, masks.size)[1]
+    kernel.flags.writeable = False
+    return kernel
+
+
+def _kron_action(f: np.ndarray, r: float, row: bool) -> np.ndarray:
+    """f K (row action) or K f (column action) for f over all 2**n masks.
+
+    K is applied one factor of up to _FACTOR_UNITS units at a time: the
+    factor of units [b, b + g) contracts axis 1 of f viewed as
+    (-1, 2**g, 2**b).  That is ceil(n / _FACTOR_UNITS) matrix products, so
+    the operator is never formed.
+    """
+    n = f.size.bit_length() - 1
+    g = min(_FACTOR_UNITS, n)
+    K = _kernel(g, r)
+    f = f.reshape(-1, 1 << g) @ (K if row else K.T)
+    b = g
+    while b < n:
+        g = min(_FACTOR_UNITS, n - b)
+        K = _kernel(g, r)
+        f = np.matmul(K.T if row else K, f.reshape(-1, 1 << g, 1 << b))
+        b += g
+    return f.reshape(-1)
+
+
+def kron_step(f: np.ndarray, r: float) -> np.ndarray:
+    """Row action f K for f over all 2**n masks: the law of the state one
+    shock later, each operating unit failing with probability 1 - r."""
+    return _kron_action(f, r, row=True)
+
+
+def kron_apply(f: np.ndarray, r: float) -> np.ndarray:
+    """Column action K f for f over all 2**n masks:
+    (K f)_S = sum over subsets T of S of r^|T| (1 - r)^(|S| - |T|) f_T."""
+    return _kron_action(f, r, row=False)
+
+
+@dataclass(frozen=True, eq=False)
+class StateChain:
+    """The consolidated chain as an operator, with no stored matrix.
+
+    States are the nonfailed masks in canonical order (descending mask, the
+    all-ones state first).  ``step`` (v P) and ``apply`` (P y) spread their
+    vector over all 2**n masks, apply the one-shock operator there and read
+    the nonfailed masks back, so mass that reaches a failed mask is absorbed.
+    ``absorb`` is the one-shock failure probability of each state.
+    ``layers`` holds the states of each operating count s, fewest first,
+    with their self-transition probability r^s.
+    """
+
+    masks: np.ndarray
+    absorb: np.ndarray
+    layers: tuple[tuple[np.ndarray, float], ...]
+    n: int
+    r: float
+
+    @property
+    def size(self) -> int:
+        return self.masks.size
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Every state of this chain is nonfailed: w = e."""
+        return np.ones(self.size)
+
+    def _spread(self, v: np.ndarray) -> np.ndarray:
+        full = np.zeros(1 << self.n)
+        full[self.masks] = v
+        return full
+
+    def step(self, v: np.ndarray) -> np.ndarray:
+        return kron_step(self._spread(v), self.r)[self.masks]
+
+    def apply(self, y: np.ndarray, rows=slice(None)) -> np.ndarray:
+        return kron_apply(self._spread(y), self.r)[self.masks[rows]]
+
+
+def state_chain(masks: np.ndarray, n: int, r: float) -> StateChain:
+    """The chain over the given nonfailed masks, listed in descending order."""
+    failed = np.ones(1 << n)
+    failed[masks] = 0.0
+    # The probability of a failed successor, as a sum of nonnegative terms
+    # rather than 1 - row sum, which cancels where failing is rare.
+    absorb = kron_apply(failed, r)[masks]
+    pops = popcounts(n)[masks]
+    layers = tuple(
+        (rows, r**s) for s in range(n + 1) if (rows := np.flatnonzero(pops == s)).size
+    )
+    return StateChain(masks, absorb, layers, n, r)
+
+
+@lru_cache(maxsize=4)
+def build_state_chain(n: int, k: int, bc: BalanceCondition, r: float) -> StateChain:
+    """State chain of the system at unit reliability r.
+
+    Raises CapacityExceeded, before anything of size 2**n is allocated,
+    when n > MAX_STATE_UNITS.
+    """
+    if not 0.0 < r < 1.0:
+        raise ValueError(f"r must lie strictly inside (0, 1), got {r}")
+    if n > MAX_STATE_UNITS:
+        raise CapacityExceeded(f"state chain capped at n <= {MAX_STATE_UNITS} units, got n={n}")
+    return state_chain(_nonfailed_masks(n, k, bc), n, r)
+
+
+def check_up_set(masks: np.ndarray, n: int) -> None:
+    """Raise InvariantViolation unless every superset of a listed mask is
+    listed.  Failed states then never reach nonfailed ones, which is what
+    makes consolidating them into one absorbing state exact."""
+    table = np.zeros(1 << n, dtype=bool)
+    table[masks] = True
+    for b in range(n):
+        halves = table.reshape(-1, 2, 1 << b)  # axis 1 is bit b of the mask
+        if (halves[:, 0, :] & ~halves[:, 1, :]).any():
+            raise InvariantViolation("nonfailed set must be closed under adding units")
+
+
 @dataclass(frozen=True, eq=False)
 class CountChain:
     """Binomial-thinning chain on the operating-unit count.
@@ -215,6 +345,18 @@ class CountChain:
     @property
     def size(self) -> int:
         return self.weights.size
+
+    @property
+    def layers(self) -> tuple[tuple[int, float], ...]:
+        """One state per layer, fewest operating units (the last state) first."""
+        P = self.transition
+        return tuple((a, P[a, a]) for a in range(self.size - 1, -1, -1))
+
+    def step(self, v: np.ndarray) -> np.ndarray:
+        return v @ self.transition
+
+    def apply(self, y: np.ndarray, rows=slice(None)) -> np.ndarray:
+        return self.transition[rows] @ y
 
 
 @lru_cache(maxsize=16)  # pmf_direct reads it once per m
@@ -238,16 +380,20 @@ def build_count_chain(n: int, k: int, bc: BalanceCondition, r: float) -> CountCh
     return CountChain(full[np.ix_(states, states)], absorb[states], q[states])
 
 
-def full_transition_matrix(n: int, r: float) -> np.ndarray:
-    """One-step matrix over all 2**n states in canonical index order.
+def layered_solve(chain: StateChain | CountChain, solve_layer) -> np.ndarray:
+    """Back-substitution over ``chain.layers``, fewest operating units first.
 
-    Oracle-only: the quadratic blowup restricts it to n <= 8.
+    A layer's states reach only themselves and lower layers in one shock.
+    ``solve_layer(rows, stay, inflow)`` solves one layer: ``stay`` is its
+    self-transition probability and ``inflow`` = (P c)[rows], where c holds
+    what the layers solved so far return (zero on the first layer).  The
+    filled c is returned.
     """
-    if n > 8:
-        raise CapacityExceeded(f"full chain oracle bounded at n <= 8, got n={n}")
-    masks = np.arange((1 << n) - 1, -1, -1, dtype=np.int64)
-    pops = np.bitwise_count(masks).astype(np.int64)
-    return _transition_rows(masks, pops, r, 0, masks.size)[1]
+    carried = np.zeros(chain.size)
+    for i, (rows, stay) in enumerate(chain.layers):
+        inflow = chain.apply(carried, rows) if i else 0.0
+        carried[rows] = solve_layer(rows, stay, inflow)
+    return carried
 
 
 def chain_csv(chain: ConsolidatedChain) -> str:

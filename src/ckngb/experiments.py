@@ -365,20 +365,19 @@ def _check(name: str, passed: bool, detail: str) -> dict:
 
 
 def run_validate(
-    spec: ExperimentSpec, chain_override: "chain_mod.ConsolidatedChain | None" = None
+    spec: ExperimentSpec, chain_override: "chain_mod.StateChain | None" = None
 ) -> list[dict]:
     """Oracle cross-checks for one configuration; chain_override is a test
     hook for corrupting the chain under inspection."""
     config = spec.single()
-    chain = chain_override or chain_mod.build_consolidated(config.n, config.k, config.bc, config.r)
+    chain = chain_override or chain_mod.build_state_chain(config.n, config.k, config.bc, config.r)
     dist = sntf.DiscretePhaseType(np.r_[1.0, np.zeros(chain.size - 1)], chain)
     checks: list[dict] = []
 
-    P = chain.transition
-    row_err = float(np.abs(P.sum(axis=1) + chain.absorb - 1.0).max())
-    bad_entries = bool((P < 0).any() or (P > 1).any())
+    row_err = float(np.abs(chain.apply(np.ones(chain.size)) + chain.absorb - 1.0).max())
+    bad_entries = bool((chain.absorb < 0).any() or (chain.absorb > 1).any())
     try:
-        chain_mod.check_upper_triangular(P)
+        chain_mod.check_up_set(chain.masks, chain.n)
     except InvariantViolation:
         bad_entries = True
     checks.append(
@@ -389,7 +388,8 @@ def run_validate(
         )
     )
 
-    pmf_m, _ = sntf.pmf_survival_series(dist, spec.m_max)
+    fidelity_steps = 20
+    pmf_m, surv_m = sntf.pmf_survival_series(dist, max(spec.m_max, fidelity_steps))
     diff = max(
         abs(pmf_m[m - 1] - sntf.pmf_direct(config, m)) for m in range(1, spec.m_max + 1)
     )
@@ -400,20 +400,15 @@ def run_validate(
                       + sntf.survival_direct(config, cutoff) - 1.0)
     checks.append(_check("pmf_normalization", norm_defect <= 1e-12, f"defect {norm_defect:.3e}"))
 
-    if config.n <= 8:
-        full = chain_mod.full_transition_matrix(config.n, config.r)
-        nonfailed_idx = [s.index - 1 for s in chain.states]
-        v = np.zeros(full.shape[0])
-        v[nonfailed_idx[0]] = 1.0  # all-ones state
-        worst = 0.0
-        for m in range(1, 21):
-            v = v @ full
-            absorbed_full = 1.0 - v[nonfailed_idx].sum()
-            absorbed_cons = 1.0 - sntf.survival(dist, m)
-            worst = max(worst, abs(absorbed_full - absorbed_cons))
-        checks.append(_check("consolidation_fidelity", worst <= 1e-12, f"max gap {worst:.3e}"))
-    else:
-        checks.append(_check("consolidation_fidelity", True, "skipped (n > 8)"))
+    # The unconsolidated chain over all 2**n states, started where the
+    # chain starts: its mass on the nonfailed masks is the chain's survival.
+    full = np.zeros(1 << chain.n)
+    full[chain.masks[0]] = 1.0
+    worst = 0.0
+    for m in range(1, fidelity_steps + 1):
+        full = chain_mod.kron_step(full, chain.r)
+        worst = max(worst, abs(full[chain.masks].sum() - surv_m[m - 1]))
+    checks.append(_check("consolidation_fidelity", worst <= 1e-12, f"max gap {worst:.3e}"))
 
     mean = sntf.mean_closed(dist)
     series = sntf.raw_moment_series(config, 1, 1e-12)

@@ -13,6 +13,7 @@ found by walking the death order instead of stepping shock by shock.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -44,9 +45,7 @@ class SimulationResult:
     def half_width(self, level: float = 0.95) -> float:
         z = {0.95: _Z95, 0.99: _Z99}.get(level)
         if z is None:
-            from scipy.stats import norm
-
-            z = float(norm.ppf(0.5 + level / 2.0))
+            z = NormalDist().inv_cdf(0.5 + level / 2.0)
         return z * self.stderr
 
 

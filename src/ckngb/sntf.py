@@ -1,12 +1,13 @@
 """Shock count to system failure as a discrete phase-type distribution.
 
-A law is an initial vector alpha, an upper triangular substochastic
-matrix P and a weight vector w, with P{M > m} = alpha P^m w.  Two chains
-carry it: the operating-count chain (``count_distribution``, at most
-n + 1 states, w = q), which the CLI commands use, and the paper's
-consolidated chain (``sntf_distribution``, one state per nonfailed state,
-w = e), which serves the golden matrices and the validation oracle.
-Every function of a law below serves both.
+A law is an initial vector alpha, a substochastic one-step matrix P and a
+weight vector w, with P{M > m} = alpha P^m w.  Two chains carry it: the
+operating-count chain (``count_distribution``, at most n + 1 states,
+w = q), which the CLI commands use, and the paper's consolidated chain
+(``sntf_distribution``, one state per nonfailed state, w = e, held as an
+operator that stores no matrix), which serves ``sntf-pmf --matrix`` and
+the validation oracle.  Every function of a law below serves both,
+through the chain's row action v P, column action P y and layers.
 
 The law is also available without matrix powers: the direct route
 evaluates the reliability polynomial, P{M > m} = h(r^m) with
@@ -19,17 +20,17 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .chain import (
-    ConsolidatedChain,
     CountChain,
+    StateChain,
     _binomial_terms,
     _binomials,
-    build_consolidated,
     build_count_chain,
+    build_state_chain,
+    layered_solve,
 )
-from .errors import NonConvergence, SingularSystem
+from .errors import NonConvergence
 from .system import SystemConfig
 from .tiesets import reliability_polynomial
 
@@ -42,11 +43,7 @@ class DiscretePhaseType:
     """Initial distribution plus a shock chain: P{M > m} = alpha P^m w."""
 
     alpha: np.ndarray
-    chain: ConsolidatedChain | CountChain
-
-    @property
-    def transition(self) -> np.ndarray:
-        return self.chain.transition
+    chain: StateChain | CountChain
 
     @property
     def absorb(self) -> np.ndarray:
@@ -61,7 +58,7 @@ class DiscretePhaseType:
         return self.chain.size
 
 
-def _started(chain: ConsolidatedChain | CountChain) -> DiscretePhaseType:
+def _started(chain: StateChain | CountChain) -> DiscretePhaseType:
     """The law of the system started in the all-ones state, chain state 0."""
     alpha = np.zeros(chain.size)
     alpha[0] = 1.0
@@ -69,8 +66,8 @@ def _started(chain: ConsolidatedChain | CountChain) -> DiscretePhaseType:
 
 
 def sntf_distribution(config: SystemConfig) -> DiscretePhaseType:
-    """Shock-count law on the paper's consolidated chain."""
-    return _started(build_consolidated(config.n, config.k, config.bc, config.r))
+    """Shock-count law on the paper's consolidated chain, state by state."""
+    return _started(build_state_chain(config.n, config.k, config.bc, config.r))
 
 
 def count_distribution(config: SystemConfig) -> DiscretePhaseType:
@@ -78,24 +75,30 @@ def count_distribution(config: SystemConfig) -> DiscretePhaseType:
     return _started(build_count_chain(config.n, config.k, config.bc, config.r))
 
 
+def _dot(v: np.ndarray, w: np.ndarray) -> float:
+    """v . w by pairwise summation: a BLAS dot over the 2**n-sized state
+    chain accumulates in a few running sums and loses digits."""
+    return float(np.multiply(v, w).sum())
+
+
 def pmf_matrix(dist: DiscretePhaseType, m: int) -> float:
     """P{M = m} via alpha P^(m-1) (w - P w)."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    v = dist.alpha.copy()
+    v = dist.alpha
     for _ in range(m - 1):
-        v = v @ dist.transition
-    return float(v @ dist.absorb)
+        v = dist.chain.step(v)
+    return _dot(v, dist.absorb)
 
 
 def survival(dist: DiscretePhaseType, m: int) -> float:
     """P{M > m} = alpha P^m w."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    v = dist.alpha.copy()
+    v = dist.alpha
     for _ in range(m):
-        v = v @ dist.transition
-    return float(v @ dist.weights)
+        v = dist.chain.step(v)
+    return _dot(v, dist.weights)
 
 
 def pmf_survival_series(dist: DiscretePhaseType, m_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -103,11 +106,11 @@ def pmf_survival_series(dist: DiscretePhaseType, m_max: int) -> tuple[np.ndarray
     pmf = np.empty(m_max)
     surv = np.empty(m_max)
     w = dist.weights
-    v = dist.alpha.copy()
+    v = dist.alpha
     for m in range(1, m_max + 1):
-        pmf[m - 1] = v @ dist.absorb
-        v = v @ dist.transition
-        surv[m - 1] = v @ w
+        pmf[m - 1] = _dot(v, dist.absorb)
+        v = dist.chain.step(v)
+        surv[m - 1] = _dot(v, w)
     return pmf, surv
 
 
@@ -134,17 +137,14 @@ def pmf_direct(config: SystemConfig, m: int) -> float:
     return float(reach[n - np.arange(chain.size)] @ chain.absorb)
 
 
-def _solve_upper(chain: ConsolidatedChain | CountChain, rhs: np.ndarray) -> np.ndarray:
-    """Back-substitution against (I - P); P is upper triangular."""
-    try:
-        return solve_triangular(np.eye(chain.size) - chain.transition, rhs, lower=False)
-    except Exception as exc:  # singular or badly scaled system
-        raise SingularSystem(str(exc)) from exc
+def _solve(chain: StateChain | CountChain, rhs: np.ndarray) -> np.ndarray:
+    """(I - P)^(-1) rhs, one layer at a time: x = (rhs + P x_below) / (1 - r^s)."""
+    return layered_solve(chain, lambda rows, stay, inflow: (rhs[rows] + inflow) / (1.0 - stay))
 
 
 def mean_closed(dist: DiscretePhaseType) -> float:
-    """Mean shock count alpha (I - P)^(-1) w via one triangular solve."""
-    x = _solve_upper(dist.chain, dist.weights)
+    """Mean shock count alpha (I - P)^(-1) w via one back-substitution."""
+    x = _solve(dist.chain, dist.weights)
     return float(dist.alpha @ x)
 
 
@@ -154,9 +154,9 @@ def factorial_moment(dist: DiscretePhaseType, p: int) -> float:
         raise ValueError(f"p must be >= 1, got {p}")
     w = dist.weights
     for _ in range(p - 1):
-        w = dist.transition @ w
+        w = dist.chain.apply(w)
     for _ in range(p):
-        w = _solve_upper(dist.chain, w)
+        w = _solve(dist.chain, w)
     return float(factorial(p) * (dist.alpha @ w))
 
 

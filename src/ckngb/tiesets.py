@@ -19,6 +19,8 @@ import numpy as np
 from .errors import NoTieSets
 from .system import BalanceCondition, SystemState, balanced_mask_table
 
+_PROFILE_BLOCK = 1 << 20
+
 
 @dataclass(frozen=True)
 class TieSet:
@@ -70,6 +72,20 @@ def structure_function(state: SystemState, collection: TieSetCollection) -> int:
     return 1 - prod
 
 
+@lru_cache(maxsize=4)
+def popcounts(n: int) -> np.ndarray:
+    """uint8 array over all 2**n bitmasks: the number of set bits.
+
+    Built by doubling: the masks with bit b set are those below 2**b, plus
+    one.  The array is read-only and shared between callers.
+    """
+    table = np.zeros(1 << n, dtype=np.uint8)
+    for b in range(n):
+        np.add(table[: 1 << b], 1, out=table[1 << b : 2 << b])
+    table.flags.writeable = False
+    return table
+
+
 @lru_cache(maxsize=16)
 def nonfailed_closure(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
     """Bool array over all 2**n bitmasks: the operating set contains a
@@ -79,7 +95,7 @@ def nonfailed_closure(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
     to the mask with that unit's bit also set.  The array is read-only and
     shared between callers; raises NoTieSets when it is empty.
     """
-    table = balanced_mask_table(n, bc) & (np.bitwise_count(np.arange(1 << n)) >= k)
+    table = balanced_mask_table(n, bc) & (popcounts(n) >= k)
     if not table.any():
         raise NoTieSets(f"no tie-sets for n={n}, k={k}, bc={bc.value}")
     for b in range(n):
@@ -118,8 +134,13 @@ def count_profile(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
     p = r**m, independently, so P{M > m} = sum_j c_j p**j (1 - p)**(n - j).
     The array is read-only and shared between callers.
     """
-    nonfailed = np.flatnonzero(nonfailed_closure(n, k, bc))
-    counts = np.bincount(np.bitwise_count(nonfailed), minlength=n + 1).astype(np.int64)
+    closure = nonfailed_closure(n, k, bc)
+    pops = popcounts(n)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    # in blocks, so the intp copy bincount makes of its input stays small
+    for i in range(0, closure.size, _PROFILE_BLOCK):
+        block = slice(i, i + _PROFILE_BLOCK)
+        counts += np.bincount(pops[block][closure[block]], minlength=n + 1)
     counts.flags.writeable = False
     return counts
 

@@ -4,26 +4,27 @@ Inter-shock times are phase-type distributed (three unit-mean presets
 plus custom specs).  The failure time is the random sum of one
 inter-shock draw per shock, which is again phase-type: its subgenerator
 combines the inter-shock generator on the diagonal blocks with shock
-transitions routed through the exit rates.  The matrix exponential is
-never formed; its action on a vector is computed by uniformization, and
-moments come from block back-substitution against the (block upper
-triangular) subgenerator.
+transitions routed through the exit rates.  Neither the subgenerator nor
+its matrix exponential is formed: the exponential's action on a vector is
+computed by uniformization from the shock chain's row action, and moments
+come from block back-substitution over the shock chain's layers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import CapacityExceeded, ConfigError, NonConvergence, SingularSystem
+from .chain import CountChain, StateChain, layered_solve
+from .errors import ConfigError, NonConvergence, SingularSystem
 from .sntf import DiscretePhaseType, sntf_distribution
 from .system import SystemConfig
 
 PRESET_LABELS = ("ER", "EXP", "HE")
 
-_DENSE_CAP = 4096
 _POISSON_TAIL = 1e-14
 _STEP_BUDGET = 50.0  # max uniformization rate*length handled per stride
 _TERM_CAP = 100_000
@@ -40,7 +41,7 @@ class ContinuousPhaseType:
     def K(self) -> int:
         return self.alpha.size
 
-    @property
+    @cached_property
     def exit_rates(self) -> np.ndarray:
         return -self.T @ np.ones(self.K)
 
@@ -121,19 +122,18 @@ class CompoundPhaseType:
     """Failure-time law: shock-count phases crossed with inter-shock phases.
 
     P{Z > z} = alpha exp(z T_Z) (w x e), with w the shock-count weights
-    (all ones for a plain phase-type law).  Kept in factored form; the
-    dense subgenerator is only materialized on demand for small systems.
+    (all ones for a plain phase-type law).  Kept in factored form:
+    T_Z = I x T_c + P x (exit alpha^T), with P the shock chain's one-step
+    matrix, which only acts through the chain.
     """
 
     alpha: np.ndarray  # length N*K
-    transition: np.ndarray  # shock-count subtransition (N x N)
-    absorb: np.ndarray  # shock-count absorption vector w - P w (N,)
+    chain: StateChain | CountChain  # shock-count chain, N states
     shock: ContinuousPhaseType
-    weights: np.ndarray  # shock-count weights w (N,)
 
     @property
     def states(self) -> int:
-        return self.absorb.size
+        return self.chain.size
 
     @property
     def K(self) -> int:
@@ -147,14 +147,6 @@ class CompoundPhaseType:
     def uniformization_rate(self) -> float:
         return float(np.max(-np.diag(self.shock.T)))
 
-    def to_dense(self) -> np.ndarray:
-        if self.dim > _DENSE_CAP:
-            raise CapacityExceeded(
-                f"dense subgenerator capped at {_DENSE_CAP}, need {self.dim}"
-            )
-        block = np.outer(self.shock.exit_rates, self.shock.alpha)
-        return np.kron(np.eye(self.states), self.shock.T) + np.kron(self.transition, block)
-
 
 def compound_ph(dist: DiscretePhaseType, Y: ContinuousPhaseType) -> CompoundPhaseType:
     """Random sum of per-shock durations as one phase-type distribution.
@@ -163,7 +155,7 @@ def compound_ph(dist: DiscretePhaseType, Y: ContinuousPhaseType) -> CompoundPhas
     own bounds are the only cap it needs.
     """
     alpha = np.kron(dist.alpha, Y.alpha)
-    return CompoundPhaseType(alpha, dist.transition, dist.absorb, Y, dist.weights)
+    return CompoundPhaseType(alpha, dist.chain, Y)
 
 
 def compound_from_config(config: SystemConfig) -> CompoundPhaseType:
@@ -177,7 +169,7 @@ def _apply_generator_left(Z: CompoundPhaseType, U: np.ndarray) -> np.ndarray:
     """Row-vector product u T_Z with u laid out as an (N, K) array."""
     Tc = Z.shock.T
     out = U @ Tc
-    out += np.outer(Z.transition.T @ (U @ Z.shock.exit_rates), Z.shock.alpha)
+    out += np.outer(Z.chain.step(U @ Z.shock.exit_rates), Z.shock.alpha)
     return out
 
 
@@ -216,11 +208,11 @@ def _alpha_matrix(Z: CompoundPhaseType) -> np.ndarray:
 
 def _density_from(Z: CompoundPhaseType, U: np.ndarray) -> float:
     # exit rate of phase (a, j) is absorb[a] * exit_rates[j]
-    return float((U @ Z.shock.exit_rates) @ Z.absorb)
+    return float((U @ Z.shock.exit_rates) @ Z.chain.absorb)
 
 
 def _survival_from(Z: CompoundPhaseType, U: np.ndarray) -> float:
-    return float(U.sum(axis=1) @ Z.weights)
+    return float(U.sum(axis=1) @ Z.chain.weights)
 
 
 def pdf(Z: CompoundPhaseType, z: float) -> float:
@@ -253,36 +245,26 @@ def pdf_grid(Z: CompoundPhaseType, zs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return dens, surv
 
 
-def _diag_block_inverses(Z: CompoundPhaseType, diag: np.ndarray) -> dict[float, np.ndarray]:
-    """Inverses of the diagonal blocks -(T_c + P_aa * exit alpha^T).
-
-    P_aa = r^(operating count), so only a handful of distinct blocks occur.
-    """
-    block = np.outer(Z.shock.exit_rates, Z.shock.alpha)
-    inverses: dict[float, np.ndarray] = {}
-    for value in np.unique(diag):
-        D = -(Z.shock.T + value * block)
-        try:
-            inverses[float(value)] = np.linalg.inv(D)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(str(exc)) from exc
-    return inverses
-
-
 def _solve_neg_generator(Z: CompoundPhaseType, B: np.ndarray) -> np.ndarray:
-    """Solve (-T_Z) x = b by block back-substitution over the shock states."""
-    N, K = Z.states, Z.K
-    P = Z.transition
-    diag = np.diag(P)
-    inverses = _diag_block_inverses(Z, diag)
-    X = np.zeros((N, K))
-    routed = np.zeros(N)  # alpha_c . X[b], filled back to front
+    """Solve (-T_Z) X = B by block back-substitution over the shock layers.
+
+    A state's diagonal block is -(T_c + r^s exit alpha^T); only the scalar
+    alpha . X[b] of each solved state b crosses states, through P.
+    """
+    X = np.zeros((Z.states, Z.K))
     exit_c = Z.shock.exit_rates
     alpha_c = Z.shock.alpha
-    for a in range(N - 1, -1, -1):
-        s = P[a, a + 1 :] @ routed[a + 1 :]
-        X[a] = inverses[float(diag[a])] @ (B[a] + s * exit_c)
-        routed[a] = alpha_c @ X[a]
+    block = np.outer(exit_c, alpha_c)
+
+    def solve_layer(rows, stay, inflow):
+        try:
+            inverse = np.linalg.inv(-(Z.shock.T + stay * block))
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(str(exc)) from exc
+        X[rows] = (B[rows] + np.multiply.outer(inflow, exit_c)) @ inverse.T
+        return X[rows] @ alpha_c
+
+    layered_solve(Z.chain, solve_layer)
     return X
 
 
@@ -290,7 +272,7 @@ def raw_moment(Z: CompoundPhaseType, p: int) -> float:
     """E[Z^p] = p! alpha (-T_Z)^(-p) (w x e) via p successive block solves."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    X = np.repeat(Z.weights[:, None], Z.K, axis=1)
+    X = np.repeat(Z.chain.weights[:, None], Z.K, axis=1)
     for _ in range(p):
         X = _solve_neg_generator(Z, X)
     return float(math.factorial(p) * (_alpha_matrix(Z) * X).sum())
@@ -301,32 +283,3 @@ def scv(Z: CompoundPhaseType) -> float:
     m1 = raw_moment(Z, 1)
     m2 = raw_moment(Z, 2)
     return (m2 - m1**2) / m1**2
-
-
-def _simpson(f, a: float, fa: float, b: float, fb: float, fm: float, tol: float, depth: int) -> float:
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) < 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return _simpson(f, a, fa, m, fm, flm, tol / 2.0, depth - 1) + _simpson(
-        f, m, fm, b, fb, frm, tol / 2.0, depth - 1
-    )
-
-
-def integrate_pdf(Z: CompoundPhaseType, tol: float = 1e-8) -> float:
-    """Adaptive-Simpson mass of the density up to where survival < 1e-10."""
-    z_hi = 1.0
-    while cdf_survival(Z, z_hi) > 1e-10:
-        z_hi *= 2.0
-        if z_hi > 2**40:
-            raise NonConvergence("survival does not decay; check the subgenerator")
-    f = lambda z: pdf(Z, z)
-    fa, fb = f(0.0), f(z_hi)
-    fm = f(0.5 * z_hi)
-    return _simpson(f, 0.0, fa, z_hi, fb, fm, tol, 40)

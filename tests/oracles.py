@@ -1,18 +1,29 @@
-"""Reference structure-layer routes that the package does not take.
+"""Reference routes that the package does not take.
 
-The package reads the tie-sets and the nonfailed set off
+Structure layer: the package reads the tie-sets and the nonfailed set off
 ``nonfailed_closure``; ``scan_min_tiesets`` and ``tieset_table`` build them
 from the balance table alone.  ``bit_matrix_table`` builds the balance
-table itself from the 2**n x n matrix of unit statuses.  The tests compare
-each with the package's route.
+table itself from the 2**n x n matrix of unit statuses.
+
+Chains: the package never materializes the state chain's matrix or the
+compound subgenerator.  ``full_transition_matrix`` writes the one-step
+matrix over all 2**n states entry by entry, ``dense_transition`` reads a
+chain's matrix off its column action, and ``to_dense`` assembles the
+compound subgenerator from it.  ``integrate_pdf`` integrates a failure-time
+density by adaptive Simpson quadrature.  The tests compare each with the
+package's route.
 """
 
 from itertools import combinations
 
 import numpy as np
 
-from ckngb.errors import NoTieSets, OddNUnsupported
+from ckngb.chain import _transition_rows
+from ckngb.errors import CapacityExceeded, NoTieSets, NonConvergence, OddNUnsupported
 from ckngb.system import BC3_TOLERANCE_PER_UNIT, BalanceCondition, balanced_mask_table
+from ckngb.ttf import cdf_survival, pdf
+
+DENSE_CAP = 4096
 
 
 def bit_matrix_table(n, bc):
@@ -72,3 +83,65 @@ def tieset_table(masks, n):
     for t in masks:
         table |= (every & t) == t
     return table
+
+
+def full_transition_matrix(n, r):
+    """One-step matrix over all 2**n states in canonical index order
+    (descending mask), each entry r^|b| (1 - r)^(|a| - |b|) for b a subset
+    of a."""
+    masks = np.arange((1 << n) - 1, -1, -1, dtype=np.int64)
+    pops = np.bitwise_count(masks).astype(np.int64)
+    return _transition_rows(masks, pops, r, 0, masks.size)[1]
+
+
+def full_matrix(chain):
+    """Stochastic (N+1)x(N+1) matrix of a ConsolidatedChain with the
+    absorbing state appended."""
+    N = chain.size
+    out = np.zeros((N + 1, N + 1))
+    out[:N, :N] = chain.transition
+    out[:N, N] = chain.absorb
+    out[N, N] = 1.0
+    return out
+
+
+def dense_transition(chain):
+    """A chain's one-step matrix, column j the column action on unit vector j."""
+    return np.column_stack([chain.apply(e) for e in np.eye(chain.size)])
+
+
+def to_dense(Z):
+    """Dense compound subgenerator I x T_c + P x (exit alpha^T)."""
+    if Z.dim > DENSE_CAP:
+        raise CapacityExceeded(f"dense subgenerator capped at {DENSE_CAP}, need {Z.dim}")
+    block = np.outer(Z.shock.exit_rates, Z.shock.alpha)
+    return np.kron(np.eye(Z.states), Z.shock.T) + np.kron(dense_transition(Z.chain), block)
+
+
+def _simpson(f, a, fa, b, fb, fm, tol, depth):
+    m = 0.5 * (a + b)
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm = f(lm)
+    frm = f(rm)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    if depth <= 0 or abs(left + right - whole) < 15.0 * tol:
+        return left + right + (left + right - whole) / 15.0
+    return _simpson(f, a, fa, m, fm, flm, tol / 2.0, depth - 1) + _simpson(
+        f, m, fm, b, fb, frm, tol / 2.0, depth - 1
+    )
+
+
+def integrate_pdf(Z, tol=1e-8):
+    """Adaptive-Simpson mass of the density up to where survival < 1e-10."""
+    z_hi = 1.0
+    while cdf_survival(Z, z_hi) > 1e-10:
+        z_hi *= 2.0
+        if z_hi > 2**40:
+            raise NonConvergence("survival does not decay; check the subgenerator")
+    f = lambda z: pdf(Z, z)
+    fa, fb = f(0.0), f(z_hi)
+    fm = f(0.5 * z_hi)
+    return _simpson(f, 0.0, fa, z_hi, fb, fm, tol, 40)

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from ckngb.chain import build_consolidated, full_transition_matrix
+from ckngb.chain import build_consolidated
 from ckngb.montecarlo import simulate_sntf, simulate_ttf
 from ckngb.sntf import (
     factorial_moment,
@@ -38,6 +38,7 @@ from goldens import (
     MTTF_RATIO_R9_OVER_R5,
     TABLE_STATES,
 )
+from oracles import full_transition_matrix, to_dense
 
 BC1, BC2, BC3 = BalanceCondition.BC1, BalanceCondition.BC2, BalanceCondition.BC3
 
@@ -91,7 +92,7 @@ def test_criterion_02_compound_golden():
     start = time.perf_counter()
     dist = sntf_distribution(SystemConfig(4, 2, 0.7, BC3))
     Z = compound_ph(dist, ph_from_preset("ER"))
-    dense = Z.to_dense()
+    dense = to_dense(Z)
     elapsed = time.perf_counter() - start
     alpha_ok = Z.dim == 14 and np.array_equal(Z.alpha, np.eye(14)[0])
     gap = float(np.abs(dense - COMPOUND_GENERATOR).max())

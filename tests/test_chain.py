@@ -7,18 +7,24 @@ from hypothesis import strategies as st
 
 from ckngb.chain import (
     MAX_CHAIN_STATES,
+    MAX_STATE_UNITS,
     build_consolidated,
+    build_state_chain,
     chain_csv,
-    full_transition_matrix,
+    check_up_set,
+    kron_apply,
+    kron_step,
     mstep_prob,
     nonfailed_states,
     one_step_prob,
+    state_chain,
     transition_counts,
 )
-from ckngb.errors import CapacityExceeded
+from ckngb.errors import CapacityExceeded, InvariantViolation
 from ckngb.system import BalanceCondition, SystemState
 from ckngb.tiesets import count_profile, nonfailed_closure
 from goldens import CONSOLIDATED_ABSORB, CONSOLIDATED_P, TABLE_STATES
+from oracles import dense_transition, full_matrix, full_transition_matrix
 
 BC1, BC2, BC3 = BalanceCondition.BC1, BalanceCondition.BC2, BalanceCondition.BC3
 
@@ -130,7 +136,7 @@ class TestConsolidated:
 
     def test_full_matrix_partition(self):
         chain = build_consolidated(4, 2, BC3, 0.7)
-        full = chain.full_matrix()
+        full = full_matrix(chain)
         assert full.shape == (8, 8)
         assert np.abs(full.sum(axis=1) - 1.0).max() < 1e-12
         assert full[-1, -1] == 1.0
@@ -198,9 +204,65 @@ class TestFullChain:
         full = full_transition_matrix(n, 0.6)
         assert np.abs(full.sum(axis=1) - 1.0).max() < 1e-12
 
-    def test_capacity_bound(self):
-        with pytest.raises(CapacityExceeded):
-            full_transition_matrix(9, 0.5)
+
+class TestKronecker:
+    """The matrix-free one-shock operator over all 2**n masks against the
+    dense matrix written entry by entry."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("r", [0.3, 0.7, 0.999])
+    def test_step_and_apply_equal_dense_matrix(self, n, r):
+        # full is in canonical order (descending mask); flip it to mask order
+        dense = full_transition_matrix(n, r)[::-1, ::-1]
+        eye = np.eye(1 << n)
+        rows = np.array([kron_step(e, r) for e in eye])
+        columns = np.array([kron_apply(e, r) for e in eye]).T
+        assert np.abs(rows - dense).max() <= 1e-15
+        assert np.abs(columns - dense).max() <= 1e-15
+
+    @pytest.mark.parametrize(
+        "n,k,bc,r", [(4, 2, BC3, 0.7), (6, 3, BC2, 0.5), (8, 2, BC1, 0.9), (8, 3, BC3, 0.95)]
+    )
+    def test_state_chain_equals_dense_chain(self, n, k, bc, r):
+        dense = build_consolidated(n, k, bc, r)
+        chain = build_state_chain(n, k, bc, r)
+        assert np.array_equal(chain.masks, dense.masks)
+        assert np.abs(dense_transition(chain) - dense.transition).max() <= 1e-15
+        assert np.abs(chain.absorb - dense.absorb).max() <= 1e-15
+        # v P from the row action equals the column action's matrix
+        v = np.random.default_rng(n).random(chain.size)
+        assert np.abs(chain.step(v) - v @ dense.transition).max() <= 1e-14
+
+    def test_layers_group_states_by_operating_units(self):
+        chain = build_state_chain(6, 2, BC3, 0.8)
+        sizes = [int(s.count_operating()) for s in nonfailed_states(6, 2, BC3)]
+        seen = []
+        for rows, stay in chain.layers:
+            units = {sizes[i] for i in rows}
+            assert len(units) == 1
+            s = units.pop()
+            assert stay == pytest.approx(0.8**s, rel=1e-15)
+            seen += rows.tolist()
+        assert sorted(seen) == list(range(chain.size))
+        assert [sizes[rows[0]] for rows, _ in chain.layers] == sorted(set(sizes))
+
+    def test_state_cap_refuses_before_building(self):
+        with pytest.raises(CapacityExceeded, match=f"n <= {MAX_STATE_UNITS}"):
+            build_state_chain(MAX_STATE_UNITS + 2, 6, BC3, 0.8)
+
+    def test_up_set_check(self):
+        chain = build_state_chain(6, 2, BC2, 0.7)
+        check_up_set(chain.masks, 6)
+        with pytest.raises(InvariantViolation):
+            check_up_set(chain.masks[1:], 6)  # the all-ones state dropped
+
+    def test_absorb_of_any_mask_set_completes_rows(self):
+        # absorb sums the failed successors, so every row sums to one even
+        # for a set that is not an up-set; check_up_set is what rejects it
+        masks = np.array([0b1111, 0b1010, 0b0101, 0b0001])
+        chain = state_chain(masks, 4, 0.7)
+        rows = chain.apply(np.ones(chain.size)) + chain.absorb
+        assert np.abs(rows - 1.0).max() <= 1e-15
 
 
 class TestConsolidationFidelity:
@@ -236,6 +298,6 @@ def test_chain_csv_matches_per_entry_format(bc):
     chain = build_consolidated(8, 2, bc, 0.7)
     labels = [str(s) for s in chain.states] + ["absorbed"]
     expected = ["state," + ",".join(labels)]
-    for label, row in zip(labels, chain.full_matrix()):
+    for label, row in zip(labels, full_matrix(chain)):
         expected.append(label + "," + ",".join(f"{v:.12g}" for v in row))
     assert chain_csv(chain) == "\n".join(expected) + "\n"

@@ -1,12 +1,17 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ckngb.experiments as experiments
-from ckngb.chain import build_consolidated
+from ckngb.chain import MAX_STATE_UNITS, build_state_chain, state_chain
 from ckngb.cli import main
 from ckngb.errors import ConfigError, NoTieSets, NonConvergence
 from ckngb.system import BalanceCondition
@@ -120,26 +125,63 @@ class TestExitCodes:
 
 
 class TestChainCap:
-    """A consolidated chain above the state cap is refused fast, with exit 4."""
+    """A chain over its cap is refused fast, before any output and before
+    anything of its size is allocated, with exit 4: the dumped dense chain
+    above MAX_CHAIN_STATES states, the state chain above MAX_STATE_UNITS
+    units."""
 
-    DOC = {"n": 16, "k": 4, "r": 0.8, "bc": "BC3", "shock": {"preset": "HE"}}
+    DUMP_DOC = {"n": 16, "k": 4, "r": 0.8, "bc": "BC3", "shock": {"preset": "HE"}}
+    STATE_DOC = {"n": MAX_STATE_UNITS + 2, "k": 6, "r": 0.8, "bc": "BC3", "shock": {"preset": "HE"}}
 
     @pytest.mark.parametrize(
-        "argv",
-        [["sntf-pmf", "--matrix"], ["sntf-pmf", "--dump-chain", "chain.csv"], ["validate"]],
+        "argv,doc,message",
+        [
+            (["sntf-pmf", "--matrix"], STATE_DOC, f"n <= {MAX_STATE_UNITS}"),
+            (["sntf-pmf", "--dump-chain", "chain.csv"], DUMP_DOC, "41479"),
+            (["validate"], STATE_DOC, f"n <= {MAX_STATE_UNITS}"),
+        ],
         ids=["matrix", "dump-chain", "validate"],
     )
-    def test_refused_before_any_output(self, argv, config_file, tmp_path, capsys):
+    def test_refused_before_any_output(self, argv, doc, message, config_file, tmp_path, capsys):
         argv = [str(tmp_path / a) if a == "chain.csv" else a for a in argv]
+        cfg = config_file(doc)
+        tracemalloc.start()
         start = time.perf_counter()
-        rc = main(argv + ["--config", config_file(self.DOC)])
-        elapsed = time.perf_counter() - start
+        try:
+            rc = main(argv + ["--config", cfg])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert rc == 4
         assert elapsed < 2.0
+        assert peak < 4 << 20  # a 2**24 closure alone is 16 MB
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "41479" in captured.err
+        assert message in captured.err
         assert not (tmp_path / "chain.csv").exists()
+
+    def test_state_chain_runs_beyond_the_dense_cap(self, config_file, capsys):
+        # n=16 k=4 BC3 has 41 479 nonfailed states, over the dense cap
+        cfg = config_file(dict(self.DUMP_DOC, reps=4000))
+        assert main(["validate", "--config", cfg]) == 0
+        assert main(["sntf-pmf", "--matrix", "--config", cfg, "--m-max", "3"]) == 0
+        assert main(["sntf-pmf", "--config", cfg, "--m-max", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "consolidation_fidelity,pass" in out
+        matrix, direct = out.split("m,pmf,survival\n")[1:]
+        for a, b in zip(matrix.splitlines(), direct.splitlines()):
+            assert [float(x) for x in a.split(",")] == pytest.approx(
+                [float(x) for x in b.split(",")], rel=1e-11
+            )
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, ckngb.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestCommands:
@@ -347,23 +389,19 @@ class TestByteStability:
 class TestValidateNegativeControl:
     def test_corrupted_chain_fails_row_check(self, config_file):
         spec = experiments.parse_config(REFERENCE_DOC)
-        chain = build_consolidated(4, 2, BC3, 0.7)
+        chain = build_state_chain(4, 2, BC3, 0.7)
         corrupted = copy.copy(chain)
         object.__setattr__(corrupted, "absorb", chain.absorb + 0.05)
         checks = experiments.run_validate(spec, chain_override=corrupted)
         by_name = {c["check"]: c["result"] for c in checks}
         assert by_name["row_stochasticity"] == "fail"
 
-    def test_entry_below_diagonal_fails_row_check(self):
-        # mass moved from absorption to an earlier state keeps every row sum
+    def test_closure_not_an_up_set_fails_row_check(self):
+        # 1110 dropped while its subset 1010 stays nonfailed.  The chain is
+        # built from the masks as given, so every row still sums to one
         spec = experiments.parse_config(REFERENCE_DOC)
-        chain = build_consolidated(4, 2, BC3, 0.7)
-        P, absorb = chain.transition.copy(), chain.absorb.copy()
-        P[4, 1] += 0.05
-        absorb[4] -= 0.05
-        corrupted = copy.copy(chain)
-        object.__setattr__(corrupted, "transition", P)
-        object.__setattr__(corrupted, "absorb", absorb)
+        masks = build_state_chain(4, 2, BC3, 0.7).masks
+        corrupted = state_chain(masks[masks != 0b1110], 4, 0.7)
         checks = experiments.run_validate(spec, chain_override=corrupted)
         by_name = {c["check"]: c for c in checks}
         assert by_name["row_stochasticity"]["result"] == "fail"

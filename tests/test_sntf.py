@@ -19,6 +19,7 @@ from ckngb.sntf import (
 )
 from ckngb.system import BalanceCondition, SystemConfig
 from ckngb.tiesets import count_profile
+from oracles import dense_transition
 
 BC1, BC2, BC3 = BalanceCondition.BC1, BalanceCondition.BC2, BalanceCondition.BC3
 
@@ -31,14 +32,14 @@ def reference(reference_config):
 class TestDistribution:
     def test_reference_shape(self, reference):
         assert reference.alpha.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-        assert reference.transition.shape == (7, 7)
+        assert dense_transition(reference.chain).shape == (7, 7)
 
     def test_single_state_cases(self):
         d = sntf_distribution(SystemConfig(2, 2, 0.6))
         assert d.alpha.tolist() == [1.0]
-        assert d.transition == pytest.approx(np.array([[0.36]]))
+        assert dense_transition(d.chain) == pytest.approx(np.array([[0.36]]))
         d = sntf_distribution(SystemConfig(4, 4, 0.6))
-        assert d.transition == pytest.approx(np.array([[0.6**4]]))
+        assert dense_transition(d.chain) == pytest.approx(np.array([[0.6**4]]))
 
 
 class TestPmf:
@@ -138,6 +139,25 @@ def test_pmf_direct_matches_exact_arithmetic(n, k, bc, r):
     for m in (1, 2, 10, 50):
         exact = survival_exact(m - 1) - survival_exact(m)
         assert abs(Fraction(pmf_direct(config, m)) - exact) <= Fraction(1, 10**13) * exact, m
+
+
+@pytest.mark.parametrize("n,k,bc,r", [(12, 2, BC3, 0.999), (10, 2, BC1, 0.95)])
+def test_matrix_route_matches_exact_arithmetic(n, k, bc, r):
+    # the series behind sntf-pmf --matrix: every value a sum of nonnegative
+    # terms, so it keeps its relative accuracy where failing is rare
+    counts = [int(c) for c in count_profile(n, k, bc)]
+    rf = Fraction(r)
+
+    def survival_exact(m):
+        p = rf**m
+        return sum(c * p**j * (1 - p) ** (n - j) for j, c in enumerate(counts))
+
+    pmf, surv = pmf_survival_series(sntf_distribution(SystemConfig(n, k, r, bc)), 50)
+    exact = [survival_exact(m) for m in range(51)]
+    for m in range(1, 51):
+        want = exact[m - 1] - exact[m]
+        assert abs(Fraction(float(pmf[m - 1])) - want) <= Fraction(1, 10**13) * want, m
+        assert abs(Fraction(float(surv[m - 1])) - exact[m]) <= Fraction(1, 10**13) * exact[m], m
 
 
 class TestMoments:

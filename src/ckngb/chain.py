@@ -7,12 +7,12 @@ per nonfailed state plus absorption.  One shock thins every unit
 independently, so the one-step matrix over all 2**n states is the
 Kronecker product of n copies of the 2 x 2 kernel [[1, 0], [1 - r, r]]
 (rows and columns: bit value 0, 1).  Its action on a vector over masks
-(``kron_step``, ``kron_apply``) takes one small matrix product per group
-of four units, O(n 2^n) work.  ``StateChain`` is that operator restricted
-to the nonfailed closure: it stores no matrix.  It serves
-``sntf_distribution``, ``compound_from_config`` and the validation
-oracle.  ``build_consolidated`` stores the same chain as a dense matrix
-for the chain dump and the golden matrices only, and refuses it above
+(``kron_step``, ``kron_apply``) is one butterfly pass per unit, O(n 2^n)
+work.  ``StateChain`` is that operator restricted to the nonfailed
+closure: it stores no matrix.  It serves ``sntf_distribution``,
+``compound_from_config`` and the validation oracle.
+``build_consolidated`` stores the same chain as a dense matrix for the
+chain dump and the golden matrices only, and refuses it above
 MAX_CHAIN_STATES states.
 
 The count chain carries the same shock-count law on at most n + 1 states.
@@ -44,14 +44,12 @@ MAX_CHAIN_STATES = 15_000
 
 # The state chain holds a few float64 vectors over all 2**n masks (32 MB
 # each at n = 22), and its layered solves take one transform per layer,
-# O(n^2 2^n): `validate` at n = 22 takes about 15 s, n = 24 would take
+# O(n^2 2^n): `validate` at n = 22 takes about 40 s, n = 24 would take
 # minutes.
 MAX_STATE_UNITS = 22
 
-# Units per Kronecker factor of the state chain's one-step operator: 16 x 16
-# blocks keep a transform to a few matrix products and every output a sum
-# of at most 16 nonnegative terms.
-_FACTOR_UNITS = 4
+# Units that the state chain's butterfly passes on the transposed array.
+_LOW_UNITS = 5
 
 
 @dataclass(frozen=True)
@@ -202,49 +200,48 @@ def check_upper_triangular(P: np.ndarray) -> None:
         raise InvariantViolation("subtransition matrix must be upper triangular")
 
 
-@lru_cache(maxsize=64)
-def _kernel(units: int, r: float) -> np.ndarray:
-    """One shock on `units` units as a 2**units square matrix, row the mask
-    before and column the mask after: the Kronecker power of
-    [[1, 0], [1 - r, r]], written entry by entry as the dense chain's rows
-    are.  Read-only and shared."""
-    masks = np.arange(1 << units)
-    kernel = _transition_rows(masks, popcounts(units).astype(np.int64), r, 0, masks.size)[1]
-    kernel.flags.writeable = False
-    return kernel
+def _butterfly(f: np.ndarray, r: float, row: bool) -> np.ndarray:
+    """f K (row action) or K f (column action) for f over all 2**n masks, as
+    one butterfly pass per unit; f serves as scratch space.
 
-
-def _kron_action(f: np.ndarray, r: float, row: bool) -> np.ndarray:
-    """f K (row action) or K f (column action) for f over all 2**n masks.
-
-    K is applied one factor of up to _FACTOR_UNITS units at a time: the
-    factor of units [b, b + g) contracts axis 1 of f viewed as
-    (-1, 2**g, 2**b).  That is ceil(n / _FACTOR_UNITS) matrix products, so
-    the operator is never formed.
+    The pass for unit b maps each pair (lo, hi) of masks that differ in bit
+    b alone through the unit's 2 x 2 kernel: lo' = lo + (1 - r) hi and
+    hi' = r hi for the row action, hi' = (1 - r) lo + r hi for the column
+    action.  Every output is a tree of sums of nonnegative products of the
+    factors r and 1 - r, and no rounded power of r is reused shock after
+    shock, so a pmf series of 50 steps stays within a few rounding errors
+    of exact arithmetic.  The lowest _LOW_UNITS units pair entries only
+    2**b apart, so they are passed on the transposed array.
     """
+    kernel = np.array([[1.0, 0.0], [1.0 - r, r]])
+    factor = kernel.T if row else kernel
     n = f.size.bit_length() - 1
-    g = min(_FACTOR_UNITS, n)
-    K = _kernel(g, r)
-    f = f.reshape(-1, 1 << g) @ (K if row else K.T)
-    b = g
-    while b < n:
-        g = min(_FACTOR_UNITS, n - b)
-        K = _kernel(g, r)
-        f = np.matmul(K.T if row else K, f.reshape(-1, 1 << g, 1 << b))
-        b += g
-    return f.reshape(-1)
+    low = min(_LOW_UNITS, n // 2)
+    spare = np.empty_like(f)
+
+    def passes(f, spare, units, run):
+        for b in units:
+            np.matmul(factor, f.reshape(-1, 2, run << b), out=spare.reshape(-1, 2, run << b))
+            f, spare = spare, f
+        return f, spare
+
+    f, spare = passes(f, spare, range(low, n), 1)
+    spare.reshape(1 << low, -1)[:] = f.reshape(-1, 1 << low).T
+    f, spare = passes(spare, f, range(low), f.size >> low)
+    spare.reshape(-1, 1 << low)[:] = f.reshape(1 << low, -1).T
+    return spare
 
 
 def kron_step(f: np.ndarray, r: float) -> np.ndarray:
     """Row action f K for f over all 2**n masks: the law of the state one
     shock later, each operating unit failing with probability 1 - r."""
-    return _kron_action(f, r, row=True)
+    return _butterfly(f.copy(), r, row=True)
 
 
 def kron_apply(f: np.ndarray, r: float) -> np.ndarray:
     """Column action K f for f over all 2**n masks:
     (K f)_S = sum over subsets T of S of r^|T| (1 - r)^(|S| - |T|) f_T."""
-    return _kron_action(f, r, row=False)
+    return _butterfly(f.copy(), r, row=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,10 +278,10 @@ class StateChain:
         return full
 
     def step(self, v: np.ndarray) -> np.ndarray:
-        return kron_step(self._spread(v), self.r)[self.masks]
+        return _butterfly(self._spread(v), self.r, row=True)[self.masks]
 
     def apply(self, y: np.ndarray, rows=slice(None)) -> np.ndarray:
-        return kron_apply(self._spread(y), self.r)[self.masks[rows]]
+        return _butterfly(self._spread(y), self.r, row=False)[self.masks[rows]]
 
 
 def state_chain(masks: np.ndarray, n: int, r: float) -> StateChain:
@@ -293,7 +290,7 @@ def state_chain(masks: np.ndarray, n: int, r: float) -> StateChain:
     failed[masks] = 0.0
     # The probability of a failed successor, as a sum of nonnegative terms
     # rather than 1 - row sum, which cancels where failing is rare.
-    absorb = kron_apply(failed, r)[masks]
+    absorb = _butterfly(failed, r, row=False)[masks]
     pops = popcounts(n)[masks]
     layers = tuple(
         (rows, r**s) for s in range(n + 1) if (rows := np.flatnonzero(pops == s)).size

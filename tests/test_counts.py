@@ -81,10 +81,10 @@ def test_count_chain_matches_state_chain(n):
     series, every other quantity pointwise.  Worst relative gaps measured
     over n = 2..12: mean 1.6e-14, second factorial moment 3.2e-14, MTTF
     2.1e-14 and SCV 5.4e-14, all at r = 0.999, where 1 - r^s keeps only a
-    few digits (at most 6.3e-15 at the other levels); pmf and survival
-    1.8e-14 pointwise; failure-time density 2.4e-15 and survival 4.8e-15."""
+    few digits (at most 5.1e-15 at the other levels); pmf and survival
+    7.1e-15 pointwise; failure-time density 2.8e-15 and survival 4.4e-15."""
     tol = 1e-12
-    zs = np.linspace(0.0, DEFAULT_Z_MAX, 6)
+    zs = np.linspace(0.0, DEFAULT_Z_MAX, 41)
     failures = []
     for bc in BalanceCondition:
         if bc is BC1 and n % 2:

@@ -144,7 +144,10 @@ def test_pmf_direct_matches_exact_arithmetic(n, k, bc, r):
 @pytest.mark.parametrize("n,k,bc,r", [(12, 2, BC3, 0.999), (10, 2, BC1, 0.95)])
 def test_matrix_route_matches_exact_arithmetic(n, k, bc, r):
     # the series behind sntf-pmf --matrix: every value a sum of nonnegative
-    # terms, so it keeps its relative accuracy where failing is rare
+    # terms, so it keeps its relative accuracy where failing is rare.  The
+    # worst relative error measured over both series is 1.2e-15; the dense
+    # chain's was 2.7e-15, so the bound catches a return to it
+    bound = Fraction(2, 10**15)
     counts = [int(c) for c in count_profile(n, k, bc)]
     rf = Fraction(r)
 
@@ -156,8 +159,8 @@ def test_matrix_route_matches_exact_arithmetic(n, k, bc, r):
     exact = [survival_exact(m) for m in range(51)]
     for m in range(1, 51):
         want = exact[m - 1] - exact[m]
-        assert abs(Fraction(float(pmf[m - 1])) - want) <= Fraction(1, 10**13) * want, m
-        assert abs(Fraction(float(surv[m - 1])) - exact[m]) <= Fraction(1, 10**13) * exact[m], m
+        assert abs(Fraction(float(pmf[m - 1])) - want) <= bound * want, m
+        assert abs(Fraction(float(surv[m - 1])) - exact[m]) <= bound * exact[m], m
 
 
 class TestMoments:

@@ -6,23 +6,37 @@ SeedSequence spawn key), so results are reproducible bit for bit for a
 given (config, seed, reps) regardless of how batches are scheduled.
 
 Unit deaths are simulated as geometric lifetimes: unit i survives the
-first L_i - 1 shocks and dies at shock L_i, so the failure shock count is
-found by walking the death order instead of stepping shock by shock.
+first L_i - 1 shocks and dies at shock L_i.  Each unit's lifetime and bit
+position are packed into one integer key, so a single in-row sort gives
+the death order; running sums of the dead units' bits give the states
+along it, and the failure shock count M is the lifetime at the first
+failed one.  A failure-time replication then draws M inter-shock times
+from the same batch stream, so one pass yields both samples (``validate``
+summarises the shock counts of its failure-time pass).  Both costs grow
+with the mean shock count E[M], which is read off the count chain and
+bounded before any draw (MAX_MEAN_SHOCKS, MAX_PHASE_DRAWS).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import CapacityExceeded, ConfigError
+from .sntf import count_distribution, mean_closed
 from .system import SystemConfig
 from .tiesets import nonfailed_closure
 from .ttf import ContinuousPhaseType
 
 BATCH_SIZE = 8192
+# Admission bounds, checked on the mean shock count E[M] before any draw
+# (README, "Monte Carlo oracle").  E[M] sets the length of the shock-count
+# histogram, about 6 E[M] bins at 10^5 reps; reps * E[M] is the number of
+# inter-shock times a failure-time run draws, all of one batch held at once.
+MAX_MEAN_SHOCKS = 10**5
+MAX_PHASE_DRAWS = 2**25
 
 _Z95 = 1.959963984540054
 _Z99 = 2.5758293035489004
@@ -41,6 +55,9 @@ class SimulationResult:
     quantiles: dict[float, float]
     hist_edges: np.ndarray
     hist_counts: np.ndarray
+    # a failure-time result may carry the summary of the shock counts its
+    # failure times were drawn from: the same counts simulate_sntf draws
+    sntf: SimulationResult | None = None
 
     def half_width(self, level: float = 0.95) -> float:
         z = {0.95: _Z95, 0.99: _Z99}.get(level)
@@ -62,24 +79,101 @@ def _batch_sizes(reps: int) -> list[int]:
 
 def _shock_counts(rng: np.random.Generator, size: int, config: SystemConfig, table: np.ndarray) -> np.ndarray:
     n = config.n
-    lifetimes = rng.geometric(1.0 - config.r, size=(size, n)).astype(np.int64)
-    order = np.argsort(lifetimes, axis=1, kind="stable")
-    sorted_l = np.take_along_axis(lifetimes, order, axis=1)
-    death_bit = np.int64(1) << (n - 1 - order)
-    current = np.full(size, (1 << n) - 1, dtype=np.int64)
-    counts = np.zeros(size, dtype=np.int64)
-    done = np.zeros(size, dtype=bool)
-    for j in range(n):
-        current &= ~death_bit[:, j]
-        if j < n - 1:
-            # simultaneous deaths: only evaluate once the tie group ends
-            boundary = sorted_l[:, j + 1] > sorted_l[:, j]
-        else:
-            boundary = np.ones(size, dtype=bool)
-        hit = boundary & ~done & ~table[current]
-        counts[hit] = sorted_l[hit, j]
-        done |= hit
-    return counts
+    lifetimes = rng.geometric(1.0 - config.r, size=(size, n))
+    # One sort key per unit: its lifetime above its bit position.  Units
+    # dying at the same shock may sort in any order: the nonfailed set is
+    # an up-set, so the first failed state along the death order comes
+    # within the first shock that leaves the system failed.
+    shift = n.bit_length()
+    keys = lifetimes << shift
+    keys |= np.arange(n - 1, -1, -1, dtype=np.int64)
+    keys.sort(axis=1)
+    dead = keys & ((1 << shift) - 1)
+    np.left_shift(1, dead, out=dead)
+    # running sums of the dead units' bits, column by column: np.cumsum
+    # along rows this short costs several times more
+    for j in range(1, n):
+        dead[:, j] += dead[:, j - 1]
+    alive = np.subtract((1 << n) - 1, dead, out=dead)
+    # the first failed state; the last, every unit dead, always is one
+    first_failed = table[alive].argmin(axis=1)
+    return keys[np.arange(size), first_failed] >> shift
+
+
+def _sample_ph_batch(Y: ContinuousPhaseType, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Vectorized absorption times of the phase process underlying Y."""
+    if count == 0:
+        return np.zeros(0)
+    K = Y.K
+    rates = -np.diag(Y.T)
+    jump = Y.T / rates[:, None]
+    np.fill_diagonal(jump, 0.0)
+    # cum[c][i]: probability that phase i jumps to one of phases 0..c
+    cum = np.ascontiguousarray(np.cumsum(jump, axis=1).T)
+
+    phase = rng.choice(K, size=count, p=Y.alpha)
+    total = rng.standard_exponential(count) / rates[phase]
+    active = slice(None)  # the draws not yet absorbed: all, until one is
+    while True:
+        # the next phase is the number of cumulative jump probabilities at
+        # or below u, K meaning exit: searchsorted on each phase's row
+        u = rng.random(phase.size)
+        nxt = (u >= cum[0][phase]).astype(np.intp)
+        for column in cum[1:]:
+            nxt += u >= column[phase]
+        stay = nxt < K
+        if not stay.all():
+            active = np.flatnonzero(stay) if isinstance(active, slice) else active[stay]
+            if not active.size:
+                return total
+            nxt = nxt[stay]
+        phase = nxt
+        total[active] += rng.standard_exponential(phase.size) / rates[phase]
+
+
+def sample_ph(Y: ContinuousPhaseType, rng_stream: np.random.Generator) -> float:
+    """One draw from the phase-type law Y."""
+    return float(_sample_ph_batch(Y, 1, rng_stream)[0])
+
+
+def _admit(config: SystemConfig, reps: int, times: bool) -> None:
+    """Refuse before any draw a run whose histogram or inter-shock draws
+    would not fit: both grow with the mean shock count E[M]."""
+    mean = mean_closed(count_distribution(config))
+    if not mean <= MAX_MEAN_SHOCKS:
+        raise CapacityExceeded(
+            f"mean shock count {mean:.4g} at r={config.r} exceeds the simulation "
+            f"bound {MAX_MEAN_SHOCKS}"
+        )
+    if times and reps * mean > MAX_PHASE_DRAWS:
+        raise CapacityExceeded(
+            f"reps x mean shock count = {reps * mean:.4g} inter-shock draws exceeds "
+            f"the simulation bound {MAX_PHASE_DRAWS}; lower reps to at most "
+            f"{max(1, int(MAX_PHASE_DRAWS // mean))}"
+        )
+
+
+def _draw(config: SystemConfig, seed: int, reps: int, times: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Shock counts per replication and, with times, the failure times
+    drawn after them from the same batch streams."""
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    if times and config.shock is None:
+        raise ConfigError("shock: required for time-to-failure simulation")
+    table = nonfailed_closure(config.n, config.k, config.bc)
+    _admit(config, reps, times)
+    if times:
+        Y = config.shock.resolve()
+    counts, totals = [], []
+    for batch, size in enumerate(_batch_sizes(reps)):
+        rng = _batch_rng(seed, batch)
+        shocks = _shock_counts(rng, size, config, table)
+        counts.append(shocks)
+        if times:
+            draws = _sample_ph_batch(Y, int(shocks.sum()), rng)
+            offsets = np.concatenate(([0], np.cumsum(shocks)[:-1]))
+            totals.append(np.add.reduceat(draws, offsets))
+    return np.concatenate(counts), np.concatenate(totals) if times else None
 
 
 def _summarize(kind: str, samples: np.ndarray, seed: int, integer_bins: bool) -> SimulationResult:
@@ -109,14 +203,7 @@ def _summarize(kind: str, samples: np.ndarray, seed: int, integer_bins: bool) ->
 
 
 def _sntf_samples(config: SystemConfig, seed: int, reps: int) -> np.ndarray:
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    table = nonfailed_closure(config.n, config.k, config.bc)
-    parts = []
-    for batch, size in enumerate(_batch_sizes(reps)):
-        rng = _batch_rng(seed, batch)
-        parts.append(_shock_counts(rng, size, config, table))
-    return np.concatenate(parts)
+    return _draw(config, seed, reps, times=False)[0]
 
 
 def simulate_sntf(config: SystemConfig, seed: int, reps: int) -> SimulationResult:
@@ -124,59 +211,16 @@ def simulate_sntf(config: SystemConfig, seed: int, reps: int) -> SimulationResul
     return _summarize("sntf", _sntf_samples(config, seed, reps), seed, integer_bins=True)
 
 
-def _sample_ph_batch(Y: ContinuousPhaseType, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized absorption times of the phase process underlying Y."""
-    if count == 0:
-        return np.zeros(0)
-    K = Y.K
-    rates = -np.diag(Y.T)
-    jump = Y.T / rates[:, None]
-    np.fill_diagonal(jump, 0.0)
-    outcomes = np.hstack([jump, (Y.exit_rates / rates)[:, None]])
-    cum = np.cumsum(outcomes, axis=1)
-    cum[:, -1] = 1.0  # guard against rounding in the last column
-
-    phase = rng.choice(K, size=count, p=Y.alpha)
-    total = np.zeros(count)
-    active = np.arange(count)
-    while active.size:
-        ph = phase[active]
-        total[active] += rng.standard_exponential(active.size) / rates[ph]
-        u = rng.random(active.size)
-        nxt = np.empty(active.size, dtype=np.int64)
-        for value in range(K):
-            sel = ph == value
-            if sel.any():
-                nxt[sel] = np.searchsorted(cum[value], u[sel], side="right")
-        stay = nxt < K
-        phase[active[stay]] = nxt[stay]
-        active = active[stay]
-    return total
-
-
-def sample_ph(Y: ContinuousPhaseType, rng_stream: np.random.Generator) -> float:
-    """One draw from the phase-type law Y."""
-    return float(_sample_ph_batch(Y, 1, rng_stream)[0])
-
-
 def _ttf_samples(config: SystemConfig, seed: int, reps: int) -> np.ndarray:
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if config.shock is None:
-        raise ConfigError("shock: required for time-to-failure simulation")
-    Y = config.shock.resolve()
-    table = nonfailed_closure(config.n, config.k, config.bc)
-    parts = []
-    for batch, size in enumerate(_batch_sizes(reps)):
-        rng = _batch_rng(seed, batch)
-        counts = _shock_counts(rng, size, config, table)
-        draws = _sample_ph_batch(Y, int(counts.sum()), rng)
-        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        parts.append(np.add.reduceat(draws, offsets))
-    return np.concatenate(parts)
+    return _draw(config, seed, reps, times=True)[1]
 
 
-def simulate_ttf(config: SystemConfig, seed: int, reps: int) -> SimulationResult:
+def simulate_ttf(config: SystemConfig, seed: int, reps: int, with_sntf: bool = False) -> SimulationResult:
     """Empirical time to failure: per replication, the shock count is drawn
-    first and that many inter-shock times are summed."""
-    return _summarize("ttf", _ttf_samples(config, seed, reps), seed, integer_bins=False)
+    first and that many inter-shock times are summed.  with_sntf also
+    summarises those shock counts, as simulate_sntf would, in ``.sntf``."""
+    counts, times = _draw(config, seed, reps, times=True)
+    result = _summarize("ttf", times, seed, integer_bins=False)
+    if with_sntf:
+        result = replace(result, sntf=_summarize("sntf", counts, seed, integer_bins=True))
+    return result

@@ -12,6 +12,9 @@ chain's matrix off its column action, and ``to_dense`` assembles the
 compound subgenerator from it.  ``integrate_pdf`` integrates a failure-time
 density by adaptive Simpson quadrature.  The tests compare each with the
 package's route.
+
+Monte Carlo: ``walk_shock_counts`` finds each replication's failure shock
+from its unit lifetimes one shock at a time, without sort keys.
 """
 
 from itertools import combinations
@@ -145,3 +148,18 @@ def integrate_pdf(Z, tol=1e-8):
     fa, fb = f(0.0), f(z_hi)
     fm = f(0.5 * z_hi)
     return _simpson(f, 0.0, fa, z_hi, fb, fm, tol, 40)
+
+
+def walk_shock_counts(lifetimes, table):
+    """Per row of unit lifetimes (unit i dies at shock lifetimes[:, i],
+    unit 1 the leftmost bit), the first shock after which the operating
+    units form a failed state."""
+    n = lifetimes.shape[1]
+    counts = []
+    for row in lifetimes.tolist():
+        for m in sorted(set(row)):
+            alive = sum(1 << (n - 1 - i) for i, life in enumerate(row) if life > m)
+            if not table[alive]:
+                counts.append(m)
+                break
+    return np.array(counts, dtype=np.int64)

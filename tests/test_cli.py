@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ckngb.experiments as experiments
+import ckngb.montecarlo as montecarlo
 from ckngb.chain import MAX_STATE_UNITS, build_state_chain, state_chain
 from ckngb.cli import main
 from ckngb.errors import ConfigError, NoTieSets, NonConvergence
@@ -174,6 +175,55 @@ class TestChainCap:
             assert [float(x) for x in a.split(",")] == pytest.approx(
                 [float(x) for x in b.split(",")], rel=1e-11
             )
+
+
+class TestSimulationEnvelope:
+    """Simulations whose cost grows past the Monte Carlo bounds as r -> 1
+    exit 4 before any draw: with default reps, n=6 k=2 BC3 ER ran for
+    minutes, was OOM-killed or died with a traceback at these r."""
+
+    DOC = {"n": 6, "k": 2, "bc": "BC3", "shock": {"preset": "ER"}}
+
+    @pytest.mark.parametrize(
+        "target,r,message",
+        [
+            ("ttf", 0.9999, "inter-shock draws"),
+            ("ttf", 0.99999, "inter-shock draws"),
+            ("ttf", 0.999999, "mean shock count"),
+            ("sntf", 0.999999999, "mean shock count"),
+            ("sntf", 1.0 - 2.0**-53, "mean shock count"),
+        ],
+    )
+    def test_refused_before_any_draw(self, target, r, message, config_file, capsys, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew lifetimes past the admission check")
+
+        monkeypatch.setattr(montecarlo, "_shock_counts", no_draw)
+        cfg = config_file(dict(self.DOC, r=r))
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            rc = main(["simulate", "--target", target, "--config", cfg])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.out == ""
+        assert message in captured.err
+        assert elapsed < 2.0
+        assert peak < 1 << 20
+
+    def test_lower_reps_fit(self, config_file, capsys, monkeypatch):
+        # the refusal names the largest reps the draw bound admits
+        monkeypatch.setattr(montecarlo, "MAX_PHASE_DRAWS", 20_000)
+        cfg = config_file(dict(self.DOC, r=0.99))
+        assert main(["simulate", "--target", "ttf", "--config", cfg]) == 4
+        fits = int(capsys.readouterr().err.rsplit(" ", 1)[1])
+        assert main(["simulate", "--target", "ttf", "--config", cfg, "--reps", str(fits)]) == 0
+        assert f"reps={fits} " in capsys.readouterr().out
+        assert main(["simulate", "--target", "ttf", "--config", cfg, "--reps", str(fits + 1)]) == 4
 
 
 def test_cli_import_loads_no_scipy():

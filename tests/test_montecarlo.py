@@ -1,17 +1,26 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import walk_shock_counts
 from scipy.stats import kstest
 
+import ckngb.montecarlo as montecarlo
+from ckngb import experiments
 from ckngb.montecarlo import (
     SimulationResult,
+    _sntf_samples,
+    _ttf_samples,
     sample_ph,
     simulate_sntf,
     simulate_ttf,
 )
 from ckngb.sntf import mean_closed, sntf_distribution
 from ckngb.system import BalanceCondition, SystemConfig
+from ckngb.tiesets import nonfailed_closure
 from ckngb.ttf import (
     ContinuousPhaseType,
     InterShockSpec,
@@ -19,6 +28,7 @@ from ckngb.ttf import (
     ph_from_preset,
     ph_mean_scv,
     raw_moment,
+    validate_ph,
 )
 
 BC3 = BalanceCondition.BC3
@@ -55,6 +65,71 @@ class TestDeterminism:
         for reps in (1, 7, 8192, 8193):
             result = simulate_sntf(reference_config, seed=5, reps=reps)
             assert result.replications == reps
+
+
+# A 3-phase law that never starts in phase 2 and jumps between phases.
+CUSTOM_PH = validate_ph(
+    np.array([0.6, 0.0, 0.4]),
+    np.array([[-3.0, 1.5, 0.5], [0.5, -2.0, 1.0], [1.0, 0.0, -4.0]]),
+)
+
+# SHA-256 of the raw sample arrays (seed 7), recorded with numpy 2.4 from
+# loop-based samplers (a stable argsort of the lifetimes and one
+# searchsorted per phase).  numpy draws geometric variates by search for
+# p = 1 - r >= 1/3 and by inversion below; r = 0.3 makes most lifetimes
+# tie; 10 000 and 9 000 reps end on a partial batch.
+STREAM_DIGESTS = [
+    ((2, 2, 0.5, BC3, "EXP"), 10_000,
+     "2a961424b36ae17be9b6310f4ffe74913525321cbf381952ec3ac81e399d5ef1",
+     "77794cf57e91b65bcbc7b1617bb14b5f9e6b6eff4bfcc09bc61e6b2317c2aeed"),
+    ((4, 2, 0.7, BC3, "ER"), 10_000,
+     "c6224ba8e6435f539f016ae6a756903788b63eb446aa0848f3dfebe05e7d3eb8",
+     "51fe60acf4d56f073e38fc8838d55429367536f56c3f92db840022a801d546c6"),
+    ((6, 3, 0.3, BalanceCondition.BC2, "HE"), 10_000,
+     "45341b0c118bd86217d02fec896395ac63381b46b4393864a19f332837f87ad0",
+     "36b811ff7ef1b1f84b2f44cf40116aeb217527dce75f82ee2655f9cd5794db4f"),
+    ((12, 4, 0.9, BC3, "HE"), 9_000,
+     "5e107ca91dcdd0af876789fd11c71aec1446cafff1958703b70e4d6b31c6460f",
+     "49bc639f31c54013c68390519fd02945d7ff767ccd2952e92a488fd2a121614d"),
+    ((22, 2, 0.8, BalanceCondition.BC2, "ER"), 3_000,
+     "edff3e42e1674ff12b2fc6e047f3e4c7feabca0e5e05f81616572b58e15a1f29",
+     "8b42db13b3f0ed4fe2fbd460f42967bdb04c1aeb161b5125c94b4a3cfbdae5e5"),
+    ((6, 2, 0.6, BalanceCondition.BC1, "custom"), 10_000,
+     "b01c68ec03b1ae656d84dbd7e4a1442f6cd8c8bfb640f543c282ecdffc721c8d",
+     "c6567f0a3d102b3831fb56869c6fedd1c6f5fb86c523033ae4284595ecc9205a"),
+]
+
+
+@pytest.mark.parametrize(
+    "system,reps,sntf_digest,ttf_digest", STREAM_DIGESTS, ids=lambda v: str(v).replace(" ", "")
+)
+def test_random_stream_pinned(system, reps, sntf_digest, ttf_digest):
+    """The samplers may be rewritten, but every draw keeps its place in the
+    stream: the shock counts and failure times stay bit for bit the same."""
+    n, k, r, bc, shock = system
+    spec = InterShockSpec(custom=CUSTOM_PH) if shock == "custom" else InterShockSpec(preset=shock)
+    config = SystemConfig(n, k, r, bc, spec)
+    counts = _sntf_samples(config, 7, reps)
+    times = _ttf_samples(config, 7, reps)
+    assert counts.dtype == np.int64 and times.dtype == np.float64
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == sntf_digest
+    assert hashlib.sha256(times.tobytes()).hexdigest() == ttf_digest
+
+
+@given(
+    system=st.sampled_from(
+        [(2, 2, BC3), (5, 3, BC3), (6, 2, BalanceCondition.BC1), (8, 3, BalanceCondition.BC2),
+         (10, 4, BC3), (12, 2, BalanceCondition.BC2)]
+    ),
+    r=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shock_counts_match_a_shock_by_shock_walk(system, r, seed):
+    n, k, bc = system
+    table = nonfailed_closure(n, k, bc)
+    lifetimes = np.random.default_rng(seed).geometric(1.0 - r, size=(200, n))
+    counts = montecarlo._shock_counts(np.random.default_rng(seed), 200, SystemConfig(n, k, r, bc), table)
+    assert np.array_equal(counts, walk_shock_counts(lifetimes, table))
 
 
 class TestShockCountOracle:
@@ -150,6 +225,38 @@ class TestFailureTimeOracle:
     def test_requires_shock_spec(self):
         with pytest.raises(ValueError):
             simulate_ttf(SystemConfig(4, 2, 0.7, BC3), seed=1, reps=10)
+
+
+class TestSharedDraw:
+    def test_ttf_carries_the_sntf_summary(self, reference_config):
+        both = simulate_ttf(reference_config, seed=41, reps=20_000, with_sntf=True)
+        assert _results_equal(both, simulate_ttf(reference_config, seed=41, reps=20_000))
+        assert _results_equal(both.sntf, simulate_sntf(reference_config, seed=41, reps=20_000))
+        assert simulate_ttf(reference_config, seed=41, reps=20_000).sntf is None
+
+    def test_validate_draws_the_shock_counts_once(self, monkeypatch):
+        doc = {"n": 4, "k": 2, "r": 0.7, "bc": "BC3", "shock": {"preset": "ER"},
+               "reps": 20_000, "seed": 41}
+        spec = experiments.parse_config(doc)
+        batches = []
+        original = montecarlo._shock_counts
+
+        def counted(rng, size, *args):
+            batches.append(size)
+            return original(rng, size, *args)
+
+        monkeypatch.setattr(montecarlo, "_shock_counts", counted)
+        checks = {c["check"]: c["detail"] for c in experiments.run_validate(spec)}
+        assert batches == [8192, 8192, 20_000 - 2 * 8192]
+
+        config = spec.single()
+        for check, sim in (
+            ("monte_carlo_msntf", simulate_sntf(config, 41, 20_000)),
+            ("monte_carlo_mttf", simulate_ttf(config, 41, 20_000)),
+        ):
+            assert checks[check].endswith(
+                f"vs simulated {sim.mean:.6f} +/- {sim.half_width(0.99):.6f}"
+            )
 
 
 def test_replication_validation(reference_config):

@@ -5,14 +5,10 @@ from .chain import (
     ConsolidatedChain,
     CountChain,
     StateChain,
-    TransitionCounts,
     build_consolidated,
     build_count_chain,
     build_state_chain,
     mstep_prob,
-    nonfailed_states,
-    one_step_prob,
-    transition_counts,
 )
 from .errors import (
     CapacityExceeded,
@@ -24,17 +20,16 @@ from .errors import (
     OddNUnsupported,
     SingularSystem,
 )
-from .montecarlo import SimulationResult, sample_ph, simulate_sntf, simulate_ttf
+from .montecarlo import SimulationResult, simulate_sntf, simulate_ttf
 from .sntf import (
     DiscretePhaseType,
     count_distribution,
     factorial_moment,
     mean_closed,
     pmf_direct,
-    pmf_matrix,
+    pmf_survival_series,
     raw_moment_series,
     sntf_distribution,
-    survival,
     survival_direct,
 )
 from .system import (
@@ -52,8 +47,6 @@ from .tiesets import (
     TieSetCollection,
     count_profile,
     enumerate_min_tiesets,
-    is_nonfailed,
-    structure_function,
     system_reliability_exact,
     system_reliability_product,
 )
@@ -61,10 +54,9 @@ from .ttf import (
     CompoundPhaseType,
     ContinuousPhaseType,
     InterShockSpec,
-    cdf_survival,
     compound_from_config,
     compound_ph,
-    pdf,
+    pdf_grid,
     ph_from_preset,
     ph_mean_scv,
     raw_moment,

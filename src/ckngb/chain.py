@@ -52,40 +52,21 @@ MAX_STATE_UNITS = 22
 _LOW_UNITS = 5
 
 
-@dataclass(frozen=True)
-class TransitionCounts:
-    """Per-unit pair tallies between two states: (1,1), (1,0), (0,1), (0,0)."""
-
-    c1: int
-    c2: int
-    c3: int
-    c4: int
-
-
-def transition_counts(xa: SystemState, xb: SystemState) -> TransitionCounts:
+def mstep_prob(xa: SystemState, xb: SystemState, m: int, r: float) -> float:
+    """m-step transition probability (r^m)^c1 (1-r^m)^c2, with c1, c2 and
+    c3 the units operating in both states, in xa only and in xb only; zero
+    if a failed unit would have to revive (c3 > 0)."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     if xa.n != xb.n:
         raise ValueError("states must share the unit count")
     c1 = (xa.mask & xb.mask).bit_count()
     c2 = (xa.mask & ~xb.mask).bit_count()
-    c3 = (~xa.mask & xb.mask & ((1 << xa.n) - 1)).bit_count()
-    return TransitionCounts(c1, c2, c3, xa.n - c1 - c2 - c3)
-
-
-def one_step_prob(xa: SystemState, xb: SystemState, r: float) -> float:
-    """Probability that one shock turns state xa into state xb."""
-    return mstep_prob(xa, xb, 1, r)
-
-
-def mstep_prob(xa: SystemState, xb: SystemState, m: int, r: float) -> float:
-    """m-step transition probability (r^m)^c1 (1-r^m)^c2, zero if any
-    failed unit would have to revive."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    c = transition_counts(xa, xb)
-    if c.c3 > 0:
+    c3 = (~xa.mask & xb.mask).bit_count()
+    if c3 > 0:
         return 0.0
     rm = r**m
-    return rm**c.c1 * (1.0 - rm) ** c.c2
+    return rm**c1 * (1.0 - rm) ** c2
 
 
 @lru_cache(maxsize=128)
@@ -94,12 +75,6 @@ def _nonfailed_masks(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
     masks = np.flatnonzero(nonfailed_closure(n, k, bc))[::-1].astype(np.int64)
     masks.flags.writeable = False
     return masks
-
-
-def nonfailed_states(n: int, k: int, bc: BalanceCondition) -> tuple[SystemState, ...]:
-    """All nonfailed states in ascending canonical index order; the
-    all-ones state comes first."""
-    return tuple(SystemState(int(m), n) for m in _nonfailed_masks(n, k, bc))
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,11 +166,10 @@ def build_consolidated(n: int, k: int, bc: BalanceCondition, r: float) -> Consol
 
 
 def check_upper_triangular(P: np.ndarray) -> None:
-    """Raise InvariantViolation when P stores an entry below the diagonal.
-
-    The solves rely on back-substitution, so triangularity is load-bearing.
-    Rows are scanned in blocks, so no N x N temporary is made.
-    """
+    """Raise InvariantViolation when P stores an entry below the diagonal:
+    a shock never revives a unit, so the chain is upper triangular in
+    canonical order.  Rows are scanned in blocks, so no N x N temporary is
+    made."""
     if any(np.tril(P[i : i + 256], i - 1).any() for i in range(0, P.shape[0], 256)):
         raise InvariantViolation("subtransition matrix must be upper triangular")
 

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -71,8 +72,8 @@ def _apply_overrides(spec: experiments.ExperimentSpec, args: argparse.Namespace)
     for name in ("reps", "m_max", "threads"):
         if name in updates and updates[name] < 1:
             raise ConfigError(f"{name}: must be >= 1, got {updates[name]}")
-    if "z_max" in updates and updates["z_max"] <= 0:
-        raise ConfigError(f"z_max: must be positive, got {updates['z_max']}")
+    if "z_max" in updates and not 0 < updates["z_max"] < math.inf:
+        raise ConfigError(f"z_max: must be positive and finite, got {updates['z_max']}")
     return replace(spec, **updates) if updates else spec
 
 

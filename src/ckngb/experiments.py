@@ -10,6 +10,7 @@ repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
@@ -50,7 +51,6 @@ class ExperimentSpec:
     m_max: int = DEFAULT_M_MAX
     z_max: float = DEFAULT_Z_MAX
     z_steps: int = DEFAULT_Z_STEPS
-    tol: float = 1e-12
     reps: int = DEFAULT_REPS
     seed: int = DEFAULT_SEED
     threads: int = 1
@@ -79,7 +79,12 @@ def _float_list(value: Any, path: str) -> tuple[float, ...]:
         for key in ("start", "stop", "step"):
             if key not in value:
                 raise ConfigError(f"{path}.{key}: required in a range spec")
-        start, stop, step = (float(value[k]) for k in ("start", "stop", "step"))
+        try:
+            start, stop, step = (float(value[k]) for k in ("start", "stop", "step"))
+        except (TypeError, ValueError):
+            raise ConfigError(f"{path}: start, stop and step must be numbers") from None
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ConfigError(f"{path}: start, stop and step must be finite")
         if step <= 0:
             raise ConfigError(f"{path}.step: must be positive")
         count = int(np.floor((stop - start) / step + 1e-9)) + 1
@@ -127,7 +132,7 @@ def _parse_shock(obj: Any) -> tuple["ttf.InterShockSpec | None", tuple[str, ...]
 
 _KNOWN_KEYS = {
     "n", "k", "r", "bc", "shock", "out",
-    "m_max", "z_max", "z_steps", "tol", "reps", "seed", "threads",
+    "m_max", "z_max", "z_steps", "reps", "seed", "threads",
 }
 
 
@@ -149,14 +154,19 @@ def parse_config(doc: Any) -> ExperimentSpec:
     if not bc:
         raise ConfigError("bc: must be nonempty")
     shock, presets = _parse_shock(doc.get("shock"))
+    out = doc.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"out: expected a path string, got {out!r}")
 
     def _opt(key: str, cast: Callable, default: Any, positive: bool = True) -> Any:
         if key not in doc:
             return default
         try:
             value = cast(doc[key])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{key}: expected {cast.__name__}") from None
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key}: must be finite, got {value}")
         if positive and value <= 0:
             raise ConfigError(f"{key}: must be positive")
         return value
@@ -168,11 +178,10 @@ def parse_config(doc: Any) -> ExperimentSpec:
         bc=bc,
         presets=presets,
         shock=shock,
-        out=doc.get("out"),
+        out=out,
         m_max=_opt("m_max", int, DEFAULT_M_MAX),
         z_max=_opt("z_max", float, DEFAULT_Z_MAX),
         z_steps=_opt("z_steps", int, DEFAULT_Z_STEPS),
-        tol=_opt("tol", float, 1e-12),
         reps=_opt("reps", int, DEFAULT_REPS),
         seed=_opt("seed", int, DEFAULT_SEED, positive=False),
         threads=_opt("threads", int, 1),
@@ -274,13 +283,18 @@ def run_ttf(spec: ExperimentSpec) -> tuple[list[dict], dict]:
         {"z": float(z), "pdf": float(d), "survival": float(s)}
         for z, d, s in zip(zs, dens, surv)
     ]
-    mean_y, _ = ttf.ph_mean_scv(config.shock.resolve())
-    summary = {
+    return rows, _failure_time_summary(dist, Z)
+
+
+def _failure_time_summary(dist: sntf.DiscretePhaseType, Z: ttf.CompoundPhaseType) -> dict:
+    """MTTF, its Wald-identity value E[M] E[Y] and the SCV of the failure
+    time Z built on the shock-count law dist."""
+    mean_y, _ = ttf.ph_mean_scv(Z.shock)
+    return {
         "mttf": ttf.raw_moment(Z, 1),
         "mttf_wald": sntf.mean_closed(dist) * mean_y,
         "scv": ttf.scv(Z),
     }
-    return rows, summary
 
 
 def run_sweep_msntf(spec: ExperimentSpec) -> list[dict]:
@@ -329,12 +343,7 @@ def run_sweep_scv(spec: ExperimentSpec) -> list[dict]:
         try:
             config = SystemConfig(n, k, r, BalanceCondition(bc_value))
             dist = sntf.count_distribution(config)
-            Y = ttf.ph_from_preset(preset)
-            Z = ttf.compound_ph(dist, Y)
-            mean_y, _ = ttf.ph_mean_scv(Y)
-            row["mttf"] = ttf.raw_moment(Z, 1)
-            row["mttf_wald"] = sntf.mean_closed(dist) * mean_y
-            row["scv"] = ttf.scv(Z)
+            row.update(_failure_time_summary(dist, ttf.compound_ph(dist, ttf.ph_from_preset(preset))))
         except (NoTieSets, OddNUnsupported):
             row.update({"mttf": INFEASIBLE, "mttf_wald": INFEASIBLE, "scv": INFEASIBLE})
         return row

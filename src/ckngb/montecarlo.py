@@ -40,7 +40,6 @@ MAX_PHASE_DRAWS = 2**25
 
 _Z95 = 1.959963984540054
 _Z99 = 2.5758293035489004
-QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +51,6 @@ class SimulationResult:
     variance: float
     stderr: float
     half_width_95: float
-    quantiles: dict[float, float]
     hist_edges: np.ndarray
     hist_counts: np.ndarray
     # a failure-time result may carry the summary of the shock counts its
@@ -131,11 +129,6 @@ def _sample_ph_batch(Y: ContinuousPhaseType, count: int, rng: np.random.Generato
         total[active] += rng.standard_exponential(phase.size) / rates[phase]
 
 
-def sample_ph(Y: ContinuousPhaseType, rng_stream: np.random.Generator) -> float:
-    """One draw from the phase-type law Y."""
-    return float(_sample_ph_batch(Y, 1, rng_stream)[0])
-
-
 def _admit(config: SystemConfig, reps: int, times: bool) -> None:
     """Refuse before any draw a run whose histogram or inter-shock draws
     would not fit: both grow with the mean shock count E[M]."""
@@ -181,7 +174,6 @@ def _summarize(kind: str, samples: np.ndarray, seed: int, integer_bins: bool) ->
     mean = float(samples.mean())
     variance = float(samples.var(ddof=1)) if reps > 1 else 0.0
     stderr = float(np.sqrt(variance / reps)) if reps > 1 else 0.0
-    quantiles = dict(zip(QUANTILE_LEVELS, np.quantile(samples, QUANTILE_LEVELS).tolist()))
     if integer_bins:
         top = int(samples.max())
         counts = np.bincount(samples.astype(np.int64), minlength=top + 1)[1:]
@@ -196,23 +188,14 @@ def _summarize(kind: str, samples: np.ndarray, seed: int, integer_bins: bool) ->
         variance=variance,
         stderr=stderr,
         half_width_95=_Z95 * stderr,
-        quantiles=quantiles,
         hist_edges=edges,
         hist_counts=counts,
     )
 
 
-def _sntf_samples(config: SystemConfig, seed: int, reps: int) -> np.ndarray:
-    return _draw(config, seed, reps, times=False)[0]
-
-
 def simulate_sntf(config: SystemConfig, seed: int, reps: int) -> SimulationResult:
     """Empirical shock-count-to-failure distribution."""
-    return _summarize("sntf", _sntf_samples(config, seed, reps), seed, integer_bins=True)
-
-
-def _ttf_samples(config: SystemConfig, seed: int, reps: int) -> np.ndarray:
-    return _draw(config, seed, reps, times=True)[1]
+    return _summarize("sntf", _draw(config, seed, reps, times=False)[0], seed, integer_bins=True)
 
 
 def simulate_ttf(config: SystemConfig, seed: int, reps: int, with_sntf: bool = False) -> SimulationResult:

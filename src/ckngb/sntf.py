@@ -81,28 +81,9 @@ def _dot(v: np.ndarray, w: np.ndarray) -> float:
     return float(np.multiply(v, w).sum())
 
 
-def pmf_matrix(dist: DiscretePhaseType, m: int) -> float:
-    """P{M = m} via alpha P^(m-1) (w - P w)."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    v = dist.alpha
-    for _ in range(m - 1):
-        v = dist.chain.step(v)
-    return _dot(v, dist.absorb)
-
-
-def survival(dist: DiscretePhaseType, m: int) -> float:
-    """P{M > m} = alpha P^m w."""
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    v = dist.alpha
-    for _ in range(m):
-        v = dist.chain.step(v)
-    return _dot(v, dist.weights)
-
-
 def pmf_survival_series(dist: DiscretePhaseType, m_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """pmf and survival for m = 1..m_max in a single sweep."""
+    """P{M = m} = alpha P^(m-1) (w - P w) and P{M > m} = alpha P^m w for
+    m = 1..m_max, in a single sweep."""
     pmf = np.empty(m_max)
     surv = np.empty(m_max)
     w = dist.weights

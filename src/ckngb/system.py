@@ -100,9 +100,6 @@ class SystemState:
     def operating_units(self) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.n + 1) if self.bit(i))
 
-    def count_operating(self) -> int:
-        return self.mask.bit_count()
-
     def __str__(self) -> str:  # "1010"-style, unit 1 leftmost
         return format(self.mask, f"0{self.n}b")
 

@@ -55,23 +55,6 @@ class TieSetCollection:
         return len(self.tiesets)
 
 
-def is_nonfailed(state: SystemState, collection: TieSetCollection) -> bool:
-    """True when the operating set contains at least one tie-set."""
-    return any((state.mask & t) == t for t in collection.masks)
-
-
-def structure_function(state: SystemState, collection: TieSetCollection) -> int:
-    """1 - prod_T (1 - prod_{i in T} x_i), evaluated in exact integers."""
-    prod = 1
-    bits = state.bits()
-    for tie in collection.tiesets:
-        inner = 1
-        for i in tie.members:
-            inner *= bits[i - 1]
-        prod *= 1 - inner
-    return 1 - prod
-
-
 @lru_cache(maxsize=4)
 def popcounts(n: int) -> np.ndarray:
     """uint8 array over all 2**n bitmasks: the number of set bits.

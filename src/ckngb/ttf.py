@@ -175,7 +175,8 @@ def _apply_generator_left(Z: CompoundPhaseType, U: np.ndarray) -> np.ndarray:
 
 def _exp_action_left(Z: CompoundPhaseType, U: np.ndarray, dz: float) -> np.ndarray:
     """u exp(dz T_Z) by uniformization, striding so each stride keeps the
-    Poisson mode small enough for plain double accumulation."""
+    Poisson mode small enough for plain double accumulation.  Striding
+    stops once u underflows to all zeros, which every stride keeps."""
     if dz < 0:
         raise ValueError(f"elapsed time must be >= 0, got {dz}")
     if dz == 0.0:
@@ -199,6 +200,8 @@ def _exp_action_left(Z: CompoundPhaseType, U: np.ndarray, dz: float) -> np.ndarr
             acc += weight * term
             cum += weight
         U = acc
+        if not U.any():
+            break
     return U
 
 
@@ -215,21 +218,10 @@ def _survival_from(Z: CompoundPhaseType, U: np.ndarray) -> float:
     return float(U.sum(axis=1) @ Z.chain.weights)
 
 
-def pdf(Z: CompoundPhaseType, z: float) -> float:
-    """Failure-time density -alpha exp(z T_Z) T_Z (w x e) at a single point."""
-    U = _exp_action_left(Z, _alpha_matrix(Z), z)
-    return _density_from(Z, U)
-
-
-def cdf_survival(Z: CompoundPhaseType, z: float) -> float:
-    """P{failure later than z} = alpha exp(z T_Z) (w x e)."""
-    U = _exp_action_left(Z, _alpha_matrix(Z), z)
-    return _survival_from(Z, U)
-
-
 def pdf_grid(Z: CompoundPhaseType, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Density and survival on an ascending grid, propagating one state
-    vector between the grid points."""
+    """Failure-time density -alpha exp(z T_Z) T_Z (w x e) and survival
+    P{Z > z} = alpha exp(z T_Z) (w x e) on an ascending grid, propagating
+    one state vector between the grid points."""
     zs = np.asarray(zs, dtype=np.float64)
     if zs.size and (np.any(np.diff(zs) < 0) or zs[0] < 0):
         raise ValueError("grid must be ascending and nonnegative")

@@ -2,16 +2,19 @@
 
 Structure layer: the package reads the tie-sets and the nonfailed set off
 ``nonfailed_closure``; ``scan_min_tiesets`` and ``tieset_table`` build them
-from the balance table alone.  ``bit_matrix_table`` builds the balance
-table itself from the 2**n x n matrix of unit statuses.
+from the balance table alone.  ``is_nonfailed`` tests one state against a
+tie-set collection and ``structure_function`` evaluates the paper's
+structure function 1 - prod_T (1 - prod_{i in T} x_i) on it.
+``bit_matrix_table`` builds the balance table itself from the 2**n x n
+matrix of unit statuses.
 
 Chains: the package never materializes the state chain's matrix or the
 compound subgenerator.  ``full_transition_matrix`` writes the one-step
 matrix over all 2**n states entry by entry, ``dense_transition`` reads a
 chain's matrix off its column action, and ``to_dense`` assembles the
 compound subgenerator from it.  ``integrate_pdf`` integrates a failure-time
-density by adaptive Simpson quadrature.  The tests compare each with the
-package's route.
+density, evaluated one point at a time, by adaptive Simpson quadrature.
+The tests compare each with the package's route.
 
 Monte Carlo: ``walk_shock_counts`` finds each replication's failure shock
 from its unit lifetimes one shock at a time, without sort keys.
@@ -24,7 +27,7 @@ import numpy as np
 from ckngb.chain import _transition_rows
 from ckngb.errors import CapacityExceeded, NoTieSets, NonConvergence, OddNUnsupported
 from ckngb.system import BC3_TOLERANCE_PER_UNIT, BalanceCondition, balanced_mask_table
-from ckngb.ttf import cdf_survival, pdf
+from ckngb.ttf import pdf_grid
 
 DENSE_CAP = 4096
 
@@ -77,6 +80,23 @@ def scan_min_tiesets(n, k, bc):
     if not found:
         raise NoTieSets(f"no tie-sets for n={n}, k={k}, bc={bc.value}")
     return tuple(found)
+
+
+def is_nonfailed(state, collection):
+    """True when the operating set contains at least one tie-set."""
+    return any((state.mask & t) == t for t in collection.masks)
+
+
+def structure_function(state, collection):
+    """1 - prod_T (1 - prod_{i in T} x_i), evaluated in exact integers."""
+    prod = 1
+    bits = state.bits()
+    for tie in collection.tiesets:
+        inner = 1
+        for i in tie.members:
+            inner *= bits[i - 1]
+        prod *= 1 - inner
+    return 1 - prod
 
 
 def tieset_table(masks, n):
@@ -140,11 +160,11 @@ def _simpson(f, a, fa, b, fb, fm, tol, depth):
 def integrate_pdf(Z, tol=1e-8):
     """Adaptive-Simpson mass of the density up to where survival < 1e-10."""
     z_hi = 1.0
-    while cdf_survival(Z, z_hi) > 1e-10:
+    while pdf_grid(Z, [z_hi])[1][0] > 1e-10:
         z_hi *= 2.0
         if z_hi > 2**40:
             raise NonConvergence("survival does not decay; check the subgenerator")
-    f = lambda z: pdf(Z, z)
+    f = lambda z: pdf_grid(Z, [z])[0][0]
     fa, fb = f(0.0), f(z_hi)
     fm = f(0.5 * z_hi)
     return _simpson(f, 0.0, fa, z_hi, fb, fm, tol, 40)

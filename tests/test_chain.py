@@ -2,8 +2,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from ckngb.chain import (
     MAX_CHAIN_STATES,
@@ -15,10 +13,7 @@ from ckngb.chain import (
     kron_apply,
     kron_step,
     mstep_prob,
-    nonfailed_states,
-    one_step_prob,
     state_chain,
-    transition_counts,
 )
 from ckngb.errors import CapacityExceeded, InvariantViolation
 from ckngb.system import BalanceCondition, SystemState
@@ -31,6 +26,10 @@ BC1, BC2, BC3 = BalanceCondition.BC1, BalanceCondition.BC2, BalanceCondition.BC3
 
 def state(*bits):
     return SystemState.from_bits(bits)
+
+
+def nonfailed_states(n, k, bc):
+    return build_consolidated(n, k, bc, 0.5).states
 
 
 class TestNonfailedStates:
@@ -52,32 +51,15 @@ class TestNonfailedStates:
 class TestOneStepProb:
     def test_self_transition_of_full_state(self):
         full = state(1, 1, 1, 1)
-        assert one_step_prob(full, full, 0.7) == pytest.approx(0.2401, abs=1e-15)
+        assert mstep_prob(full, full, 1, 0.7) == pytest.approx(0.2401, abs=1e-15)
 
     def test_two_failures(self):
-        assert one_step_prob(state(1, 1, 1, 1), state(1, 0, 1, 0), 0.7) == pytest.approx(
+        assert mstep_prob(state(1, 1, 1, 1), state(1, 0, 1, 0), 1, 0.7) == pytest.approx(
             0.0441, abs=1e-15
         )
 
     def test_revival_impossible(self):
-        assert one_step_prob(state(1, 0, 1, 0), state(1, 1, 1, 1), 0.7) == 0.0
-
-
-class TestTransitionCounts:
-    def test_examples(self):
-        c = transition_counts(state(1, 1, 1, 1), state(1, 0, 1, 0))
-        assert (c.c1, c.c2, c.c3, c.c4) == (2, 2, 0, 0)
-        c = transition_counts(state(1, 0, 1, 0), state(1, 1, 1, 1))
-        assert (c.c1, c.c2, c.c3, c.c4) == (2, 0, 2, 0)
-        c = transition_counts(SystemState(0, 4), SystemState(0, 4))
-        assert (c.c1, c.c2, c.c3, c.c4) == (0, 0, 0, 4)
-
-    @given(st.integers(1, 12), st.data())
-    def test_counts_partition_units(self, n, data):
-        a = SystemState(data.draw(st.integers(0, (1 << n) - 1)), n)
-        b = SystemState(data.draw(st.integers(0, (1 << n) - 1)), n)
-        c = transition_counts(a, b)
-        assert c.c1 + c.c2 + c.c3 + c.c4 == n
+        assert mstep_prob(state(1, 0, 1, 0), state(1, 1, 1, 1), 1, 0.7) == 0.0
 
 
 class TestConsolidated:
@@ -148,13 +130,18 @@ class TestConsolidated:
 
 
 class TestMStep:
-    def test_reduces_to_one_step(self):
+    def test_one_step_matches_full_matrix(self):
+        full = full_transition_matrix(4, 0.7)
         for mask_a in range(16):
             for mask_b in range(16):
                 a, b = SystemState(mask_a, 4), SystemState(mask_b, 4)
                 assert mstep_prob(a, b, 1, 0.7) == pytest.approx(
-                    one_step_prob(a, b, 0.7), abs=1e-15
+                    full[a.index - 1, b.index - 1], abs=1e-15
                 )
+
+    def test_rejects_mismatched_unit_counts(self):
+        with pytest.raises(ValueError):
+            mstep_prob(SystemState(3, 2), SystemState(3, 3), 1, 0.7)
 
     def test_dead_units_stay_dead(self):
         assert mstep_prob(state(1, 0, 1, 0), state(1, 1, 1, 0), 5, 0.7) == 0.0
@@ -235,7 +222,7 @@ class TestKronecker:
 
     def test_layers_group_states_by_operating_units(self):
         chain = build_state_chain(6, 2, BC3, 0.8)
-        sizes = [int(s.count_operating()) for s in nonfailed_states(6, 2, BC3)]
+        sizes = np.bitwise_count(chain.masks).tolist()
         seen = []
         for rows, stay in chain.layers:
             units = {sizes[i] for i in rows}

@@ -22,6 +22,20 @@ BC3 = BalanceCondition.BC3
 REFERENCE_DOC = {"n": 4, "k": 2, "r": 0.7, "bc": "BC3", "shock": {"preset": "ER"}}
 
 
+def child_env():
+    src = Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+
+
+def run_cli(*argv, timeout=60):
+    """The CLI in a child process, so its exit code and stdout are the real
+    process's and a hang fails the test instead of the suite."""
+    return subprocess.run(
+        [sys.executable, "-m", "ckngb.cli", *argv], env=child_env(), capture_output=True,
+        text=True, timeout=timeout,
+    )
+
+
 @pytest.fixture
 def config_file(tmp_path):
     def write(doc):
@@ -46,6 +60,11 @@ class TestLoadConfig:
 
     def test_unknown_keys_rejected(self, config_file):
         doc = dict(REFERENCE_DOC, units=3)
+        with pytest.raises(ConfigError, match="unknown keys"):
+            experiments.load_config(config_file(doc))
+
+    def test_tol_is_an_unknown_key(self, config_file):
+        doc = dict(REFERENCE_DOC, tol=1e-12)
         with pytest.raises(ConfigError, match="unknown keys"):
             experiments.load_config(config_file(doc))
 
@@ -102,6 +121,56 @@ class TestExitCodes:
     def test_bc1_odd_n_is_config_error(self, config_file):
         doc = {"n": 3, "k": 2, "r": 0.5, "bc": "BC1"}
         assert main(["tiesets", "--config", config_file(doc)]) == 2
+
+    @pytest.mark.parametrize("out", [7, ["a"], True])
+    def test_non_string_out_is_config_error(self, out, config_file):
+        # an integer or boolean out would be opened as a file descriptor,
+        # so the CLI runs in a child process
+        done = run_cli("tiesets", "--config", config_file(dict(REFERENCE_DOC, out=out)))
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "out:" in done.stderr
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("z_max", "nan"), ("z_max", "inf"), ("z_max", float("nan")), ("z_max", float("inf")),
+         ("m_max", float("inf"))],
+    )
+    def test_non_finite_option_is_config_error(self, key, value, config_file, capsys):
+        assert main(["ttf", "--config", config_file(dict(REFERENCE_DOC, **{key: value}))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{key}:" in captured.err
+
+    @pytest.mark.parametrize(
+        "r_range",
+        [{"start": 0.1, "stop": float("inf"), "step": 0.1},
+         {"start": 0.1, "stop": 0.5, "step": float("nan")},
+         {"start": 0.1, "stop": 0.5, "step": "fine"}],
+    )
+    def test_bad_r_range_is_config_error(self, r_range, config_file, capsys):
+        doc = {"n": 4, "k": 2, "r": r_range}
+        assert main(["sweep-msntf", "--config", config_file(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "r:" in captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_z_max_flag_is_config_error(self, value, config_file, capsys):
+        assert main(["ttf", "--config", config_file(REFERENCE_DOC), "--z-max", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "z_max:" in captured.err
+
+    def test_huge_z_max_finishes(self, config_file, tmp_path):
+        # the survival underflows to exactly zero long before z = 1e300
+        out = tmp_path / "ttf.csv"
+        done = run_cli(
+            "ttf", "--config", config_file(REFERENCE_DOC), "--z-max", "1e300", "--out", str(out),
+            timeout=30,
+        )
+        assert done.returncode == 0, done.stderr
+        assert out.read_text().splitlines()[-1] == "1e+300,0,0"
 
     def test_infeasible_maps_to_three(self, config_file, monkeypatch):
         def explode(spec):
@@ -227,10 +296,10 @@ class TestSimulationEnvelope:
 
 
 def test_cli_import_loads_no_scipy():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     code = "import sys, ckngb.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
+    )
     assert done.stdout.strip() == "[]"
 
 

@@ -10,11 +10,9 @@ from ckngb.sntf import (
     factorial_moment,
     mean_closed,
     pmf_direct,
-    pmf_matrix,
     pmf_survival_series,
     raw_moment_series,
     sntf_distribution,
-    survival,
     survival_direct,
 )
 from ckngb.system import BalanceCondition, SystemConfig
@@ -44,58 +42,47 @@ class TestDistribution:
 
 class TestPmf:
     def test_first_shock_failure(self, reference, reference_config):
-        assert pmf_matrix(reference, 1) == pytest.approx(0.2601, abs=1e-12)
+        assert pmf_survival_series(reference, 1)[0][0] == pytest.approx(0.2601, abs=1e-12)
         assert pmf_direct(reference_config, 1) == pytest.approx(0.2601, abs=1e-12)
 
     def test_geometric_law(self):
         r = 0.7
-        d = sntf_distribution(SystemConfig(2, 2, r))
+        pmf, _ = pmf_survival_series(sntf_distribution(SystemConfig(2, 2, r)), 30)
         for m in range(1, 31):
             expected = (r**2) ** (m - 1) * (1 - r**2)
-            assert abs(pmf_matrix(d, m) - expected) < 1e-15
+            assert abs(pmf[m - 1] - expected) < 1e-15
 
     def test_direct_small_case(self):
         config = SystemConfig(2, 2, 0.5)
         assert pmf_direct(config, 3) == pytest.approx(0.046875, abs=1e-15)
 
     def test_direct_equals_matrix_reference(self, reference, reference_config):
-        diffs = [
-            abs(pmf_matrix(reference, m) - pmf_direct(reference_config, m))
-            for m in range(1, 51)
-        ]
+        pmf, _ = pmf_survival_series(reference, 50)
+        diffs = [abs(pmf[m - 1] - pmf_direct(reference_config, m)) for m in range(1, 51)]
         assert max(diffs) < 1e-12
 
-    def test_series_helper_matches_pointwise(self, reference):
-        pmf, surv = pmf_survival_series(reference, 10)
-        for m in range(1, 11):
-            assert pmf[m - 1] == pytest.approx(pmf_matrix(reference, m), abs=1e-15)
-            assert surv[m - 1] == pytest.approx(survival(reference, m), abs=1e-15)
-
-    def test_rejects_nonpositive_m(self, reference, reference_config):
-        with pytest.raises(ValueError):
-            pmf_matrix(reference, 0)
+    def test_rejects_nonpositive_m(self, reference_config):
         with pytest.raises(ValueError):
             pmf_direct(reference_config, 0)
 
 
 class TestSurvival:
     def test_boundary_and_reference(self, reference, reference_config):
-        assert survival(reference, 0) == 1.0
-        assert survival(reference, 1) == pytest.approx(0.7399, abs=1e-12)
+        assert pmf_survival_series(reference, 1)[1][0] == pytest.approx(0.7399, abs=1e-12)
         assert survival_direct(reference_config, 0) == 1.0
         assert survival_direct(reference_config, 1) == pytest.approx(0.7399, abs=1e-12)
 
     def test_geometric_survival(self):
         r = 0.4
-        d = sntf_distribution(SystemConfig(2, 2, r))
-        for m in range(0, 12):
-            assert survival(d, m) == pytest.approx(r ** (2 * m), abs=1e-15)
+        _, surv = pmf_survival_series(sntf_distribution(SystemConfig(2, 2, r)), 11)
+        for m in range(1, 12):
+            assert surv[m - 1] == pytest.approx(r ** (2 * m), abs=1e-15)
 
     def test_telescoping(self, reference):
+        pmf, surv = pmf_survival_series(reference, 19)
+        surv = np.r_[1.0, surv]  # P{M > 0} = 1
         for m in range(1, 20):
-            assert pmf_matrix(reference, m) == pytest.approx(
-                survival(reference, m - 1) - survival(reference, m), abs=1e-14
-            )
+            assert pmf[m - 1] == pytest.approx(surv[m - 1] - surv[m], abs=1e-14)
 
     @pytest.mark.parametrize("n,k,bc,r", [(4, 2, BC3, 0.7), (6, 3, BC2, 0.5), (6, 2, BC1, 0.9)])
     def test_normalization(self, n, k, bc, r):
@@ -120,8 +107,8 @@ class TestSurvival:
 def test_direct_equals_matrix_random_configs(n, r, m, data):
     k = data.draw(st.integers(2, n))
     config = SystemConfig(n, k, r, BC3)
-    dist = sntf_distribution(config)
-    assert abs(pmf_matrix(dist, m) - pmf_direct(config, m)) < 1e-12
+    pmf, _ = pmf_survival_series(sntf_distribution(config), m)
+    assert abs(pmf[m - 1] - pmf_direct(config, m)) < 1e-12
 
 
 @pytest.mark.parametrize("n,k,bc,r", [(12, 2, BC3, 0.999), (10, 2, BC1, 0.95)])

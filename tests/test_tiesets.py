@@ -5,17 +5,15 @@ from hypothesis import strategies as st
 
 import ckngb.tiesets as tiesets_mod
 from ckngb.errors import NoTieSets
-from ckngb.sntf import sntf_distribution, survival
+from ckngb.sntf import pmf_survival_series, sntf_distribution
 from ckngb.system import BalanceCondition, SystemConfig, SystemState, balanced_mask_table, is_balanced
 from ckngb.tiesets import (
     enumerate_min_tiesets,
-    is_nonfailed,
     nonfailed_closure,
-    structure_function,
     system_reliability_exact,
     system_reliability_product,
 )
-from oracles import scan_min_tiesets, tieset_table
+from oracles import is_nonfailed, scan_min_tiesets, structure_function, tieset_table
 
 BC1, BC2, BC3 = BalanceCondition.BC1, BalanceCondition.BC2, BalanceCondition.BC3
 
@@ -150,7 +148,7 @@ class TestReliability:
             collection = enumerate_min_tiesets(n, k, BC3)
             config = SystemConfig(n, k, r, BC3)
             assert system_reliability_exact(collection, r) == pytest.approx(
-                survival(sntf_distribution(config), 1), abs=1e-12
+                pmf_survival_series(sntf_distribution(config), 1)[1][0], abs=1e-12
             )
 
     @pytest.mark.parametrize("n,k,bc", [(12, 4, BC3), (16, 3, BC2), (16, 4, BC3)])

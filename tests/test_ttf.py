@@ -12,10 +12,8 @@ from ckngb.ttf import (
     CompoundPhaseType,
     ContinuousPhaseType,
     InterShockSpec,
-    cdf_survival,
     compound_from_config,
     compound_ph,
-    pdf,
     pdf_grid,
     ph_from_preset,
     ph_mean_scv,
@@ -27,6 +25,12 @@ from goldens import COMPOUND_GENERATOR
 from oracles import integrate_pdf, to_dense
 
 BC3 = BalanceCondition.BC3
+
+
+def at(Z, z):
+    """Density and survival at one point: a one-point grid."""
+    dens, surv = pdf_grid(Z, [z])
+    return dens[0], surv[0]
 
 
 class TestPresets:
@@ -120,8 +124,9 @@ class TestCompound:
         Z = compound_ph(dist, ph_from_preset("EXP"))
         assert to_dense(Z) == pytest.approx(np.array([[-rate]]))
         for z in (0.0, 0.5, 2.0, 7.0):
-            assert pdf(Z, z) == pytest.approx(rate * math.exp(-rate * z), rel=1e-10)
-            assert cdf_survival(Z, z) == pytest.approx(math.exp(-rate * z), rel=1e-10)
+            density, survival = at(Z, z)
+            assert density == pytest.approx(rate * math.exp(-rate * z), rel=1e-10)
+            assert survival == pytest.approx(math.exp(-rate * z), rel=1e-10)
         assert raw_moment(Z, 1) == pytest.approx(1.0 / rate, rel=1e-12)
         assert scv(Z) == pytest.approx(1.0, abs=1e-10)
 
@@ -139,12 +144,12 @@ class TestCompound:
 class TestDensity:
     def test_zero_at_origin_under_erlang(self, reference_config):
         Z = compound_from_config(reference_config)
-        assert pdf(Z, 0.0) == 0.0
+        assert at(Z, 0.0)[0] == 0.0
 
     def test_survival_boundary(self, reference_config):
         Z = compound_from_config(reference_config)
-        assert cdf_survival(Z, 0.0) == 1.0
-        assert cdf_survival(Z, 200.0) < 1e-10
+        assert at(Z, 0.0)[1] == 1.0
+        assert at(Z, 200.0)[1] < 1e-10
 
     def test_matches_dense_expm(self, reference_config):
         Z = compound_from_config(reference_config)
@@ -153,16 +158,18 @@ class TestDensity:
         for z in (0.3, 1.0, 2.5, 6.0):
             dense_pdf = float(Z.alpha @ expm(z * T) @ exit_vec)
             dense_surv = float(Z.alpha @ expm(z * T) @ np.ones(14))
-            assert pdf(Z, z) == pytest.approx(dense_pdf, rel=1e-10, abs=1e-13)
-            assert cdf_survival(Z, z) == pytest.approx(dense_surv, rel=1e-10, abs=1e-13)
+            density, survival = at(Z, z)
+            assert density == pytest.approx(dense_pdf, rel=1e-10, abs=1e-13)
+            assert survival == pytest.approx(dense_surv, rel=1e-10, abs=1e-13)
 
     def test_grid_matches_single_point(self, reference_config):
         Z = compound_from_config(reference_config)
         zs = np.linspace(0.0, 8.0, 17)
         dens, surv = pdf_grid(Z, zs)
         for z, d, s in zip(zs, dens, surv):
-            assert d == pytest.approx(pdf(Z, float(z)), rel=1e-10, abs=1e-14)
-            assert s == pytest.approx(cdf_survival(Z, float(z)), rel=1e-10, abs=1e-14)
+            density, survival = at(Z, float(z))
+            assert d == pytest.approx(density, rel=1e-10, abs=1e-14)
+            assert s == pytest.approx(survival, rel=1e-10, abs=1e-14)
 
     def test_grid_rejects_descending(self, reference_config):
         Z = compound_from_config(reference_config)
@@ -172,7 +179,7 @@ class TestDensity:
     def test_negative_time_rejected(self, reference_config):
         Z = compound_from_config(reference_config)
         with pytest.raises(ValueError):
-            pdf(Z, -0.1)
+            at(Z, -0.1)
 
     def test_normalization(self, reference_config):
         Z = compound_from_config(reference_config)
@@ -182,8 +189,8 @@ class TestDensity:
         Z = compound_from_config(reference_config)
         h = 1e-4
         for z in np.linspace(0.2, 6.0, 20):
-            slope = (cdf_survival(Z, z + h) - cdf_survival(Z, z - h)) / (2.0 * h)
-            assert abs(-slope - pdf(Z, z)) < 1e-5
+            slope = (at(Z, z + h)[1] - at(Z, z - h)[1]) / (2.0 * h)
+            assert abs(-slope - at(Z, z)[0]) < 1e-5
 
 
 class TestMoments:

@@ -45,7 +45,8 @@ def main() -> None:
         fh.write("z,pdf,survival\n")
         for z, d, s in zip(zs, dens, surv):
             fh.write(f"{z:.12g},{d:.12g},{s:.12g}\n")
-    moments = [raw_moment(Z, p) for p in (1, 2, 3, 4)]
+    # the solves for the fourth moment give the lower ones on the way
+    moments = [raw_moment(Z, p) for p in (4, 3, 2, 1)][::-1]
     print("failure-time moments p=1..4:", ", ".join(f"{m:.6f}" for m in moments))
     print(f"failure-time SCV: {scv(Z):.6f}")
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import chain as chain_mod
 from . import montecarlo, sntf, ttf
-from .errors import ConfigError, InvariantViolation, NoTieSets, OddNUnsupported
+from .errors import CapacityExceeded, ConfigError, InvariantViolation, NoTieSets, OddNUnsupported
 from .system import BalanceCondition, SystemConfig
 from .tiesets import (
     enumerate_min_tiesets,
@@ -33,6 +33,13 @@ DEFAULT_M_MAX = 50
 DEFAULT_Z_MAX = 10.0
 DEFAULT_Z_STEPS = 200
 DEFAULT_R_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))  # 0.05 .. 0.95
+# Upper bounds on the integer options, checked before any work (README,
+# "Config file").  m_max and z_steps set the rows of a table built in full
+# before it is written: 10^5 rows take 3-6 s and under 80 MB.  reps is
+# bounded as a failure-time run's inter-shock draws are: 2^25 shock counts
+# take 5-12 s and 660 MB.
+MAX_TABLE_ROWS = 10**5
+MAX_REPS = montecarlo.MAX_PHASE_DRAWS
 
 INFEASIBLE = "infeasible"
 
@@ -54,6 +61,16 @@ class ExperimentSpec:
     reps: int = DEFAULT_REPS
     seed: int = DEFAULT_SEED
     threads: int = 1
+
+    def __post_init__(self) -> None:
+        for name, bound in (
+            ("m_max", MAX_TABLE_ROWS),
+            ("z_steps", MAX_TABLE_ROWS),
+            ("reps", MAX_REPS),
+        ):
+            value = getattr(self, name)
+            if value > bound:
+                raise CapacityExceeded(f"{name}: {value} exceeds the bound {bound}")
 
     def single(self) -> SystemConfig:
         for name, values in (("n", self.n), ("k", self.k), ("r", self.r), ("bc", self.bc)):
@@ -283,17 +300,17 @@ def run_ttf(spec: ExperimentSpec) -> tuple[list[dict], dict]:
         {"z": float(z), "pdf": float(d), "survival": float(s)}
         for z, d, s in zip(zs, dens, surv)
     ]
-    return rows, _failure_time_summary(dist, Z)
+    return rows, _failure_time_summary(dist, Z, ttf.ph_mean_scv(Z.shock)[0])
 
 
-def _failure_time_summary(dist: sntf.DiscretePhaseType, Z: ttf.CompoundPhaseType) -> dict:
+def _failure_time_summary(dist: sntf.DiscretePhaseType, Z: ttf.CompoundPhaseType, mean_y: float) -> dict:
     """MTTF, its Wald-identity value E[M] E[Y] and the SCV of the failure
-    time Z built on the shock-count law dist."""
-    mean_y, _ = ttf.ph_mean_scv(Z.shock)
+    time Z built on the shock-count law dist; mean_y is E[Y]."""
+    scv = ttf.scv(Z)  # solves for E[Z^2] and, on the way, E[Z]
     return {
         "mttf": ttf.raw_moment(Z, 1),
         "mttf_wald": sntf.mean_closed(dist) * mean_y,
-        "scv": ttf.scv(Z),
+        "scv": scv,
     }
 
 
@@ -336,6 +353,11 @@ def run_sweep_scv(spec: ExperimentSpec) -> list[dict]:
     )
     if not points:
         raise ConfigError("grid: no points satisfy 2 <= k <= n-1")
+    # each inter-shock law and its mean E[Y], once per sweep
+    laws = {}
+    for preset in spec.presets:
+        Y = ttf.ph_from_preset(preset)
+        laws[preset] = Y, ttf.ph_mean_scv(Y)[0]
 
     def worker(point):
         bc_value, preset, n, k, r = point
@@ -343,7 +365,8 @@ def run_sweep_scv(spec: ExperimentSpec) -> list[dict]:
         try:
             config = SystemConfig(n, k, r, BalanceCondition(bc_value))
             dist = sntf.count_distribution(config)
-            row.update(_failure_time_summary(dist, ttf.compound_ph(dist, ttf.ph_from_preset(preset))))
+            Y, mean_y = laws[preset]
+            row.update(_failure_time_summary(dist, ttf.compound_ph(dist, Y), mean_y))
         except (NoTieSets, OddNUnsupported):
             row.update({"mttf": INFEASIBLE, "mttf_wald": INFEASIBLE, "scv": INFEASIBLE})
         return row

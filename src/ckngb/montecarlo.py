@@ -19,6 +19,7 @@ bounded before any draw (MAX_MEAN_SHOCKS, MAX_PHASE_DRAWS).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 
@@ -75,9 +76,28 @@ def _batch_sizes(reps: int) -> list[int]:
     return sizes
 
 
+def _geometric(rng: np.random.Generator, p: float, size: tuple[int, int]) -> np.ndarray:
+    """rng.geometric(p, size), draw for draw.
+
+    For p < 1/3 numpy draws each variate by inversion of one standard
+    exponential, ceil(-E / log1p(-p)), and recomputes log1p(-p) for each;
+    here it is formed once.  For larger p numpy searches one uniform
+    against running sums of the pmf, which its own loop does faster than
+    a vectorised search of the same sums.
+    """
+    if p >= 0.333333333333333333333333:  # numpy's cut, as a double
+        return rng.geometric(p, size=size)
+    # E / -log1p(-p) is numpy's -E / log1p(-p) to the last bit.  Lifetimes
+    # stay far below 2**63, since the admission bound on E[M] keeps p away
+    # from 0.
+    draws = rng.standard_exponential(size)
+    draws /= -math.log1p(-p)
+    return np.ceil(draws, out=draws).astype(np.int64)
+
+
 def _shock_counts(rng: np.random.Generator, size: int, config: SystemConfig, table: np.ndarray) -> np.ndarray:
     n = config.n
-    lifetimes = rng.geometric(1.0 - config.r, size=(size, n))
+    lifetimes = _geometric(rng, 1.0 - config.r, (size, n))
     # One sort key per unit: its lifetime above its bit position.  Units
     # dying at the same shock may sort in any order: the nonfailed set is
     # an up-set, so the first failed state along the death order comes

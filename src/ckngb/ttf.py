@@ -7,13 +7,16 @@ combines the inter-shock generator on the diagonal blocks with shock
 transitions routed through the exit rates.  Neither the subgenerator nor
 its matrix exponential is formed: the exponential's action on a vector is
 computed by uniformization from the shock chain's row action, and moments
-come from block back-substitution over the shock chain's layers.
+come from block back-substitution over the shock chain's layers.  A law
+inverts its layers' diagonal blocks once and keeps the moments it has
+solved for, so E[Z^p] and every lower moment cost p back-substitutions in
+all, whichever is asked first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -64,8 +67,16 @@ def validate_ph(alpha: np.ndarray, T: np.ndarray) -> ContinuousPhaseType:
     exit_rates = -T @ np.ones(alpha.size)
     if np.any(exit_rates < -1e-12):
         raise ConfigError("shock.T: row sums must be nonpositive")
-    if not np.any(exit_rates > 1e-12):
-        raise ConfigError("shock.T: at least one phase must be able to exit")
+    # Every phase must reach one that exits, which is -T being nonsingular:
+    # a draw that enters a closed set of phases never ends.
+    reaches = exit_rates > 1e-12
+    jumps = off > 0.0
+    while (grown := reaches | (jumps @ reaches)).sum() > reaches.sum():
+        reaches = grown
+    if not reaches.all():
+        raise ConfigError(
+            f"shock.T: phases {np.flatnonzero(~reaches).tolist()} never reach a phase that can exit"
+        )
     return ContinuousPhaseType(alpha, T)
 
 
@@ -130,6 +141,9 @@ class CompoundPhaseType:
     alpha: np.ndarray  # length N*K
     chain: StateChain | CountChain  # shock-count chain, N states
     shock: ContinuousPhaseType
+    # E[Z^p] by p, filled by raw_moment; scalars only, so a law held for
+    # long keeps nothing of the chain's size
+    _moments: dict[int, float] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def states(self) -> int:
@@ -147,6 +161,17 @@ class CompoundPhaseType:
     def uniformization_rate(self) -> float:
         return float(np.max(-np.diag(self.shock.T)))
 
+    @cached_property
+    def layer_inverses(self) -> np.ndarray:
+        """Inverses of the diagonal blocks -(T_c + r^s exit alpha^T), one per
+        layer of the shock chain in ``layers`` order, from one stacked call."""
+        stays = np.array([stay for _, stay in self.chain.layers])
+        block = np.outer(self.shock.exit_rates, self.shock.alpha)
+        try:
+            return np.linalg.inv(-(self.shock.T + stays[:, None, None] * block))
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(str(exc)) from exc
+
 
 def compound_ph(dist: DiscretePhaseType, Y: ContinuousPhaseType) -> CompoundPhaseType:
     """Random sum of per-shock durations as one phase-type distribution.
@@ -154,7 +179,7 @@ def compound_ph(dist: DiscretePhaseType, Y: ContinuousPhaseType) -> CompoundPhas
     Its dimension is the shock-count chain's size times Y.K, so the chain's
     own bounds are the only cap it needs.
     """
-    alpha = np.kron(dist.alpha, Y.alpha)
+    alpha = np.outer(dist.alpha, Y.alpha).ravel()
     return CompoundPhaseType(alpha, dist.chain, Y)
 
 
@@ -246,14 +271,10 @@ def _solve_neg_generator(Z: CompoundPhaseType, B: np.ndarray) -> np.ndarray:
     X = np.zeros((Z.states, Z.K))
     exit_c = Z.shock.exit_rates
     alpha_c = Z.shock.alpha
-    block = np.outer(exit_c, alpha_c)
+    inverses = iter(Z.layer_inverses)
 
     def solve_layer(rows, stay, inflow):
-        try:
-            inverse = np.linalg.inv(-(Z.shock.T + stay * block))
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(str(exc)) from exc
-        X[rows] = (B[rows] + np.multiply.outer(inflow, exit_c)) @ inverse.T
+        X[rows] = (B[rows] + np.multiply.outer(inflow, exit_c)) @ next(inverses).T
         return X[rows] @ alpha_c
 
     layered_solve(Z.chain, solve_layer)
@@ -261,17 +282,24 @@ def _solve_neg_generator(Z: CompoundPhaseType, B: np.ndarray) -> np.ndarray:
 
 
 def raw_moment(Z: CompoundPhaseType, p: int) -> float:
-    """E[Z^p] = p! alpha (-T_Z)^(-p) (w x e) via p successive block solves."""
+    """E[Z^p] = p! alpha (-T_Z)^(-p) (w x e) via p successive block solves.
+
+    Each solve X_q = (-T_Z)^(-1) X_(q-1) also gives E[Z^q], and every
+    moment solved for is kept on Z: ask for the highest order first and
+    the lower ones cost nothing.  The solutions themselves are not kept.
+    """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    X = np.repeat(Z.chain.weights[:, None], Z.K, axis=1)
-    for _ in range(p):
-        X = _solve_neg_generator(Z, X)
-    return float(math.factorial(p) * (_alpha_matrix(Z) * X).sum())
+    if p not in Z._moments:
+        X = np.repeat(Z.chain.weights[:, None], Z.K, axis=1)
+        for q in range(1, p + 1):
+            X = _solve_neg_generator(Z, X)
+            Z._moments[q] = float(math.factorial(q) * (_alpha_matrix(Z) * X).sum())
+    return Z._moments[p]
 
 
 def scv(Z: CompoundPhaseType) -> float:
     """Squared coefficient of variation Var/Mean^2."""
-    m1 = raw_moment(Z, 1)
     m2 = raw_moment(Z, 2)
+    m1 = raw_moment(Z, 1)
     return (m2 - m1**2) / m1**2

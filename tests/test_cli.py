@@ -295,6 +295,64 @@ class TestSimulationEnvelope:
         assert main(["simulate", "--target", "ttf", "--config", cfg, "--reps", str(fits + 1)]) == 4
 
 
+class TestOptionBounds:
+    """Integer options past their upper bounds exit 4 before any work, from
+    the config and from the flags alike.  Before the bounds, m_max = 1e30
+    made sntf-pmf run with no output until killed, and z_steps and reps of
+    1e30 died with tracebacks (exit 1)."""
+
+    @pytest.mark.parametrize(
+        "argv,doc,name",
+        [
+            (["sntf-pmf"], {"m_max": 1e30}, "m_max"),
+            (["sntf-pmf", "--m-max", str(experiments.MAX_TABLE_ROWS + 1)], {}, "m_max"),
+            (["validate"], {"m_max": experiments.MAX_TABLE_ROWS + 1}, "m_max"),
+            (["ttf"], {"z_steps": 1e30}, "z_steps"),
+            (["ttf"], {"z_steps": 1e9}, "z_steps"),
+            (["simulate"], {"reps": 1e30}, "reps"),
+            (["simulate", "--target", "ttf", "--reps", str(10**30)], {}, "reps"),
+            (["validate", "--reps", str(experiments.MAX_REPS + 1)], {}, "reps"),
+        ],
+    )
+    def test_refused_before_any_work(self, argv, doc, name, config_file):
+        start = time.perf_counter()
+        done = run_cli(*argv, "--config", config_file(dict(REFERENCE_DOC, **doc)), timeout=30)
+        assert done.returncode == 4
+        assert done.stdout == ""
+        assert f"{name}: " in done.stderr and "exceeds the bound" in done.stderr
+        assert time.perf_counter() - start < 10.0
+
+    def test_bounds_admitted(self, config_file):
+        doc = dict(
+            REFERENCE_DOC,
+            m_max=experiments.MAX_TABLE_ROWS,
+            z_steps=experiments.MAX_TABLE_ROWS,
+            reps=experiments.MAX_REPS,
+        )
+        spec = experiments.load_config(config_file(doc))
+        assert (spec.m_max, spec.z_steps, spec.reps) == (
+            experiments.MAX_TABLE_ROWS, experiments.MAX_TABLE_ROWS, experiments.MAX_REPS
+        )
+
+
+class TestPhaseThatNeverExits:
+    """A custom law with phases that never reach an exit is a config error.
+    Before, `simulate --target ttf` drew forever from those phases, and
+    `ttf` and `validate` exited 4 on a singular matrix."""
+
+    DOC = dict(
+        REFERENCE_DOC,
+        shock={"alpha": [0.5, 0, 0.5], "T": [[-1, 1, 0], [1, -1, 0], [0, 0, -1]]},
+    )
+
+    @pytest.mark.parametrize("argv", [["ttf"], ["validate"], ["simulate", "--target", "ttf"]])
+    def test_exits_2(self, argv, config_file):
+        done = run_cli(*argv, "--config", config_file(self.DOC), timeout=30)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "phases [0, 1] never reach a phase that can exit" in done.stderr
+
+
 def test_cli_import_loads_no_scipy():
     code = "import sys, ckngb.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     done = subprocess.run(

@@ -114,6 +114,21 @@ def test_random_stream_pinned(system, reps, sntf_digest, ttf_digest):
     assert hashlib.sha256(times.tobytes()).hexdigest() == ttf_digest
 
 
+@pytest.mark.parametrize(
+    "p",
+    [0.01, 0.1, 0.3, 1.0 - 0.7, np.nextafter(1 / 3, 0.0), 1 / 3, np.nextafter(1 / 3, 1.0), 0.5, 0.999, 1.0],
+)
+def test_geometric_draws_match_numpy(p):
+    """The lifetimes and the next draw after them are numpy's, on both
+    sides of numpy's switch from inversion to search at p = 1/3."""
+    for seed in range(5):
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = montecarlo._geometric(ours, float(p), (500, 7))
+        assert drawn.dtype == np.int64
+        assert np.array_equal(drawn, numpys.geometric(p, size=(500, 7)))
+        assert ours.random() == numpys.random()
+
+
 @given(
     system=st.sampled_from(
         [(2, 2, BC3), (5, 3, BC3), (6, 2, BalanceCondition.BC1), (8, 3, BalanceCondition.BC2),

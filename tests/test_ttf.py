@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 from scipy.linalg import expm
 
 from ckngb.chain import CountChain
-from ckngb.errors import CapacityExceeded, ConfigError
-from ckngb.sntf import mean_closed, sntf_distribution
+import ckngb.ttf as ttf
+from ckngb.errors import CapacityExceeded, ConfigError, SingularSystem
+from ckngb.experiments import ExperimentSpec, run_sweep_scv
+from ckngb.sntf import count_distribution, mean_closed, sntf_distribution
 from ckngb.system import BalanceCondition, SystemConfig
 from ckngb.ttf import (
     CompoundPhaseType,
@@ -78,11 +81,18 @@ class TestValidatePH:
             ([0.5, 0.5], [[-1.0, -0.5], [0.0, -1.0]]),  # negative off-diagonal
             ([0.5, 0.5], [[-1.0, 2.0], [0.0, -1.0]]),  # positive row sum
             ([0.5, 0.5], [[-1.0, 1.0], [1.0, -1.0]]),  # nothing can exit
+            # phases 0 and 1 jump between each other and never exit
+            ([0.5, 0.0, 0.5], [[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, -1.0]]),
         ],
     )
     def test_rejects_malformed(self, alpha, T):
         with pytest.raises(ConfigError):
             validate_ph(np.array(alpha, dtype=float), np.array(T, dtype=float))
+
+    def test_accepts_exit_through_other_phases(self):
+        # only phase 2 exits; phases 0 and 1 reach it
+        T = np.array([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [0.0, 0.0, -1.0]])
+        validate_ph(np.array([1.0, 0.0, 0.0]), T)
 
 
 class TestInterShockSpec:
@@ -218,6 +228,53 @@ class TestMoments:
         Z = compound_from_config(reference_config)
         with pytest.raises(ValueError):
             raw_moment(Z, 0)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(("m1", "m2", "scv"))))
+    def test_any_order_matches_a_fresh_law(self, order):
+        """Moments kept on a law equal, bit for bit, p solves from scratch
+        on a law built afresh for each value, whichever is asked first."""
+        Y = validate_ph(
+            np.array([0.6, 0.0, 0.4]),
+            np.array([[-3.0, 1.5, 0.5], [0.5, -2.0, 1.0], [1.0, 0.0, -4.0]]),
+        )
+        config = SystemConfig(8, 3, 0.8, BalanceCondition.BC2)
+        for dist in (count_distribution(config), sntf_distribution(config)):
+
+            def from_scratch(p):
+                Z = compound_ph(dist, Y)
+                X = np.repeat(Z.chain.weights[:, None], Z.K, axis=1)
+                for _ in range(p):
+                    X = ttf._solve_neg_generator(Z, X)
+                return float(math.factorial(p) * (Z.alpha.reshape(Z.states, Z.K) * X).sum())
+
+            m1, m2 = from_scratch(1), from_scratch(2)
+            fresh = {"m1": m1, "m2": m2, "scv": (m2 - m1**2) / m1**2}
+            Z = compound_ph(dist, Y)
+            requests = {"m1": lambda: raw_moment(Z, 1), "m2": lambda: raw_moment(Z, 2), "scv": lambda: scv(Z)}
+            assert [requests[name]() for name in order] == [fresh[name] for name in order]
+
+    def test_sweep_point_solves_twice_and_inverts_once(self, monkeypatch):
+        """MTTF and SCV of one sweep-scv point: the layer blocks inverted by
+        one stacked call, E[Z] and E[Z^2] from two layered solves."""
+        solves, inversions = [], []
+        solve, inv = ttf._solve_neg_generator, np.linalg.inv
+        monkeypatch.setattr(ttf, "_solve_neg_generator", lambda Z, B: solves.append(Z) or solve(Z, B))
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(a.shape) or inv(a))
+        spec = ExperimentSpec(n=(8,), k=(3,), r=(0.8,), bc=(BalanceCondition.BC2,), presets=("HE",))
+        [row] = run_sweep_scv(spec)
+        assert row["scv"] > 0.0
+        assert len(solves) == 2 and solves[0] is solves[1]
+        assert len(inversions) == 1
+
+    def test_singular_layer_block_raises(self):
+        # a layer that keeps its state at every shock: with exponential
+        # inter-shock times its block -(T + 1 * exit alpha^T) is zero
+        chain = CountChain(np.array([[1.0]]), np.array([0.0]), np.array([1.0]))
+        Z = CompoundPhaseType(np.array([1.0]), chain, ph_from_preset("EXP"))
+        with pytest.raises(SingularSystem):
+            raw_moment(Z, 1)
+        with pytest.raises(SingularSystem):
+            scv(Z)
 
     def test_scv_positive_for_degenerate_shock_count(self):
         dist = sntf_distribution(SystemConfig(4, 4, 0.7))

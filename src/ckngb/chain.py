@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -129,6 +129,16 @@ def _binomials(n: int) -> np.ndarray:
     table = np.array([[math.comb(a, b) for b in j] for a in j], dtype=np.float64)
     table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=64)
+def _thinning(n: int, r: float) -> np.ndarray:
+    """[a, b]: the probability that one shock leaves b of a operating units
+    (zero for b > a), for 0 <= a, b <= n; read-only and shared by every k
+    and bc of a sweep."""
+    full = _binomial_terms(_binomials(n), np.arange(n + 1), r)
+    full.flags.writeable = False
+    return full
 
 
 @lru_cache(maxsize=1)  # a chain at the cap takes 1.8 GB
@@ -317,7 +327,7 @@ class CountChain:
     def size(self) -> int:
         return self.weights.size
 
-    @property
+    @cached_property
     def layers(self) -> tuple[tuple[int, float], ...]:
         """One state per layer, fewest operating units (the last state) first."""
         P = self.transition
@@ -336,19 +346,21 @@ def build_count_chain(n: int, k: int, bc: BalanceCondition, r: float) -> CountCh
     if not 0.0 < r < 1.0:
         raise ValueError(f"r must lie strictly inside (0, 1), got {r}")
     counts = count_profile(n, k, bc)
-    j = np.arange(n + 1)
-    binom = _binomials(n)
-    q = counts / binom[n]
+    q = counts / _binomials(n)[n]
     # The nonfailed set is an up-set, so q is nondecreasing in j (the LYM
     # inequality).  Rounding c_j / C(n, j) is monotone, so this is exact.
-    if (np.diff(q) < 0.0).any():
+    if (q[1:] < q[:-1]).any():
         raise InvariantViolation(f"q_j = c_j / C(n, j) decreases in j: {q.tolist()}")
-    # full[a, b]: a operating units become b after one shock (zero for b > a)
-    full = _binomial_terms(binom, j, r)
+    full = _thinning(n, r)
     # Rows of full sum to one, so w - P w is this sum of nonnegative terms.
     absorb = (full * (q[:, None] - q[None, :])).sum(axis=1)
-    states = np.arange(n, int(np.argmax(counts > 0)) - 1, -1)
-    return CountChain(full[np.ix_(states, states)], absorb[states], q[states])
+    # states j = n down to the fewest operating units of a nonfailed state
+    size = n + 1 - int(np.argmax(counts > 0))
+    return CountChain(
+        np.ascontiguousarray(full[::-1, ::-1][:size, :size]),
+        absorb[::-1][:size].copy(),
+        q[::-1][:size].copy(),
+    )
 
 
 def layered_solve(chain: StateChain | CountChain, solve_layer) -> np.ndarray:

@@ -9,6 +9,7 @@ repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -33,11 +34,12 @@ DEFAULT_M_MAX = 50
 DEFAULT_Z_MAX = 10.0
 DEFAULT_Z_STEPS = 200
 DEFAULT_R_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))  # 0.05 .. 0.95
-# Upper bounds on the integer options, checked before any work (README,
-# "Config file").  m_max and z_steps set the rows of a table built in full
-# before it is written: 10^5 rows take 3-6 s and under 80 MB.  reps is
-# bounded as a failure-time run's inter-shock draws are: 2^25 shock counts
-# take 5-12 s and 660 MB.
+# Upper bounds on the integer options and the sweep grid, checked before
+# any work (README, "Config file").  m_max, z_steps and the points of a
+# sweep grid set the rows of a table built in full before it is written:
+# 10^5 rows take 3-6 s and under 80 MB, 10^5 sweep points at n = 12 9-28 s
+# and under 100 MB.  reps is bounded as a failure-time run's inter-shock
+# draws are: 2^25 shock counts take 5-12 s and 660 MB.
 MAX_TABLE_ROWS = 10**5
 MAX_REPS = montecarlo.MAX_PHASE_DRAWS
 
@@ -104,8 +106,12 @@ def _float_list(value: Any, path: str) -> tuple[float, ...]:
             raise ConfigError(f"{path}: start, stop and step must be finite")
         if step <= 0:
             raise ConfigError(f"{path}.step: must be positive")
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        vals = tuple(round(start + i * step, 12) for i in range(count))
+        steps = (stop - start) / step + 1e-9
+        if not steps < MAX_TABLE_ROWS:  # also when the quotient overflows
+            raise CapacityExceeded(
+                f"{path}: the range holds more than {MAX_TABLE_ROWS} values, the sweep bound"
+            )
+        vals = tuple(round(start + i * step, 12) for i in range(int(np.floor(steps)) + 1))
         if not vals:
             raise ConfigError(f"{path}: empty range")
         return vals
@@ -229,6 +235,22 @@ def rows_to_csv(header: list[str], rows: Iterable[dict[str, Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _sweep_points(spec: ExperimentSpec, *leading: Iterable) -> list[tuple]:
+    """The sorted points (*leading, n, k, r) of the cartesian grid with
+    2 <= k <= n - 1.  A grid of more than MAX_TABLE_ROWS points, one output
+    row each, is refused before it is formed."""
+    axes = (*map(tuple, leading), spec.n, spec.k, spec.r)
+    size = math.prod(map(len, axes))
+    if size > MAX_TABLE_ROWS:
+        raise CapacityExceeded(
+            f"grid: {size} points exceed the sweep bound {MAX_TABLE_ROWS}"
+        )
+    points = sorted(p for p in itertools.product(*axes) if 2 <= p[-2] <= p[-3] - 1)
+    if not points:
+        raise ConfigError("grid: no points satisfy 2 <= k <= n-1")
+    return points
+
+
 def _grid_map(spec: ExperimentSpec, points: list, worker: Callable) -> list:
     if spec.threads > 1:
         with ThreadPoolExecutor(max_workers=spec.threads) as pool:
@@ -315,16 +337,7 @@ def _failure_time_summary(dist: sntf.DiscretePhaseType, Z: ttf.CompoundPhaseType
 
 
 def run_sweep_msntf(spec: ExperimentSpec) -> list[dict]:
-    points = sorted(
-        (bc.value, n, k, r)
-        for bc in spec.bc
-        for n in spec.n
-        for k in spec.k
-        for r in spec.r
-        if 2 <= k <= n - 1
-    )
-    if not points:
-        raise ConfigError("grid: no points satisfy 2 <= k <= n-1")
+    points = _sweep_points(spec, [bc.value for bc in spec.bc])
 
     def worker(point):
         bc_value, n, k, r = point
@@ -342,17 +355,7 @@ def run_sweep_msntf(spec: ExperimentSpec) -> list[dict]:
 def run_sweep_scv(spec: ExperimentSpec) -> list[dict]:
     if spec.presets == ("custom",):
         raise ConfigError("shock.preset: sweep-scv needs preset labels")
-    points = sorted(
-        (bc.value, preset, n, k, r)
-        for bc in spec.bc
-        for preset in spec.presets
-        for n in spec.n
-        for k in spec.k
-        for r in spec.r
-        if 2 <= k <= n - 1
-    )
-    if not points:
-        raise ConfigError("grid: no points satisfy 2 <= k <= n-1")
+    points = _sweep_points(spec, [bc.value for bc in spec.bc], spec.presets)
     # each inter-shock law and its mean E[Y], once per sweep
     laws = {}
     for preset in spec.presets:

@@ -32,6 +32,9 @@ from .tiesets import nonfailed_closure
 from .ttf import ContinuousPhaseType
 
 BATCH_SIZE = 8192
+# Replications whose shock counts are found at once: the scratch of a block
+# stays in the cache, and no array of a batch's size is allocated.
+SHOCK_BLOCK = 2048
 # Admission bounds, checked on the mean shock count E[M] before any draw
 # (README, "Monte Carlo oracle").  E[M] sets the length of the shock-count
 # histogram, about 6 E[M] bins at 10^5 reps; reps * E[M] is the number of
@@ -76,8 +79,10 @@ def _batch_sizes(reps: int) -> list[int]:
     return sizes
 
 
-def _geometric(rng: np.random.Generator, p: float, size: tuple[int, int]) -> np.ndarray:
-    """rng.geometric(p, size), draw for draw.
+def _geometric(rng: np.random.Generator, p: float, out: np.ndarray, spare: np.ndarray) -> None:
+    """Fill the C-contiguous int64 array out with rng.geometric(p,
+    out.shape), draw for draw; spare is a float64 array of the same shape
+    that the draws may overwrite.
 
     For p < 1/3 numpy draws each variate by inversion of one standard
     exponential, ceil(-E / log1p(-p)), and recomputes log1p(-p) for each;
@@ -86,36 +91,71 @@ def _geometric(rng: np.random.Generator, p: float, size: tuple[int, int]) -> np.
     a vectorised search of the same sums.
     """
     if p >= 0.333333333333333333333333:  # numpy's cut, as a double
-        return rng.geometric(p, size=size)
+        np.copyto(out, rng.geometric(p, size=out.shape))
+        return
     # E / -log1p(-p) is numpy's -E / log1p(-p) to the last bit.  Lifetimes
     # stay far below 2**63, since the admission bound on E[M] keeps p away
     # from 0.
-    draws = rng.standard_exponential(size)
-    draws /= -math.log1p(-p)
-    return np.ceil(draws, out=draws).astype(np.int64)
+    rng.standard_exponential(out=spare)
+    spare /= -math.log1p(-p)
+    np.ceil(spare, out=spare)
+    np.copyto(out, spare, casting="unsafe")
 
 
-def _shock_counts(rng: np.random.Generator, size: int, config: SystemConfig, table: np.ndarray) -> np.ndarray:
+def _shock_scratch(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays for _shock_counts to fill, allocated once per run: the sort
+    keys, the running sums of the dead units' bits and the nonfailed flags
+    of one block of SHOCK_BLOCK replications of n units."""
+    return (
+        np.empty((SHOCK_BLOCK, n), dtype=np.int64),
+        np.empty((SHOCK_BLOCK, n), dtype=np.int64),
+        np.empty((SHOCK_BLOCK, n), dtype=bool),
+    )
+
+
+def _shock_counts(
+    rng: np.random.Generator,
+    size: int,
+    config: SystemConfig,
+    table: np.ndarray,
+    scratch: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """Failure shock counts of size replications.  Their lifetimes are
+    drawn block by block into scratch, in the order of one (size, n) draw,
+    so the stream does not depend on the block size."""
+    counts = np.empty(size, dtype=np.int64)
+    for start in range(0, size, SHOCK_BLOCK):
+        rows = min(SHOCK_BLOCK, size - start)
+        counts[start : start + rows] = _block_counts(rng, config, table, [a[:rows] for a in scratch])
+    return counts
+
+
+def _block_counts(
+    rng: np.random.Generator, config: SystemConfig, table: np.ndarray, scratch: list[np.ndarray]
+) -> np.ndarray:
     n = config.n
-    lifetimes = _geometric(rng, 1.0 - config.r, (size, n))
+    keys, dead, nonfailed = scratch
+    _geometric(rng, 1.0 - config.r, keys, dead.view(np.float64))
     # One sort key per unit: its lifetime above its bit position.  Units
     # dying at the same shock may sort in any order: the nonfailed set is
     # an up-set, so the first failed state along the death order comes
     # within the first shock that leaves the system failed.
     shift = n.bit_length()
-    keys = lifetimes << shift
+    keys <<= shift
     keys |= np.arange(n - 1, -1, -1, dtype=np.int64)
     keys.sort(axis=1)
-    dead = keys & ((1 << shift) - 1)
+    np.bitwise_and(keys, (1 << shift) - 1, out=dead)
     np.left_shift(1, dead, out=dead)
     # running sums of the dead units' bits, column by column: np.cumsum
     # along rows this short costs several times more
     for j in range(1, n):
         dead[:, j] += dead[:, j - 1]
     alive = np.subtract((1 << n) - 1, dead, out=dead)
+    # mode="clip" lets take fill out directly; every index is in range
+    np.take(table, alive, out=nonfailed, mode="clip")
     # the first failed state; the last, every unit dead, always is one
-    first_failed = table[alive].argmin(axis=1)
-    return keys[np.arange(size), first_failed] >> shift
+    first_failed = nonfailed.argmin(axis=1)
+    return keys[np.arange(keys.shape[0]), first_failed] >> shift
 
 
 def _sample_ph_batch(Y: ContinuousPhaseType, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -177,10 +217,11 @@ def _draw(config: SystemConfig, seed: int, reps: int, times: bool) -> tuple[np.n
     _admit(config, reps, times)
     if times:
         Y = config.shock.resolve()
+    scratch = _shock_scratch(config.n)
     counts, totals = [], []
     for batch, size in enumerate(_batch_sizes(reps)):
         rng = _batch_rng(seed, batch)
-        shocks = _shock_counts(rng, size, config, table)
+        shocks = _shock_counts(rng, size, config, table, scratch)
         counts.append(shocks)
         if times:
             draws = _sample_ph_batch(Y, int(shocks.sum()), rng)

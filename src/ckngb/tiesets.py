@@ -4,9 +4,11 @@ A tie-set is an inclusion-minimal set of at least k units whose joint
 operation keeps the system balanced; a state is nonfailed exactly when
 its operating set contains one (surplus units can be switched off to
 rebalance).  Equivalently, the nonfailed set is the superset closure of
-the balanced sets of at least k units.  ``nonfailed_closure`` builds that
-closure; the tie-sets are its minimal elements, and the exact reliability
-is the polynomial of its count profile.
+the balanced sets of at least k units.  One table per (n, bc) serves
+every k: ``rank_table`` holds the size of the largest balanced subset of
+each mask, and the nonfailed set at threshold k is the masks that rank k
+or more.  The tie-sets are its minimal elements, and the exact
+reliability is the polynomial of its count profile.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .errors import NoTieSets
 from .system import BalanceCondition, SystemState, balanced_mask_table
 
-_PROFILE_BLOCK = 1 << 20
+_PROFILE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -69,21 +71,61 @@ def popcounts(n: int) -> np.ndarray:
     return table
 
 
+# The rank transform passes the lowest _LOW_UNITS units on transposed
+# chunks of 2**_CHUNK_UNITS masks, where a unit's pairs lie far apart
+# instead of 2**b bytes apart.
+_LOW_UNITS = 4
+_CHUNK_UNITS = 16
+
+
+def _max_passes(table: np.ndarray, units, run: int) -> None:
+    """table[m] = max(table[m], table[m without bit b]) in place, for each
+    unit b in units; bit b of the mask pairs entries run << b apart."""
+    for b in units:
+        halves = table.reshape(-1, 2, run << b)  # axis 1 is bit b of the mask
+        np.maximum(halves[:, 1, :], halves[:, 0, :], out=halves[:, 1, :])
+
+
+@lru_cache(maxsize=4)  # one byte per mask: 1 GB at n = 30
+def rank_table(n: int, bc: BalanceCondition) -> np.ndarray:
+    """uint8 array over all 2**n bitmasks: the size of the largest balanced
+    subset of the mask, 0 when it has none.
+
+    Starting from the size of each balanced mask, one in-place subset-max
+    pass per unit lifts every size to the masks with that unit's bit also
+    set.  The nonfailed set at threshold k is ``rank >= k``, so one table
+    serves every k.  The array is read-only and shared between callers.
+    """
+    rank = popcounts(n) * balanced_mask_table(n, bc)
+    low = min(_LOW_UNITS, n // 2)
+    _max_passes(rank, range(low, n), 1)
+    scratch = np.empty(min(rank.size, 1 << _CHUNK_UNITS), dtype=np.uint8)
+    for chunk in rank.reshape(-1, scratch.size):
+        scratch.reshape(1 << low, -1)[:] = chunk.reshape(-1, 1 << low).T
+        _max_passes(scratch, range(low), scratch.size >> low)
+        chunk.reshape(-1, 1 << low)[:] = scratch.reshape(1 << low, -1).T
+    rank.flags.writeable = False
+    return rank
+
+
+def _feasible_rank(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
+    """The rank table; raises NoTieSets when even the all-ones mask ranks
+    below k, that is, when the nonfailed set is empty."""
+    rank = rank_table(n, bc)
+    if rank[-1] < k:
+        raise NoTieSets(f"no tie-sets for n={n}, k={k}, bc={bc.value}")
+    return rank
+
+
 @lru_cache(maxsize=16)
 def nonfailed_closure(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
     """Bool array over all 2**n bitmasks: the operating set contains a
-    balanced set of at least k units.
+    balanced set of at least k units, ``rank_table(n, bc) >= k``.
 
-    The closure takes one in-place OR pass per unit, lifting every marked mask
-    to the mask with that unit's bit also set.  The array is read-only and
-    shared between callers; raises NoTieSets when it is empty.
+    The array is read-only and shared between callers; raises NoTieSets
+    when it is empty.
     """
-    table = balanced_mask_table(n, bc) & (popcounts(n) >= k)
-    if not table.any():
-        raise NoTieSets(f"no tie-sets for n={n}, k={k}, bc={bc.value}")
-    for b in range(n):
-        halves = table.reshape(-1, 2, 1 << b)  # axis 1 is bit b of the mask
-        halves[:, 1, :] |= halves[:, 0, :]
+    table = _feasible_rank(n, k, bc) >= k
     table.flags.writeable = False
     return table
 
@@ -92,22 +134,44 @@ def nonfailed_closure(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
 def enumerate_min_tiesets(n: int, k: int, bc: BalanceCondition) -> TieSetCollection:
     """The minimal elements of the nonfailed set.
 
-    A nonfailed mask S is minimal when S minus b is failed for every bit b
-    of S; one in-place pass per unit clears every mask whose bit-b-free
-    twin is nonfailed.  Raises NoTieSets when the nonfailed set is empty.
+    A minimal nonfailed mask is itself a balanced set of at least k units
+    (any unit outside the balanced set it contains could be removed), and
+    a balanced mask S of at least k units is minimal when S minus b ranks
+    below k for every bit b of S.  Balanced masks are few (9 999 of the
+    2**24 at n=24 under BC3), so only they are tested.  Raises NoTieSets
+    when the nonfailed set is empty.
     """
-    closure = nonfailed_closure(n, k, bc)
-    minimal = closure.copy()
+    rank = _feasible_rank(n, k, bc)
+    masks = np.flatnonzero(balanced_mask_table(n, bc))
+    masks = masks[np.bitwise_count(masks) >= k]
+    minimal = np.ones(masks.size, dtype=bool)
     for b in range(n):
-        below = closure.reshape(-1, 2, 1 << b)[:, 0, :]  # axis 1 is bit b of the mask
-        minimal.reshape(-1, 2, 1 << b)[:, 1, :] &= ~below
-    masks = np.flatnonzero(minimal)[::-1]
+        held = ((masks >> b) & 1) == 1
+        minimal[held] &= rank[masks[held] ^ (1 << b)] < k
+    masks = masks[minimal][::-1]
     masks = masks[np.argsort(np.bitwise_count(masks), kind="stable")]
     tiesets = tuple(TieSet(SystemState(int(m), n).operating_units()) for m in masks)
     return TieSetCollection(tiesets, n, k, bc, tuple(int(m) for m in masks))
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=64)
+def _rank_profiles(n: int, bc: BalanceCondition) -> np.ndarray:
+    """Row k, for k = 0..n: the count profile of the nonfailed set at
+    threshold k.  One histogram of the masks over (rank, popcount), summed
+    over the ranks from k up, serves every k.  Read-only."""
+    rank = rank_table(n, bc)
+    pops = popcounts(n)
+    hist = np.zeros((n + 1) * (n + 1), dtype=np.int64)
+    # in blocks, so the intp copy bincount makes of its input stays small
+    for i in range(0, rank.size, _PROFILE_BLOCK):
+        key = rank[i : i + _PROFILE_BLOCK] * np.uint16(n + 1)
+        key += pops[i : i + _PROFILE_BLOCK]
+        hist += np.bincount(key, minlength=hist.size)
+    profiles = np.cumsum(hist.reshape(n + 1, n + 1)[::-1], axis=0)[::-1]
+    profiles.flags.writeable = False
+    return profiles
+
+
 def count_profile(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
     """c_j for j = 0..n: the number of nonfailed states with exactly j
     operating units.
@@ -115,17 +179,13 @@ def count_profile(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
     Every lifetime quantity depends on the nonfailed set only through these
     counts: after m shocks each unit still operates with probability
     p = r**m, independently, so P{M > m} = sum_j c_j p**j (1 - p)**(n - j).
-    The array is read-only and shared between callers.
+    The array is read-only and shared between callers; raises NoTieSets
+    when the nonfailed set is empty.
     """
-    closure = nonfailed_closure(n, k, bc)
-    pops = popcounts(n)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    # in blocks, so the intp copy bincount makes of its input stays small
-    for i in range(0, closure.size, _PROFILE_BLOCK):
-        block = slice(i, i + _PROFILE_BLOCK)
-        counts += np.bincount(pops[block][closure[block]], minlength=n + 1)
-    counts.flags.writeable = False
-    return counts
+    profiles = _rank_profiles(n, bc)
+    if k > n or not profiles[k, n]:  # the all-ones mask ranks below k
+        raise NoTieSets(f"no tie-sets for n={n}, k={k}, bc={bc.value}")
+    return profiles[k]
 
 
 def reliability_polynomial(n: int, k: int, bc: BalanceCondition, p: float | np.ndarray) -> np.ndarray:

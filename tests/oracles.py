@@ -1,8 +1,12 @@
 """Reference routes that the package does not take.
 
-Structure layer: the package reads the tie-sets and the nonfailed set off
-``nonfailed_closure``; ``scan_min_tiesets`` and ``tieset_table`` build them
-from the balance table alone.  ``is_nonfailed`` tests one state against a
+Structure layer: the package reads the nonfailed set of every k off one
+rank table per (n, bc), and the tie-sets off the balanced masks;
+``scan_min_tiesets`` and ``tieset_table`` build them from the balance
+table alone.  ``or_closure`` builds the nonfailed set of one k by an OR
+pass per unit, and ``closure_profile`` and ``minimal_masks`` read its
+count profile and its minimal elements off it, one pass over the masks
+per unit.  ``is_nonfailed`` tests one state against a
 tie-set collection and ``structure_function`` evaluates the paper's
 structure function 1 - prod_T (1 - prod_{i in T} x_i) on it.
 ``bit_matrix_table`` builds the balance table itself from the 2**n x n
@@ -80,6 +84,37 @@ def scan_min_tiesets(n, k, bc):
     if not found:
         raise NoTieSets(f"no tie-sets for n={n}, k={k}, bc={bc.value}")
     return tuple(found)
+
+
+def or_closure(n, k, bc):
+    """Bool array over all 2**n bitmasks: the mask contains a balanced set
+    of at least k units.  One in-place OR pass per unit lifts every marked
+    mask to the mask with that unit's bit also set."""
+    every = np.arange(1 << n, dtype=np.int64)
+    table = balanced_mask_table(n, bc) & (np.bitwise_count(every) >= k)
+    if not table.any():
+        raise NoTieSets(f"no tie-sets for n={n}, k={k}, bc={bc.value}")
+    for b in range(n):
+        halves = table.reshape(-1, 2, 1 << b)  # axis 1 is bit b of the mask
+        halves[:, 1, :] |= halves[:, 0, :]
+    return table
+
+
+def closure_profile(table, n):
+    """c_j: the marked masks with j set bits, j = 0..n."""
+    every = np.arange(1 << n, dtype=np.int64)
+    return np.bincount(np.bitwise_count(every[table]), minlength=n + 1)
+
+
+def minimal_masks(table, n):
+    """The minimal marked masks, in the package's tie-set order: one pass
+    per unit clears every mask whose bit-b-free twin is marked."""
+    minimal = table.copy()
+    for b in range(n):
+        below = table.reshape(-1, 2, 1 << b)[:, 0, :]
+        minimal.reshape(-1, 2, 1 << b)[:, 1, :] &= ~below
+    masks = np.flatnonzero(minimal)[::-1]
+    return tuple(int(m) for m in masks[np.argsort(np.bitwise_count(masks), kind="stable")])
 
 
 def is_nonfailed(state, collection):

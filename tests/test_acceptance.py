@@ -37,6 +37,7 @@ from goldens import (
     MTTF_RATIO_R9_OVER_R5,
     TABLE_STATES,
 )
+from helpers import clear_package_caches
 from oracles import full_transition_matrix, to_dense
 
 BC1, BC2, BC3 = BalanceCondition.BC1, BalanceCondition.BC2, BalanceCondition.BC3
@@ -63,14 +64,8 @@ def _equivalence_grid():
                     yield SystemConfig(n, k, r, bc)
 
 
-def _fresh_caches():
-    build_consolidated.cache_clear()
-    enumerate_min_tiesets.cache_clear()
-    balanced_mask_table.cache_clear()
-
-
 def test_criterion_01_consolidated_matrix_golden():
-    _fresh_caches()
+    clear_package_caches()
     start = time.perf_counter()
     chain = build_consolidated(4, 2, BC3, 0.7)
     elapsed = time.perf_counter() - start

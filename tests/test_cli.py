@@ -335,6 +335,50 @@ class TestOptionBounds:
         )
 
 
+class TestSweepGridBound:
+    """A sweep of more than MAX_TABLE_ROWS points, or an r range of more
+    values, exits 4 before the grid is formed.  Before the bound, an r
+    range with step 1e-9 built an 8e8-value tuple and ran for 20 s without
+    exiting under a 2 GB address-space limit."""
+
+    FINE_R = {"start": 0.0001, "stop": 0.9999, "step": 0.0001}  # 9999 values
+
+    @pytest.mark.parametrize(
+        "command,doc,message",
+        [
+            ("sweep-msntf", {"n": [12], "k": [2], "r": {"start": 0.1, "stop": 0.9, "step": 1e-9}},
+             "r: the range holds more than 100000 values"),
+            ("sweep-scv", {"n": [12], "k": [2], "r": {"start": 0.1, "stop": 0.9, "step": 1e-300},
+                           "shock": {"preset": ["ER"]}},
+             "r: the range holds more than 100000 values"),
+            ("sweep-msntf", {"n": [12], "k": list(range(2, 13)), "r": FINE_R},
+             "grid: 109989 points exceed the sweep bound 100000"),
+            ("sweep-scv", {"n": list(range(3, 13)), "k": list(range(2, 12)),
+                           "r": {"start": 0.001, "stop": 0.999, "step": 0.001},
+                           "shock": {"preset": ["ER", "EXP", "HE"]}},
+             "grid: 299700 points exceed the sweep bound 100000"),
+        ],
+    )
+    def test_refused_before_any_work(self, command, doc, message, config_file):
+        start = time.perf_counter()
+        done = run_cli(command, "--config", config_file(dict(doc, bc="BC3")), timeout=30)
+        assert done.returncode == 4
+        assert done.stdout == ""
+        assert message in done.stderr
+        assert time.perf_counter() - start < 10.0
+
+    def test_bounds_admitted(self):
+        spec = experiments.parse_config(
+            {"n": [12], "k": list(range(2, 12)), "r": {"start": 0.0001, "stop": 1.0, "step": 0.0001}}
+        )
+        assert len(spec.r) == 10**4
+        assert len(experiments._sweep_points(spec, ["BC3"])) == experiments.MAX_TABLE_ROWS
+        ranged = experiments.parse_config(
+            {"n": 4, "k": 2, "r": {"start": 1, "stop": experiments.MAX_TABLE_ROWS, "step": 1}}
+        )
+        assert len(ranged.r) == experiments.MAX_TABLE_ROWS
+
+
 class TestPhaseThatNeverExits:
     """A custom law with phases that never reach an exit is a config error.
     Before, `simulate --target ttf` drew forever from those phases, and

@@ -2,6 +2,9 @@
 operating-count chain against the state-level consolidated chain, and the
 explicit checks of the invariants the solvers rely on."""
 
+from collections import Counter
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ import ckngb.chain as chain_mod
 import ckngb.tiesets as tiesets_mod
 from ckngb.chain import build_count_chain, check_upper_triangular
 from ckngb.errors import InvariantViolation, NoTieSets, OddNUnsupported
-from ckngb.experiments import DEFAULT_Z_MAX
+from ckngb.experiments import DEFAULT_Z_MAX, parse_config, run_sweep_msntf, run_sweep_scv
 from ckngb.sntf import (
     count_distribution,
     factorial_moment,
@@ -20,7 +23,7 @@ from ckngb.sntf import (
 from ckngb.system import BalanceCondition, SystemConfig
 from ckngb.tiesets import count_profile, enumerate_min_tiesets, nonfailed_closure
 from ckngb.ttf import compound_ph, pdf_grid, ph_from_preset, raw_moment, scv
-from oracles import scan_min_tiesets, tieset_table
+from oracles import closure_profile, minimal_masks, or_closure, scan_min_tiesets, tieset_table
 
 BC1, BC2, BC3 = BalanceCondition.BC1, BalanceCondition.BC2, BalanceCondition.BC3
 
@@ -54,16 +57,96 @@ def test_closure_equals_tieset_table():
     assert mismatches == []
 
 
+RANK_CASES = [*range(2, 15), 16]
+
+
+@pytest.mark.parametrize("n", RANK_CASES)
+def test_rank_route_equals_or_closure(n):
+    """The closure, count profile and tie-sets read off one rank table per
+    (n, bc) equal those of the per-k OR closure, for every k and bc (at
+    n = 16 for the k of CLOSURE_CASES)."""
+    mismatches = []
+    for bc in BalanceCondition:
+        ks = range(2, n + 1) if n < 16 else [k for m, k, b in CLOSURE_CASES if (m, b) == (n, bc)]
+        for k in ks:
+            expected = _outcome(lambda: or_closure(n, k, bc))
+            got = [
+                _outcome(lambda: nonfailed_closure(n, k, bc)),
+                _outcome(lambda: count_profile(n, k, bc)),
+                _outcome(lambda: enumerate_min_tiesets(n, k, bc).masks),
+            ]
+            if isinstance(expected, type):
+                same = got == [expected] * 3
+            else:
+                same = (
+                    np.array_equal(got[0], expected)
+                    and got[1].tolist() == closure_profile(expected, n).tolist()
+                    and got[2] == minimal_masks(expected, n)
+                )
+            if not same:
+                mismatches.append((k, bc.value))
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("route", [count_profile, enumerate_min_tiesets, nonfailed_closure])
+def test_routes_raise_from_cold_caches(route, fresh_caches):
+    """Each route raises NoTieSets on its own, with no closure built first.
+    The set of all n units is balanced under every bc, so only k > n has
+    no tie-sets."""
+    for n, k, bc in ((4, 5, BC3), (9, 10, BC2), (2, 3, BC1)):
+        with pytest.raises(NoTieSets):
+            route(n, k, bc)
+
+
+def test_sweep_panel_builds_each_table_once(monkeypatch, fresh_caches):
+    """A sweep-msntf and a sweep-scv panel over n = 3..12, every k, two r
+    levels and every bc build one rank table per (n, bc), one thinning
+    matrix per (n, r), and each count chain's layers once."""
+    tables, thinnings, layers = Counter(), Counter(), Counter()
+    balance = tiesets_mod.balanced_mask_table
+    terms = chain_mod._binomial_terms
+    prop = chain_mod.CountChain.__dict__["layers"]
+    layers_of = getattr(prop, "func", None) or prop.fget
+
+    def counted_balance(n, bc):
+        tables[n, bc] += 1
+        return balance(n, bc)
+
+    def counted_terms(coef, a, r):
+        thinnings[coef.shape[0] - 1, r] += 1
+        return terms(coef, a, r)
+
+    def counted_layers(chain):
+        layers[chain] += 1
+        return layers_of(chain)
+
+    counted = cached_property(counted_layers)
+    counted.__set_name__(chain_mod.CountChain, "layers")
+    monkeypatch.setattr(tiesets_mod, "balanced_mask_table", counted_balance)
+    monkeypatch.setattr(chain_mod, "_binomial_terms", counted_terms)
+    monkeypatch.setattr(chain_mod.CountChain, "layers", counted)
+    ns, rs = list(range(3, 13)), [0.7, 0.9]
+    doc = {"n": ns, "k": list(range(2, 12)), "r": rs, "bc": ["BC1", "BC2", "BC3"]}
+    run_sweep_msntf(parse_config(doc))
+    run_sweep_scv(parse_config(dict(doc, shock={"preset": ["ER", "HE"]})))
+
+    assert tables == Counter(
+        (n, bc) for n in ns for bc in BalanceCondition if not (bc is BC1 and n % 2)
+    )
+    assert thinnings == Counter((n, r) for n in ns for r in rs)
+    assert layers and set(layers.values()) == {1}
+
+
 def test_profile_counts_nonfailed_states_by_operating_units():
     assert count_profile(4, 2, BC3).tolist() == [0, 0, 2, 4, 1]
 
 
-def test_empty_closure_raises_no_tiesets(monkeypatch):
+def test_empty_closure_raises_no_tiesets(monkeypatch, fresh_caches):
     monkeypatch.setattr(tiesets_mod, "balanced_mask_table", lambda n, bc: np.zeros(1 << n, dtype=bool))
-    nonfailed_closure.cache_clear()
     with pytest.raises(NoTieSets):
         nonfailed_closure(4, 2, BC3)
-    nonfailed_closure.cache_clear()
+    with pytest.raises(NoTieSets):
+        count_profile(4, 2, BC3)
 
 
 def _close(got, want, tol, scale=None):
@@ -139,11 +222,9 @@ def test_triangularity_check_rejects_below_diagonal_entry():
         check_upper_triangular(P)
 
 
-def test_count_chain_rejects_profile_that_is_not_an_up_set(monkeypatch):
+def test_count_chain_rejects_profile_that_is_not_an_up_set(monkeypatch, fresh_caches):
     # all six 2-unit states but only one 3-unit state: q_3 = 1/4 < q_2 = 1
     profile = np.array([0, 0, 6, 1, 1])
     monkeypatch.setattr(chain_mod, "count_profile", lambda n, k, bc: profile)
-    build_count_chain.cache_clear()
     with pytest.raises(InvariantViolation):
         build_count_chain(4, 2, BC3, 0.7)
-    build_count_chain.cache_clear()

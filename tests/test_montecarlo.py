@@ -123,8 +123,8 @@ def test_geometric_draws_match_numpy(p):
     sides of numpy's switch from inversion to search at p = 1/3."""
     for seed in range(5):
         ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
-        drawn = montecarlo._geometric(ours, float(p), (500, 7))
-        assert drawn.dtype == np.int64
+        drawn = np.empty((500, 7), dtype=np.int64)
+        montecarlo._geometric(ours, float(p), drawn, np.empty((500, 7)))
         assert np.array_equal(drawn, numpys.geometric(p, size=(500, 7)))
         assert ours.random() == numpys.random()
 
@@ -141,8 +141,25 @@ def test_shock_counts_match_a_shock_by_shock_walk(system, r, seed):
     n, k, bc = system
     table = nonfailed_closure(n, k, bc)
     lifetimes = np.random.default_rng(seed).geometric(1.0 - r, size=(200, n))
-    counts = montecarlo._shock_counts(np.random.default_rng(seed), 200, SystemConfig(n, k, r, bc), table)
+    scratch = montecarlo._shock_scratch(n)
+    counts = montecarlo._shock_counts(np.random.default_rng(seed), 200, SystemConfig(n, k, r, bc), table, scratch)
     assert np.array_equal(counts, walk_shock_counts(lifetimes, table))
+
+
+@pytest.mark.parametrize("r", [0.5, 0.9])  # numpy's search and inversion draws
+def test_shock_counts_do_not_depend_on_the_block_size(r, monkeypatch):
+    """A batch is drawn in blocks of SHOCK_BLOCK replications, in the order
+    of one (size, n) draw, so blocks of 100 (the last one partial) give
+    the counts and the next draw of a single block."""
+    config = SystemConfig(8, 3, r, BalanceCondition.BC2)
+    table = nonfailed_closure(8, 3, BalanceCondition.BC2)
+    results = []
+    for block in (montecarlo.SHOCK_BLOCK, 100):
+        monkeypatch.setattr(montecarlo, "SHOCK_BLOCK", block)
+        rng = np.random.default_rng(5)
+        counts = montecarlo._shock_counts(rng, 1050, config, table, montecarlo._shock_scratch(8))
+        results.append((counts.tolist(), rng.random()))
+    assert results[0] == results[1]
 
 
 class TestShockCountOracle:

@@ -9,7 +9,6 @@ from ckngb.sntf import pmf_survival_series, sntf_distribution
 from ckngb.system import BalanceCondition, SystemConfig, SystemState, balanced_mask_table, is_balanced
 from ckngb.tiesets import (
     enumerate_min_tiesets,
-    nonfailed_closure,
     system_reliability_exact,
     system_reliability_product,
 )
@@ -40,17 +39,13 @@ class TestEnumeration:
             if a.size == b.size:
                 assert a.members < b.members
 
-    def test_no_tiesets_raised(self, monkeypatch):
+    def test_no_tiesets_raised(self, monkeypatch, fresh_caches):
         def all_false(n, bc):
             return np.zeros(1 << n, dtype=bool)
 
         monkeypatch.setattr(tiesets_mod, "balanced_mask_table", all_false)
-        enumerate_min_tiesets.cache_clear()
-        nonfailed_closure.cache_clear()
         with pytest.raises(NoTieSets):
             enumerate_min_tiesets(4, 2, BC3)
-        enumerate_min_tiesets.cache_clear()
-        nonfailed_closure.cache_clear()
 
 
 def _oracle_min_tiesets(n, k, bc):

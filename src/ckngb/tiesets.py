@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NoTieSets
 from .system import BalanceCondition, SystemState, balanced_mask_table
 
-_PROFILE_BLOCK = 1 << 16
+_PROFILE_BLOCK = 1 << 18  # the intp copy bincount makes: 2 MB
 
 
 @dataclass(frozen=True)

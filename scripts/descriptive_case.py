@@ -31,12 +31,13 @@ def main() -> None:
     (outdir / "descriptive_chain.csv").write_text(chain_csv(chain))
     print(f"consolidated chain: {chain.size} transient states -> descriptive_chain.csv")
 
-    dist = sntf_distribution(config)
+    ms = np.arange(1, 31)
+    pmf, survival = pmf_direct(config, ms), survival_direct(config, ms)
     with open(outdir / "descriptive_sntf_pmf.csv", "w") as fh:
         fh.write("m,pmf,survival\n")
-        for m in range(1, 31):
-            fh.write(f"{m},{pmf_direct(config, m):.12g},{survival_direct(config, m):.12g}\n")
-    print(f"mean shock count: {mean_closed(dist):.6f}")
+        for m, p, s in zip(ms.tolist(), pmf.tolist(), survival.tolist()):
+            fh.write(f"{m},{p:.12g},{s:.12g}\n")
+    print(f"mean shock count: {mean_closed(sntf_distribution(config)):.6f}")
 
     Z = compound_from_config(config)
     zs = np.linspace(0.0, 12.0, 241)

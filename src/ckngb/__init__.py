@@ -22,7 +22,6 @@ from .errors import (
 )
 from .montecarlo import SimulationResult, simulate_sntf, simulate_ttf
 from .sntf import (
-    DiscretePhaseType,
     count_distribution,
     factorial_moment,
     mean_closed,

@@ -18,11 +18,11 @@ MAX_CHAIN_STATES states.
 The count chain carries the same shock-count law on at most n + 1 states.
 Each shock thins the operating count j binomially, and a state with j
 operating units is nonfailed with probability q_j = c_j / C(n, j), where
-c_j is the count profile.  Both chains give P{M > m} = alpha P^m w, with
-w = q on the count chain and w = e on the state chain.  A shock never
-adds an operating unit, so P is block upper triangular over layers of
-equal operating count: ``layered_solve`` back-substitutes one layer at a
-time on either chain.
+c_j is the count profile.  Both chains start in state 0, the all-ones
+state, and give P{M > m} = e_0 P^m w, with w = q on the count chain and
+w = e on the state chain.  A shock never adds an operating unit, so P is
+block upper triangular over layers of equal operating count:
+``layered_solve`` back-substitutes one layer at a time on either chain.
 """
 
 from __future__ import annotations
@@ -340,7 +340,7 @@ class CountChain:
         return self.transition[rows] @ y
 
 
-@lru_cache(maxsize=16)  # pmf_direct reads it once per m
+@lru_cache(maxsize=16)  # a command reads one system's chain in several calls
 def build_count_chain(n: int, k: int, bc: BalanceCondition, r: float) -> CountChain:
     """Count chain of the system at unit reliability r, started state first."""
     if not 0.0 < r < 1.0:

@@ -7,9 +7,7 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -63,20 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(spec: experiments.ExperimentSpec, args: argparse.Namespace) -> experiments.ExperimentSpec:
-    updates = {}
-    for name in ("out", "seed", "reps", "m_max", "z_max", "threads"):
-        value = getattr(args, name, None)
-        if value is not None:
-            updates[name] = value
-    for name in ("reps", "m_max", "threads"):
-        if name in updates and updates[name] < 1:
-            raise ConfigError(f"{name}: must be >= 1, got {updates[name]}")
-    if "z_max" in updates and not 0 < updates["z_max"] < math.inf:
-        raise ConfigError(f"z_max: must be positive and finite, got {updates['z_max']}")
-    return replace(spec, **updates) if updates else spec
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -86,7 +70,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    spec = _apply_overrides(experiments.load_config(args.config), args)
+    # each flag given stands in for the config key of its name
+    flags = ("out", "seed", "reps", "m_max", "z_max", "threads")
+    spec = experiments.load_config(args.config, **{name: getattr(args, name) for name in flags})
 
     if args.command == "tiesets":
         _emit(experiments.run_tiesets(spec), spec.out)

@@ -37,9 +37,10 @@ DEFAULT_R_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))  # 0.05 .. 0.95
 # Upper bounds on the integer options and the sweep grid, checked before
 # any work (README, "Config file").  m_max, z_steps and the points of a
 # sweep grid set the rows of a table built in full before it is written:
-# 10^5 rows take 3-6 s and under 80 MB, 10^5 sweep points at n = 12 9-28 s
-# and under 100 MB.  reps is bounded as a failure-time run's inter-shock
-# draws are: 2^25 shock counts take 5-12 s and 660 MB.
+# 10^5 rows take 0.5-0.9 s (sntf-pmf) to 6 s (ttf) and under 80 MB, 10^5
+# sweep points at n = 12 9-28 s and under 100 MB.  reps is bounded as a
+# failure-time run's inter-shock draws are: 2^25 shock counts take 5-12 s
+# and 660 MB.
 MAX_TABLE_ROWS = 10**5
 MAX_REPS = montecarlo.MAX_PHASE_DRAWS
 
@@ -211,7 +212,9 @@ def parse_config(doc: Any) -> ExperimentSpec:
     )
 
 
-def load_config(path: str) -> ExperimentSpec:
+def load_config(path: str, **overrides: Any) -> ExperimentSpec:
+    """The config file, with each override that is not None put in place of
+    its key (the CLI flags), parsed and checked as one document."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -219,6 +222,8 @@ def load_config(path: str) -> ExperimentSpec:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
+    if isinstance(doc, dict):
+        doc.update((key, value) for key, value in overrides.items() if value is not None)
     return parse_config(doc)
 
 
@@ -273,28 +278,22 @@ def run_tiesets(spec: ExperimentSpec) -> str:
 
 def run_sntf_pmf(spec: ExperimentSpec, use_matrix: bool = False) -> list[dict]:
     config = spec.single()
-    rows = []
     if use_matrix:
         pmf, surv = sntf.pmf_survival_series(sntf.sntf_distribution(config), spec.m_max)
-        for m in range(1, spec.m_max + 1):
-            rows.append({"m": m, "pmf": float(pmf[m - 1]), "survival": float(surv[m - 1])})
     else:
-        for m in range(1, spec.m_max + 1):
-            rows.append(
-                {
-                    "m": m,
-                    "pmf": sntf.pmf_direct(config, m),
-                    "survival": sntf.survival_direct(config, m),
-                }
-            )
-    return rows
+        ms = np.arange(1, spec.m_max + 1)
+        pmf, surv = sntf.pmf_direct(config, ms), sntf.survival_direct(config, ms)
+    return [
+        {"m": m, "pmf": p, "survival": s}
+        for m, p, s in zip(range(1, spec.m_max + 1), pmf.tolist(), surv.tolist())
+    ]
 
 
 def run_sntf_moments(spec: ExperimentSpec) -> list[dict]:
     config = spec.single()
-    dist = sntf.count_distribution(config)
-    mean = sntf.mean_closed(dist)
-    second = sntf.factorial_moment(dist, 2) + mean
+    chain = sntf.count_distribution(config)
+    mean = sntf.mean_closed(chain)
+    second = sntf.factorial_moment(chain, 2) + mean
     return [
         {
             "n": config.n,
@@ -314,24 +313,23 @@ def run_ttf(spec: ExperimentSpec) -> tuple[list[dict], dict]:
         if len(spec.presets) > 1:
             raise ConfigError("shock.preset: this command needs a single preset")
         raise ConfigError("shock: required for the ttf command")
-    dist = sntf.count_distribution(config)
-    Z = ttf.compound_ph(dist, config.shock.resolve())
+    Z = ttf.compound_ph(sntf.count_distribution(config), config.shock.resolve())
     zs = np.linspace(0.0, spec.z_max, spec.z_steps + 1)
     dens, surv = ttf.pdf_grid(Z, zs)
     rows = [
         {"z": float(z), "pdf": float(d), "survival": float(s)}
         for z, d, s in zip(zs, dens, surv)
     ]
-    return rows, _failure_time_summary(dist, Z, ttf.ph_mean_scv(Z.shock)[0])
+    return rows, _failure_time_summary(Z, ttf.ph_mean_scv(Z.shock)[0])
 
 
-def _failure_time_summary(dist: sntf.DiscretePhaseType, Z: ttf.CompoundPhaseType, mean_y: float) -> dict:
+def _failure_time_summary(Z: ttf.CompoundPhaseType, mean_y: float) -> dict:
     """MTTF, its Wald-identity value E[M] E[Y] and the SCV of the failure
-    time Z built on the shock-count law dist; mean_y is E[Y]."""
+    time Z, with E[M] read from Z's shock-count chain; mean_y is E[Y]."""
     scv = ttf.scv(Z)  # solves for E[Z^2] and, on the way, E[Z]
     return {
         "mttf": ttf.raw_moment(Z, 1),
-        "mttf_wald": sntf.mean_closed(dist) * mean_y,
+        "mttf_wald": sntf.mean_closed(Z.chain) * mean_y,
         "scv": scv,
     }
 
@@ -343,8 +341,7 @@ def run_sweep_msntf(spec: ExperimentSpec) -> list[dict]:
         bc_value, n, k, r = point
         try:
             config = SystemConfig(n, k, r, BalanceCondition(bc_value))
-            dist = sntf.count_distribution(config)
-            msntf: Any = sntf.mean_closed(dist)
+            msntf: Any = sntf.mean_closed(sntf.count_distribution(config))
         except (NoTieSets, OddNUnsupported):
             msntf = INFEASIBLE
         return {"bc": bc_value, "n": n, "k": k, "r": r, "msntf": msntf}
@@ -367,9 +364,9 @@ def run_sweep_scv(spec: ExperimentSpec) -> list[dict]:
         row: dict[str, Any] = {"bc": bc_value, "preset": preset, "n": n, "k": k, "r": r}
         try:
             config = SystemConfig(n, k, r, BalanceCondition(bc_value))
-            dist = sntf.count_distribution(config)
             Y, mean_y = laws[preset]
-            row.update(_failure_time_summary(dist, ttf.compound_ph(dist, Y), mean_y))
+            Z = ttf.compound_ph(sntf.count_distribution(config), Y)
+            row.update(_failure_time_summary(Z, mean_y))
         except (NoTieSets, OddNUnsupported):
             row.update({"mttf": INFEASIBLE, "mttf_wald": INFEASIBLE, "scv": INFEASIBLE})
         return row
@@ -406,7 +403,6 @@ def run_validate(
     hook for corrupting the chain under inspection."""
     config = spec.single()
     chain = chain_override or chain_mod.build_state_chain(config.n, config.k, config.bc, config.r)
-    dist = sntf.DiscretePhaseType(np.r_[1.0, np.zeros(chain.size - 1)], chain)
     checks: list[dict] = []
 
     row_err = float(np.abs(chain.apply(np.ones(chain.size)) + chain.absorb - 1.0).max())
@@ -424,15 +420,14 @@ def run_validate(
     )
 
     fidelity_steps = 20
-    pmf_m, surv_m = sntf.pmf_survival_series(dist, max(spec.m_max, fidelity_steps))
-    diff = max(
-        abs(pmf_m[m - 1] - sntf.pmf_direct(config, m)) for m in range(1, spec.m_max + 1)
-    )
+    pmf_m, surv_m = sntf.pmf_survival_series(chain, max(spec.m_max, fidelity_steps))
+    direct = sntf.pmf_direct(config, np.arange(1, spec.m_max + 1))
+    diff = float(np.abs(pmf_m[: spec.m_max] - direct).max())
     checks.append(_check("pmf_direct_vs_matrix", diff <= 1e-12, f"max gap {diff:.3e}"))
 
     cutoff = 512
-    norm_defect = abs(sum(sntf.pmf_direct(config, m) for m in range(1, cutoff + 1))
-                      + sntf.survival_direct(config, cutoff) - 1.0)
+    terms = sntf.pmf_direct(config, np.arange(1, cutoff + 1)).tolist()
+    norm_defect = abs(sum(terms) + sntf.survival_direct(config, cutoff) - 1.0)
     checks.append(_check("pmf_normalization", norm_defect <= 1e-12, f"defect {norm_defect:.3e}"))
 
     # The unconsolidated chain over all 2**n states, started where the
@@ -445,7 +440,7 @@ def run_validate(
         worst = max(worst, abs(full[chain.masks].sum() - surv_m[m - 1]))
     checks.append(_check("consolidation_fidelity", worst <= 1e-12, f"max gap {worst:.3e}"))
 
-    mean = sntf.mean_closed(dist)
+    mean = sntf.mean_closed(chain)
     series = sntf.raw_moment_series(config, 1, 1e-12)
     checks.append(
         _check("mean_closed_vs_series", abs(mean - series) <= 1e-9, f"gap {abs(mean - series):.3e}")
@@ -453,7 +448,7 @@ def run_validate(
 
     if config.shock is not None:
         Y = config.shock.resolve()
-        Z = ttf.compound_ph(dist, Y)
+        Z = ttf.compound_ph(chain, Y)
         mean_y, _ = ttf.ph_mean_scv(Y)
         mttf = ttf.raw_moment(Z, 1)
         gap = abs(mttf - mean * mean_y)

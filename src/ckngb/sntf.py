@@ -1,22 +1,22 @@
 """Shock count to system failure as a discrete phase-type distribution.
 
-A law is an initial vector alpha, a substochastic one-step matrix P and a
-weight vector w, with P{M > m} = alpha P^m w.  Two chains carry it: the
-operating-count chain (``count_distribution``, at most n + 1 states,
-w = q), which the CLI commands use, and the paper's consolidated chain
-(``sntf_distribution``, one state per nonfailed state, w = e, held as an
-operator that stores no matrix), which serves ``sntf-pmf --matrix`` and
-the validation oracle.  Every function of a law below serves both,
-through the chain's row action v P, column action P y and layers.
+A law is a chain: a substochastic one-step matrix P and a weight vector
+w, started in the all-ones state, which is chain state 0 on both chains.
+So P{M > m} = e_0 P^m w.  The operating-count chain
+(``count_distribution``, at most n + 1 states, w = q) serves the CLI
+commands, and the paper's consolidated chain (``sntf_distribution``, one
+state per nonfailed state, w = e, held as an operator that stores no
+matrix) serves ``sntf-pmf --matrix`` and the validation oracle.  Every
+function of a law below takes either chain, through its row action v P,
+column action P y and layers.
 
 The law is also available without matrix powers: the direct route
 evaluates the reliability polynomial, P{M > m} = h(r^m) with
-h(p) = sum_j c_j p^j (1 - p)^(n - j).
+h(p) = sum_j c_j p^j (1 - p)^(n - j), for one m or an array of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -38,41 +38,14 @@ _SERIES_BLOCK = 256
 _SERIES_CAP = 10**7
 
 
-@dataclass(frozen=True, eq=False)
-class DiscretePhaseType:
-    """Initial distribution plus a shock chain: P{M > m} = alpha P^m w."""
-
-    alpha: np.ndarray
-    chain: StateChain | CountChain
-
-    @property
-    def absorb(self) -> np.ndarray:
-        return self.chain.absorb
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.chain.weights
-
-    @property
-    def size(self) -> int:
-        return self.chain.size
-
-
-def _started(chain: StateChain | CountChain) -> DiscretePhaseType:
-    """The law of the system started in the all-ones state, chain state 0."""
-    alpha = np.zeros(chain.size)
-    alpha[0] = 1.0
-    return DiscretePhaseType(alpha, chain)
-
-
-def sntf_distribution(config: SystemConfig) -> DiscretePhaseType:
+def sntf_distribution(config: SystemConfig) -> StateChain:
     """Shock-count law on the paper's consolidated chain, state by state."""
-    return _started(build_state_chain(config.n, config.k, config.bc, config.r))
+    return build_state_chain(config.n, config.k, config.bc, config.r)
 
 
-def count_distribution(config: SystemConfig) -> DiscretePhaseType:
+def count_distribution(config: SystemConfig) -> CountChain:
     """The same shock-count law on the operating-count chain."""
-    return _started(build_count_chain(config.n, config.k, config.bc, config.r))
+    return build_count_chain(config.n, config.k, config.bc, config.r)
 
 
 def _dot(v: np.ndarray, w: np.ndarray) -> float:
@@ -81,41 +54,60 @@ def _dot(v: np.ndarray, w: np.ndarray) -> float:
     return float(np.multiply(v, w).sum())
 
 
-def pmf_survival_series(dist: DiscretePhaseType, m_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """P{M = m} = alpha P^(m-1) (w - P w) and P{M > m} = alpha P^m w for
+def pmf_survival_series(chain: StateChain | CountChain, m_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """P{M = m} = e_0 P^(m-1) (w - P w) and P{M > m} = e_0 P^m w for
     m = 1..m_max, in a single sweep."""
     pmf = np.empty(m_max)
     surv = np.empty(m_max)
-    w = dist.weights
-    v = dist.alpha
+    w = chain.weights
+    v = np.zeros(chain.size)
+    v[0] = 1.0
     for m in range(1, m_max + 1):
-        pmf[m - 1] = _dot(v, dist.absorb)
-        v = dist.chain.step(v)
+        pmf[m - 1] = _dot(v, chain.absorb)
+        v = chain.step(v)
         surv[m - 1] = _dot(v, w)
     return pmf, surv
 
 
-def survival_direct(config: SystemConfig, m: int) -> float:
-    """P{M > m} = h(r^m), the reliability polynomial, without any matrix."""
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    return float(reliability_polynomial(config.n, config.k, config.bc, config.r**m))
+def _powers(r: float, m: int | np.ndarray, least: int) -> float | np.ndarray:
+    """r**(m - least) for an int m, as a float, or for each entry of an
+    integer array m, as an array.  Python's float power forms each one:
+    numpy's array power rounds some of them differently, and moves printed
+    digits.  Raises ValueError when m < least."""
+    ms = np.asarray(m)
+    es = ms.ravel().tolist()
+    if min(es, default=least) < least:
+        raise ValueError(f"m must be >= {least}, got {min(es)}")
+    powers = [r ** (e - least) for e in es]
+    return np.array(powers).reshape(ms.shape) if ms.ndim else powers[0]
 
 
-def pmf_direct(config: SystemConfig, m: int) -> float:
+def survival_direct(config: SystemConfig, m: int | np.ndarray) -> float | np.ndarray:
+    """P{M > m} = h(r^m), the reliability polynomial, without any matrix.
+
+    m is an int, which gives a float, or an integer array, which gives an
+    array of the same shape.
+    """
+    surv = reliability_polynomial(config.n, config.k, config.bc, _powers(config.r, m, 0))
+    return surv if surv.ndim else float(surv)
+
+
+def pmf_direct(config: SystemConfig, m: int | np.ndarray) -> float | np.ndarray:
     """P{M = m} as a sum of nonnegative terms over the operating count.
 
     After m - 1 shocks j units operate with probability
     C(n, j) p^j (1 - p)^(n - j), p = r^(m - 1); such a state is nonfailed
     and fails at the next shock with probability a_j, the count chain's
-    absorb.  No survival sums are subtracted, so nothing cancels.
+    absorb.  No survival sums are subtracted, so nothing cancels.  m is an
+    int, which gives a float, or an integer array, which gives an array of
+    the same shape.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    p = np.asarray(_powers(config.r, m, 1))
     n = config.n
     chain = build_count_chain(n, config.k, config.bc, config.r)
-    reach = _binomial_terms(_binomials(n)[n:], np.array([n]), config.r ** (m - 1))[0]
-    return float(reach[n - np.arange(chain.size)] @ chain.absorb)
+    reach = _binomial_terms(_binomials(n)[n:], np.array([n]), p[..., None])
+    pmf = reach[..., n - np.arange(chain.size)] @ chain.absorb
+    return pmf if p.ndim else float(pmf[0])
 
 
 def _solve(chain: StateChain | CountChain, rhs: np.ndarray) -> np.ndarray:
@@ -123,22 +115,21 @@ def _solve(chain: StateChain | CountChain, rhs: np.ndarray) -> np.ndarray:
     return layered_solve(chain, lambda rows, stay, inflow: (rhs[rows] + inflow) / (1.0 - stay))
 
 
-def mean_closed(dist: DiscretePhaseType) -> float:
-    """Mean shock count alpha (I - P)^(-1) w via one back-substitution."""
-    x = _solve(dist.chain, dist.weights)
-    return float(dist.alpha @ x)
+def mean_closed(chain: StateChain | CountChain) -> float:
+    """Mean shock count e_0 (I - P)^(-1) w via one back-substitution."""
+    return float(_solve(chain, chain.weights)[0])
 
 
-def factorial_moment(dist: DiscretePhaseType, p: int) -> float:
-    """E[M(M-1)...(M-p+1)] = p! alpha P^(p-1) (I-P)^(-p) w."""
+def factorial_moment(chain: StateChain | CountChain, p: int) -> float:
+    """E[M(M-1)...(M-p+1)] = p! e_0 P^(p-1) (I-P)^(-p) w."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    w = dist.weights
+    w = chain.weights
     for _ in range(p - 1):
-        w = dist.chain.apply(w)
+        w = chain.apply(w)
     for _ in range(p):
-        w = _solve(dist.chain, w)
-    return float(factorial(p) * (dist.alpha @ w))
+        w = _solve(chain, w)
+    return float(factorial(p) * w[0])
 
 
 def raw_moment_series(config: SystemConfig, p: int, tol: float = 1e-12) -> float:
@@ -153,7 +144,7 @@ def raw_moment_series(config: SystemConfig, p: int, tol: float = 1e-12) -> float
         raise ValueError(f"p must be >= 1, got {p}")
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    rho = float(reliability_polynomial(config.n, config.k, config.bc, config.r))
+    rho = survival_direct(config, 1)
     # 1 - rho as P{M = 1}, a sum of nonnegative terms: the difference
     # rounds to 0 where one shock almost never fails the system.
     fail_1 = pmf_direct(config, 1)
@@ -166,7 +157,7 @@ def raw_moment_series(config: SystemConfig, p: int, tol: float = 1e-12) -> float
     m0 = 1
     while True:
         ms = np.arange(m0, m0 + _SERIES_BLOCK, dtype=np.float64)
-        surv = reliability_polynomial(config.n, config.k, config.bc, config.r**ms)
+        surv = survival_direct(config, ms)
         pmf = np.concatenate(([prev_surv], surv[:-1])) - surv
         total += float((ms**p * pmf).sum())
         prev_surv = float(surv[-1])

@@ -117,17 +117,11 @@ def _feasible_rank(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
     return rank
 
 
-@lru_cache(maxsize=16)
 def nonfailed_closure(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
     """Bool array over all 2**n bitmasks: the operating set contains a
-    balanced set of at least k units, ``rank_table(n, bc) >= k``.
-
-    The array is read-only and shared between callers; raises NoTieSets
-    when it is empty.
-    """
-    table = _feasible_rank(n, k, bc) >= k
-    table.flags.writeable = False
-    return table
+    balanced set of at least k units, ``rank_table(n, bc) >= k``.  Raises
+    NoTieSets when it is empty."""
+    return _feasible_rank(n, k, bc) >= k
 
 
 @lru_cache(maxsize=128)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .chain import CountChain, StateChain, layered_solve
 from .errors import ConfigError, NonConvergence, SingularSystem
-from .sntf import DiscretePhaseType, sntf_distribution
+from .sntf import sntf_distribution
 from .system import SystemConfig
 
 PRESET_LABELS = ("ER", "EXP", "HE")
@@ -173,14 +173,16 @@ class CompoundPhaseType:
             raise SingularSystem(str(exc)) from exc
 
 
-def compound_ph(dist: DiscretePhaseType, Y: ContinuousPhaseType) -> CompoundPhaseType:
-    """Random sum of per-shock durations as one phase-type distribution.
+def compound_ph(chain: StateChain | CountChain, Y: ContinuousPhaseType) -> CompoundPhaseType:
+    """Random sum of per-shock durations as one phase-type distribution,
+    started in chain state 0 with Y's initial phase law: alpha = e_0 x beta.
 
     Its dimension is the shock-count chain's size times Y.K, so the chain's
     own bounds are the only cap it needs.
     """
-    alpha = np.outer(dist.alpha, Y.alpha).ravel()
-    return CompoundPhaseType(alpha, dist.chain, Y)
+    alpha = np.zeros((chain.size, Y.K))
+    alpha[0] = Y.alpha
+    return CompoundPhaseType(alpha.ravel(), chain, Y)
 
 
 def compound_from_config(config: SystemConfig) -> CompoundPhaseType:

@@ -18,19 +18,23 @@ matrix over all 2**n states entry by entry, ``dense_transition`` reads a
 chain's matrix off its column action, and ``to_dense`` assembles the
 compound subgenerator from it.  ``integrate_pdf`` integrates a failure-time
 density, evaluated one point at a time, by adaptive Simpson quadrature.
-The tests compare each with the package's route.
+``exact_count_moments`` back-substitutes on the count chain in rational
+arithmetic.  The tests compare each with the package's route.
 
 Monte Carlo: ``walk_shock_counts`` finds each replication's failure shock
 from its unit lifetimes one shock at a time, without sort keys.
 """
 
+from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from ckngb.chain import _transition_rows
 from ckngb.errors import CapacityExceeded, NoTieSets, NonConvergence, OddNUnsupported
 from ckngb.system import BC3_TOLERANCE_PER_UNIT, BalanceCondition, balanced_mask_table
+from ckngb.tiesets import count_profile
 from ckngb.ttf import pdf_grid
 
 DENSE_CAP = 4096
@@ -174,6 +178,29 @@ def to_dense(Z):
         raise CapacityExceeded(f"dense subgenerator capped at {DENSE_CAP}, need {Z.dim}")
     block = np.outer(Z.shock.exit_rates, Z.shock.alpha)
     return np.kron(np.eye(Z.states), Z.shock.T) + np.kron(dense_transition(Z.chain), block)
+
+
+def exact_count_moments(n, k, bc, r):
+    """E[M] and E[M(M-1)] as Fractions, exact at the binary value of the
+    float r: x = (I - P)^(-1) q and y = (I - P)^(-1) x by back-substitution
+    over the operating count j, then E[M] = x_n and E[M(M-1)] = 2 (P y)_n,
+    with P[j, b] = C(j, b) r^b (1 - r)^(j - b) and q_j = c_j / C(n, j).
+    The state j = 0 is failed and never left, so x_0 = y_0 = 0."""
+    r = Fraction(r)
+    counts = count_profile(n, k, bc)
+    q = [Fraction(int(c), comb(n, j)) for j, c in enumerate(counts)]
+
+    def step(j, x):
+        return sum(comb(j, b) * r**b * (1 - r) ** (j - b) * x[b] for b in range(j + 1))
+
+    def solve(rhs):
+        x = [Fraction(0)] * (n + 1)
+        for j in range(1, n + 1):
+            x[j] = (rhs[j] + step(j, x)) / (1 - r**j)  # x[j] is 0 inside step
+        return x
+
+    x = solve(q)
+    return x[n], 2 * step(n, solve(x))
 
 
 def _simpson(f, a, fa, b, fb, fm, tol, depth):

@@ -5,13 +5,16 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import ckngb.experiments as experiments
 import ckngb.montecarlo as montecarlo
+import ckngb.sntf as sntf
 from ckngb.chain import MAX_STATE_UNITS, build_state_chain, state_chain
 from ckngb.cli import main
 from ckngb.errors import ConfigError, NoTieSets, NonConvergence
@@ -155,12 +158,15 @@ class TestExitCodes:
         assert captured.out == ""
         assert "r:" in captured.err
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_z_max_flag_is_config_error(self, value, config_file, capsys):
-        assert main(["ttf", "--config", config_file(REFERENCE_DOC), "--z-max", value]) == 2
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("z-max", "nan"), ("z-max", "inf"), ("m-max", "0"), ("reps", "0"), ("threads", "0")],
+    )
+    def test_bad_flag_is_config_error(self, flag, value, config_file, capsys):
+        assert main(["ttf", "--config", config_file(REFERENCE_DOC), f"--{flag}", value]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "z_max:" in captured.err
+        assert f"{flag.replace('-', '_')}:" in captured.err
 
     def test_huge_z_max_finishes(self, config_file, tmp_path):
         # the survival underflows to exactly zero long before z = 1e300
@@ -505,6 +511,30 @@ class TestCommands:
             ]
         )
         assert rc == 0
+
+    def test_tables_take_one_direct_call_each(self, monkeypatch):
+        """sntf-pmf forms its table in one pmf_direct and one survival_direct
+        call, and validate makes at most three direct-law calls itself (the
+        moment series it runs is not counted), whatever m_max is."""
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(sntf, name)
+
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return call
+
+        routes = {name: counted(name) for name in ("pmf_direct", "survival_direct")}
+        monkeypatch.setattr(experiments, "sntf", SimpleNamespace(**{**vars(sntf), **routes}))
+        spec = experiments.parse_config(dict(REFERENCE_DOC, reps=2000))
+        experiments.run_sntf_pmf(spec)
+        assert calls == Counter(pmf_direct=1, survival_direct=1)
+        calls.clear()
+        experiments.run_validate(spec)
+        assert 1 <= sum(calls.values()) <= 3
 
     def test_validate_passes_on_reference(self, config_file, tmp_path):
         out = tmp_path / "checks.csv"

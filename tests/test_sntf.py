@@ -17,7 +17,7 @@ from ckngb.sntf import (
 )
 from ckngb.system import BalanceCondition, SystemConfig
 from ckngb.tiesets import count_profile
-from oracles import dense_transition
+from oracles import dense_transition, exact_count_moments
 
 BC1, BC2, BC3 = BalanceCondition.BC1, BalanceCondition.BC2, BalanceCondition.BC3
 
@@ -29,15 +29,15 @@ def reference(reference_config):
 
 class TestDistribution:
     def test_reference_shape(self, reference):
-        assert reference.alpha.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-        assert dense_transition(reference.chain).shape == (7, 7)
+        assert reference.masks[0] == 2**4 - 1  # started in the all-ones state
+        assert dense_transition(reference).shape == (7, 7)
 
     def test_single_state_cases(self):
         d = sntf_distribution(SystemConfig(2, 2, 0.6))
-        assert d.alpha.tolist() == [1.0]
-        assert dense_transition(d.chain) == pytest.approx(np.array([[0.36]]))
+        assert d.masks[0] == 2**2 - 1
+        assert dense_transition(d) == pytest.approx(np.array([[0.36]]))
         d = sntf_distribution(SystemConfig(4, 4, 0.6))
-        assert dense_transition(d.chain) == pytest.approx(np.array([[0.6**4]]))
+        assert dense_transition(d) == pytest.approx(np.array([[0.6**4]]))
 
 
 class TestPmf:
@@ -111,8 +111,9 @@ def test_direct_equals_matrix_random_configs(n, r, m, data):
     assert abs(pmf[m - 1] - pmf_direct(config, m)) < 1e-12
 
 
+@pytest.mark.parametrize("ms", [(1, 2, 10, 50), np.array([1, 2, 10, 50])], ids=["ints", "array"])
 @pytest.mark.parametrize("n,k,bc,r", [(12, 2, BC3, 0.999), (10, 2, BC1, 0.95)])
-def test_pmf_direct_matches_exact_arithmetic(n, k, bc, r):
+def test_pmf_direct_matches_exact_arithmetic(n, k, bc, r, ms):
     # failing in one shock is rare here, so P{M = 1} formed as a difference
     # of survival sums would cancel
     counts = [int(c) for c in count_profile(n, k, bc)]
@@ -123,9 +124,13 @@ def test_pmf_direct_matches_exact_arithmetic(n, k, bc, r):
         return sum(c * p**j * (1 - p) ** (n - j) for j, c in enumerate(counts))
 
     config = SystemConfig(n, k, r, bc)
-    for m in (1, 2, 10, 50):
+    if isinstance(ms, np.ndarray):  # one call for the table
+        got = pmf_direct(config, ms).tolist()
+    else:
+        got = [pmf_direct(config, m) for m in ms]
+    for m, value in zip(np.asarray(ms).tolist(), got):
         exact = survival_exact(m - 1) - survival_exact(m)
-        assert abs(Fraction(pmf_direct(config, m)) - exact) <= Fraction(1, 10**13) * exact, m
+        assert abs(Fraction(value) - exact) <= Fraction(1, 10**13) * exact, m
 
 
 @pytest.mark.parametrize("n,k,bc,r", [(12, 2, BC3, 0.999), (10, 2, BC1, 0.95)])
@@ -148,6 +153,33 @@ def test_matrix_route_matches_exact_arithmetic(n, k, bc, r):
         want = exact[m - 1] - exact[m]
         assert abs(Fraction(float(pmf[m - 1])) - want) <= bound * want, m
         assert abs(Fraction(float(surv[m - 1])) - exact[m]) <= bound * exact[m], m
+
+
+@pytest.mark.parametrize("r,bound", [(0.999, 3e-14), (0.9999, 7e-13)])
+def test_closed_moments_match_exact_arithmetic_as_r_nears_one(r, bound):
+    """mean_closed and factorial_moment(., 2) on both chains against the
+    count chain solved in rational arithmetic, at n=12 k=2 BC3.  Worst
+    relative errors measured over the two chains: 9.2e-15 at r = 0.999
+    and 2.3e-13 at r = 0.9999; each bound is 3x that.  The digits go in
+    the layered solve's 1 - r^s, which cancels the rounded r^s."""
+    config = SystemConfig(12, 2, r, BC3)
+    mean, fm2 = exact_count_moments(12, 2, BC3, r)
+    for chain in (count_distribution(config), sntf_distribution(config)):
+        assert abs(Fraction(mean_closed(chain)) - mean) <= Fraction(bound) * mean
+        assert abs(Fraction(factorial_moment(chain, 2)) - fm2) <= Fraction(bound) * fm2
+
+
+def test_series_moments_match_exact_arithmetic_near_one():
+    """raw_moment_series at n=12 k=2 BC3 r=0.999 against rational
+    arithmetic.  Measured relative errors: 3.2e-16 for E[M] and 1.8e-16 for
+    E[M^2], so the survival-difference pmf loses no digits here; the bound
+    is 3x the worse."""
+    bound = Fraction(1, 10**15)
+    config = SystemConfig(12, 2, 0.999, BC3)
+    mean, fm2 = exact_count_moments(12, 2, BC3, 0.999)
+    for p, want in ((1, mean), (2, fm2 + mean)):
+        got = Fraction(raw_moment_series(config, p, 1e-12))
+        assert abs(got - want) <= bound * want, p
 
 
 class TestMoments:

@@ -69,17 +69,16 @@ def pmf_survival_series(chain: StateChain | CountChain, m_max: int) -> tuple[np.
     return pmf, surv
 
 
-def _powers(r: float, m: int | np.ndarray, least: int) -> float | np.ndarray:
-    """r**(m - least) for an int m, as a float, or for each entry of an
-    integer array m, as an array.  Python's float power forms each one:
-    numpy's array power rounds some of them differently, and moves printed
-    digits.  Raises ValueError when m < least."""
+def _powers(r: float, m: int | np.ndarray, least: int) -> np.ndarray:
+    """r**(m - least) for each entry of the int or integer array m, in an
+    array of m's shape.  Python's float power forms each one: numpy's array
+    power rounds some of them differently, and moves printed digits.
+    Raises ValueError when m < least."""
     ms = np.asarray(m)
     es = ms.ravel().tolist()
     if min(es, default=least) < least:
         raise ValueError(f"m must be >= {least}, got {min(es)}")
-    powers = [r ** (e - least) for e in es]
-    return np.array(powers).reshape(ms.shape) if ms.ndim else powers[0]
+    return np.array([r ** (e - least) for e in es]).reshape(ms.shape)
 
 
 def survival_direct(config: SystemConfig, m: int | np.ndarray) -> float | np.ndarray:
@@ -102,7 +101,7 @@ def pmf_direct(config: SystemConfig, m: int | np.ndarray) -> float | np.ndarray:
     int, which gives a float, or an integer array, which gives an array of
     the same shape.
     """
-    p = np.asarray(_powers(config.r, m, 1))
+    p = _powers(config.r, m, 1)
     n = config.n
     chain = build_count_chain(n, config.k, config.bc, config.r)
     reach = _binomial_terms(_binomials(n)[n:], np.array([n]), p[..., None])

@@ -37,7 +37,7 @@ DEFAULT_R_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))  # 0.05 .. 0.95
 # Upper bounds on the integer options and the sweep grid, checked before
 # any work (README, "Config file").  m_max, z_steps and the points of a
 # sweep grid set the rows of a table built in full before it is written:
-# 10^5 rows take 0.5-0.9 s (sntf-pmf) to 6 s (ttf) and under 80 MB, 10^5
+# 10^5 rows take 0.5-1.1 s (sntf-pmf, ttf) and under 80 MB, 10^5
 # sweep points at n = 12 9-28 s and under 100 MB.  reps is bounded as a
 # failure-time run's inter-shock draws are: 2^25 shock counts take 5-12 s
 # and 660 MB.

@@ -5,8 +5,9 @@ plus custom specs).  The failure time is the random sum of one
 inter-shock draw per shock, which is again phase-type: its subgenerator
 combines the inter-shock generator on the diagonal blocks with shock
 transitions routed through the exit rates.  Neither the subgenerator nor
-its matrix exponential is formed: the exponential's action on a vector is
-computed by uniformization from the shock chain's row action, and moments
+its matrix exponential is formed: density and survival on a grid are read
+off uniformization series built from the shock chain's row action, one
+series per stride of the grid, and moments
 come from block back-substitution over the shock chain's layers.  A law
 inverts its layers' diagonal blocks once and keeps the moments it has
 solved for, so E[Z^p] and every lower moment cost p back-substitutions in
@@ -29,7 +30,9 @@ from .system import SystemConfig
 PRESET_LABELS = ("ER", "EXP", "HE")
 
 _POISSON_TAIL = 1e-14
-_STEP_BUDGET = 50.0  # max uniformization rate*length handled per stride
+# max uniformization rate*length of a stride; one series serves every grid
+# point in it, and exp(-50) leaves the Poisson weights far from underflow
+_STEP_BUDGET = 50.0
 _TERM_CAP = 100_000
 
 
@@ -196,72 +199,105 @@ def _apply_generator_left(Z: CompoundPhaseType, U: np.ndarray) -> np.ndarray:
     """Row-vector product u T_Z with u laid out as an (N, K) array."""
     Tc = Z.shock.T
     out = U @ Tc
-    out += np.outer(Z.chain.step(U @ Z.shock.exit_rates), Z.shock.alpha)
+    out += Z.chain.step(U @ Z.shock.exit_rates)[:, None] * Z.shock.alpha
     return out
-
-
-def _exp_action_left(Z: CompoundPhaseType, U: np.ndarray, dz: float) -> np.ndarray:
-    """u exp(dz T_Z) by uniformization, striding so each stride keeps the
-    Poisson mode small enough for plain double accumulation.  Striding
-    stops once u underflows to all zeros, which every stride keeps."""
-    if dz < 0:
-        raise ValueError(f"elapsed time must be >= 0, got {dz}")
-    if dz == 0.0:
-        return U.copy()
-    lam = Z.uniformization_rate
-    strides = max(1, math.ceil(lam * dz / _STEP_BUDGET))
-    h = dz / strides
-    lam_h = lam * h
-    for _ in range(strides):
-        weight = math.exp(-lam_h)
-        term = U
-        acc = weight * U
-        cum = weight
-        j = 0
-        while cum < 1.0 - _POISSON_TAIL:
-            j += 1
-            if j > _TERM_CAP:
-                raise NonConvergence("uniformization series exceeded its term budget")
-            term = term + _apply_generator_left(Z, term) / lam
-            weight *= lam_h / j
-            acc += weight * term
-            cum += weight
-        U = acc
-        if not U.any():
-            break
-    return U
 
 
 def _alpha_matrix(Z: CompoundPhaseType) -> np.ndarray:
     return Z.alpha.reshape(Z.states, Z.K)
 
 
-def _density_from(Z: CompoundPhaseType, U: np.ndarray) -> float:
-    # exit rate of phase (a, j) is absorb[a] * exit_rates[j]
-    return float((U @ Z.shock.exit_rates) @ Z.chain.absorb)
-
-
-def _survival_from(Z: CompoundPhaseType, U: np.ndarray) -> float:
-    return float(U.sum(axis=1) @ Z.chain.weights)
-
-
 def pdf_grid(Z: CompoundPhaseType, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Failure-time density -alpha exp(z T_Z) T_Z (w x e) and survival
-    P{Z > z} = alpha exp(z T_Z) (w x e) on an ascending grid, propagating
-    one state vector between the grid points."""
+    P{Z > z} = alpha exp(z T_Z) (w x e) on an ascending grid.
+
+    Uniformization at rate lam: u exp(mu T_Z / lam) is the Poisson(mu)
+    mixture of the terms u P^j, P = I + T_Z / lam.  One series serves
+    every grid point of a stride, which starts at the last point solved
+    (or z = 0) and spans mu = lam (z - start) <= _STEP_BUDGET.  Past a
+    16 KB batch a term is kept only as its two functionals, density and
+    survival, and as its Poisson weight at the stride's end in the next
+    start vector; a point reads the Poisson(lam (z - start))-weighted sum
+    of those scalars.  The series runs to the Poisson tail of the stride's
+    largest mu, which covers every smaller mu.  A gap with no grid point
+    is crossed one full stride at a time, and once the start vector has
+    underflowed to zero every later point reads zero.
+    """
     zs = np.asarray(zs, dtype=np.float64)
-    if zs.size and (np.any(np.diff(zs) < 0) or zs[0] < 0):
-        raise ValueError("grid must be ascending and nonnegative")
-    dens = np.empty(zs.size)
-    surv = np.empty(zs.size)
+    if zs.size and not (np.isfinite(zs).all() and (np.diff(zs) >= 0).all() and zs[0] >= 0):
+        raise ValueError("grid must be finite, ascending and nonnegative")
+    values = np.zeros((2, zs.size))  # density and survival per point
+    lam = Z.uniformization_rate
+    # exit rate of phase (a, j) is absorb[a] * exit_rates[j]
+    functionals = np.stack(
+        [
+            np.outer(Z.chain.absorb, Z.shock.exit_rates).ravel(),
+            np.repeat(Z.chain.weights, Z.K),
+        ]
+    )
+    # Terms are held only in a batch of at most 16 KB, or of one term when
+    # a term is larger.  A full batch is read, pairwise over the states (a
+    # BLAS product over the state chain loses digits), and folded into the
+    # next start vector, one product each.
+    batch = np.empty((max(1, 2**11 // Z.dim), Z.states, Z.K))
+    flat = batch.reshape(len(batch), -1)
+
     U = _alpha_matrix(Z)
-    prev = 0.0
-    for i, z in enumerate(zs):
-        U = _exp_action_left(Z, U, float(z) - prev)
-        prev = float(z)
-        dens[i] = _density_from(Z, U)
-        surv[i] = _survival_from(Z, U)
-    return dens, surv
+    start = 0.0
+    i = 0
+    while i < zs.size and U.any():
+        end = start + _STEP_BUDGET / lam
+        stop = int(np.searchsorted(zs, end, side="right"))
+        points = stop > i
+        if points:
+            end = float(zs[stop - 1])
+        carry = stop < zs.size  # a later point starts from the vector at end
+        mu_end = lam * (end - start)
+        weights = [math.exp(-mu_end)]
+        cum = weights[0]
+        scalars = []
+        next_start = np.zeros(Z.dim)
+
+        def fold(held):
+            # the last `held` terms, in rows 0 .. held - 1
+            if points:
+                scalars.append([np.add.reduce(flat[:held] * f, axis=1) for f in functionals])
+            if carry:
+                next_start[:] += np.array(weights[-held:]) @ flat[:held]
+
+        batch[0] = U
+        j = 0
+        while cum < 1.0 - _POISSON_TAIL:
+            j += 1
+            if j > _TERM_CAP:
+                raise NonConvergence("uniformization series exceeded its term budget")
+            term = batch[(j - 1) % len(batch)]
+            step = _apply_generator_left(Z, term) / lam
+            if j % len(batch) == 0:
+                fold(len(batch))
+            np.add(term, step, out=batch[j % len(batch)])
+            weights.append(weights[-1] * mu_end / j)
+            cum += weights[-1]
+        fold(j % len(batch) + 1)
+        U = next_start.reshape(Z.states, Z.K)
+        if points:
+            S = np.concatenate(scalars, axis=1)  # density and survival by term
+            divisors = np.arange(S.shape[1], dtype=np.float64)
+            divisors[0] = 1.0
+            # Poisson weights of the stride's points, w_j = w_(j-1) mu / j,
+            # for 8 KB of points at a time; a point's sums over j are
+            # pairwise, so they do not depend on how the points are chunked
+            chunk = max(1, 2**10 // S.shape[1])
+            for lo in range(i, stop, chunk):
+                mu = lam * (zs[lo : min(lo + chunk, stop)] - start)
+                W = mu[:, None] / divisors
+                W[:, 0] = np.exp(-mu)
+                np.cumprod(W, axis=1, out=W)
+                for c in range(2):
+                    values[c, lo : lo + mu.size] = np.add.reduce(W * S[c], axis=1)
+            i = stop
+        start = end
+    return values[0], values[1]
 
 
 def _solve_neg_generator(Z: CompoundPhaseType, B: np.ndarray) -> np.ndarray:

@@ -19,7 +19,9 @@ chain's matrix off its column action, and ``to_dense`` assembles the
 compound subgenerator from it.  ``integrate_pdf`` integrates a failure-time
 density, evaluated one point at a time, by adaptive Simpson quadrature.
 ``exact_count_moments`` back-substitutes on the count chain in rational
-arithmetic.  The tests compare each with the package's route.
+arithmetic, and ``exact_pdf_survival`` tabulates a count-chain failure-time
+law by ``mpmath.expm`` of its dense generator.  The tests compare each with
+the package's route.
 
 Monte Carlo: ``walk_shock_counts`` finds each replication's failure shock
 from its unit lifetimes one shock at a time, without sort keys.
@@ -29,6 +31,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import mpmath
 import numpy as np
 
 from ckngb.chain import _transition_rows
@@ -201,6 +204,55 @@ def exact_count_moments(n, k, bc, r):
 
     x = solve(q)
     return x[n], 2 * step(n, solve(x))
+
+
+def exact_compound(n, k, bc, r, Y):
+    """The count-chain failure-time law in mpmath at the working precision,
+    exact at the binary values of the float r and of Y's alpha and T.
+
+    States run from j = n operating units down to the fewest of a
+    nonfailed state, as in ``build_count_chain``, with the thinning
+    P[j, b] = C(j, b) r^b (1 - r)^(j - b) and q_j = c_j / C(n, j) formed
+    in mpmath.  Returns the dense generator I x T + P x (t alpha^T), the
+    start row e_0 x alpha, and the columns (q - P q) x t and q x e that
+    read density and survival off alpha exp(z G).
+    """
+    r = mpmath.mpf(r)
+    counts = count_profile(n, k, bc)
+    js = range(n, int(np.argmax(counts > 0)) - 1, -1)
+    q = [mpmath.mpf(int(counts[j])) / comb(n, j) for j in js]
+    K = Y.K
+    T = mpmath.matrix(Y.T.tolist())
+    t = [-mpmath.fsum(T[x, y] for y in range(K)) for x in range(K)]
+    dim = len(js) * K
+    G = mpmath.zeros(dim, dim)
+    start = mpmath.zeros(1, dim)
+    dens = mpmath.zeros(dim, 1)
+    surv = mpmath.zeros(dim, 1)
+    for a, j in enumerate(js):
+        row = [comb(j, b) * r**b * (1 - r) ** (j - b) for b in js]  # 0 for b > j
+        stepped = mpmath.fsum(p * qb for p, qb in zip(row, q))
+        for x in range(K):
+            dens[a * K + x] = (q[a] - stepped) * t[x]
+            surv[a * K + x] = q[a]
+            for b in range(a, len(js)):
+                for y in range(K):
+                    G[a * K + x, b * K + y] = row[b] * t[x] * Y.alpha[y] + (T[x, y] if b == a else 0)
+    for y in range(K):
+        start[0, y] = Y.alpha[y]
+    return G, start, dens, surv
+
+
+def exact_pdf_survival(n, k, bc, r, Y, zs, dps=40):
+    """Density and survival of ``exact_compound``'s law at each z, as
+    mpmath numbers, from ``mpmath.expm`` at dps digits."""
+    with mpmath.workdps(dps):
+        G, start, dens, surv = exact_compound(n, k, bc, r, Y)
+        out = []
+        for z in zs:
+            v = start * mpmath.expm(mpmath.mpf(z) * G)
+            out.append(((v * dens)[0], (v * surv)[0]))
+    return out
 
 
 def _simpson(f, a, fa, b, fb, fm, tol, depth):

@@ -12,6 +12,7 @@ from ckngb.experiments import ExperimentSpec, run_sweep_scv
 from ckngb.sntf import count_distribution, mean_closed, sntf_distribution
 from ckngb.system import BalanceCondition, SystemConfig
 from ckngb.ttf import (
+    PRESET_LABELS,
     CompoundPhaseType,
     ContinuousPhaseType,
     InterShockSpec,
@@ -25,9 +26,9 @@ from ckngb.ttf import (
     validate_ph,
 )
 from goldens import COMPOUND_GENERATOR
-from oracles import integrate_pdf, to_dense
+from oracles import exact_pdf_survival, integrate_pdf, to_dense
 
-BC3 = BalanceCondition.BC3
+BC2, BC3 = BalanceCondition.BC2, BalanceCondition.BC3
 
 
 def at(Z, z):
@@ -186,6 +187,11 @@ class TestDensity:
         with pytest.raises(ValueError):
             pdf_grid(Z, np.array([1.0, 0.5]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_grid_rejects_non_finite(self, reference_config, bad):
+        with pytest.raises(ValueError):
+            pdf_grid(compound_from_config(reference_config), [0.0, bad])
+
     def test_negative_time_rejected(self, reference_config):
         Z = compound_from_config(reference_config)
         with pytest.raises(ValueError):
@@ -201,6 +207,114 @@ class TestDensity:
         for z in np.linspace(0.2, 6.0, 20):
             slope = (at(Z, z + h)[1] - at(Z, z - h)[1]) / (2.0 * h)
             assert abs(-slope - at(Z, z)[0]) < 1e-5
+
+
+def count_applications(monkeypatch):
+    """A list that grows by one entry per generator application."""
+    calls = []
+    apply = ttf._apply_generator_left
+    monkeypatch.setattr(ttf, "_apply_generator_left", lambda Z, U: calls.append(1) or apply(Z, U))
+    return calls
+
+
+def rel_gap(a, b):
+    """|a - b| / |b|, and |a| where b is 0."""
+    b = np.asarray(b, dtype=float)
+    return np.abs(np.asarray(a) - b) / np.where(b == 0.0, 1.0, np.abs(b))
+
+
+class TestGridSeries:
+    """One uniformization series serves every grid point of a stride."""
+
+    def test_default_grid_takes_one_series(self, monkeypatch):
+        # A series per grid step applied the generator 1 800 times here.
+        calls = count_applications(monkeypatch)
+        Z = compound_ph(count_distribution(SystemConfig(12, 4, 0.9, BC3)), ph_from_preset("HE"))
+        pdf_grid(Z, np.linspace(0.0, 10.0, 201))
+        assert 0 < len(calls) <= 100
+
+    def test_value_does_not_depend_on_the_grid(self):
+        """z = 10 read off a 2-point grid and off a 10^5 + 1-point grid:
+        both take one series over [0, 10].  A series per grid step put
+        them 4.6e-11 apart."""
+        Z = compound_ph(count_distribution(SystemConfig(12, 4, 0.9, BC3)), ph_from_preset("HE"))
+        coarse = pdf_grid(Z, [0.0, 10.0])
+        fine = pdf_grid(Z, np.linspace(0.0, 10.0, 100_001))
+        for a, b in zip(coarse, fine):
+            assert rel_gap(a[-1], b[-1]) <= 1e-14
+
+    def test_empty_grid(self, reference_config, monkeypatch):
+        calls = count_applications(monkeypatch)
+        dens, surv = pdf_grid(compound_from_config(reference_config), [])
+        assert dens.shape == surv.shape == (0,)
+        assert calls == []
+
+    def test_grid_of_only_the_origin(self, reference_config, monkeypatch):
+        calls = count_applications(monkeypatch)
+        Z = compound_ph(sntf_distribution(reference_config), ph_from_preset("EXP"))
+        dens, surv = pdf_grid(Z, [0.0, 0.0])
+        # density at 0 is the first shock's failure probability times the exit rate 1
+        assert dens.tolist() == [Z.chain.absorb[0]] * 2
+        assert surv.tolist() == [1.0, 1.0]
+        assert calls == []
+
+    def test_repeated_points_read_the_same_values(self, reference_config):
+        Z = compound_from_config(reference_config)
+        dens, surv = pdf_grid(Z, [0.5, 2.0, 2.0, 2.0, 40.0, 40.0])
+        assert dens[1] == dens[2] == dens[3] and surv[1] == surv[2] == surv[3]
+        assert dens[4] == dens[5] and surv[4] == surv[5]
+        for z, d, s in zip((2.0, 40.0), dens[[1, 4]], surv[[1, 4]]):
+            density, survival = at(Z, z)
+            assert d == pytest.approx(density, rel=1e-13)
+            assert s == pytest.approx(survival, rel=1e-13)
+
+    @pytest.mark.parametrize("strides", [1.0, 2.5, 6.0])
+    def test_stride_end_and_gaps_against_exact(self, reference_config, strides):
+        """A point exactly one stride from the origin, and gaps of 2.5 and
+        6 strides with no point inside, against mpmath.expm at 40 digits.
+        Measured worst relative error 1.6e-15 (6 strides), bound 1e-14."""
+        Z = compound_from_config(reference_config)
+        h = ttf._STEP_BUDGET / Z.uniformization_rate
+        zs = [0.0, strides * h] if strides == 1.0 else [1.0, 1.0 + strides * h]
+        dens, surv = pdf_grid(Z, zs)
+        exact = exact_pdf_survival(4, 2, BC3, 0.7, Z.shock, zs)
+        assert rel_gap(dens, np.array([float(d) for d, _ in exact])).max() <= 1e-14
+        assert rel_gap(surv, np.array([float(s) for _, s in exact])).max() <= 1e-14
+
+
+# (n, k, bc, r), then per preset ER, EXP, HE the z where survival is 1e-10
+EXACT_LAWS = [
+    ((12, 4, BC3, 0.88), (57.343, 64.303, 78.906)),
+    ((14, 4, BC2, 0.8), (36.553, 44.149, 59.722)),
+    ((6, 2, BC3, 0.999), (12062.484, 12068.268, 12079.841)),
+]
+
+
+@pytest.mark.parametrize("label", PRESET_LABELS)
+@pytest.mark.parametrize("system,tails", EXACT_LAWS, ids=["n12-r0.88", "n14-r0.8", "n6-r0.999"])
+def test_grid_against_exact_arithmetic(system, tails, label):
+    """Density and survival at z = 0.05, 10 and where survival is 1e-10,
+    against ``oracles.exact_pdf_survival`` (mpmath.expm at 40 digits).
+
+    Measured worst relative errors over the three presets (pdf / survival):
+    n=12 r=0.88: 6.0e-16 / 6.4e-16; n=14 r=0.8: 3.5e-16 / 5.1e-16, so the
+    bound is 1e-14.  At r = 0.999 the 1e-10 point lies 241-826 strides
+    out, each dropping up to _POISSON_TAIL = 1e-14 of its mass: 4.7e-12 /
+    4.7e-12 there (HE), and 1.4e-13 / 9.5e-15 at z = 10 (EXP), so the
+    bound is 2e-11.  A series per grid step was off by 1.9e-12 at z = 0.05
+    (n=12, ER) and by 4.9e-12 at the r = 0.999 tail (HE).
+    """
+    Y = ph_from_preset(label)
+    zs = [0.05, 10.0, tails[PRESET_LABELS.index(label)]]
+    n, k, bc, r = system
+    dens, surv = pdf_grid(compound_ph(count_distribution(SystemConfig(n, k, r, bc)), Y), zs)
+    exact = exact_pdf_survival(n, k, bc, r, Y, zs)
+    exact_dens = np.array([float(d) for d, _ in exact])
+    exact_surv = np.array([float(s) for _, s in exact])
+    assert exact_surv[-1] == pytest.approx(1e-10, rel=1e-3)
+    bound = 2e-11 if r == 0.999 else 1e-14
+    assert rel_gap(dens, exact_dens).max() <= bound
+    assert rel_gap(surv, exact_surv).max() <= bound
 
 
 class TestMoments:

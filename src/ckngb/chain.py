@@ -22,19 +22,20 @@ c_j is the count profile.  Both chains start in state 0, the all-ones
 state, and give P{M > m} = e_0 P^m w, with w = q on the count chain and
 w = e on the state chain.  A shock never adds an operating unit, so P is
 block upper triangular over layers of equal operating count:
-``layered_solve`` back-substitutes one layer at a time on either chain.
+``layered_solve`` back-substitutes one layer at a time on either chain,
+or on a stack of count chains of one size, which is how a sweep solves
+its grid.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import CapacityExceeded, InvariantViolation
-from .system import BalanceCondition, SystemState
+from .system import MAX_UNITS, BalanceCondition, SystemState
 from .tiesets import count_profile, nonfailed_closure, popcounts
 
 # Dense N x N storage caps the dumped chain: 15 000 states take 1.8 GB.
@@ -122,13 +123,23 @@ def _binomial_terms(coef: np.ndarray, a: np.ndarray, r: float) -> np.ndarray:
     return coef * r ** b[None, :] * (1.0 - r) ** np.maximum(a[:, None] - b[None, :], 0)
 
 
-@lru_cache(maxsize=32)
-def _binomials(n: int) -> np.ndarray:
-    """C(a, b) for 0 <= a, b <= n, zero for b > a; read-only and shared."""
-    j = range(n + 1)
-    table = np.array([[math.comb(a, b) for b in j] for a in j], dtype=np.float64)
+def _pascal(size: int) -> np.ndarray:
+    """C(a, b) for 0 <= a, b < size, zero for b > a, row by row by Pascal's
+    rule; exact in float64 while C(size - 1, b) < 2^53.  Read-only."""
+    table = np.zeros((size, size))
+    table[:, 0] = 1.0
+    for a in range(1, size):
+        table[a, 1:] = table[a - 1, 1:] + table[a - 1, :-1]
     table.flags.writeable = False
     return table
+
+
+_BINOMIALS = _pascal(MAX_UNITS + 1)  # C(30, 15) < 2^53
+
+
+def _binomials(n: int) -> np.ndarray:
+    """C(a, b) for 0 <= a, b <= n, zero for b > a; read-only and shared."""
+    return _BINOMIALS[: n + 1, : n + 1]
 
 
 @lru_cache(maxsize=64)
@@ -238,12 +249,13 @@ class StateChain:
     the nonfailed masks back, so mass that reaches a failed mask is absorbed.
     ``absorb`` is the one-shock failure probability of each state.
     ``layers`` holds the states of each operating count s, fewest first,
-    with their self-transition probability r^s.
+    with their self-transition probability r^s as a one-entry array, which
+    broadcasts over the layer's states.
     """
 
     masks: np.ndarray
     absorb: np.ndarray
-    layers: tuple[tuple[np.ndarray, float], ...]
+    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
     n: int
     r: float
 
@@ -277,7 +289,7 @@ def state_chain(masks: np.ndarray, n: int, r: float) -> StateChain:
     absorb = _butterfly(failed, r, row=False)[masks]
     pops = popcounts(n)[masks]
     layers = tuple(
-        (rows, r**s) for s in range(n + 1) if (rows := np.flatnonzero(pops == s)).size
+        (rows, np.full(1, r**s)) for s in range(n + 1) if (rows := np.flatnonzero(pops == s)).size
     )
     return StateChain(masks, absorb, layers, n, r)
 
@@ -317,6 +329,10 @@ class CountChain:
     ``transition`` is upper triangular as in the consolidated chain.
     ``weights`` holds q_j, and ``absorb`` = w - P w the probability that
     the next shock fails the system from each state.
+
+    The arrays may carry leading axes: a stack of chains of one size, which
+    ``apply``, ``layered_solve`` and the solves built on it treat as one
+    chain with a value per member.  A single chain is the stack of shape ().
     """
 
     transition: np.ndarray
@@ -325,19 +341,42 @@ class CountChain:
 
     @property
     def size(self) -> int:
-        return self.weights.size
+        return self.weights.shape[-1]
 
     @cached_property
-    def layers(self) -> tuple[tuple[int, float], ...]:
-        """One state per layer, fewest operating units (the last state) first."""
-        P = self.transition
-        return tuple((a, P[a, a]) for a in range(self.size - 1, -1, -1))
+    def layers(self) -> tuple[tuple[slice, np.ndarray], ...]:
+        """One state per layer, fewest operating units (the last state)
+        first, with its stay P[a, a] of each member of the stack."""
+        stays = np.diagonal(self.transition, axis1=-2, axis2=-1)
+        return tuple((slice(a, a + 1), stays[..., a : a + 1]) for a in range(self.size - 1, -1, -1))
 
     def step(self, v: np.ndarray) -> np.ndarray:
         return v @ self.transition
 
     def apply(self, y: np.ndarray, rows=slice(None)) -> np.ndarray:
-        return self.transition[rows] @ y
+        # one BLAS dot per row, and one matrix-vector product per chain for
+        # more rows, whether the chain is single or stacked
+        return (self.transition[..., rows, :] @ y[..., None])[..., 0]
+
+
+def _count_law(full: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """q and absorb over every operating count j = 0..n, for the profiles
+    ``counts`` (..., n + 1) under the thinning matrices ``full``
+    (..., n + 1, n + 1), their leading axes broadcast against each other."""
+    n = counts.shape[-1] - 1
+    q = counts / _binomials(n)[n]
+    # The nonfailed set is an up-set, so q is nondecreasing in j (the LYM
+    # inequality).  Rounding c_j / C(n, j) is monotone, so this is exact.
+    if (q[..., 1:] < q[..., :-1]).any():
+        raise InvariantViolation(f"q_j = c_j / C(n, j) decreases in j: {q.tolist()}")
+    # Rows of full sum to one, so w - P w is this sum of nonnegative terms.
+    return q, (full * (q[..., :, None] - q[..., None, :])).sum(axis=-1)
+
+
+def _count_states(counts: np.ndarray) -> np.ndarray:
+    """States of each profile's count chain: j = n down to the fewest
+    operating units of a nonfailed state."""
+    return counts.shape[-1] - np.argmax(counts > 0, axis=-1)
 
 
 @lru_cache(maxsize=16)  # a command reads one system's chain in several calls
@@ -346,16 +385,9 @@ def build_count_chain(n: int, k: int, bc: BalanceCondition, r: float) -> CountCh
     if not 0.0 < r < 1.0:
         raise ValueError(f"r must lie strictly inside (0, 1), got {r}")
     counts = count_profile(n, k, bc)
-    q = counts / _binomials(n)[n]
-    # The nonfailed set is an up-set, so q is nondecreasing in j (the LYM
-    # inequality).  Rounding c_j / C(n, j) is monotone, so this is exact.
-    if (q[1:] < q[:-1]).any():
-        raise InvariantViolation(f"q_j = c_j / C(n, j) decreases in j: {q.tolist()}")
     full = _thinning(n, r)
-    # Rows of full sum to one, so w - P w is this sum of nonnegative terms.
-    absorb = (full * (q[:, None] - q[None, :])).sum(axis=1)
-    # states j = n down to the fewest operating units of a nonfailed state
-    size = n + 1 - int(np.argmax(counts > 0))
+    q, absorb = _count_law(full, counts)
+    size = int(_count_states(counts))
     return CountChain(
         np.ascontiguousarray(full[::-1, ::-1][:size, :size]),
         absorb[::-1][:size].copy(),
@@ -370,12 +402,14 @@ def layered_solve(chain: StateChain | CountChain, solve_layer) -> np.ndarray:
     ``solve_layer(rows, stay, inflow)`` solves one layer: ``stay`` is its
     self-transition probability and ``inflow`` = (P c)[rows], where c holds
     what the layers solved so far return (zero on the first layer).  The
-    filled c is returned.
+    filled c is returned.  On a stack of count chains c, ``stay`` and
+    ``inflow`` carry the stack's leading axes, and one pass solves every
+    member.
     """
-    carried = np.zeros(chain.size)
+    carried = np.zeros(chain.weights.shape)
     for i, (rows, stay) in enumerate(chain.layers):
         inflow = chain.apply(carried, rows) if i else 0.0
-        carried[rows] = solve_layer(rows, stay, inflow)
+        carried[..., rows] = solve_layer(rows, stay, inflow)
     return carried
 
 

@@ -14,7 +14,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from . import montecarlo, sntf, ttf
 from .errors import CapacityExceeded, ConfigError, InvariantViolation, NoTieSets, OddNUnsupported
 from .system import BalanceCondition, SystemConfig
 from .tiesets import (
+    count_profile,
     enumerate_min_tiesets,
     system_reliability_exact,
     system_reliability_product,
@@ -38,13 +39,16 @@ DEFAULT_R_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))  # 0.05 .. 0.95
 # any work (README, "Config file").  m_max, z_steps and the points of a
 # sweep grid set the rows of a table built in full before it is written:
 # 10^5 rows take 0.5-1.1 s (sntf-pmf, ttf) and under 80 MB, 10^5
-# sweep points at n = 12 9-28 s and under 100 MB.  reps is bounded as a
-# failure-time run's inter-shock draws are: 2^25 shock counts take 5-12 s
-# and 660 MB.
+# sweep points at n = 12 1.5-2.6 s and under 100 MB in one thread.  reps
+# is bounded as a failure-time run's inter-shock draws are: 2^25 shock
+# counts take 5-12 s and 660 MB.
 MAX_TABLE_ROWS = 10**5
 MAX_REPS = montecarlo.MAX_PHASE_DRAWS
 
 INFEASIBLE = "infeasible"
+# r values per block of a sweep's stacked count chains: a block at n = 12
+# holds at most 10 chains of 13 states per r, 3.5 MB of one-step matrices
+_R_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -256,11 +260,66 @@ def _sweep_points(spec: ExperimentSpec, *leading: Iterable) -> list[tuple]:
     return points
 
 
-def _grid_map(spec: ExperimentSpec, points: list, worker: Callable) -> list:
+def _grid_map(spec: ExperimentSpec, groups: Iterable, worker: Callable) -> Iterator:
+    """worker over the groups, in order; in one thread, one group at a time."""
     if spec.threads > 1:
         with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            return list(pool.map(worker, points))
-    return [worker(p) for p in points]
+            return pool.map(worker, groups)
+    return map(worker, groups)
+
+
+def _count_stacks(spec: ExperimentSpec) -> Iterator[tuple[list[tuple], chain_mod.CountChain]]:
+    """The count chains of the feasible systems (bc, n, k, r) of the grid,
+    2 <= k <= n - 1, as stacks of chains of one size: one (systems, stack)
+    pair per chain size and block of _R_BLOCK r values.
+
+    Each thinning matrix (n, r) is built once per sweep and each profile
+    (n, bc, k) read once per block.  The first system in row order that
+    SystemConfig refuses raises its error before any work; systems under
+    BC1 with odd n or with no tie-sets are left out.
+    """
+    rs = sorted(set(spec.r))
+    k_values = sorted(set(spec.k))
+    ks = {n: row for n in sorted(set(spec.n)) if (row := [k for k in k_values if 2 <= k <= n - 1])}
+    bcs = sorted(set(spec.bc), key=lambda bc: bc.value)
+    # a refusal depends on n, which is checked first, and r alone
+    first = next(iter(ks))
+    for r in rs:
+        SystemConfig(first, ks[first][0], r)
+    for n, row in ks.items():
+        SystemConfig(n, row[0], rs[0])
+    for lo in range(0, len(rs), _R_BLOCK):
+        block = rs[lo : lo + _R_BLOCK]
+        parts: dict[int, tuple] = {}  # chain size -> systems and array parts
+        for n, row in ks.items():
+            full = np.array([chain_mod._thinning(n, r) for r in block])
+            for bc in bcs:
+                try:
+                    SystemConfig(n, row[0], block[0], bc)  # BC1 needs an even n
+                except OddNUnsupported:
+                    continue
+                feasible = {}
+                for k in row:
+                    try:
+                        feasible[k] = count_profile(n, k, bc)
+                    except NoTieSets:
+                        pass
+                if not feasible:
+                    continue
+                profiles = np.array(list(feasible.values()))
+                q, absorb = chain_mod._count_law(full[:, None], profiles)
+                # state i of a chain holds n - i operating units
+                transition, absorb = full[:, ::-1, ::-1], absorb[..., ::-1]
+                q = np.repeat(q[None, :, ::-1], len(block), axis=0)
+                sizes = chain_mod._count_states(profiles).tolist()
+                for i, (k, size) in enumerate(zip(feasible, sizes)):
+                    systems, transitions, absorbs, weights = parts.setdefault(size, ([], [], [], []))
+                    systems += [(bc.value, n, k, r) for r in block]
+                    transitions.append(transition[:, :size, :size])
+                    absorbs.append(absorb[:, i, :size])
+                    weights.append(q[:, i, :size])
+        for size, (systems, *arrays) in sorted(parts.items()):
+            yield systems, chain_mod.CountChain(*map(np.concatenate, arrays))
 
 
 # ---------------------------------------------------------------- commands
@@ -320,58 +379,67 @@ def run_ttf(spec: ExperimentSpec) -> tuple[list[dict], dict]:
         {"z": float(z), "pdf": float(d), "survival": float(s)}
         for z, d, s in zip(zs, dens, surv)
     ]
-    return rows, _failure_time_summary(Z, ttf.ph_mean_scv(Z.shock)[0])
+    return rows, _failure_time_summary(Z, ttf.ph_mean_scv(Z.shock)[0], sntf.mean_closed(Z.chain))
 
 
-def _failure_time_summary(Z: ttf.CompoundPhaseType, mean_y: float) -> dict:
+def _failure_time_summary(
+    Z: ttf.CompoundPhaseType, mean_y: float, mean_m: float | np.ndarray
+) -> dict:
     """MTTF, its Wald-identity value E[M] E[Y] and the SCV of the failure
-    time Z, with E[M] read from Z's shock-count chain; mean_y is E[Y]."""
+    time Z; mean_y is E[Y] and mean_m is E[M] on Z's shock-count chain."""
     scv = ttf.scv(Z)  # solves for E[Z^2] and, on the way, E[Z]
-    return {
-        "mttf": ttf.raw_moment(Z, 1),
-        "mttf_wald": sntf.mean_closed(Z.chain) * mean_y,
-        "scv": scv,
-    }
+    return {"mttf": ttf.raw_moment(Z, 1), "mttf_wald": mean_m * mean_y, "scv": scv}
+
+
+def _sweep_rows(
+    points: list[tuple], names: tuple[str, ...], columns: tuple[str, ...]
+) -> tuple[list[dict], dict]:
+    """One row per point, its values INFEASIBLE until a solve fills them in,
+    and the row of each point; a point listed twice is one row, printed
+    twice."""
+    keys, blank = names + columns, (INFEASIBLE,) * len(columns)
+    by_point: dict[tuple, dict] = {}
+    rows = [by_point.setdefault(p, dict(zip(keys, p + blank))) for p in points]
+    return rows, by_point
 
 
 def run_sweep_msntf(spec: ExperimentSpec) -> list[dict]:
     points = _sweep_points(spec, [bc.value for bc in spec.bc])
-
-    def worker(point):
-        bc_value, n, k, r = point
-        try:
-            config = SystemConfig(n, k, r, BalanceCondition(bc_value))
-            msntf: Any = sntf.mean_closed(sntf.count_distribution(config))
-        except (NoTieSets, OddNUnsupported):
-            msntf = INFEASIBLE
-        return {"bc": bc_value, "n": n, "k": k, "r": r, "msntf": msntf}
-
-    return _grid_map(spec, points, worker)
+    rows, by_point = _sweep_rows(points, ("bc", "n", "k", "r"), ("msntf",))
+    for systems, means in _grid_map(
+        spec, _count_stacks(spec), lambda group: (group[0], sntf.mean_closed(group[1]))
+    ):
+        for system, mean in zip(systems, means.tolist()):
+            by_point[system]["msntf"] = mean
+    return rows
 
 
 def run_sweep_scv(spec: ExperimentSpec) -> list[dict]:
     if spec.presets == ("custom",):
         raise ConfigError("shock.preset: sweep-scv needs preset labels")
     points = _sweep_points(spec, [bc.value for bc in spec.bc], spec.presets)
+    columns = ("mttf", "mttf_wald", "scv")
+    rows, by_point = _sweep_rows(points, ("bc", "preset", "n", "k", "r"), columns)
     # each inter-shock law and its mean E[Y], once per sweep
     laws = {}
     for preset in spec.presets:
         Y = ttf.ph_from_preset(preset)
         laws[preset] = Y, ttf.ph_mean_scv(Y)[0]
 
-    def worker(point):
-        bc_value, preset, n, k, r = point
-        row: dict[str, Any] = {"bc": bc_value, "preset": preset, "n": n, "k": k, "r": r}
-        try:
-            config = SystemConfig(n, k, r, BalanceCondition(bc_value))
-            Y, mean_y = laws[preset]
-            Z = ttf.compound_ph(sntf.count_distribution(config), Y)
-            row.update(_failure_time_summary(Z, mean_y))
-        except (NoTieSets, OddNUnsupported):
-            row.update({"mttf": INFEASIBLE, "mttf_wald": INFEASIBLE, "scv": INFEASIBLE})
-        return row
+    def worker(group):
+        # every preset on the same stack of chains and its mean shock counts
+        systems, stack = group
+        mean_m = sntf.mean_closed(stack)
+        return systems, {
+            preset: _failure_time_summary(ttf.compound_ph(stack, Y), mean_y, mean_m)
+            for preset, (Y, mean_y) in laws.items()
+        }
 
-    return _grid_map(spec, points, worker)
+    for systems, summaries in _grid_map(spec, _count_stacks(spec), worker):
+        for preset, summary in summaries.items():
+            for (bc, n, k, r), *values in zip(systems, *(summary[c].tolist() for c in columns)):
+                by_point[bc, preset, n, k, r].update(zip(columns, values))
+    return rows
 
 
 def run_simulate(spec: ExperimentSpec, target: str = "sntf") -> tuple[montecarlo.SimulationResult, list[dict]]:

@@ -111,12 +111,14 @@ def pmf_direct(config: SystemConfig, m: int | np.ndarray) -> float | np.ndarray:
 
 def _solve(chain: StateChain | CountChain, rhs: np.ndarray) -> np.ndarray:
     """(I - P)^(-1) rhs, one layer at a time: x = (rhs + P x_below) / (1 - r^s)."""
-    return layered_solve(chain, lambda rows, stay, inflow: (rhs[rows] + inflow) / (1.0 - stay))
+    return layered_solve(chain, lambda rows, stay, inflow: (rhs[..., rows] + inflow) / (1.0 - stay))
 
 
-def mean_closed(chain: StateChain | CountChain) -> float:
-    """Mean shock count e_0 (I - P)^(-1) w via one back-substitution."""
-    return float(_solve(chain, chain.weights)[0])
+def mean_closed(chain: StateChain | CountChain) -> float | np.ndarray:
+    """Mean shock count e_0 (I - P)^(-1) w via one back-substitution: a
+    float, or an array of one mean per member of a stack of count chains."""
+    mean = _solve(chain, chain.weights)[..., 0]
+    return mean if mean.ndim else float(mean)
 
 
 def factorial_moment(chain: StateChain | CountChain, p: int) -> float:

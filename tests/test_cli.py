@@ -601,6 +601,23 @@ class TestSweeps:
         for k in (3, 4):
             assert by_key[("HE", k)] > by_key[("EXP", k)] > by_key[("ER", k)]
 
+    @pytest.mark.parametrize("command", ["sweep-msntf", "sweep-scv"])
+    @pytest.mark.parametrize(
+        "grid,message",
+        [({"n": [6], "r": [0.5, 1.5]}, "r: must lie strictly inside (0, 1), got 1.5"),
+         ({"n": [6, 31], "r": [0.5, 1.5]}, "r: must lie strictly inside (0, 1), got 1.5"),
+         ({"n": [6, 31], "r": [0.5]}, "n: must satisfy 2 <= n <= 30, got 31")],
+    )
+    def test_system_out_of_range_is_config_error(self, command, grid, message, config_file, capsys):
+        """A grid system the single-system commands refuse fails the sweep
+        with exit 2 and that system's message: the first such system in row
+        order, where n is checked before r."""
+        doc = dict(grid, k=[2], bc=["BC1", "BC3"], shock={"preset": ["ER"]})
+        assert main([command, "--config", config_file(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_empty_grid_is_config_error(self, config_file):
         doc = {"n": [4], "k": [4], "r": [0.5], "bc": ["BC3"]}  # k > n-1 everywhere
         assert main(["sweep-msntf", "--config", config_file(doc)]) == 2

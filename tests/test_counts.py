@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import ckngb.chain as chain_mod
+import ckngb.sntf as sntf_mod
 import ckngb.tiesets as tiesets_mod
+import ckngb.ttf as ttf_mod
 from ckngb.chain import build_count_chain, check_upper_triangular
 from ckngb.errors import InvariantViolation, NoTieSets, OddNUnsupported
 from ckngb.experiments import DEFAULT_Z_MAX, parse_config, run_sweep_msntf, run_sweep_scv
@@ -22,7 +24,7 @@ from ckngb.sntf import (
 )
 from ckngb.system import BalanceCondition, SystemConfig
 from ckngb.tiesets import count_profile, enumerate_min_tiesets, nonfailed_closure
-from ckngb.ttf import compound_ph, pdf_grid, ph_from_preset, raw_moment, scv
+from ckngb.ttf import compound_ph, pdf_grid, ph_from_preset, ph_mean_scv, raw_moment, scv
 from oracles import closure_profile, minimal_masks, or_closure, scan_min_tiesets, tieset_table
 
 BC1, BC2, BC3 = BalanceCondition.BC1, BalanceCondition.BC2, BalanceCondition.BC3
@@ -135,6 +137,101 @@ def test_sweep_panel_builds_each_table_once(monkeypatch, fresh_caches):
     )
     assert thinnings == Counter((n, r) for n in ns for r in rs)
     assert layers and set(layers.values()) == {1}
+
+
+def _chain_sizes(ns, ks, bcs, r):
+    """The distinct count-chain sizes of the feasible systems of a grid."""
+    sizes = set()
+    for n in ns:
+        for k in ks:
+            for bc in bcs:
+                if 2 <= k <= n - 1 and not (bc is BC1 and n % 2):
+                    try:
+                        sizes.add(build_count_chain(n, k, bc, r).size)
+                    except NoTieSets:
+                        pass
+    return sizes
+
+
+@pytest.mark.parametrize("bc", list(BalanceCondition), ids=lambda bc: bc.value)
+def test_sweep_panel_solves_once_per_chain_size(bc, monkeypatch, fresh_caches):
+    """A figure panel (one bc, n = 3..12, every k, one r) stacks its count
+    chains by size: sweep-msntf back-substitutes once per chain size, and
+    sweep-scv three times (E[Z^2], E[Z] and E[M]), two more for each
+    further preset."""
+    solves = Counter()
+    solve = chain_mod.layered_solve
+
+    def counted(chain, solve_layer):
+        solves[chain.size] += 1
+        return solve(chain, solve_layer)
+
+    monkeypatch.setattr(sntf_mod, "layered_solve", counted)
+    monkeypatch.setattr(ttf_mod, "layered_solve", counted)
+    ns, ks, r = list(range(3, 13)), list(range(2, 12)), 0.9
+    sizes = _chain_sizes(ns, ks, [bc], r)
+    doc = {"n": ns, "k": ks, "r": [r], "bc": bc.value}
+    run_sweep_msntf(parse_config(doc))
+    assert solves == Counter(dict.fromkeys(sizes, 1))
+    for presets, per_size in ((["HE"], 3), (["ER", "EXP", "HE"], 7)):
+        solves.clear()
+        run_sweep_scv(parse_config(dict(doc, shock={"preset": presets})))
+        assert solves == Counter(dict.fromkeys(sizes, per_size))
+
+
+def test_sweep_builds_each_thinning_once_past_the_cache(monkeypatch, fresh_caches):
+    """A sweep over more r values than the thinning cache holds still builds
+    each (n, r) thinning matrix once."""
+    thinnings = Counter()
+    terms = chain_mod._binomial_terms
+
+    def counted_terms(coef, a, r):
+        thinnings[coef.shape[0] - 1, r] += 1
+        return terms(coef, a, r)
+
+    monkeypatch.setattr(chain_mod, "_binomial_terms", counted_terms)
+    ns, rs = [6, 8], [round(0.005 + 0.0099 * i, 6) for i in range(100)]
+    doc = {"n": ns, "k": list(range(2, 8)), "r": rs, "bc": ["BC1", "BC2", "BC3"]}
+    assert len(set(rs)) == 100 > chain_mod._thinning.cache_info().maxsize
+    for sweep, extra in ((run_sweep_msntf, {}), (run_sweep_scv, {"shock": {"preset": ["ER", "HE"]}})):
+        chain_mod._thinning.cache_clear()
+        thinnings.clear()
+        sweep(parse_config(dict(doc, **extra)))
+        assert thinnings == Counter((n, r) for n in ns for r in rs)
+
+
+def test_batched_sweeps_equal_single_system_calls():
+    """Every sweep value equals, bit for bit, the single-system call on the
+    same system: the mean shock count, and MTTF, its Wald value and SCV
+    for each preset.  Infeasible systems read ``infeasible``."""
+    ns, ks, rs = list(range(3, 17)), list(range(2, 16)), [0.3, 0.9, 0.999]
+    doc = {"n": ns, "k": ks, "r": rs, "bc": ["BC1", "BC2", "BC3"]}
+    presets = ["ER", "EXP", "HE"]
+    msntf_rows = run_sweep_msntf(parse_config(doc))
+    scv_rows = run_sweep_scv(parse_config(dict(doc, shock={"preset": presets})))
+    laws = {label: (ph_from_preset(label), ph_mean_scv(ph_from_preset(label))[0]) for label in presets}
+    expected, mismatches = {}, []
+    for row in msntf_rows:
+        bc, n, k, r = row["bc"], row["n"], row["k"], row["r"]
+        try:
+            chain = count_distribution(SystemConfig(n, k, r, BalanceCondition(bc)))
+        except (NoTieSets, OddNUnsupported):
+            expected[bc, n, k, r] = None
+            mismatches += [row] if row["msntf"] != "infeasible" else []
+            continue
+        expected[bc, n, k, r] = chain
+        mismatches += [row] if row["msntf"] != mean_closed(chain) else []
+    for row in scv_rows:
+        chain = expected[row["bc"], row["n"], row["k"], row["r"]]
+        if chain is None:
+            want = ["infeasible"] * 3
+        else:
+            Y, mean_y = laws[row["preset"]]
+            Z = compound_ph(chain, Y)
+            want = [raw_moment(Z, 1), mean_closed(chain) * mean_y, scv(Z)]
+        mismatches += [row] if [row["mttf"], row["mttf_wald"], row["scv"]] != want else []
+    assert sum(chain is not None for chain in expected.values()) > 600
+    assert mismatches == []
 
 
 def test_profile_counts_nonfailed_states_by_operating_units():

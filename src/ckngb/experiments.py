@@ -39,7 +39,7 @@ DEFAULT_R_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))  # 0.05 .. 0.95
 # any work (README, "Config file").  m_max, z_steps and the points of a
 # sweep grid set the rows of a table built in full before it is written:
 # 10^5 rows take 0.5-1.1 s (sntf-pmf, ttf) and under 80 MB, 10^5
-# sweep points at n = 12 1.5-2.6 s and under 100 MB in one thread.  reps
+# sweep points at n = 12 1.5-2.2 s and under 100 MB in one thread.  reps
 # is bounded as a failure-time run's inter-shock draws are: 2^25 shock
 # counts take 5-12 s and 660 MB.
 MAX_TABLE_ROWS = 10**5
@@ -372,23 +372,28 @@ def run_ttf(spec: ExperimentSpec) -> tuple[list[dict], dict]:
         if len(spec.presets) > 1:
             raise ConfigError("shock.preset: this command needs a single preset")
         raise ConfigError("shock: required for the ttf command")
-    Z = ttf.compound_ph(sntf.count_distribution(config), config.shock.resolve())
+    chain, Y = sntf.count_distribution(config), config.shock.resolve()
     zs = np.linspace(0.0, spec.z_max, spec.z_steps + 1)
-    dens, surv = ttf.pdf_grid(Z, zs)
+    dens, surv = ttf.pdf_grid(ttf.compound_ph(chain, Y), zs)
     rows = [
         {"z": float(z), "pdf": float(d), "survival": float(s)}
         for z, d, s in zip(zs, dens, surv)
     ]
-    return rows, _failure_time_summary(Z, ttf.ph_mean_scv(Z.shock)[0], sntf.mean_closed(Z.chain))
+    moments = sntf.mean_closed(chain), sntf.factorial_moment(chain, 2)
+    return rows, _failure_time_summary(*moments, *ttf.ph_mean_scv(Y))
 
 
 def _failure_time_summary(
-    Z: ttf.CompoundPhaseType, mean_y: float, mean_m: float | np.ndarray
+    mean_m: float | np.ndarray, fm2: float | np.ndarray, mean_y: float, scv_y: float
 ) -> dict:
-    """MTTF, its Wald-identity value E[M] E[Y] and the SCV of the failure
-    time Z; mean_y is E[Y] and mean_m is E[M] on Z's shock-count chain."""
-    scv = ttf.scv(Z)  # solves for E[Z^2] and, on the way, E[Z]
-    return {"mttf": ttf.raw_moment(Z, 1), "mttf_wald": mean_m * mean_y, "scv": scv}
+    """MTTF and SCV of the failure time Z = Y_1 + ... + Y_M, a random sum,
+    from E[M], E[M(M-1)], E[Y] and SCV[Y]: E[Z] = E[M] E[Y] and
+    SCV[Z] = SCV[Y] / E[M] + Var[M] / E[M]^2.  Floats, or arrays over a
+    stack of chains.  mttf_wald is E[M] E[Y] as well; ``validate`` checks
+    it against the compound law's own E[Z]."""
+    mttf = mean_m * mean_y
+    var_m = fm2 + mean_m - mean_m * mean_m
+    return {"mttf": mttf, "mttf_wald": mttf, "scv": scv_y / mean_m + var_m / (mean_m * mean_m)}
 
 
 def _sweep_rows(
@@ -420,20 +425,14 @@ def run_sweep_scv(spec: ExperimentSpec) -> list[dict]:
     points = _sweep_points(spec, [bc.value for bc in spec.bc], spec.presets)
     columns = ("mttf", "mttf_wald", "scv")
     rows, by_point = _sweep_rows(points, ("bc", "preset", "n", "k", "r"), columns)
-    # each inter-shock law and its mean E[Y], once per sweep
-    laws = {}
-    for preset in spec.presets:
-        Y = ttf.ph_from_preset(preset)
-        laws[preset] = Y, ttf.ph_mean_scv(Y)[0]
+    # E[Y] and SCV[Y] of each inter-shock law, once per sweep
+    laws = {preset: ttf.ph_mean_scv(ttf.ph_from_preset(preset)) for preset in spec.presets}
 
     def worker(group):
-        # every preset on the same stack of chains and its mean shock counts
+        # every preset on the shock-count moments of the same stack of chains
         systems, stack = group
-        mean_m = sntf.mean_closed(stack)
-        return systems, {
-            preset: _failure_time_summary(ttf.compound_ph(stack, Y), mean_y, mean_m)
-            for preset, (Y, mean_y) in laws.items()
-        }
+        moments = sntf.mean_closed(stack), sntf.factorial_moment(stack, 2)
+        return systems, {preset: _failure_time_summary(*moments, *law) for preset, law in laws.items()}
 
     for systems, summaries in _grid_map(spec, _count_stacks(spec), worker):
         for preset, summary in summaries.items():

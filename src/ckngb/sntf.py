@@ -121,8 +121,9 @@ def mean_closed(chain: StateChain | CountChain) -> float | np.ndarray:
     return mean if mean.ndim else float(mean)
 
 
-def factorial_moment(chain: StateChain | CountChain, p: int) -> float:
-    """E[M(M-1)...(M-p+1)] = p! e_0 P^(p-1) (I-P)^(-p) w."""
+def factorial_moment(chain: StateChain | CountChain, p: int) -> float | np.ndarray:
+    """E[M(M-1)...(M-p+1)] = p! e_0 P^(p-1) (I-P)^(-p) w: a float, or an
+    array of one moment per member of a stack of count chains."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     w = chain.weights
@@ -130,7 +131,8 @@ def factorial_moment(chain: StateChain | CountChain, p: int) -> float:
         w = chain.apply(w)
     for _ in range(p):
         w = _solve(chain, w)
-    return float(factorial(p) * w[0])
+    moment = factorial(p) * w[..., 0]
+    return moment if moment.ndim else float(moment)
 
 
 def raw_moment_series(config: SystemConfig, p: int, tol: float = 1e-12) -> float:

@@ -8,16 +8,17 @@ transitions routed through the exit rates.  Neither the subgenerator nor
 its matrix exponential is formed: density and survival on a grid are read
 off uniformization series built from the shock chain's row action, one
 series per stride of the grid, and moments
-come from block back-substitution over the shock chain's layers.  A law
-inverts its layers' diagonal blocks once and keeps the moments it has
-solved for, so E[Z^p] and every lower moment cost p back-substitutions in
-all, whichever is asked first.
+come from block back-substitution over the shock chain's layers, whose
+diagonal blocks a law inverts once.  The commands take MTTF and SCV from
+the shock-count moments and Y's alone, as Z is a random sum; these block
+solves are the independent route, which ``validate`` checks against
+E[M] E[Y].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -138,17 +139,12 @@ class CompoundPhaseType:
     P{Z > z} = alpha exp(z T_Z) (w x e), with w the shock-count weights
     (all ones for a plain phase-type law).  Kept in factored form:
     T_Z = I x T_c + P x (exit alpha^T), with P the shock chain's one-step
-    matrix, which only acts through the chain.  On a stack of count chains
-    the law is one per member: its moments come as arrays over the stack,
-    while ``pdf_grid`` takes a single chain.
+    matrix, which only acts through the chain.
     """
 
     alpha: np.ndarray  # length N*K
     chain: StateChain | CountChain  # shock-count chain, N states
     shock: ContinuousPhaseType
-    # E[Z^p] by p, filled by raw_moment; a scalar, or an array over a
-    # stack, so a law held for long keeps nothing of the chain's size
-    _moments: dict[int, float | np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def states(self) -> int:
@@ -169,13 +165,11 @@ class CompoundPhaseType:
     @cached_property
     def layer_inverses(self) -> np.ndarray:
         """Inverses of the diagonal blocks -(T_c + r^s exit alpha^T), one per
-        layer of the shock chain in ``layers`` order (and per member of a
-        stack of chains), from one stacked call."""
-        # a stay's last axis has length one: it broadcasts over the layer
-        stays = np.array([stay for _, stay in self.chain.layers])
+        layer of the shock chain in ``layers`` order, from one stacked call."""
+        stays = np.array([stay[0] for _, stay in self.chain.layers])
         block = np.outer(self.shock.exit_rates, self.shock.alpha)
         try:
-            return np.linalg.inv(-(self.shock.T + stays[..., None] * block))
+            return np.linalg.inv(-(self.shock.T + stays[:, None, None] * block))
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(str(exc)) from exc
 
@@ -310,47 +304,33 @@ def _solve_neg_generator(Z: CompoundPhaseType, B: np.ndarray) -> np.ndarray:
     A state's diagonal block is -(T_c + r^s exit alpha^T); only the scalar
     alpha . X[b] of each solved state b crosses states, through P.  A layer
     of the state chain shares one block, so its rows take one matrix
-    product; a stack of count chains takes one row product per member.
+    product.
     """
-    X = np.zeros((*Z.chain.weights.shape, Z.K))
+    X = np.zeros((Z.states, Z.K))
     exit_c = Z.shock.exit_rates
     alpha_c = Z.shock.alpha
     inverses = iter(Z.layer_inverses)
 
     def solve_layer(rows, stay, inflow):
-        solved = (B[..., rows, :] + np.multiply.outer(inflow, exit_c)) @ next(inverses).swapaxes(-1, -2)
-        X[..., rows, :] = solved
+        solved = (B[rows] + np.multiply.outer(inflow, exit_c)) @ next(inverses).T
+        X[rows] = solved
         return solved @ alpha_c
 
     layered_solve(Z.chain, solve_layer)
     return X
 
 
-def raw_moment(Z: CompoundPhaseType, p: int) -> float | np.ndarray:
-    """E[Z^p] = p! alpha (-T_Z)^(-p) (w x e) via p successive block solves.
-
-    Each solve X_q = (-T_Z)^(-1) X_(q-1) also gives E[Z^q], and every
-    moment solved for is kept on Z: ask for the highest order first and
-    the lower ones cost nothing.  The solutions themselves are not kept.
-    A float, or an array of one moment per member of a stack of chains.
-    """
+def raw_moment(Z: CompoundPhaseType, p: int) -> float:
+    """E[Z^p] = p! alpha (-T_Z)^(-p) (w x e) via p successive block solves."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if p not in Z._moments:
-        X = np.repeat(Z.chain.weights[..., None], Z.K, axis=-1)
-        for q in range(1, p + 1):
-            X = _solve_neg_generator(Z, X)
-            moment = math.factorial(q) * (_alpha_matrix(Z) * X).sum(axis=(-2, -1))
-            Z._moments[q] = moment if moment.ndim else float(moment)
-    return Z._moments[p]
+    X = np.repeat(Z.chain.weights[:, None], Z.K, axis=1)
+    for _ in range(p):
+        X = _solve_neg_generator(Z, X)
+    return float(math.factorial(p) * (_alpha_matrix(Z) * X).sum())
 
 
-def scv(Z: CompoundPhaseType) -> float | np.ndarray:
+def scv(Z: CompoundPhaseType) -> float:
     """Squared coefficient of variation Var/Mean^2."""
-    m2 = raw_moment(Z, 2)
     m1 = raw_moment(Z, 1)
-    # Python's float power squares each mean: numpy's array square rounds
-    # some of them differently, and moves printed digits
-    square = np.reshape([m**2 for m in np.ravel(m1).tolist()], np.shape(m1))
-    value = (m2 - square) / square
-    return value if value.ndim else float(value)
+    return (raw_moment(Z, 2) - m1**2) / m1**2

@@ -19,9 +19,10 @@ chain's matrix off its column action, and ``to_dense`` assembles the
 compound subgenerator from it.  ``integrate_pdf`` integrates a failure-time
 density by adaptive Simpson quadrature, one density grid per refinement level.
 ``exact_count_moments`` back-substitutes on the count chain in rational
-arithmetic, and ``exact_pdf_survival`` tabulates a count-chain failure-time
-law by ``mpmath.expm`` of its dense generator.  The tests compare each with
-the package's route.
+arithmetic, ``exact_failure_time_moments`` combines it with Y's moments in
+mpmath into the failure time's MTTF and SCV, and ``exact_pdf_survival``
+tabulates a count-chain failure-time law by ``mpmath.expm`` of its dense
+generator.  The tests compare each with the package's route.
 
 Monte Carlo: ``walk_shock_counts`` finds each replication's failure shock
 from its unit lifetimes one shock at a time, without sort keys.
@@ -204,6 +205,26 @@ def exact_count_moments(n, k, bc, r):
 
     x = solve(q)
     return x[n], 2 * step(n, solve(x))
+
+
+def exact_failure_time_moments(n, k, bc, r, Y, dps=40):
+    """MTTF and SCV of the count-chain failure time Z = Y_1 + ... + Y_M,
+    as mpmath numbers at dps digits: E[Z] = E[M] E[Y] and
+    E[Z^2] = E[M] E[Y^2] + E[M(M-1)] E[Y]^2, with the count moments from
+    ``exact_count_moments`` and E[Y] = alpha (-T)^(-1) e,
+    E[Y^2] = 2 alpha (-T)^(-2) e solved in mpmath, exact at the binary
+    values of the float r and of Y's alpha and T."""
+    mean_m, fm2 = exact_count_moments(n, k, bc, r)
+    with mpmath.workdps(dps):
+        neg_T = -mpmath.matrix(Y.T.tolist())
+        alpha = mpmath.matrix([Y.alpha.tolist()])
+        x = mpmath.lu_solve(neg_T, mpmath.ones(Y.K, 1))
+        mean_y = (alpha * x)[0]
+        second_y = 2 * (alpha * mpmath.lu_solve(neg_T, x))[0]
+        mean_m = mpmath.mpf(mean_m.numerator) / mean_m.denominator
+        fm2 = mpmath.mpf(fm2.numerator) / fm2.denominator
+        mttf = mean_m * mean_y
+        return +mttf, (mean_m * second_y + fm2 * mean_y**2) / mttf**2 - 1
 
 
 def exact_compound(n, k, bc, r, Y):

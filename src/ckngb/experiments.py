@@ -40,10 +40,10 @@ DEFAULT_R_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))  # 0.05 .. 0.95
 # sweep grid set the rows of a table built in full before it is written:
 # 10^5 rows take 0.5-1.1 s (sntf-pmf, ttf) and under 80 MB, 10^5
 # sweep points at n = 12 1.5-2.2 s and under 100 MB in one thread.  reps
-# is bounded as a failure-time run's inter-shock draws are: 2^25 shock
-# counts take 5-12 s and 660 MB.
+# sets the length of every sample array: 2^25 replications take 6-10 s
+# and 549 MB for shock counts, 9-21 s and 806 MB for failure times.
 MAX_TABLE_ROWS = 10**5
-MAX_REPS = montecarlo.MAX_PHASE_DRAWS
+MAX_REPS = 2**25
 
 INFEASIBLE = "infeasible"
 # r values per block of a sweep's stacked count chains: a block at n = 12

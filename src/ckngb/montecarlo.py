@@ -10,11 +10,18 @@ first L_i - 1 shocks and dies at shock L_i.  Each unit's lifetime and bit
 position are packed into one integer key, so a single in-row sort gives
 the death order; running sums of the dead units' bits give the states
 along it, and the failure shock count M is the lifetime at the first
-failed one.  A failure-time replication then draws M inter-shock times
-from the same batch stream, so one pass yields both samples (``validate``
-summarises the shock counts of its failure-time pass).  Both costs grow
-with the mean shock count E[M], which is read off the count chain and
-bounded before any draw (MAX_MEAN_SHOCKS, MAX_PHASE_DRAWS).
+failed one.  A failure-time replication then needs only how often each
+phase of the inter-shock law was visited over its M passages: the M
+tokens are split over the start phases, then each phase's tokens over
+its jump row and the exit, round by round until all have exited, and
+the time is the sum over phases of one gamma variate, shape the visit
+count.  These draws come from the same batch stream after the shock
+counts, so one pass yields both samples (``validate`` summarises the
+shock counts of its failure-time pass).  Their number grows with the
+replications, not with the shock count (a cyclic law takes a geometric
+number of rounds, each one vectorised over the batch).  The shock-count
+histogram grows with the mean shock count E[M], which is read off the
+count chain and bounded before any draw (MAX_MEAN_SHOCKS).
 """
 
 from __future__ import annotations
@@ -35,12 +42,10 @@ BATCH_SIZE = 8192
 # Replications whose shock counts are found at once: the scratch of a block
 # stays in the cache, and no array of a batch's size is allocated.
 SHOCK_BLOCK = 2048
-# Admission bounds, checked on the mean shock count E[M] before any draw
-# (README, "Monte Carlo oracle").  E[M] sets the length of the shock-count
-# histogram, about 6 E[M] bins at 10^5 reps; reps * E[M] is the number of
-# inter-shock times a failure-time run draws, all of one batch held at once.
+# Admission bound, checked on the mean shock count E[M] before any draw
+# (README, "Monte Carlo oracle"): E[M] sets the length of the shock-count
+# histogram, about 6 E[M] bins at 10^5 reps.
 MAX_MEAN_SHOCKS = 10**5
-MAX_PHASE_DRAWS = 2**25
 
 _Z95 = 1.959963984540054
 _Z99 = 2.5758293035489004
@@ -158,51 +163,68 @@ def _block_counts(
     return keys[np.arange(keys.shape[0]), first_failed] >> shift
 
 
-def _sample_ph_batch(Y: ContinuousPhaseType, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized absorption times of the phase process underlying Y."""
-    if count == 0:
-        return np.zeros(0)
-    K = Y.K
+def _routes(Y: ContinuousPhaseType) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Where a token goes: for each phase of Y, then for the start, the
+    destinations it takes with nonzero probability in ascending order
+    (K, the exit, last) and the probability of each given that it takes
+    none of the earlier ones."""
     rates = -np.diag(Y.T)
-    jump = Y.T / rates[:, None]
-    np.fill_diagonal(jump, 0.0)
-    # cum[c][i]: probability that phase i jumps to one of phases 0..c
-    cum = np.ascontiguousarray(np.cumsum(jump, axis=1).T)
-
-    phase = rng.choice(K, size=count, p=Y.alpha)
-    total = rng.standard_exponential(count) / rates[phase]
-    active = slice(None)  # the draws not yet absorbed: all, until one is
-    while True:
-        # the next phase is the number of cumulative jump probabilities at
-        # or below u, K meaning exit: searchsorted on each phase's row
-        u = rng.random(phase.size)
-        nxt = (u >= cum[0][phase]).astype(np.intp)
-        for column in cum[1:]:
-            nxt += u >= column[phase]
-        stay = nxt < K
-        if not stay.all():
-            active = np.flatnonzero(stay) if isinstance(active, slice) else active[stay]
-            if not active.size:
-                return total
-            nxt = nxt[stay]
-        phase = nxt
-        total[active] += rng.standard_exponential(phase.size) / rates[phase]
+    rows = np.column_stack([Y.T / rates[:, None], Y.exit_rates / rates])
+    np.fill_diagonal(rows, 0.0)
+    routes = []
+    for row in [*rows, np.append(Y.alpha, 0.0)]:
+        dest = np.flatnonzero(row > 0.0)
+        p = row[dest]
+        routes.append((dest, np.minimum(p / np.cumsum(p[::-1])[::-1], 1.0)))
+    return routes
 
 
-def _admit(config: SystemConfig, reps: int, times: bool) -> None:
-    """Refuse before any draw a run whose histogram or inter-shock draws
-    would not fit: both grow with the mean shock count E[M]."""
+def _split(rng: np.random.Generator, tokens: np.ndarray, route):
+    """Yield each destination of route with the tokens of every replication
+    that take it: a multinomial split as one binomial per destination but
+    the last, which takes what is left, so a single destination costs no
+    draw."""
+    dest, given = route
+    for d, p in zip(dest[:-1], given[:-1]):
+        part = rng.binomial(tokens, p)
+        yield d, part
+        tokens = tokens - part
+    yield dest[-1], tokens
+
+
+def _phase_sums(rng: np.random.Generator, counts: np.ndarray, Y: ContinuousPhaseType) -> np.ndarray:
+    """Per replication, the sum of counts[i] iid draws of Y.  Y's phase
+    process is followed by token counts, not paths: the counts[i] tokens
+    are split over the start phases, then each round each phase's tokens
+    over its jump row and the exit, until none is left.  The time spent
+    in V visits to a phase of rate q is Gamma(V, 1/q), one draw per phase,
+    and a gamma of shape 0 is 0."""
+    K = Y.K
+    routes = _routes(Y)
+    visits = np.zeros((K, counts.size))
+    tokens = {K: counts}  # held per phase; the start's route is routes[K]
+    while tokens:
+        arrived = {}
+        for i, held in tokens.items():
+            for d, part in _split(rng, held, routes[i]):
+                if d < K:
+                    arrived[d] = arrived[d] + part if d in arrived else part
+        # A cyclic law takes a geometric number of rounds, and its phases
+        # keep arrays of zero tokens: the loop ends once none holds one.
+        tokens = {d: held for d, held in arrived.items() if held.any()}
+        for d, held in tokens.items():
+            visits[d] += held
+    return sum(rng.gamma(v, 1.0 / rate) for v, rate in zip(visits, -np.diag(Y.T)))
+
+
+def _admit(config: SystemConfig) -> None:
+    """Refuse before any draw a run whose histogram would not fit: its
+    length grows with the mean shock count E[M]."""
     mean = mean_closed(count_distribution(config))
     if not mean <= MAX_MEAN_SHOCKS:
         raise CapacityExceeded(
             f"mean shock count {mean:.4g} at r={config.r} exceeds the simulation "
             f"bound {MAX_MEAN_SHOCKS}"
-        )
-    if times and reps * mean > MAX_PHASE_DRAWS:
-        raise CapacityExceeded(
-            f"reps x mean shock count = {reps * mean:.4g} inter-shock draws exceeds "
-            f"the simulation bound {MAX_PHASE_DRAWS}; lower reps to at most "
-            f"{max(1, int(MAX_PHASE_DRAWS // mean))}"
         )
 
 
@@ -214,20 +236,21 @@ def _draw(config: SystemConfig, seed: int, reps: int, times: bool) -> tuple[np.n
     if times and config.shock is None:
         raise ConfigError("shock: required for time-to-failure simulation")
     table = nonfailed_closure(config.n, config.k, config.bc)
-    _admit(config, reps, times)
+    _admit(config)
     if times:
         Y = config.shock.resolve()
     scratch = _shock_scratch(config.n)
-    counts, totals = [], []
+    counts = np.empty(reps, dtype=np.int64)
+    totals = np.empty(reps) if times else None
+    start = 0
     for batch, size in enumerate(_batch_sizes(reps)):
         rng = _batch_rng(seed, batch)
-        shocks = _shock_counts(rng, size, config, table, scratch)
-        counts.append(shocks)
+        shocks = counts[start : start + size]
+        shocks[:] = _shock_counts(rng, size, config, table, scratch)
         if times:
-            draws = _sample_ph_batch(Y, int(shocks.sum()), rng)
-            offsets = np.concatenate(([0], np.cumsum(shocks)[:-1]))
-            totals.append(np.add.reduceat(draws, offsets))
-    return np.concatenate(counts), np.concatenate(totals) if times else None
+            totals[start : start + size] = _phase_sums(rng, shocks, Y)
+        start += size
+    return counts, totals
 
 
 def _summarize(kind: str, samples: np.ndarray, seed: int, integer_bins: bool) -> SimulationResult:

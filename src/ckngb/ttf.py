@@ -320,17 +320,26 @@ def _solve_neg_generator(Z: CompoundPhaseType, B: np.ndarray) -> np.ndarray:
     return X
 
 
-def raw_moment(Z: CompoundPhaseType, p: int) -> float:
-    """E[Z^p] = p! alpha (-T_Z)^(-p) (w x e) via p successive block solves."""
+def _raw_moments(Z: CompoundPhaseType, p: int) -> list[float]:
+    """E[Z^q] = q! alpha (-T_Z)^(-q) (w x e) for q = 1..p, off the p
+    successive block solves X_q = (-T_Z)^(-1) X_(q-1)."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     X = np.repeat(Z.chain.weights[:, None], Z.K, axis=1)
-    for _ in range(p):
+    moments = []
+    for q in range(1, p + 1):
         X = _solve_neg_generator(Z, X)
-    return float(math.factorial(p) * (_alpha_matrix(Z) * X).sum())
+        moments.append(float(math.factorial(q) * (_alpha_matrix(Z) * X).sum()))
+    return moments
+
+
+def raw_moment(Z: CompoundPhaseType, p: int) -> float:
+    """E[Z^p] via p successive block solves."""
+    return _raw_moments(Z, p)[-1]
 
 
 def scv(Z: CompoundPhaseType) -> float:
-    """Squared coefficient of variation Var/Mean^2."""
-    m1 = raw_moment(Z, 1)
-    return (raw_moment(Z, 2) - m1**2) / m1**2
+    """Squared coefficient of variation Var/Mean^2, from the two block
+    solves that give E[Z] and E[Z^2]."""
+    m1, m2 = _raw_moments(Z, 2)
+    return (m2 - m1**2) / m1**2

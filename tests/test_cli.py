@@ -253,17 +253,15 @@ class TestChainCap:
 
 
 class TestSimulationEnvelope:
-    """Simulations whose cost grows past the Monte Carlo bounds as r -> 1
-    exit 4 before any draw: with default reps, n=6 k=2 BC3 ER ran for
-    minutes, was OOM-killed or died with a traceback at these r."""
+    """Simulations whose histogram grows past the Monte Carlo bound as
+    r -> 1 exit 4 before any draw: with default reps, n=6 k=2 BC3 ER ran
+    for minutes, was OOM-killed or died with a traceback at these r."""
 
     DOC = {"n": 6, "k": 2, "bc": "BC3", "shock": {"preset": "ER"}}
 
     @pytest.mark.parametrize(
         "target,r,message",
         [
-            ("ttf", 0.9999, "inter-shock draws"),
-            ("ttf", 0.99999, "inter-shock draws"),
             ("ttf", 0.999999, "mean shock count"),
             ("sntf", 0.999999999, "mean shock count"),
             ("sntf", 1.0 - 2.0**-53, "mean shock count"),
@@ -290,15 +288,26 @@ class TestSimulationEnvelope:
         assert elapsed < 2.0
         assert peak < 1 << 20
 
-    def test_lower_reps_fit(self, config_file, capsys, monkeypatch):
-        # the refusal names the largest reps the draw bound admits
-        monkeypatch.setattr(montecarlo, "MAX_PHASE_DRAWS", 20_000)
-        cfg = config_file(dict(self.DOC, r=0.99))
-        assert main(["simulate", "--target", "ttf", "--config", cfg]) == 4
-        fits = int(capsys.readouterr().err.rsplit(" ", 1)[1])
-        assert main(["simulate", "--target", "ttf", "--config", cfg, "--reps", str(fits)]) == 0
-        assert f"reps={fits} " in capsys.readouterr().out
-        assert main(["simulate", "--target", "ttf", "--config", cfg, "--reps", str(fits + 1)]) == 4
+    @pytest.mark.parametrize(
+        "doc",
+        [dict(REFERENCE_DOC, r=0.999), dict(DOC, r=0.9999), dict(DOC, r=0.99999)],
+        ids=["n4-r0.999", "n6-r0.9999", "n6-r0.99999"],
+    )
+    def test_failure_times_past_the_old_draw_bound(self, doc, config_file, capsys):
+        """10^5 replications of 750 to 95 000 shocks each were refused (exit
+        4) for holding over 2^25 inter-shock times; the failure times now
+        cost a few draws per replication whatever the shock count, and the
+        simulated MTTF lies inside its 99 % interval."""
+        cfg = config_file(dict(doc, reps=100_000))
+        assert main(["ttf", "--config", cfg]) == 0
+        mttf = float(capsys.readouterr().out.splitlines()[-1].split(",")[0].split("=")[1])
+        start = time.perf_counter()
+        assert main(["simulate", "--target", "ttf", "--config", cfg]) == 0
+        assert time.perf_counter() - start < 5.0
+        summary = dict(item.split("=") for item in capsys.readouterr().out.splitlines()[-1].split())
+        assert summary["reps"] == "100000"
+        half_99 = float(summary["half_width_95"]) * 2.5758293035489004 / 1.959963984540054
+        assert abs(float(summary["mean"]) - mttf) <= half_99
 
 
 class TestOptionBounds:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,20 +11,15 @@ from scipy.stats import kstest
 
 import ckngb.montecarlo as montecarlo
 from ckngb import experiments
-from ckngb.montecarlo import (
-    SimulationResult,
-    _draw,
-    _sample_ph_batch,
-    simulate_sntf,
-    simulate_ttf,
-)
-from ckngb.sntf import mean_closed, sntf_distribution
+from ckngb.montecarlo import SimulationResult, _draw, _phase_sums, simulate_sntf, simulate_ttf
+from ckngb.sntf import count_distribution, mean_closed, sntf_distribution
 from ckngb.system import BalanceCondition, SystemConfig
 from ckngb.tiesets import nonfailed_closure
 from ckngb.ttf import (
-    ContinuousPhaseType,
     InterShockSpec,
     compound_from_config,
+    compound_ph,
+    pdf_grid,
     ph_from_preset,
     ph_mean_scv,
     raw_moment,
@@ -71,30 +67,32 @@ CUSTOM_PH = validate_ph(
     np.array([[-3.0, 1.5, 0.5], [0.5, -2.0, 1.0], [1.0, 0.0, -4.0]]),
 )
 
-# SHA-256 of the raw sample arrays (seed 7), recorded with numpy 2.4 from
-# loop-based samplers (a stable argsort of the lifetimes and one
-# searchsorted per phase).  numpy draws geometric variates by search for
-# p = 1 - r >= 1/3 and by inversion below; r = 0.3 makes most lifetimes
-# tie; 10 000 and 9 000 reps end on a partial batch.
+# SHA-256 of the raw sample arrays (seed 7), recorded with numpy 2.4: the
+# shock counts from a loop-based sampler (a stable argsort of the
+# lifetimes), the failure times from the phase-visit sampler (binomial
+# splits of each phase's tokens, one gamma per phase).  numpy draws
+# geometric variates by search for p = 1 - r >= 1/3 and by inversion
+# below; r = 0.3 makes most lifetimes tie; 10 000 and 9 000 reps end on a
+# partial batch.
 STREAM_DIGESTS = [
     ((2, 2, 0.5, BC3, "EXP"), 10_000,
      "2a961424b36ae17be9b6310f4ffe74913525321cbf381952ec3ac81e399d5ef1",
-     "77794cf57e91b65bcbc7b1617bb14b5f9e6b6eff4bfcc09bc61e6b2317c2aeed"),
+     "048f72150d955cae3dd7391c21314e3d1897a5bfdc09d686bf897b5573e348f2"),
     ((4, 2, 0.7, BC3, "ER"), 10_000,
      "c6224ba8e6435f539f016ae6a756903788b63eb446aa0848f3dfebe05e7d3eb8",
-     "51fe60acf4d56f073e38fc8838d55429367536f56c3f92db840022a801d546c6"),
+     "7525bffaf93579746e0a6fc4045ee6855296acff91280bfb3d4f68ffd459207e"),
     ((6, 3, 0.3, BalanceCondition.BC2, "HE"), 10_000,
      "45341b0c118bd86217d02fec896395ac63381b46b4393864a19f332837f87ad0",
-     "36b811ff7ef1b1f84b2f44cf40116aeb217527dce75f82ee2655f9cd5794db4f"),
+     "a3b99396df767939934f72eaf6d4ad899e29528609ced94e101389557f3975b9"),
     ((12, 4, 0.9, BC3, "HE"), 9_000,
      "5e107ca91dcdd0af876789fd11c71aec1446cafff1958703b70e4d6b31c6460f",
-     "49bc639f31c54013c68390519fd02945d7ff767ccd2952e92a488fd2a121614d"),
+     "0499ce2551ebc67468e975208771551ba8b50daabe53f271b5bafc792e75bb01"),
     ((22, 2, 0.8, BalanceCondition.BC2, "ER"), 3_000,
      "edff3e42e1674ff12b2fc6e047f3e4c7feabca0e5e05f81616572b58e15a1f29",
-     "8b42db13b3f0ed4fe2fbd460f42967bdb04c1aeb161b5125c94b4a3cfbdae5e5"),
+     "f5cdf706edc441b1efca7bed20d7d8f79f17b09a897a3befe4c34fa59238a426"),
     ((6, 2, 0.6, BalanceCondition.BC1, "custom"), 10_000,
      "b01c68ec03b1ae656d84dbd7e4a1442f6cd8c8bfb640f543c282ecdffc721c8d",
-     "c6567f0a3d102b3831fb56869c6fedd1c6f5fb86c523033ae4284595ecc9205a"),
+     "0789056696a98c8061d11cb9bfb4a860518e3db62697601a0092e75696706261"),
 ]
 
 
@@ -103,7 +101,9 @@ STREAM_DIGESTS = [
 )
 def test_random_stream_pinned(system, reps, sntf_digest, ttf_digest):
     """The samplers may be rewritten, but every draw keeps its place in the
-    stream: the shock counts and failure times stay bit for bit the same."""
+    stream: the shock counts and failure times stay bit for bit the same.
+    A new failure-time sampler is a new stream, with digests re-recorded
+    and the shock-count digests kept."""
     n, k, r, bc, shock = system
     spec = InterShockSpec(custom=CUSTOM_PH) if shock == "custom" else InterShockSpec(preset=shock)
     config = SystemConfig(n, k, r, bc, spec)
@@ -193,31 +193,65 @@ class TestShockCountOracle:
         assert abs(result.mean - analytic) <= 2.5758 * result.stderr
 
 
-class TestPhaseSampling:
-    def test_exponential_mean(self):
-        rng = np.random.default_rng(21)
-        draws = np.array([_sample_ph_batch(ph_from_preset("EXP"), 1, rng)[0] for _ in range(5_000)])
-        assert abs(draws.mean() - 1.0) <= 3.0 * draws.std(ddof=1) / math.sqrt(draws.size)
+class CountingRng:
+    """A generator that counts the binomial and gamma calls made on it."""
 
-    def test_erlang_scv(self):
-        rng = np.random.default_rng(22)
-        draws = _sample_ph_batch(ph_from_preset("ER"), 200_000, rng)
-        scv_hat = draws.var(ddof=1) / draws.mean() ** 2
-        assert abs(scv_hat - 0.5) < 0.02
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = {"binomial": 0, "gamma": 0}
 
-    def test_hyperexponential_scv(self):
-        rng = np.random.default_rng(23)
-        draws = _sample_ph_batch(ph_from_preset("HE"), 200_000, rng)
-        scv_hat = draws.var(ddof=1) / draws.mean() ** 2
-        assert abs(scv_hat - 2.0) < 0.06
+    def binomial(self, n, p):
+        self.calls["binomial"] += 1
+        return self.rng.binomial(n, p)
 
-    def test_single_phase_goodness_of_fit(self):
-        rate = 2.5
-        Y = ContinuousPhaseType(np.array([1.0]), np.array([[-rate]]))
-        rng = np.random.default_rng(24)
-        draws = _sample_ph_batch(Y, 20_000, rng)
-        stat = kstest(draws, "expon", args=(0.0, 1.0 / rate))
-        assert stat.pvalue > 0.01
+    def gamma(self, shape, scale):
+        self.calls["gamma"] += 1
+        return self.rng.gamma(shape, scale)
+
+
+class TestPhaseVisitSampler:
+    @pytest.mark.parametrize("label,binomials,gammas", [("ER", 0, 2), ("EXP", 0, 1), ("HE", 1, 2)])
+    def test_draws_per_batch(self, label, binomials, gammas):
+        """A split with one destination takes no draw and one with two a
+        binomial, so a batch costs the same few calls whatever its counts."""
+        rng = CountingRng(20)
+        counts = np.random.default_rng(20).geometric(0.01, size=500)
+        _phase_sums(rng, counts, ph_from_preset(label))
+        assert rng.calls == {"binomial": binomials, "gamma": gammas}
+
+    @pytest.mark.parametrize("shocks", [1, 5, 40])
+    def test_fixed_count_sums(self, shocks):
+        """With M fixed, EXP sums are Gamma(M, 1) and ER sums Gamma(2M, 1/2)."""
+        counts = np.full(20_000, shocks)
+        exp = _phase_sums(np.random.default_rng(21), counts, ph_from_preset("EXP"))
+        assert kstest(exp, "gamma", args=(shocks,)).pvalue > 0.01
+        er = _phase_sums(np.random.default_rng(22), counts, ph_from_preset("ER"))
+        assert kstest(er, "gamma", args=(2 * shocks, 0.0, 0.5)).pvalue > 0.01
+
+    @pytest.mark.parametrize("label", ["ER", "EXP", "HE", "custom"])
+    def test_one_shock_mean_and_scv(self, label):
+        """One-shock draws have Y's mean and SCV; the cyclic custom law
+        ends only if the rounds stop once no phase holds a token."""
+        Y = CUSTOM_PH if label == "custom" else ph_from_preset(label)
+        draws = _phase_sums(np.random.default_rng(23), np.ones(200_000, dtype=np.int64), Y)
+        mean, scv = ph_mean_scv(Y)
+        assert abs(draws.mean() - mean) <= 4.0 * draws.std(ddof=1) / math.sqrt(draws.size)
+        assert abs(draws.var(ddof=1) / draws.mean() ** 2 - scv) <= 0.03 * scv
+
+    @pytest.mark.parametrize("label", ["ER", "EXP", "HE", "custom"])
+    def test_failure_times_follow_the_compound_law(self, label, reference_config):
+        """Kolmogorov-Smirnov test of simulated failure times against the
+        survival that uniformization gives on the sorted samples."""
+        spec = InterShockSpec(custom=CUSTOM_PH) if label == "custom" else InterShockSpec(preset=label)
+        config = replace(reference_config, shock=spec)
+        times = np.sort(_draw(config, 24, 20_000, times=True)[1])
+        survival = pdf_grid(compound_ph(count_distribution(config), spec.resolve()), times)[1]
+
+        def cdf(z):
+            assert np.array_equal(z, times)
+            return 1.0 - survival
+
+        assert kstest(times, cdf).pvalue > 0.01
 
 
 class TestFailureTimeOracle:

@@ -410,6 +410,18 @@ class TestMoments:
         assert row["scv"] > 0.0
         assert solves == [] and inversions == []
 
+    @pytest.mark.parametrize("chain", ["count", "state"])
+    def test_scv_makes_two_block_solves(self, chain, monkeypatch):
+        """E[Z] and E[Z^2] come off one pass, X_1 and then X_2 from X_1,
+        where raw_moment(Z, 1) and raw_moment(Z, 2) made three solves."""
+        solves = []
+        solve = ttf._solve_neg_generator
+        monkeypatch.setattr(ttf, "_solve_neg_generator", lambda Z, B: solves.append(Z) or solve(Z, B))
+        config = SystemConfig(8, 3, 0.8, BalanceCondition.BC2)
+        dist = count_distribution(config) if chain == "count" else sntf_distribution(config)
+        assert scv(compound_ph(dist, ph_from_preset("HE"))) > 0.0
+        assert len(solves) == 2
+
     def test_singular_layer_block_raises(self):
         # a layer that keeps its state at every shock: with exponential
         # inter-shock times its block -(T + 1 * exit alpha^T) is zero

@@ -15,13 +15,13 @@ from ckngb.montecarlo import simulate_sntf, simulate_ttf
 from ckngb.sntf import mean_closed, pmf_direct, sntf_distribution, survival_direct
 from ckngb.system import BalanceCondition, SystemConfig
 from ckngb.tiesets import enumerate_min_tiesets, system_reliability_exact
-from ckngb.ttf import InterShockSpec, compound_from_config, pdf_grid, raw_moment, scv
+from ckngb.ttf import _raw_moments, compound_from_config, pdf_grid, ph_from_preset
 
 
 def main() -> None:
     outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("results")
     outdir.mkdir(parents=True, exist_ok=True)
-    config = SystemConfig(4, 2, 0.7, BalanceCondition.BC3, InterShockSpec(preset="ER"))
+    config = SystemConfig(4, 2, 0.7, BalanceCondition.BC3, ph_from_preset("ER"))
 
     collection = enumerate_min_tiesets(config.n, config.k, config.bc)
     print(f"minimum tie-sets ({len(collection)}):", ", ".join(map(str, collection.tiesets)))
@@ -46,16 +46,18 @@ def main() -> None:
         fh.write("z,pdf,survival\n")
         for z, d, s in zip(zs, dens, surv):
             fh.write(f"{z:.12g},{d:.12g},{s:.12g}\n")
-    # block solves over the consolidated chain, p of them for E[Z^p]
-    moments = [raw_moment(Z, p) for p in range(1, 5)]
+    # one pass of 4 block solves over the consolidated chain gives E[Z^p]
+    # for p = 1..4, and the SCV from the first two as ttf.scv takes it
+    moments = _raw_moments(Z, 4)
     print("failure-time moments p=1..4:", ", ".join(f"{m:.6f}" for m in moments))
-    print(f"failure-time SCV: {scv(Z):.6f}")
+    m1, m2 = moments[:2]
+    print(f"failure-time SCV: {(m2 - m1**2) / m1**2:.6f}")
 
     counts = simulate_sntf(config, seed=20240, reps=200_000)
     times = simulate_ttf(config, seed=20240, reps=200_000)
     print(
-        f"simulated mean shock count {counts.mean:.4f} +/- {counts.half_width_95:.4f}, "
-        f"simulated mean failure time {times.mean:.4f} +/- {times.half_width_95:.4f}"
+        f"simulated mean shock count {counts.mean:.4f} +/- {counts.half_width(0.95):.4f}, "
+        f"simulated mean failure time {times.mean:.4f} +/- {times.half_width(0.95):.4f}"
     )
 
 

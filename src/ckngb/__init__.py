@@ -52,7 +52,6 @@ from .tiesets import (
 from .ttf import (
     CompoundPhaseType,
     ContinuousPhaseType,
-    InterShockSpec,
     compound_from_config,
     compound_ph,
     pdf_grid,

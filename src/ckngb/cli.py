@@ -120,7 +120,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(
             f"target={result.kind} reps={result.replications} seed={result.seed} "
             f"mean={result.mean:.12g} variance={result.variance:.12g} "
-            f"half_width_95={result.half_width_95:.12g}"
+            f"half_width_95={result.half_width(0.95):.12g}"
         )
         return EXIT_OK
 

@@ -60,7 +60,7 @@ class ExperimentSpec:
     r: tuple[float, ...]
     bc: tuple[BalanceCondition, ...]
     presets: tuple[str, ...] = ("ER",)
-    shock: "ttf.InterShockSpec | None" = None
+    shock: "ttf.ContinuousPhaseType | None" = None
     out: str | None = None
     m_max: int = DEFAULT_M_MAX
     z_max: float = DEFAULT_Z_MAX
@@ -131,8 +131,12 @@ def _float_list(value: Any, path: str) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _parse_shock(obj: Any) -> tuple["ttf.InterShockSpec | None", tuple[str, ...]]:
-    """Returns the single-system spec plus the preset list for sweeps."""
+def _parse_shock(obj: Any) -> tuple["ttf.ContinuousPhaseType | None", tuple[str, ...]]:
+    """The inter-shock law of a single-system command plus the preset list
+    for sweeps.  The law is ``ph_from_preset``'s for one preset label,
+    ``validate_ph``'s for a custom (alpha, T), and None for several presets
+    or no ``shock`` key (sweeps then take the list, ER by default).  A
+    config gives either preset or both alpha and T, never both."""
     if obj is None:
         return None, ("ER",)
     if not isinstance(obj, dict):
@@ -148,13 +152,13 @@ def _parse_shock(obj: Any) -> tuple["ttf.InterShockSpec | None", tuple[str, ...]
             labels.append(str(label).upper())
         if not labels:
             raise ConfigError("shock.preset: must be nonempty")
-        spec = ttf.InterShockSpec(preset=labels[0]) if len(labels) == 1 else None
-        return spec, tuple(labels)
+        law = ttf.ph_from_preset(labels[0]) if len(labels) == 1 else None
+        return law, tuple(labels)
     if "alpha" in obj or "T" in obj:
         if "alpha" not in obj or "T" not in obj:
             raise ConfigError("shock: custom spec needs both alpha and T")
-        custom = ttf.validate_ph(np.asarray(obj["alpha"], dtype=float), np.asarray(obj["T"], dtype=float))
-        return ttf.InterShockSpec(custom=custom), ("custom",)
+        law = ttf.validate_ph(np.asarray(obj["alpha"], dtype=float), np.asarray(obj["T"], dtype=float))
+        return law, ("custom",)
     raise ConfigError("shock: expected preset or (alpha, T)")
 
 
@@ -372,7 +376,7 @@ def run_ttf(spec: ExperimentSpec) -> tuple[list[dict], dict]:
         if len(spec.presets) > 1:
             raise ConfigError("shock.preset: this command needs a single preset")
         raise ConfigError("shock: required for the ttf command")
-    chain, Y = sntf.count_distribution(config), config.shock.resolve()
+    chain, Y = sntf.count_distribution(config), config.shock
     zs = np.linspace(0.0, spec.z_max, spec.z_steps + 1)
     dens, surv = ttf.pdf_grid(ttf.compound_ph(chain, Y), zs)
     rows = [
@@ -514,9 +518,8 @@ def run_validate(
     )
 
     if config.shock is not None:
-        Y = config.shock.resolve()
-        Z = ttf.compound_ph(chain, Y)
-        mean_y, _ = ttf.ph_mean_scv(Y)
+        Z = ttf.compound_ph(chain, config.shock)
+        mean_y, _ = ttf.ph_mean_scv(config.shock)
         mttf = ttf.raw_moment(Z, 1)
         gap = abs(mttf - mean * mean_y)
         checks.append(_check("wald_identity", gap <= 1e-8, f"gap {gap:.3e}"))

@@ -21,14 +21,15 @@ shock counts of its failure-time pass).  Their number grows with the
 replications, not with the shock count (a cyclic law takes a geometric
 number of rounds, each one vectorised over the batch).  The shock-count
 histogram grows with the mean shock count E[M], which is read off the
-count chain and bounded before any draw (MAX_MEAN_SHOCKS).
+count chain and bounded before any draw (MAX_MEAN_SHOCKS).  A result's
+half width is the normal approximation at level 0.95 or 0.99, from the
+two tabulated quantiles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from statistics import NormalDist
 
 import numpy as np
 
@@ -59,7 +60,6 @@ class SimulationResult:
     mean: float
     variance: float
     stderr: float
-    half_width_95: float
     hist_edges: np.ndarray
     hist_counts: np.ndarray
     # a failure-time result may carry the summary of the shock counts its
@@ -67,9 +67,11 @@ class SimulationResult:
     sntf: SimulationResult | None = None
 
     def half_width(self, level: float = 0.95) -> float:
+        """Normal-approximation half width of the mean's confidence
+        interval at level 0.95 or 0.99."""
         z = {0.95: _Z95, 0.99: _Z99}.get(level)
         if z is None:
-            z = NormalDist().inv_cdf(0.5 + level / 2.0)
+            raise ValueError(f"level must be 0.95 or 0.99, got {level}")
         return z * self.stderr
 
 
@@ -237,8 +239,6 @@ def _draw(config: SystemConfig, seed: int, reps: int, times: bool) -> tuple[np.n
         raise ConfigError("shock: required for time-to-failure simulation")
     table = nonfailed_closure(config.n, config.k, config.bc)
     _admit(config)
-    if times:
-        Y = config.shock.resolve()
     scratch = _shock_scratch(config.n)
     counts = np.empty(reps, dtype=np.int64)
     totals = np.empty(reps) if times else None
@@ -248,7 +248,7 @@ def _draw(config: SystemConfig, seed: int, reps: int, times: bool) -> tuple[np.n
         shocks = counts[start : start + size]
         shocks[:] = _shock_counts(rng, size, config, table, scratch)
         if times:
-            totals[start : start + size] = _phase_sums(rng, shocks, Y)
+            totals[start : start + size] = _phase_sums(rng, shocks, config.shock)
         start += size
     return counts, totals
 
@@ -271,7 +271,6 @@ def _summarize(kind: str, samples: np.ndarray, seed: int, integer_bins: bool) ->
         mean=mean,
         variance=variance,
         stderr=stderr,
-        half_width_95=_Z95 * stderr,
         hist_edges=edges,
         hist_counts=counts,
     )

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, OddNUnsupported
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .ttf import InterShockSpec
+    from .ttf import ContinuousPhaseType
 
 MAX_UNITS = 30
 
@@ -252,7 +252,7 @@ class SystemConfig:
     k: int
     r: float
     bc: BalanceCondition = BalanceCondition.BC3
-    shock: "InterShockSpec | None" = None
+    shock: "ContinuousPhaseType | None" = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or not isinstance(self.k, int):
@@ -265,8 +265,3 @@ class SystemConfig:
             raise ConfigError(f"r: must lie strictly inside (0, 1), got {self.r}")
         if self.bc is BalanceCondition.BC1 and self.n % 2 != 0:
             raise OddNUnsupported(f"bc: BC1 needs an even unit count, got n={self.n}")
-
-    @property
-    def failure_prob(self) -> float:
-        """Per-shock failure probability of an operating unit (1 - r)."""
-        return 1.0 - self.r

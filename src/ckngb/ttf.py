@@ -1,13 +1,14 @@
 """Continuous time to system failure via phase-type algebra.
 
-Inter-shock times are phase-type distributed (three unit-mean presets
-plus custom specs).  The failure time is the random sum of one
-inter-shock draw per shock, which is again phase-type: its subgenerator
-combines the inter-shock generator on the diagonal blocks with shock
-transitions routed through the exit rates.  Neither the subgenerator nor
-its matrix exponential is formed: density and survival on a grid are read
-off uniformization series built from the shock chain's row action, one
-series per stride of the grid, and moments
+Inter-shock times follow one phase-type law (alpha, T), a
+``ContinuousPhaseType`` from ``ph_from_preset`` (three unit-mean presets)
+or from ``validate_ph`` (a custom law).  The failure time is the random
+sum of one inter-shock draw per shock, which is again phase-type: its
+subgenerator combines the inter-shock generator on the diagonal blocks
+with shock transitions routed through the exit rates.  Neither the
+subgenerator nor its matrix exponential is formed: density and survival
+on a grid are read off uniformization series built from the shock
+chain's row action, one series per stride of the grid, and moments
 come from block back-substitution over the shock chain's layers, whose
 diagonal blocks a law inverts once.  The commands take MTTF and SCV from
 the shock-count moments and Y's alone, as Z is a random sum; these block
@@ -116,23 +117,6 @@ def ph_mean_scv(Y: ContinuousPhaseType) -> tuple[float, float]:
 
 
 @dataclass(frozen=True, eq=False)
-class InterShockSpec:
-    """Either a preset label or explicit phase-type parameters."""
-
-    preset: str | None = None
-    custom: ContinuousPhaseType | None = None
-
-    def __post_init__(self) -> None:
-        if (self.preset is None) == (self.custom is None):
-            raise ConfigError("shock: give exactly one of preset or custom (alpha, T)")
-
-    def resolve(self) -> ContinuousPhaseType:
-        if self.preset is not None:
-            return ph_from_preset(self.preset)
-        return self.custom
-
-
-@dataclass(frozen=True, eq=False)
 class CompoundPhaseType:
     """Failure-time law: shock-count phases crossed with inter-shock phases.
 
@@ -190,7 +174,7 @@ def compound_from_config(config: SystemConfig) -> CompoundPhaseType:
     """Failure-time law on the paper's consolidated chain."""
     if config.shock is None:
         raise ConfigError("shock: an inter-shock specification is required")
-    return compound_ph(sntf_distribution(config), config.shock.resolve())
+    return compound_ph(sntf_distribution(config), config.shock)
 
 
 def _apply_generator_left(Z: CompoundPhaseType, U: np.ndarray) -> np.ndarray:

@@ -10,14 +10,14 @@ settings.register_profile("suite", max_examples=50, deadline=None)
 settings.load_profile("suite")
 
 from ckngb.system import BalanceCondition, SystemConfig
-from ckngb.ttf import InterShockSpec
+from ckngb.ttf import ph_from_preset
 from helpers import clear_package_caches
 
 
 @pytest.fixture
 def reference_config() -> SystemConfig:
     """2-out-of-4 system, r = 0.7, BC3, Erlang-2 inter-shock times."""
-    return SystemConfig(4, 2, 0.7, BalanceCondition.BC3, InterShockSpec(preset="ER"))
+    return SystemConfig(4, 2, 0.7, BalanceCondition.BC3, ph_from_preset("ER"))
 
 
 @pytest.fixture

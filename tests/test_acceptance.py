@@ -21,7 +21,6 @@ from ckngb.sntf import (
 from ckngb.system import BalanceCondition, SystemConfig, balanced_mask_table
 from ckngb.tiesets import enumerate_min_tiesets
 from ckngb.ttf import (
-    InterShockSpec,
     compound_ph,
     ph_from_preset,
     ph_mean_scv,
@@ -246,7 +245,7 @@ def test_criterion_10_geometric_special_case():
 
 
 def test_criterion_11_monte_carlo_agreement():
-    config = SystemConfig(4, 2, 0.7, BC3, InterShockSpec(preset="ER"))
+    config = SystemConfig(4, 2, 0.7, BC3, ph_from_preset("ER"))
     reps = 10**6
     dist = sntf_distribution(config)
     analytic_mean = mean_closed(dist)

@@ -19,6 +19,7 @@ from ckngb.chain import MAX_STATE_UNITS, build_state_chain, state_chain
 from ckngb.cli import main
 from ckngb.errors import ConfigError, NoTieSets, NonConvergence
 from ckngb.system import BalanceCondition
+from ckngb.ttf import ph_from_preset
 
 BC3 = BalanceCondition.BC3
 
@@ -54,7 +55,8 @@ class TestLoadConfig:
         spec = experiments.load_config(config_file(REFERENCE_DOC))
         config = spec.single()
         assert (config.n, config.k, config.r, config.bc) == (4, 2, 0.7, BC3)
-        assert config.shock.preset == "ER"
+        er = ph_from_preset("ER")
+        assert np.array_equal(config.shock.alpha, er.alpha) and np.array_equal(config.shock.T, er.T)
 
     def test_field_path_in_error(self, config_file):
         doc = dict(REFERENCE_DOC, k=5)
@@ -79,8 +81,32 @@ class TestLoadConfig:
     def test_custom_ph_accepted(self, config_file):
         doc = dict(REFERENCE_DOC, shock={"alpha": [0.5, 0.5], "T": [[-2.0, 1.0], [0.0, -3.0]]})
         spec = experiments.load_config(config_file(doc))
-        Y = spec.shock.resolve()
-        assert Y.K == 2
+        assert spec.shock.K == 2
+
+    @pytest.mark.parametrize(
+        "shock",
+        [
+            "ER",
+            {"preset": "ER", "alpha": [1.0]},
+            {"preset": "ER", "T": [[-1.0]]},
+            {"alpha": [1.0]},
+            {"T": [[-1.0]]},
+            {"preset": []},
+            {},
+        ],
+        ids=["not-an-object", "preset-and-alpha", "preset-and-T", "alpha-alone", "T-alone",
+             "empty-preset-list", "neither"],
+    )
+    def test_shock_refused(self, shock, config_file):
+        """A shock is one preset label, a list of them, or a custom law
+        with both alpha and T; anything else is refused by name."""
+        with pytest.raises(ConfigError, match=r"^shock"):
+            experiments.load_config(config_file(dict(REFERENCE_DOC, shock=shock)))
+
+    def test_shock_refused_through_main(self, config_file, capsys):
+        doc = dict(REFERENCE_DOC, shock={"preset": "ER", "alpha": [1.0]})
+        assert main(["ttf", "--config", config_file(doc)]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_custom_ph_rejected(self, config_file):
         doc = dict(REFERENCE_DOC, shock={"alpha": [0.5, 0.6], "T": [[-2.0, 1.0], [0.0, -3.0]]})

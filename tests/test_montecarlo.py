@@ -1,6 +1,9 @@
 import hashlib
 import math
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,6 @@ from ckngb.sntf import count_distribution, mean_closed, sntf_distribution
 from ckngb.system import BalanceCondition, SystemConfig
 from ckngb.tiesets import nonfailed_closure
 from ckngb.ttf import (
-    InterShockSpec,
     compound_from_config,
     compound_ph,
     pdf_grid,
@@ -105,8 +107,8 @@ def test_random_stream_pinned(system, reps, sntf_digest, ttf_digest):
     A new failure-time sampler is a new stream, with digests re-recorded
     and the shock-count digests kept."""
     n, k, r, bc, shock = system
-    spec = InterShockSpec(custom=CUSTOM_PH) if shock == "custom" else InterShockSpec(preset=shock)
-    config = SystemConfig(n, k, r, bc, spec)
+    law = CUSTOM_PH if shock == "custom" else ph_from_preset(shock)
+    config = SystemConfig(n, k, r, bc, law)
     counts = _draw(config, 7, reps, times=False)[0]
     times = _draw(config, 7, reps, times=True)[1]
     assert counts.dtype == np.int64 and times.dtype == np.float64
@@ -162,11 +164,33 @@ def test_shock_counts_do_not_depend_on_the_block_size(r, monkeypatch):
     assert results[0] == results[1]
 
 
+class TestHalfWidth:
+    def test_levels(self):
+        result = simulate_sntf(SystemConfig(2, 2, 0.5), seed=11, reps=1000)
+        assert result.half_width(0.95) == montecarlo._Z95 * result.stderr
+        assert result.half_width(0.99) == montecarlo._Z99 * result.stderr
+        assert result.half_width() == result.half_width(0.95)
+        with pytest.raises(ValueError, match="0.95 or 0.99"):
+            result.half_width(0.9)
+
+    def test_package_import_leaves_out_statistics(self):
+        """Only the two tabulated quantiles are served, so the package
+        does not import the statistics module."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import ckngb; "
+            "print('statistics' in sys.modules)"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
+
 class TestShockCountOracle:
     def test_geometric_mean(self):
         config = SystemConfig(2, 2, 0.5)
         result = simulate_sntf(config, seed=11, reps=REPS)
-        assert abs(result.mean - 4.0 / 3.0) <= 3.0 * result.half_width_95 / 1.96
+        assert abs(result.mean - 4.0 / 3.0) <= 3.0 * result.half_width(0.95) / 1.96
 
     def test_reference_mean(self, reference_config):
         result = simulate_sntf(reference_config, seed=12, reps=REPS)
@@ -242,10 +266,10 @@ class TestPhaseVisitSampler:
     def test_failure_times_follow_the_compound_law(self, label, reference_config):
         """Kolmogorov-Smirnov test of simulated failure times against the
         survival that uniformization gives on the sorted samples."""
-        spec = InterShockSpec(custom=CUSTOM_PH) if label == "custom" else InterShockSpec(preset=label)
-        config = replace(reference_config, shock=spec)
+        law = CUSTOM_PH if label == "custom" else ph_from_preset(label)
+        config = replace(reference_config, shock=law)
         times = np.sort(_draw(config, 24, 20_000, times=True)[1])
-        survival = pdf_grid(compound_ph(count_distribution(config), spec.resolve()), times)[1]
+        survival = pdf_grid(compound_ph(count_distribution(config), law), times)[1]
 
         def cdf(z):
             assert np.array_equal(z, times)
@@ -263,7 +287,7 @@ class TestFailureTimeOracle:
     def test_exponential_survival_closed_form(self):
         r = 0.6
         rate = 1.0 - r**2
-        config = SystemConfig(2, 2, r, BC3, InterShockSpec(preset="EXP"))
+        config = SystemConfig(2, 2, r, BC3, ph_from_preset("EXP"))
         samples = _draw(config, 32, REPS, times=True)[1]
         expected = math.exp(-rate)
         p_hat = float((samples > 1.0).mean())
@@ -273,7 +297,7 @@ class TestFailureTimeOracle:
     def test_empirical_wald(self, reference_config):
         counts = simulate_sntf(reference_config, seed=33, reps=REPS)
         times = simulate_ttf(reference_config, seed=33, reps=REPS)
-        mean_y, _ = ph_mean_scv(reference_config.shock.resolve())
+        mean_y, _ = ph_mean_scv(reference_config.shock)
         gap = abs(times.mean - counts.mean * mean_y)
         assert gap <= 3.0 * (times.stderr + counts.stderr * mean_y)
 

@@ -10,11 +10,14 @@ identity is off by -1.5e-16."""
 
 import hashlib
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import ckngb.ttf as ttf
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,3 +39,24 @@ def test_script_csv_pinned(script, csv, digest, tmp_path):
         env=env, check=True, capture_output=True, timeout=120,
     )
     assert hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest() == digest
+
+
+def test_descriptive_case_moments_in_one_pass(tmp_path, monkeypatch, capsys):
+    """descriptive_case.py reads E[Z^p], p = 1..4, and the SCV off one pass
+    of 4 block solves (asking raw_moment for each p and then scv made 12),
+    and prints the same bytes as the release that recorded this digest."""
+    calls = []
+    solve = ttf._solve_neg_generator
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(ttf, "_solve_neg_generator", counted)
+    monkeypatch.setattr(sys, "argv", ["descriptive_case.py", str(tmp_path)])
+    runpy.run_path(str(ROOT / "scripts" / "descriptive_case.py"))["main"]()
+    assert len(calls) == 4
+    printed = capsys.readouterr().out.encode()
+    assert hashlib.sha256(printed).hexdigest() == (
+        "28ab25a362ab70390d44204d26f9502ce2e41f49c609057eb0097e738f08ae30"
+    )

@@ -192,7 +192,7 @@ def test_bc3_invariant_under_reflection(n, raw):
 class TestSystemConfig:
     def test_valid(self):
         cfg = SystemConfig(4, 2, 0.7, BC3)
-        assert cfg.failure_prob == pytest.approx(0.3)
+        assert (cfg.n, cfg.k, cfg.r, cfg.bc, cfg.shock) == (4, 2, 0.7, BC3, None)
 
     def test_k_bounds(self):
         with pytest.raises(ConfigError):

@@ -15,7 +15,6 @@ from ckngb.ttf import (
     PRESET_LABELS,
     CompoundPhaseType,
     ContinuousPhaseType,
-    InterShockSpec,
     compound_from_config,
     compound_ph,
     pdf_grid,
@@ -94,19 +93,6 @@ class TestValidatePH:
         # only phase 2 exits; phases 0 and 1 reach it
         T = np.array([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [0.0, 0.0, -1.0]])
         validate_ph(np.array([1.0, 0.0, 0.0]), T)
-
-
-class TestInterShockSpec:
-    def test_exactly_one_source(self):
-        with pytest.raises(ConfigError):
-            InterShockSpec()
-        with pytest.raises(ConfigError):
-            InterShockSpec(preset="ER", custom=ph_from_preset("EXP"))
-
-    def test_resolve(self):
-        assert InterShockSpec(preset="HE").resolve().K == 2
-        custom = ph_from_preset("EXP")
-        assert InterShockSpec(custom=custom).resolve() is custom
 
 
 class TestCompound:
@@ -340,7 +326,7 @@ def test_moments_against_exact_arithmetic(label, r):
     mttf_bound, scv_bound = MOMENT_BOUNDS[r]
     for n, k, bc in MOMENT_SYSTEMS:
         exact_mttf, exact_scv = exact_failure_time_moments(n, k, bc, r, Y)
-        spec = ExperimentSpec(n=(n,), k=(k,), r=(r,), bc=(bc,), shock=InterShockSpec(preset=label), z_steps=1)
+        spec = ExperimentSpec(n=(n,), k=(k,), r=(r,), bc=(bc,), shock=Y, z_steps=1)
         summary = run_ttf(spec)[1]
         Z = compound_ph(count_distribution(SystemConfig(n, k, r, bc)), Y)
         for mttf, value in ((summary["mttf"], summary["scv"]), (raw_moment(Z, 1), scv(Z))):

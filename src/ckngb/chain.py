@@ -359,39 +359,39 @@ class CountChain:
         return (self.transition[..., rows, :] @ y[..., None])[..., 0]
 
 
-def _count_law(full: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """q and absorb over every operating count j = 0..n, for the profiles
-    ``counts`` (..., n + 1) under the thinning matrices ``full``
-    (..., n + 1, n + 1), their leading axes broadcast against each other."""
-    n = counts.shape[-1] - 1
+def build_count_chains(n: int, rs: list[float], counts: np.ndarray) -> list[CountChain]:
+    """Count chains of the profiles ``counts`` (P, n + 1) at each unit
+    reliability in ``rs``, states in ``CountChain``'s order: one stack per
+    profile, its members in the order of ``rs``.  The stacks may view
+    arrays they share, and every profile shares one read of each (n, r)
+    thinning matrix."""
+    for r in rs:
+        if not 0.0 < r < 1.0:
+            raise ValueError(f"r must lie strictly inside (0, 1), got {r}")
+    full = np.array([_thinning(n, r) for r in rs])
     q = counts / _binomials(n)[n]
     # The nonfailed set is an up-set, so q is nondecreasing in j (the LYM
     # inequality).  Rounding c_j / C(n, j) is monotone, so this is exact.
     if (q[..., 1:] < q[..., :-1]).any():
         raise InvariantViolation(f"q_j = c_j / C(n, j) decreases in j: {q.tolist()}")
     # Rows of full sum to one, so w - P w is this sum of nonnegative terms.
-    return q, (full * (q[..., :, None] - q[..., None, :])).sum(axis=-1)
-
-
-def _count_states(counts: np.ndarray) -> np.ndarray:
-    """States of each profile's count chain: j = n down to the fewest
-    operating units of a nonfailed state."""
-    return counts.shape[-1] - np.argmax(counts > 0, axis=-1)
+    absorb = (full[:, None] * (q[..., :, None] - q[..., None, :])).sum(axis=-1)
+    transition, absorb = full[:, ::-1, ::-1], absorb[..., ::-1]
+    weights = np.repeat(q[None, :, ::-1], len(rs), axis=0)
+    sizes = n + 1 - np.argmax(counts > 0, axis=-1)
+    return [
+        CountChain(transition[:, :size, :size], absorb[:, i, :size], weights[:, i, :size])
+        for i, size in enumerate(sizes.tolist())
+    ]
 
 
 @lru_cache(maxsize=16)  # a command reads one system's chain in several calls
 def build_count_chain(n: int, k: int, bc: BalanceCondition, r: float) -> CountChain:
-    """Count chain of the system at unit reliability r, started state first."""
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"r must lie strictly inside (0, 1), got {r}")
-    counts = count_profile(n, k, bc)
-    full = _thinning(n, r)
-    q, absorb = _count_law(full, counts)
-    size = int(_count_states(counts))
+    """Count chain of the system at unit reliability r, started state first:
+    ``build_count_chains`` for one profile and one r."""
+    (stack,) = build_count_chains(n, [r], count_profile(n, k, bc)[None])
     return CountChain(
-        np.ascontiguousarray(full[::-1, ::-1][:size, :size]),
-        absorb[::-1][:size].copy(),
-        q[::-1][:size].copy(),
+        *(np.ascontiguousarray(a[0]) for a in (stack.transition, stack.absorb, stack.weights))
     )
 
 

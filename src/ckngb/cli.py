@@ -44,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--reps", type=int, help="simulation replications")
         p.add_argument("--m-max", type=int, dest="m_max", help="largest shock count to tabulate")
         p.add_argument("--z-max", type=float, dest="z_max", help="largest time on the pdf grid")
-        p.add_argument("--threads", type=int, help="worker threads for sweeps")
         return p
 
     add("tiesets", "enumerate the minimum tie-sets")
@@ -71,7 +70,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _dispatch(args: argparse.Namespace) -> int:
     # each flag given stands in for the config key of its name
-    flags = ("out", "seed", "reps", "m_max", "z_max", "threads")
+    flags = ("out", "seed", "reps", "m_max", "z_max")
     spec = experiments.load_config(args.config, **{name: getattr(args, name) for name in flags})
 
     if args.command == "tiesets":

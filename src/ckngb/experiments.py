@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
@@ -39,7 +38,7 @@ DEFAULT_R_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))  # 0.05 .. 0.95
 # any work (README, "Config file").  m_max, z_steps and the points of a
 # sweep grid set the rows of a table built in full before it is written:
 # 10^5 rows take 0.5-1.1 s (sntf-pmf, ttf) and under 80 MB, 10^5
-# sweep points at n = 12 1.5-2.2 s and under 100 MB in one thread.  reps
+# sweep points at n = 12 1.5-2.2 s and under 100 MB.  reps
 # sets the length of every sample array: 2^25 replications take 6-10 s
 # and 549 MB for shock counts, 9-21 s and 806 MB for failure times.
 MAX_TABLE_ROWS = 10**5
@@ -67,6 +66,9 @@ class ExperimentSpec:
     z_steps: int = DEFAULT_Z_STEPS
     reps: int = DEFAULT_REPS
     seed: int = DEFAULT_SEED
+    # Read by nothing: sweeps run in one thread.  The key stays accepted
+    # because the benchmark's configs set it and its thread probe replaces
+    # this field.
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -201,6 +203,8 @@ def parse_config(doc: Any) -> ExperimentSpec:
             raise ConfigError(f"{key}: must be finite, got {value}")
         if positive and value <= 0:
             raise ConfigError(f"{key}: must be positive")
+        if value < 0:
+            raise ConfigError(f"{key}: must be nonnegative")
         return value
 
     return ExperimentSpec(
@@ -264,23 +268,17 @@ def _sweep_points(spec: ExperimentSpec, *leading: Iterable) -> list[tuple]:
     return points
 
 
-def _grid_map(spec: ExperimentSpec, groups: Iterable, worker: Callable) -> Iterator:
-    """worker over the groups, in order; in one thread, one group at a time."""
-    if spec.threads > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            return pool.map(worker, groups)
-    return map(worker, groups)
-
-
 def _count_stacks(spec: ExperimentSpec) -> Iterator[tuple[list[tuple], chain_mod.CountChain]]:
     """The count chains of the feasible systems (bc, n, k, r) of the grid,
     2 <= k <= n - 1, as stacks of chains of one size: one (systems, stack)
     pair per chain size and block of _R_BLOCK r values.
 
-    Each thinning matrix (n, r) is built once per sweep and each profile
-    (n, bc, k) read once per block.  The first system in row order that
-    SystemConfig refuses raises its error before any work; systems under
-    BC1 with odd n or with no tie-sets are left out.
+    Each profile (n, bc, k) is read once per sweep.  One
+    ``chain.build_count_chains`` call per n and block builds the chains of
+    every profile of that n, so each thinning matrix (n, r) is built once
+    per sweep.  The first system in row order that SystemConfig refuses
+    raises its error before any work; systems under BC1 with odd n or with
+    no tie-sets are left out.
     """
     rs = sorted(set(spec.r))
     k_values = sorted(set(spec.k))
@@ -292,37 +290,32 @@ def _count_stacks(spec: ExperimentSpec) -> Iterator[tuple[list[tuple], chain_mod
         SystemConfig(first, ks[first][0], r)
     for n, row in ks.items():
         SystemConfig(n, row[0], rs[0])
+    families = []  # per n: the feasible (bc, n, k) and their count profiles
+    for n, row in ks.items():
+        names, profiles = [], []
+        for bc in bcs:
+            try:
+                SystemConfig(n, row[0], rs[0], bc)  # BC1 needs an even n
+            except OddNUnsupported:
+                continue
+            for k in row:
+                try:
+                    profiles.append(count_profile(n, k, bc))
+                except NoTieSets:
+                    continue
+                names.append((bc.value, n, k))
+        if profiles:
+            families.append((n, names, np.array(profiles)))
     for lo in range(0, len(rs), _R_BLOCK):
         block = rs[lo : lo + _R_BLOCK]
-        parts: dict[int, tuple] = {}  # chain size -> systems and array parts
-        for n, row in ks.items():
-            full = np.array([chain_mod._thinning(n, r) for r in block])
-            for bc in bcs:
-                try:
-                    SystemConfig(n, row[0], block[0], bc)  # BC1 needs an even n
-                except OddNUnsupported:
-                    continue
-                feasible = {}
-                for k in row:
-                    try:
-                        feasible[k] = count_profile(n, k, bc)
-                    except NoTieSets:
-                        pass
-                if not feasible:
-                    continue
-                profiles = np.array(list(feasible.values()))
-                q, absorb = chain_mod._count_law(full[:, None], profiles)
-                # state i of a chain holds n - i operating units
-                transition, absorb = full[:, ::-1, ::-1], absorb[..., ::-1]
-                q = np.repeat(q[None, :, ::-1], len(block), axis=0)
-                sizes = chain_mod._count_states(profiles).tolist()
-                for i, (k, size) in enumerate(zip(feasible, sizes)):
-                    systems, transitions, absorbs, weights = parts.setdefault(size, ([], [], [], []))
-                    systems += [(bc.value, n, k, r) for r in block]
-                    transitions.append(transition[:, :size, :size])
-                    absorbs.append(absorb[:, i, :size])
-                    weights.append(q[:, i, :size])
-        for size, (systems, *arrays) in sorted(parts.items()):
+        parts: dict[int, tuple[list, list]] = {}  # chain size -> systems and stacks
+        for n, names, profiles in families:
+            for name, stack in zip(names, chain_mod.build_count_chains(n, block, profiles)):
+                systems, stacks = parts.setdefault(stack.size, ([], []))
+                systems += [(*name, r) for r in block]
+                stacks.append(stack)
+        for size, (systems, stacks) in sorted(parts.items()):
+            arrays = zip(*((c.transition, c.absorb, c.weights) for c in stacks))
             yield systems, chain_mod.CountChain(*map(np.concatenate, arrays))
 
 
@@ -415,31 +408,25 @@ def _sweep_rows(
 def run_sweep_msntf(spec: ExperimentSpec) -> list[dict]:
     points = _sweep_points(spec, [bc.value for bc in spec.bc])
     rows, by_point = _sweep_rows(points, ("bc", "n", "k", "r"), ("msntf",))
-    for systems, means in _grid_map(
-        spec, _count_stacks(spec), lambda group: (group[0], sntf.mean_closed(group[1]))
-    ):
-        for system, mean in zip(systems, means.tolist()):
+    for systems, stack in _count_stacks(spec):
+        for system, mean in zip(systems, sntf.mean_closed(stack).tolist()):
             by_point[system]["msntf"] = mean
     return rows
 
 
 def run_sweep_scv(spec: ExperimentSpec) -> list[dict]:
     if spec.presets == ("custom",):
-        raise ConfigError("shock.preset: sweep-scv needs preset labels")
+        raise ConfigError("shock: sweep-scv needs preset labels, not a custom (alpha, T) law")
     points = _sweep_points(spec, [bc.value for bc in spec.bc], spec.presets)
     columns = ("mttf", "mttf_wald", "scv")
     rows, by_point = _sweep_rows(points, ("bc", "preset", "n", "k", "r"), columns)
     # E[Y] and SCV[Y] of each inter-shock law, once per sweep
     laws = {preset: ttf.ph_mean_scv(ttf.ph_from_preset(preset)) for preset in spec.presets}
-
-    def worker(group):
+    for systems, stack in _count_stacks(spec):
         # every preset on the shock-count moments of the same stack of chains
-        systems, stack = group
         moments = sntf.mean_closed(stack), sntf.factorial_moment(stack, 2)
-        return systems, {preset: _failure_time_summary(*moments, *law) for preset, law in laws.items()}
-
-    for systems, summaries in _grid_map(spec, _count_stacks(spec), worker):
-        for preset, summary in summaries.items():
+        for preset, law in laws.items():
+            summary = _failure_time_summary(*moments, *law)
             for (bc, n, k, r), *values in zip(systems, *(summary[c].tolist() for c in columns)):
                 by_point[bc, preset, n, k, r].update(zip(columns, values))
     return rows

@@ -58,6 +58,8 @@ def validate_ph(alpha: np.ndarray, T: np.ndarray) -> ContinuousPhaseType:
     """Reject malformed phase-type parameters instead of normalizing them."""
     alpha = np.asarray(alpha, dtype=np.float64)
     T = np.asarray(T, dtype=np.float64)
+    if not (np.isfinite(alpha).all() and np.isfinite(T).all()):
+        raise ConfigError("shock: alpha and T must be finite")
     if alpha.ndim != 1 or T.ndim != 2 or T.shape != (alpha.size, alpha.size):
         raise ConfigError("shock: alpha must be a vector and T a matching square matrix")
     if np.any(alpha < 0.0):

@@ -186,13 +186,22 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flag,value",
-        [("z-max", "nan"), ("z-max", "inf"), ("m-max", "0"), ("reps", "0"), ("threads", "0")],
+        [("z-max", "nan"), ("z-max", "inf"), ("m-max", "0"), ("reps", "0"), ("seed", "-1")],
     )
     def test_bad_flag_is_config_error(self, flag, value, config_file, capsys):
         assert main(["ttf", "--config", config_file(REFERENCE_DOC), f"--{flag}", value]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{flag.replace('-', '_')}:" in captured.err
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_negative_seed_is_config_error(self, command, config_file, capsys):
+        """numpy's SeedSequence takes no negative seed; 0 is a seed."""
+        assert experiments.parse_config(dict(REFERENCE_DOC, seed=0)).seed == 0
+        assert main([command, "--config", config_file(dict(REFERENCE_DOC, seed=-1))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed: must be nonnegative" in captured.err
 
     def test_huge_z_max_finishes(self, config_file, tmp_path):
         # the survival underflows to exactly zero long before z = 1e300
@@ -438,6 +447,31 @@ class TestPhaseThatNeverExits:
         assert "phases [0, 1] never reach a phase that can exit" in done.stderr
 
 
+class TestNonFiniteLaw:
+    """A custom law with an infinite rate is a config error.  Before,
+    `ttf` never finished (a uniformization rate of inf gives strides of
+    length 0) and `simulate --target ttf` exited 1 with an IndexError."""
+
+    DOC = dict(
+        REFERENCE_DOC, n=6, r=0.8, shock={"alpha": [0.5, 0.5], "T": [[-2, 1], [0, float("-inf")]]}
+    )
+
+    @pytest.mark.parametrize("argv", [["ttf"], ["simulate", "--target", "ttf"]])
+    def test_exits_2(self, argv, config_file):
+        done = run_cli(*argv, "--config", config_file(self.DOC), timeout=30)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "shock: alpha and T must be finite" in done.stderr
+
+
+def test_experiments_import_loads_no_thread_pool():
+    code = "import sys, ckngb.experiments; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
+
+
 def test_cli_import_loads_no_scipy():
     code = "import sys, ckngb.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     done = subprocess.run(
@@ -608,13 +642,36 @@ class TestSweeps:
         bc3 = [r for r in rows if r[0] == "BC3"]
         assert all(r[4] != "infeasible" for r in bc3)
 
-    def test_msntf_threads_deterministic(self, config_file, tmp_path):
-        doc = {"n": [6], "k": [2, 3, 4, 5], "r": [0.3, 0.6], "bc": ["BC3"]}
-        single = tmp_path / "single.csv"
-        pooled = tmp_path / "pooled.csv"
-        main(["sweep-msntf", "--config", config_file(doc), "--out", str(single)])
-        main(["sweep-msntf", "--config", config_file(doc), "--threads", "4", "--out", str(pooled)])
-        assert single.read_bytes() == pooled.read_bytes()
+    def test_threads_flag_is_gone(self, config_file):
+        doc = {"n": [6], "k": [2, 3], "r": [0.3], "bc": ["BC3"]}
+        done = run_cli("sweep-msntf", "--config", config_file(doc), "--threads", "2")
+        assert done.returncode == 2
+        assert done.stdout == ""
+
+    @pytest.mark.parametrize("command", ["sweep-msntf", "sweep-scv"])
+    def test_threads_key_has_no_effect(self, command, config_file, capsys):
+        """The threads key is still accepted as a positive integer, and a
+        sweep prints the same bytes whatever its value."""
+        doc = {"n": [6, 8], "k": [2, 3, 4, 5], "r": [0.3, 0.6], "bc": ["BC2", "BC3"],
+               "shock": {"preset": ["ER", "HE"]}}
+        outputs = []
+        for extra in ({}, {"threads": 1}, {"threads": 4}):
+            assert main([command, "--config", config_file(dict(doc, **extra))]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] and outputs[1:] == outputs[:1] * 2
+        assert main([command, "--config", config_file(dict(doc, threads=0))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "threads: must be positive" in captured.err
+
+    def test_scv_refuses_custom_law(self, config_file, capsys):
+        doc = {"n": [6], "k": [2], "r": [0.8], "bc": ["BC3"],
+               "shock": {"alpha": [0.5, 0.5], "T": [[-2, 1], [0, -3]]}}
+        assert main(["sweep-scv", "--config", config_file(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: shock: sweep-scv needs preset labels" in captured.err
+        assert "shock.preset" not in captured.err
 
     def test_scv_sweep(self, config_file, tmp_path):
         doc = {

@@ -89,6 +89,20 @@ class TestValidatePH:
         with pytest.raises(ConfigError):
             validate_ph(np.array(alpha, dtype=float), np.array(T, dtype=float))
 
+    @pytest.mark.parametrize(
+        "alpha,T",
+        [
+            ([math.nan, 1.0], [[-1.0, 0.0], [0.0, -1.0]]),
+            ([0.5, 0.5], [[-1.0, math.nan], [0.0, -1.0]]),
+            ([0.5, 0.5], [[-2.0, 1.0], [0.0, -math.inf]]),
+            ([0.5, 0.5], [[-2.0, math.inf], [0.0, -1.0]]),
+        ],
+        ids=["nan-alpha", "nan-T", "inf-diagonal", "inf-off-diagonal"],
+    )
+    def test_rejects_non_finite(self, alpha, T):
+        with pytest.raises(ConfigError, match=r"^shock: alpha and T must be finite"):
+            validate_ph(np.array(alpha), np.array(T))
+
     def test_accepts_exit_through_other_phases(self):
         # only phase 2 exits; phases 0 and 1 reach it
         T = np.array([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [0.0, 0.0, -1.0]])

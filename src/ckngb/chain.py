@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import CapacityExceeded, InvariantViolation
 from .system import MAX_UNITS, BalanceCondition, SystemState
-from .tiesets import count_profile, nonfailed_closure, popcounts
+from .tiesets import count_profile, nonfailed_closure
 
 # Dense N x N storage caps the dumped chain: 15 000 states take 1.8 GB.
 # Every n <= 14 system fits (the largest, n=14 k=2 BC2, has 14 199);
@@ -287,7 +287,7 @@ def state_chain(masks: np.ndarray, n: int, r: float) -> StateChain:
     # The probability of a failed successor, as a sum of nonnegative terms
     # rather than 1 - row sum, which cancels where failing is rare.
     absorb = _butterfly(failed, r, row=False)[masks]
-    pops = popcounts(n)[masks]
+    pops = np.bitwise_count(masks)
     layers = tuple(
         (rows, np.full(1, r**s)) for s in range(n + 1) if (rows := np.flatnonzero(pops == s)).size
     )

@@ -159,7 +159,7 @@ def _parse_shock(obj: Any) -> tuple["ttf.ContinuousPhaseType | None", tuple[str,
     if "alpha" in obj or "T" in obj:
         if "alpha" not in obj or "T" not in obj:
             raise ConfigError("shock: custom spec needs both alpha and T")
-        law = ttf.validate_ph(np.asarray(obj["alpha"], dtype=float), np.asarray(obj["T"], dtype=float))
+        law = ttf.validate_ph(obj["alpha"], obj["T"])
         return law, ("custom",)
     raise ConfigError("shock: expected preset or (alpha, T)")
 

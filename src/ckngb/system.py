@@ -174,16 +174,21 @@ def is_balanced(state: SystemState, bc: BalanceCondition) -> bool:
     return _PREDICATES[bc](state)
 
 
-# Bits of the mask whose centroid sums the BC3 table holds at once: 2**16
-# complex values, against one table row per setting of the other bits.
-_BC3_LOW_BITS = 16
+# Up to this many units BC3 tests all 2**n centroid sums at once (64 KB at
+# n = 12), in fewer numpy calls than the sorted search, which is faster
+# from n = 13 on.
+_BC3_DENSE_UNITS = 12
+# Rows of high bits the sorted BC3 search takes at once: with n // 2 low
+# bits, one batch covers every row up to n = 20, and a batch holds at most
+# 151 372 candidates (n = 30).
+_BC3_ROWS = 1 << 10
 
 
 def _bit_sums(weights: np.ndarray) -> np.ndarray:
     """s[m] = sum of weights[b] over the set bits b of m, built by doubling."""
-    sums = np.zeros(1, dtype=weights.dtype)
-    for w in weights:
-        sums = np.concatenate((sums, sums + w))
+    sums = np.zeros(1 << weights.size, dtype=weights.dtype)
+    for b, w in enumerate(weights):
+        np.add(sums[: 1 << b], w, out=sums[1 << b : 2 << b])
     return sums
 
 
@@ -197,33 +202,62 @@ def _prime_factors(n: int) -> list[int]:
 
 
 @lru_cache(maxsize=64)
-def balanced_mask_table(n: int, bc: BalanceCondition) -> np.ndarray:
-    """Vectorized twin of the scalar predicates: one bool per bitmask.
+def balanced_masks(n: int, bc: BalanceCondition) -> np.ndarray:
+    """Vectorized twin of the scalar predicates: the nonzero balanced
+    masks, as a sorted int64 array.
 
     BC3 adds the centroid sums of the low and the high bits of each mask;
-    BC1 and BC2 write their balanced masks from the repeated words they
-    consist of, so no route holds a per-unit value for every mask.  The
-    returned array is read-only and shared between callers.
+    BC1 and BC2 list their balanced masks from the repeated words they
+    consist of, so no route holds a value for every mask.  The returned
+    array is read-only and shared between callers.
     """
     if bc is BalanceCondition.BC1 and n % 2 != 0:
         raise OddNUnsupported(f"BC1 needs an even unit count, got n={n}")
     if bc is BalanceCondition.BC3:
         # Mask bit b is the unit at position n - 1 - b.
         roots = np.exp(2j * np.pi * (n - 1 - np.arange(n)) / n)
-        lo = _bit_sums(roots[: min(n, _BC3_LOW_BITS)])
-        hi = _bit_sums(roots[min(n, _BC3_LOW_BITS) :])
-        table = np.empty(1 << n, dtype=bool)
-        for row, shift in zip(table.reshape(hi.size, lo.size), hi):
-            np.less_equal(np.abs(lo + shift), BC3_TOLERANCE_PER_UNIT * n, out=row)
+        low = n // 2
+        lo = _bit_sums(roots[:low])
+        hi = _bit_sums(roots[low:])
+        tol = BC3_TOLERANCE_PER_UNIT * n
+        if n <= _BC3_DENSE_UNITS:
+            # row-major, the sum of row r and column c sits at mask r << low | c
+            masks = np.flatnonzero(np.abs(lo + hi[:, None]) <= tol)[1:]
+        else:
+            # |lo + shift| <= tol needs |Re| <= tol, and a rounded sum moves
+            # far less than tol: with the low sums sorted by real part, the
+            # candidates of a row are one run, found by bisection, and only
+            # they take the test on the complex sum.  Stable sorts here and
+            # below: numpy's quicksort maps about 0.25 MB more of its code
+            # into the process.
+            order = np.argsort(lo.real, kind="stable")
+            real = lo.real[order]
+            window = np.array([-2.0 * tol, 2.0 * tol])
+            parts = []
+            for first in range(0, hi.size, _BC3_ROWS):
+                # row r's candidates are order[starts[r] : starts[r] + counts[r]]
+                bounds = np.searchsorted(real, window - hi.real[first : first + _BC3_ROWS, None])
+                starts, counts = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
+                rows = np.repeat(np.arange(first, first + counts.size), counts)
+                runs = np.arange(rows.size) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+                low_masks = order[runs]
+                balanced = np.abs(lo[low_masks] + hi[rows]) <= tol
+                parts.append((rows[balanced] << low) | low_masks[balanced])
+            # each mask is found once, the empty set first
+            masks = np.sort(np.concatenate(parts), kind="stable")[1:]
     elif bc is BalanceCondition.BC2:
         # Invariance under rotation by d implies invariance under every
         # multiple of d, and every proper divisor of n divides some n/p with
         # p prime: the balanced sets are the words of d = n/p bits repeated
         # p times, and word w repeated is w * (2**n - 1) / (2**d - 1).
-        table = np.zeros(1 << n, dtype=bool)
+        parts = [np.zeros(1, dtype=np.int64)]
         for p in _prime_factors(n):
             d = n // p
-            table[np.arange(1 << d, dtype=np.int64) * (((1 << n) - 1) // ((1 << d) - 1))] = True
+            parts.append(np.arange(1 << d, dtype=np.int64) * (((1 << n) - 1) // ((1 << d) - 1)))
+        # Words of several periods give the same mask: keep each once, and
+        # drop the empty set, which sorts first.
+        masks = np.sort(np.concatenate(parts), kind="stable")
+        masks = masks[1:][masks[1:] != masks[:-1]]
     else:
         # R_j o R_{j+h} is the rotation by h = n/2, so a BC1 set is a word of
         # h bits repeated twice, on which the reflection R_j (p -> j - p)
@@ -235,12 +269,13 @@ def balanced_mask_table(n: int, bc: BalanceCondition) -> np.ndarray:
         symmetric = np.zeros(words.size, dtype=bool)
         for s in range(h):
             symmetric |= _rotate_right(reversed_words, s, h) == words
-        table = np.zeros(1 << n, dtype=bool)
-        table[words[symmetric] * ((1 << h) + 1)] = True
-    table[0] = False
+        masks = words[symmetric][1:] * ((1 << h) + 1)  # the empty word first
+    masks.flags.writeable = False
+    return masks
 
-    table.flags.writeable = False
-    return table
+
+# The name the benchmark's traced mode wraps as the system.balance_table layer.
+balanced_mask_table = balanced_masks
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import NoTieSets
-from .system import BalanceCondition, SystemState, balanced_mask_table
+from .system import BalanceCondition, balanced_masks
 
-_PROFILE_BLOCK = 1 << 18  # the intp copy bincount makes: 2 MB
+# The count profile takes the masks in blocks of 2**_PROFILE_UNITS, so the
+# intp copy bincount makes stays at 2 MB and the popcount table at 256 KB.
+_PROFILE_UNITS = 18
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,8 @@ class TieSetCollection:
 
 @lru_cache(maxsize=4)
 def popcounts(n: int) -> np.ndarray:
-    """uint8 array over all 2**n bitmasks: the number of set bits.
+    """uint8 array over all 2**n bitmasks: the number of set bits, for
+    n <= _PROFILE_UNITS.
 
     Built by doubling: the masks with bit b set are those below 2**b, plus
     one.  The array is read-only and shared between callers.
@@ -86,17 +90,19 @@ def _max_passes(table: np.ndarray, units, run: int) -> None:
         np.maximum(halves[:, 1, :], halves[:, 0, :], out=halves[:, 1, :])
 
 
-@lru_cache(maxsize=4)  # one byte per mask: 1 GB at n = 30
+@lru_cache(maxsize=4)  # the layer's only cached 2**n array, one byte per mask: 1 GB at n = 30
 def rank_table(n: int, bc: BalanceCondition) -> np.ndarray:
     """uint8 array over all 2**n bitmasks: the size of the largest balanced
     subset of the mask, 0 when it has none.
 
-    Starting from the size of each balanced mask, one in-place subset-max
-    pass per unit lifts every size to the masks with that unit's bit also
-    set.  The nonfailed set at threshold k is ``rank >= k``, so one table
+    Starting from the size of each balanced mask, zero elsewhere, one
+    in-place subset-max pass per unit lifts every size to the masks with
+    that unit's bit also set.  The nonfailed set at threshold k is ``rank >= k``, so one table
     serves every k.  The array is read-only and shared between callers.
     """
-    rank = popcounts(n) * balanced_mask_table(n, bc)
+    masks = balanced_masks(n, bc)
+    rank = np.zeros(1 << n, dtype=np.uint8)
+    rank[masks] = np.bitwise_count(masks)
     low = min(_LOW_UNITS, n // 2)
     _max_passes(rank, range(low, n), 1)
     scratch = np.empty(min(rank.size, 1 << _CHUNK_UNITS), dtype=np.uint8)
@@ -132,20 +138,25 @@ def enumerate_min_tiesets(n: int, k: int, bc: BalanceCondition) -> TieSetCollect
     (any unit outside the balanced set it contains could be removed), and
     a balanced mask S of at least k units is minimal when S minus b ranks
     below k for every bit b of S.  Balanced masks are few (9 999 of the
-    2**24 at n=24 under BC3), so only they are tested.  Raises NoTieSets
-    when the nonfailed set is empty.
+    2**24 at n=24 under BC3), so only they are tested, all bits in one
+    gather.  Raises NoTieSets when the nonfailed set is empty.
     """
     rank = _feasible_rank(n, k, bc)
-    masks = np.flatnonzero(balanced_mask_table(n, bc))
+    masks = balanced_masks(n, bc)
     masks = masks[np.bitwise_count(masks) >= k]
-    minimal = np.ones(masks.size, dtype=bool)
-    for b in range(n):
-        held = ((masks >> b) & 1) == 1
-        minimal[held] &= rank[masks[held] ^ (1 << b)] < k
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    held = (masks[:, None] & bits) != 0
+    minimal = (~held | (rank[masks[:, None] ^ bits] < k)).all(axis=1)
     masks = masks[minimal][::-1]
     masks = masks[np.argsort(np.bitwise_count(masks), kind="stable")]
-    tiesets = tuple(TieSet(SystemState(int(m), n).operating_units()) for m in masks)
-    return TieSetCollection(tiesets, n, k, bc, tuple(int(m) for m in masks))
+    # Unit i is bit n - i, so column j of this bit matrix is unit j + 1, and
+    # its nonzeros come row by row in ascending unit order.
+    units = (np.nonzero(masks[:, None] & bits[::-1])[1] + 1).tolist()
+    sizes = np.bitwise_count(masks).tolist()
+    tiesets = tuple(
+        TieSet(tuple(units[end - size : end])) for size, end in zip(sizes, accumulate(sizes))
+    )
+    return TieSetCollection(tiesets, n, k, bc, tuple(masks.tolist()))
 
 
 @lru_cache(maxsize=64)
@@ -154,13 +165,16 @@ def _rank_profiles(n: int, bc: BalanceCondition) -> np.ndarray:
     threshold k.  One histogram of the masks over (rank, popcount), summed
     over the ranks from k up, serves every k.  Read-only."""
     rank = rank_table(n, bc)
-    pops = popcounts(n)
+    pops = popcounts(min(n, _PROFILE_UNITS))
     hist = np.zeros((n + 1) * (n + 1), dtype=np.int64)
-    # in blocks, so the intp copy bincount makes of its input stays small
-    for i in range(0, rank.size, _PROFILE_BLOCK):
-        key = rank[i : i + _PROFILE_BLOCK] * np.uint16(n + 1)
-        key += pops[i : i + _PROFILE_BLOCK]
-        hist += np.bincount(key, minlength=hist.size)
+    for i in range(0, rank.size, pops.size):
+        key = rank[i : i + pops.size] * np.uint16(n + 1)
+        key += pops
+        # A mask's popcount is that of its offset in the block plus that of
+        # the block's first mask i, so the block's histogram moves up by
+        # that much, inside each rank's row: no popcount exceeds n.
+        high = i.bit_count()
+        hist[high:] += np.bincount(key, minlength=hist.size)[: hist.size - high]
     profiles = np.cumsum(hist.reshape(n + 1, n + 1)[::-1], axis=0)[::-1]
     profiles.flags.writeable = False
     return profiles

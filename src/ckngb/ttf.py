@@ -19,6 +19,7 @@ E[M] E[Y].
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,10 +55,13 @@ class ContinuousPhaseType:
         return -self.T @ np.ones(self.K)
 
 
-def validate_ph(alpha: np.ndarray, T: np.ndarray) -> ContinuousPhaseType:
+def validate_ph(alpha, T) -> ContinuousPhaseType:
     """Reject malformed phase-type parameters instead of normalizing them."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    T = np.asarray(T, dtype=np.float64)
+    try:
+        alpha = np.asarray(alpha, dtype=np.float64)
+        T = np.asarray(T, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError("shock: alpha and T must be a vector and a matrix of numbers") from None
     if not (np.isfinite(alpha).all() and np.isfinite(T).all()):
         raise ConfigError("shock: alpha and T must be finite")
     if alpha.ndim != 1 or T.ndim != 2 or T.shape != (alpha.size, alpha.size):
@@ -84,7 +88,15 @@ def validate_ph(alpha: np.ndarray, T: np.ndarray) -> ContinuousPhaseType:
         raise ConfigError(
             f"shock.T: phases {np.flatnonzero(~reaches).tolist()} never reach a phase that can exit"
         )
-    return ContinuousPhaseType(alpha, T)
+    law = ContinuousPhaseType(alpha, T)
+    # The failure-time summary divides by the mean squared.
+    mean, second = _mean_second(law)
+    if not all(math.isfinite(v) and v >= sys.float_info.min for v in (mean, mean**2, second)):
+        raise ConfigError(
+            f"shock: the law's mean, its square and its second moment must be positive normal "
+            f"floats, got mean {mean:.3g} and second moment {second:.3g}"
+        )
+    return law
 
 
 def ph_from_preset(label: str) -> ContinuousPhaseType:
@@ -106,15 +118,19 @@ def ph_from_preset(label: str) -> ContinuousPhaseType:
     raise ConfigError(f"shock.preset: unknown label {label!r}; use ER, EXP or HE")
 
 
-def ph_mean_scv(Y: ContinuousPhaseType) -> tuple[float, float]:
-    """Mean and squared coefficient of variation from linear solves."""
+def _mean_second(Y: ContinuousPhaseType) -> tuple[float, float]:
+    """First and second moments from linear solves."""
     try:
         x = np.linalg.solve(-Y.T, np.ones(Y.K))
         y = np.linalg.solve(-Y.T, x)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
-    mean = float(Y.alpha @ x)
-    second = float(2.0 * (Y.alpha @ y))
+    return float(Y.alpha @ x), float(2.0 * (Y.alpha @ y))
+
+
+def ph_mean_scv(Y: ContinuousPhaseType) -> tuple[float, float]:
+    """Mean and squared coefficient of variation from linear solves."""
+    mean, second = _mean_second(Y)
     return mean, second / mean**2 - 1.0
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from ckngb.chain import _transition_rows
 from ckngb.errors import CapacityExceeded, NoTieSets, NonConvergence, OddNUnsupported
-from ckngb.system import BC3_TOLERANCE_PER_UNIT, BalanceCondition, balanced_mask_table
+from ckngb.system import BC3_TOLERANCE_PER_UNIT, BalanceCondition
 from ckngb.tiesets import count_profile
 from ckngb.ttf import pdf_grid
 
@@ -78,7 +78,7 @@ def bit_matrix_table(n, bc):
 def scan_min_tiesets(n, k, bc):
     """Tie-set masks by a subset scan in ascending cardinality, lexicographic
     members within a size, pruning supersets of tie-sets already found."""
-    table = balanced_mask_table(n, bc)
+    table = bit_matrix_table(n, bc)
     found = []
     for size in range(k, n + 1):
         for units in combinations(range(1, n + 1), size):
@@ -99,7 +99,7 @@ def or_closure(n, k, bc):
     of at least k units.  One in-place OR pass per unit lifts every marked
     mask to the mask with that unit's bit also set."""
     every = np.arange(1 << n, dtype=np.int64)
-    table = balanced_mask_table(n, bc) & (np.bitwise_count(every) >= k)
+    table = bit_matrix_table(n, bc) & (np.bitwise_count(every) >= k)
     if not table.any():
         raise NoTieSets(f"no tie-sets for n={n}, k={k}, bc={bc.value}")
     for b in range(n):

@@ -18,7 +18,7 @@ from ckngb.sntf import (
     raw_moment_series,
     sntf_distribution,
 )
-from ckngb.system import BalanceCondition, SystemConfig, balanced_mask_table
+from ckngb.system import BalanceCondition, SystemConfig, balanced_masks
 from ckngb.tiesets import enumerate_min_tiesets
 from ckngb.ttf import (
     compound_ph,
@@ -271,10 +271,9 @@ def test_criterion_11_monte_carlo_agreement():
 def test_criterion_12_balance_condition_containment():
     containment_ok = True
     for n in (2, 4, 6, 8, 10, 12):
-        bc3 = balanced_mask_table(n, BC3)
+        bc3 = set(balanced_masks(n, BC3).tolist())
         for bc in (BC1, BC2):
-            table = balanced_mask_table(n, bc)
-            if not (~table | bc3).all():
+            if not set(balanced_masks(n, bc).tolist()) <= bc3:
                 containment_ok = False
 
     count_ok = True

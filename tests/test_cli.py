@@ -19,7 +19,7 @@ from ckngb.chain import MAX_STATE_UNITS, build_state_chain, state_chain
 from ckngb.cli import main
 from ckngb.errors import ConfigError, NoTieSets, NonConvergence
 from ckngb.system import BalanceCondition
-from ckngb.ttf import ph_from_preset
+from ckngb.ttf import PRESET_LABELS, ph_from_preset, ph_mean_scv, validate_ph
 
 BC3 = BalanceCondition.BC3
 
@@ -462,6 +462,45 @@ class TestNonFiniteLaw:
         assert done.returncode == 2
         assert done.stdout == ""
         assert "shock: alpha and T must be finite" in done.stderr
+
+
+class TestMalformedLaw:
+    """A custom law with a non-numeric entry or a ragged T is a config error.
+    Before, `ttf` exited 1 with numpy's ValueError traceback."""
+
+    @pytest.mark.parametrize(
+        "shock",
+        [{"alpha": ["a", 1], "T": [[-2, 1], [0, -3]]}, {"alpha": [0.5, 0.5], "T": [[-1, 0], [0]]}],
+        ids=["non-numeric-alpha", "ragged-T"],
+    )
+    def test_exits_2(self, shock, config_file, capsys):
+        doc = dict(REFERENCE_DOC, n=6, r=0.8, shock=shock)
+        assert main(["ttf", "--config", config_file(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: shock:")
+
+
+class TestLawMomentsOutOfRange:
+    """A custom law whose mean, mean squared or second moment is not a
+    positive normal float is a config error.  Before, T = [[-1e200]] made
+    `ttf` exit 1 with a ZeroDivisionError (the mean squared underflows),
+    and T = [[-1e308]] made `simulate --target ttf` exit 0 with a
+    subnormal histogram."""
+
+    @pytest.mark.parametrize("rate", [1e200, 1e308])
+    @pytest.mark.parametrize("argv", [["ttf"], ["simulate", "--target", "ttf"]])
+    def test_exits_2(self, argv, rate, config_file, capsys):
+        doc = dict(REFERENCE_DOC, n=6, r=0.8, shock={"alpha": [1.0], "T": [[-rate]]})
+        assert main([*argv, "--config", config_file(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: shock: the law's mean")
+
+    @pytest.mark.parametrize("label", PRESET_LABELS)
+    def test_presets_pass(self, label):
+        law = ph_from_preset(label)
+        assert ph_mean_scv(validate_ph(law.alpha, law.T)) == ph_mean_scv(law)
 
 
 def test_experiments_import_loads_no_thread_pool():

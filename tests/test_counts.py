@@ -96,6 +96,22 @@ def test_rank_route_equals_or_closure(n):
     assert mismatches == []
 
 
+def test_profile_blocks_past_the_popcount_table(monkeypatch, fresh_caches):
+    """At n = 20 the count profile reads the rank table in four blocks of
+    2**18 masks, each shifted by the popcount of its first mask: it equals
+    the popcount histogram of the nonfailed masks, and no popcount table
+    past 2**18 entries is built."""
+    sizes = []
+    popcounts = tiesets_mod.popcounts
+    monkeypatch.setattr(tiesets_mod, "popcounts", lambda n: sizes.append(n) or popcounts(n))
+    for bc in (BC2, BC3):
+        for k in (2, 4, 6):
+            masks = np.flatnonzero(nonfailed_closure(20, k, bc))
+            expected = np.bincount(np.bitwise_count(masks), minlength=21)
+            assert count_profile(20, k, bc).tolist() == expected.tolist()
+    assert sizes == [18, 18]
+
+
 @pytest.mark.parametrize("route", [count_profile, enumerate_min_tiesets, nonfailed_closure])
 def test_routes_raise_from_cold_caches(route, fresh_caches):
     """Each route raises NoTieSets on its own, with no closure built first.
@@ -111,7 +127,7 @@ def test_sweep_panel_builds_each_table_once(monkeypatch, fresh_caches):
     levels and every bc build one rank table per (n, bc), one thinning
     matrix per (n, r), and each count chain's layers once."""
     tables, thinnings, layers = Counter(), Counter(), Counter()
-    balance = tiesets_mod.balanced_mask_table
+    balance = tiesets_mod.balanced_masks
     terms = chain_mod._binomial_terms
     prop = chain_mod.CountChain.__dict__["layers"]
     layers_of = getattr(prop, "func", None) or prop.fget
@@ -130,7 +146,7 @@ def test_sweep_panel_builds_each_table_once(monkeypatch, fresh_caches):
 
     counted = cached_property(counted_layers)
     counted.__set_name__(chain_mod.CountChain, "layers")
-    monkeypatch.setattr(tiesets_mod, "balanced_mask_table", counted_balance)
+    monkeypatch.setattr(tiesets_mod, "balanced_masks", counted_balance)
     monkeypatch.setattr(chain_mod, "_binomial_terms", counted_terms)
     monkeypatch.setattr(chain_mod.CountChain, "layers", counted)
     ns, rs = list(range(3, 13)), [0.7, 0.9]
@@ -254,7 +270,7 @@ def test_profile_counts_nonfailed_states_by_operating_units():
 
 
 def test_empty_closure_raises_no_tiesets(monkeypatch, fresh_caches):
-    monkeypatch.setattr(tiesets_mod, "balanced_mask_table", lambda n, bc: np.zeros(1 << n, dtype=bool))
+    monkeypatch.setattr(tiesets_mod, "balanced_masks", lambda n, bc: np.zeros(0, dtype=np.int64))
     with pytest.raises(NoTieSets):
         nonfailed_closure(4, 2, BC3)
     with pytest.raises(NoTieSets):

@@ -10,7 +10,7 @@ from ckngb.system import (
     BalanceCondition,
     SystemConfig,
     SystemState,
-    balanced_mask_table,
+    balanced_masks,
     is_balanced,
     is_balanced_bc1,
     is_balanced_bc2,
@@ -134,23 +134,21 @@ class TestImplications:
                 assert is_balanced_bc3(s), f"n={n} mask={mask:0{n}b}"
 
 
-class TestTableAgreesWithScalarPredicates:
+class TestMasksAgreeWithScalarPredicates:
     @pytest.mark.parametrize("bc", [BC1, BC2, BC3])
     @pytest.mark.parametrize("n", list(range(2, 13)))
     def test_exhaustive(self, n, bc):
         if bc is BC1 and n % 2:
             with pytest.raises(OddNUnsupported):
-                balanced_mask_table(n, bc)
+                balanced_masks(n, bc)
             return
-        table = balanced_mask_table(n, bc)
-        expected = np.array([is_balanced(SystemState(m, n), bc) for m in range(1 << n)])
-        assert (table == expected).all()
+        expected = np.flatnonzero([is_balanced(SystemState(m, n), bc) for m in range(1 << n)])
+        assert balanced_masks(n, bc).tolist() == expected.tolist()
 
     def test_bc2_rotation_divisors_match_scalar_predicate(self):
         for n in range(2, 13):
-            table = balanced_mask_table(n, BC2)
-            expected = [is_balanced_bc2(SystemState(m, n)) for m in range(1 << n)]
-            assert table.tolist() == expected, n
+            expected = [m for m in range(1 << n) if is_balanced_bc2(SystemState(m, n))]
+            assert balanced_masks(n, BC2).tolist() == expected, n
 
     @pytest.mark.parametrize("bc", [BC1, BC2, BC3])
     @pytest.mark.parametrize("n", list(range(2, 17)))
@@ -159,16 +157,17 @@ class TestTableAgreesWithScalarPredicates:
             with pytest.raises(OddNUnsupported):
                 bit_matrix_table(n, bc)
             with pytest.raises(OddNUnsupported):
-                balanced_mask_table(n, bc)
+                balanced_masks(n, bc)
             return
-        table = balanced_mask_table(n, bc)
-        assert table.dtype == bool and table.shape == (1 << n,)
-        assert (table == bit_matrix_table(n, bc)).all()
+        masks = balanced_masks(n, bc)
+        assert masks.dtype == np.int64 and masks.ndim == 1
+        assert (np.diff(masks) > 0).all()
+        assert np.array_equal(masks, np.flatnonzero(bit_matrix_table(n, bc)))
 
-    def test_table_is_read_only(self):
-        table = balanced_mask_table(4, BC3)
+    def test_masks_are_read_only(self):
+        masks = balanced_masks(4, BC3)
         with pytest.raises(ValueError):
-            table[0] = True
+            masks[0] = 1
 
 
 @given(st.integers(2, 12), st.data())

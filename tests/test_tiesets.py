@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,13 +12,13 @@ from hypothesis import strategies as st
 import ckngb.tiesets as tiesets_mod
 from ckngb.errors import NoTieSets
 from ckngb.sntf import pmf_survival_series, sntf_distribution
-from ckngb.system import BalanceCondition, SystemConfig, SystemState, balanced_mask_table, is_balanced
+from ckngb.system import BalanceCondition, SystemConfig, SystemState, is_balanced
 from ckngb.tiesets import (
     enumerate_min_tiesets,
     system_reliability_exact,
     system_reliability_product,
 )
-from oracles import is_nonfailed, scan_min_tiesets, structure_function, tieset_table
+from oracles import bit_matrix_table, is_nonfailed, scan_min_tiesets, structure_function, tieset_table
 
 BC1, BC2, BC3 = BalanceCondition.BC1, BalanceCondition.BC2, BalanceCondition.BC3
 
@@ -40,17 +46,17 @@ class TestEnumeration:
                 assert a.members < b.members
 
     def test_no_tiesets_raised(self, monkeypatch, fresh_caches):
-        def all_false(n, bc):
-            return np.zeros(1 << n, dtype=bool)
+        def none_balanced(n, bc):
+            return np.zeros(0, dtype=np.int64)
 
-        monkeypatch.setattr(tiesets_mod, "balanced_mask_table", all_false)
+        monkeypatch.setattr(tiesets_mod, "balanced_masks", none_balanced)
         with pytest.raises(NoTieSets):
             enumerate_min_tiesets(4, 2, BC3)
 
 
 def _oracle_min_tiesets(n, k, bc):
     """Inclusion-minimal balanced subsets by pairwise filtering."""
-    table = balanced_mask_table(n, bc)
+    table = bit_matrix_table(n, bc)
     candidates = [
         m for m in range(1 << n) if m.bit_count() >= k and table[m]
     ]
@@ -172,3 +178,39 @@ def test_bc3_has_most_tiesets(n):
         count3 = len(enumerate_min_tiesets(n, k, BC3))
         assert count3 >= len(enumerate_min_tiesets(n, k, BC1))
         assert count3 >= len(enumerate_min_tiesets(n, k, BC2))
+
+
+class TestStructureLayerFootprint:
+    """The balanced masks are listed, not tabled: the rank table is the
+    structure layer's only array over all 2**n masks."""
+
+    def test_enumeration_peaks_near_one_byte_per_mask(self, fresh_caches):
+        # The rank table holds 2**24 bytes.  Built as the product of a
+        # popcount table and a balance table, it peaked at 3.16 * 2**24
+        # bytes; seeded from the listed masks, it peaks at 1.18 * 2**24.
+        tracemalloc.start()
+        try:
+            collection = enumerate_min_tiesets(24, 6, BC3)
+            system_reliability_exact(collection, 0.8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(collection) > 0
+        assert peak <= 1.5 * (1 << 24)
+
+    def test_tiesets_load_no_masked_arrays(self):
+        # np.unique imports numpy.ma on its first call, which costs every
+        # command about a megabyte of resident memory
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys\n"
+            "from ckngb.experiments import parse_config, run_tiesets\n"
+            "for bc in ('BC2', 'BC3'):\n"
+            "    run_tiesets(parse_config({'n': 18, 'k': 4, 'r': 0.8, 'bc': bc}))\n"
+            "print('numpy.ma' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+        )
+        assert done.stdout.strip() == "False"

@@ -89,9 +89,10 @@ def validate_ph(alpha, T) -> ContinuousPhaseType:
             f"shock.T: phases {np.flatnonzero(~reaches).tolist()} never reach a phase that can exit"
         )
     law = ContinuousPhaseType(alpha, T)
-    # The failure-time summary divides by the mean squared.
+    # The failure-time summary divides by the mean squared.  Square by
+    # product: a float's ** raises OverflowError where * gives inf.
     mean, second = _mean_second(law)
-    if not all(math.isfinite(v) and v >= sys.float_info.min for v in (mean, mean**2, second)):
+    if not all(math.isfinite(v) and v >= sys.float_info.min for v in (mean, mean * mean, second)):
         raise ConfigError(
             f"shock: the law's mean, its square and its second moment must be positive normal "
             f"floats, got mean {mean:.3g} and second moment {second:.3g}"

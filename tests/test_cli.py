@@ -485,13 +485,22 @@ class TestLawMomentsOutOfRange:
     """A custom law whose mean, mean squared or second moment is not a
     positive normal float is a config error.  Before, T = [[-1e200]] made
     `ttf` exit 1 with a ZeroDivisionError (the mean squared underflows),
-    and T = [[-1e308]] made `simulate --target ttf` exit 0 with a
-    subnormal histogram."""
+    T = [[-1e308]] made `simulate --target ttf` exit 0 with a subnormal
+    histogram, and a mean near 1e300 raised OverflowError when squared."""
 
-    @pytest.mark.parametrize("rate", [1e200, 1e308])
+    @pytest.mark.parametrize(
+        "shock",
+        [
+            {"alpha": [1.0], "T": [[-1e200]]},
+            {"alpha": [1.0], "T": [[-1e308]]},
+            # phase 0 leaves at rate 1e-300 for phase 1, which exits at rate 1
+            {"alpha": [1.0, 0.0], "T": [[-1e-300, 1e-300], [0.0, -1.0]]},
+        ],
+        ids=["mean-underflows", "mean-subnormal", "mean-squared-overflows"],
+    )
     @pytest.mark.parametrize("argv", [["ttf"], ["simulate", "--target", "ttf"]])
-    def test_exits_2(self, argv, rate, config_file, capsys):
-        doc = dict(REFERENCE_DOC, n=6, r=0.8, shock={"alpha": [1.0], "T": [[-rate]]})
+    def test_exits_2(self, argv, shock, config_file, capsys):
+        doc = dict(REFERENCE_DOC, n=6, r=0.8, shock=shock)
         assert main([*argv, "--config", config_file(doc)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

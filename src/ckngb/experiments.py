@@ -19,7 +19,7 @@ import numpy as np
 
 from . import chain as chain_mod
 from . import montecarlo, sntf, ttf
-from .errors import CapacityExceeded, ConfigError, InvariantViolation, NoTieSets, OddNUnsupported
+from .errors import CapacityExceeded, ConfigError, InvariantViolation, OddNUnsupported
 from .system import BalanceCondition, SystemConfig
 from .tiesets import (
     count_profile,
@@ -273,12 +273,12 @@ def _count_stacks(spec: ExperimentSpec) -> Iterator[tuple[list[tuple], chain_mod
     2 <= k <= n - 1, as stacks of chains of one size: one (systems, stack)
     pair per chain size and block of _R_BLOCK r values.
 
-    Each profile (n, bc, k) is read once per sweep.  One
-    ``chain.build_count_chains`` call per n and block builds the chains of
-    every profile of that n, so each thinning matrix (n, r) is built once
-    per sweep.  The first system in row order that SystemConfig refuses
-    raises its error before any work; systems under BC1 with odd n or with
-    no tie-sets are left out.
+    The profiles of every k of one (n, bc) are read in one call, once per
+    sweep.  One ``chain.build_count_chains`` call per n and block builds
+    the chains of every profile of that n, so each thinning matrix (n, r)
+    is built once per sweep.  The first system in row order that
+    SystemConfig refuses raises its error before any work; systems under
+    BC1 with odd n are left out.
     """
     rs = sorted(set(spec.r))
     k_values = sorted(set(spec.k))
@@ -298,12 +298,9 @@ def _count_stacks(spec: ExperimentSpec) -> Iterator[tuple[list[tuple], chain_mod
                 SystemConfig(n, row[0], rs[0], bc)  # BC1 needs an even n
             except OddNUnsupported:
                 continue
-            for k in row:
-                try:
-                    profiles.append(count_profile(n, k, bc))
-                except NoTieSets:
-                    continue
-                names.append((bc.value, n, k))
+            # every k <= n - 1 has tie-sets: the set of all n units is balanced
+            profiles.extend(count_profile(n, tuple(row), bc))
+            names.extend((bc.value, n, k) for k in row)
         if profiles:
             families.append((n, names, np.array(profiles)))
     for lo in range(0, len(rs), _R_BLOCK):

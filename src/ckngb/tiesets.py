@@ -4,11 +4,12 @@ A tie-set is an inclusion-minimal set of at least k units whose joint
 operation keeps the system balanced; a state is nonfailed exactly when
 its operating set contains one (surplus units can be switched off to
 rebalance).  Equivalently, the nonfailed set is the superset closure of
-the balanced sets of at least k units.  One table per (n, bc) serves
-every k: ``rank_table`` holds the size of the largest balanced subset of
-each mask, and the nonfailed set at threshold k is the masks that rank k
-or more.  The tie-sets are its minimal elements, and the exact
-reliability is the polynomial of its count profile.
+the balanced sets of at least k units.  It is held as a closure plane,
+one bit per mask, 64 masks to a uint64 word, and closed by OR passes
+over the bits and the words (a bitwise zeta transform: Knuth, TAOCP 4A,
+section 7.1.3).  The tie-sets are its minimal elements, and the exact
+reliability is the polynomial of its count profile, read off the plane
+word by word.
 """
 
 from __future__ import annotations
@@ -22,9 +23,17 @@ import numpy as np
 from .errors import NoTieSets
 from .system import BalanceCondition, balanced_masks
 
-# The count profile takes the masks in blocks of 2**_PROFILE_UNITS, so the
-# intp copy bincount makes stays at 2 MB and the popcount table at 256 KB.
-_PROFILE_UNITS = 18
+# Closure planes are built 8 rows at a time: 8 rows of 2**n bits are 2**n
+# bytes.  The count profile reads them in blocks of 2**10 words.
+_GROUP_ROWS = 8
+_BLOCK_WORDS = 1 << 10
+
+_T = np.arange(64)
+_BIT = np.uint64(1) << _T.astype(np.uint64)
+# Bit u of _UP[t] is set when u contains t: mask t closed inside its word.
+_UP = np.bitwise_or.reduce(np.where((_T & _T[:, None]) == _T[:, None], _BIT, 0), axis=1)
+# Bit t of _CLASSES[c] is set when t has c set bits.
+_CLASSES = np.bitwise_or.reduce(np.where(np.bitwise_count(_T) == _T[:7, None], _BIT, 0), axis=1)
 
 
 @dataclass(frozen=True)
@@ -42,7 +51,7 @@ class TieSet:
         return m
 
     def __str__(self) -> str:
-        return ",".join(str(i) for i in self.members)
+        return ",".join([str(i) for i in self.members])
 
 
 @dataclass(frozen=True)
@@ -60,74 +69,55 @@ class TieSetCollection:
         return len(self.tiesets)
 
 
-@lru_cache(maxsize=4)
-def popcounts(n: int) -> np.ndarray:
-    """uint8 array over all 2**n bitmasks: the number of set bits, for
-    n <= _PROFILE_UNITS.
-
-    Built by doubling: the masks with bit b set are those below 2**b, plus
-    one.  The array is read-only and shared between callers.
-    """
-    table = np.zeros(1 << n, dtype=np.uint8)
-    for b in range(n):
-        np.add(table[: 1 << b], 1, out=table[1 << b : 2 << b])
-    table.flags.writeable = False
-    return table
+def _bits(plane: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """The bit of each mask in the plane, 0 or 1."""
+    words = plane.take(masks >> 6)
+    words >>= (masks & 63).astype(np.uint8)
+    words &= 1
+    return words
 
 
-# The rank transform passes the lowest _LOW_UNITS units on transposed
-# chunks of 2**_CHUNK_UNITS masks, where a unit's pairs lie far apart
-# instead of 2**b bytes apart.
-_LOW_UNITS = 4
-_CHUNK_UNITS = 16
+def _planes(n: int, bc: BalanceCondition, ks: tuple[int, ...]):
+    """Closure planes of the thresholds ks, _GROUP_ROWS rows at a time:
+    uint64 arrays (rows, max(1, 2**n // 64)), where bit m % 64 of word
+    m // 64 of the row of k is set when mask m contains a balanced set of
+    at least k units.  Raises NoTieSets, before any work, when a row would
+    be empty.
 
-
-def _max_passes(table: np.ndarray, units, run: int) -> None:
-    """table[m] = max(table[m], table[m without bit b]) in place, for each
-    unit b in units; bit b of the mask pairs entries run << b apart."""
-    for b in units:
-        halves = table.reshape(-1, 2, run << b)  # axis 1 is bit b of the mask
-        np.maximum(halves[:, 1, :], halves[:, 0, :], out=halves[:, 1, :])
-
-
-@lru_cache(maxsize=4)  # the layer's only cached 2**n array, one byte per mask: 1 GB at n = 30
-def rank_table(n: int, bc: BalanceCondition) -> np.ndarray:
-    """uint8 array over all 2**n bitmasks: the size of the largest balanced
-    subset of the mask, 0 when it has none.
-
-    Starting from the size of each balanced mask, zero elsewhere, one
-    in-place subset-max pass per unit lifts every size to the masks with
-    that unit's bit also set.  The nonfailed set at threshold k is ``rank >= k``, so one table
-    serves every k.  The array is read-only and shared between callers.
+    Each balanced mask seeds its word with all of its supersets inside the
+    word (``_UP``); one OR pass per unit above the lowest six lifts every
+    word to the word with that unit's bit also set.
     """
     masks = balanced_masks(n, bc)
-    rank = np.zeros(1 << n, dtype=np.uint8)
-    rank[masks] = np.bitwise_count(masks)
-    low = min(_LOW_UNITS, n // 2)
-    _max_passes(rank, range(low, n), 1)
-    scratch = np.empty(min(rank.size, 1 << _CHUNK_UNITS), dtype=np.uint8)
-    for chunk in rank.reshape(-1, scratch.size):
-        scratch.reshape(1 << low, -1)[:] = chunk.reshape(-1, 1 << low).T
-        _max_passes(scratch, range(low), scratch.size >> low)
-        chunk.reshape(-1, 1 << low)[:] = scratch.reshape(1 << low, -1).T
-    rank.flags.writeable = False
-    return rank
+    sizes = np.bitwise_count(masks)
+    if max(ks) > sizes.max(initial=0):
+        raise NoTieSets(f"no tie-sets for n={n}, k={max(ks)}, bc={bc.value}")
+    seeds = _UP[masks & 63] & np.uint64((1 << (1 << min(n, 6))) - 1)
+    for lo in range(0, len(ks), _GROUP_ROWS):
+        group = np.array(ks[lo : lo + _GROUP_ROWS])
+        rows, cols = np.nonzero(sizes >= group[:, None])
+        planes = np.zeros((group.size, max(1, (1 << n) >> 6)), dtype=np.uint64)
+        np.bitwise_or.at(planes, (rows, masks[cols] >> 6), seeds[cols])
+        for b in range(n - 6):
+            halves = planes.reshape(group.size, -1, 2, 1 << b)  # axis 2 is mask bit b + 6
+            halves[:, :, 1] |= halves[:, :, 0]
+        yield planes
 
 
-def _feasible_rank(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
-    """The rank table; raises NoTieSets when even the all-ones mask ranks
-    below k, that is, when the nonfailed set is empty."""
-    rank = rank_table(n, bc)
-    if rank[-1] < k:
-        raise NoTieSets(f"no tie-sets for n={n}, k={k}, bc={bc.value}")
-    return rank
+@lru_cache(maxsize=2)  # the layer's only cached 2**n-bit array: 128 MB at n = 30
+def _plane(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
+    """The closure plane of threshold k, one read-only row."""
+    (plane,) = next(_planes(n, bc, (k,)))
+    plane.flags.writeable = False
+    return plane
 
 
 def nonfailed_closure(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
     """Bool array over all 2**n bitmasks: the operating set contains a
-    balanced set of at least k units, ``rank_table(n, bc) >= k``.  Raises
-    NoTieSets when it is empty."""
-    return _feasible_rank(n, k, bc) >= k
+    balanced set of at least k units, the closure plane of k unpacked.
+    Raises NoTieSets when it is empty."""
+    plane = _plane(n, k, bc).astype("<u8", copy=False)
+    return np.unpackbits(plane.view(np.uint8), bitorder="little")[: 1 << n].view(bool)
 
 
 @lru_cache(maxsize=128)
@@ -136,17 +126,19 @@ def enumerate_min_tiesets(n: int, k: int, bc: BalanceCondition) -> TieSetCollect
 
     A minimal nonfailed mask is itself a balanced set of at least k units
     (any unit outside the balanced set it contains could be removed), and
-    a balanced mask S of at least k units is minimal when S minus b ranks
-    below k for every bit b of S.  Balanced masks are few (9 999 of the
-    2**24 at n=24 under BC3), so only they are tested, all bits in one
-    gather.  Raises NoTieSets when the nonfailed set is empty.
+    a balanced mask S of at least k units is minimal when S minus b is
+    clear in the closure plane for every bit b of S.  Balanced masks are
+    few (9 999 of the 2**24 at n=24 under BC3), so only they are tested,
+    all bits in one lookup.  Raises NoTieSets when the nonfailed set is
+    empty.
     """
-    rank = _feasible_rank(n, k, bc)
+    plane = _plane(n, k, bc)
     masks = balanced_masks(n, bc)
-    masks = masks[np.bitwise_count(masks) >= k]
-    bits = np.int64(1) << np.arange(n, dtype=np.int64)
-    held = (masks[:, None] & bits) != 0
-    minimal = (~held | (rank[masks[:, None] ^ bits] < k)).all(axis=1)
+    masks = masks[np.bitwise_count(masks) >= k].astype(np.int32)  # n <= 30 bits
+    bits = np.int32(1) << np.arange(n, dtype=np.int32)
+    # S plus an absent bit is a superset of S, so always set: S is minimal
+    # when only those n - |S| of its n neighbours are set.
+    minimal = _bits(plane, bits[:, None] ^ masks).sum(axis=0) == n - np.bitwise_count(masks)
     masks = masks[minimal][::-1]
     masks = masks[np.argsort(np.bitwise_count(masks), kind="stable")]
     # Unit i is bit n - i, so column j of this bit matrix is unit j + 1, and
@@ -159,41 +151,49 @@ def enumerate_min_tiesets(n: int, k: int, bc: BalanceCondition) -> TieSetCollect
     return TieSetCollection(tiesets, n, k, bc, tuple(masks.tolist()))
 
 
-@lru_cache(maxsize=64)
-def _rank_profiles(n: int, bc: BalanceCondition) -> np.ndarray:
-    """Row k, for k = 0..n: the count profile of the nonfailed set at
-    threshold k.  One histogram of the masks over (rank, popcount), summed
-    over the ranks from k up, serves every k.  Read-only."""
-    rank = rank_table(n, bc)
-    pops = popcounts(min(n, _PROFILE_UNITS))
-    hist = np.zeros((n + 1) * (n + 1), dtype=np.int64)
-    for i in range(0, rank.size, pops.size):
-        key = rank[i : i + pops.size] * np.uint16(n + 1)
-        key += pops
-        # A mask's popcount is that of its offset in the block plus that of
-        # the block's first mask i, so the block's histogram moves up by
-        # that much, inside each rank's row: no popcount exceeds n.
-        high = i.bit_count()
-        hist[high:] += np.bincount(key, minlength=hist.size)[: hist.size - high]
-    profiles = np.cumsum(hist.reshape(n + 1, n + 1)[::-1], axis=0)[::-1]
-    profiles.flags.writeable = False
-    return profiles
+def _profiles(n: int, planes: np.ndarray) -> np.ndarray:
+    """Row i: the count profile of row i of the planes, exact int64.
+
+    Bit t of word w is mask 64 w + t, whose popcount is that of w plus
+    that of t: each word's bits are counted per popcount class of t
+    (``_CLASSES``) and binned at popcount(w) + class.  The words go in
+    blocks, and a word's popcount is that of its offset in the block plus
+    that of the block's first word, so the blocks are summed per popcount
+    of their first word and class before the one binning.
+    """
+    rows, words = planes.shape
+    block = min(words, _BLOCK_WORDS)
+    # sums[d], per row and offset in the block: the bits of class c summed
+    # over the blocks whose first word has popcount d - c, for every c
+    sums = np.zeros(((words // block).bit_length() + 6, rows, block), dtype=np.int32)
+    for i in range(0, words, block):
+        classes = np.bitwise_count(_CLASSES[:, None, None] & planes[:, i : i + block])
+        sums[i.bit_count() : i.bit_count() + 7] += classes
+    span = max(n, 6) + 1  # bins per row; no mask has more than n bits set
+    keys = np.bitwise_count(np.arange(block)) + span * np.arange(rows)[:, None]
+    keys = keys + np.arange(len(sums))[:, None, None]
+    counts = np.bincount(keys.ravel(), sums.ravel(), rows * span).reshape(rows, span)
+    return counts[:, : n + 1].astype(np.int64)  # float sums of counts below 2**53 are exact
 
 
-def count_profile(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
+@lru_cache(maxsize=128)
+def count_profile(n: int, k: int | tuple[int, ...], bc: BalanceCondition) -> np.ndarray:
     """c_j for j = 0..n: the number of nonfailed states with exactly j
     operating units.
 
     Every lifetime quantity depends on the nonfailed set only through these
     counts: after m shocks each unit still operates with probability
     p = r**m, independently, so P{M > m} = sum_j c_j p**j (1 - p)**(n - j).
-    The array is read-only and shared between callers; raises NoTieSets
-    when the nonfailed set is empty.
+    A tuple of thresholds gives one row per threshold, from planes built
+    for all of them at once.  The array is read-only and shared between
+    callers; raises NoTieSets when a nonfailed set is empty.
     """
-    profiles = _rank_profiles(n, bc)
-    if k > n or not profiles[k, n]:  # the all-ones mask ranks below k
-        raise NoTieSets(f"no tie-sets for n={n}, k={k}, bc={bc.value}")
-    return profiles[k]
+    if isinstance(k, tuple):
+        profile = np.concatenate([_profiles(n, planes) for planes in _planes(n, bc, k)])
+    else:
+        profile = _profiles(n, _plane(n, k, bc)[None])[0]
+    profile.flags.writeable = False
+    return profile
 
 
 def reliability_polynomial(n: int, k: int, bc: BalanceCondition, p: float | np.ndarray) -> np.ndarray:

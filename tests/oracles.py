@@ -1,7 +1,7 @@
 """Reference routes that the package does not take.
 
-Structure layer: the package reads the nonfailed set of every k off one
-rank table per (n, bc), and the tie-sets off the balanced masks;
+Structure layer: the package reads the nonfailed set of each k off its
+bit-packed closure plane, and the tie-sets off the balanced masks;
 ``scan_min_tiesets`` and ``tieset_table`` build them from the balance
 table alone.  ``or_closure`` builds the nonfailed set of one k by an OR
 pass per unit, and ``closure_profile`` and ``minimal_masks`` read its

@@ -65,13 +65,13 @@ def test_closure_equals_tieset_table():
     assert mismatches == []
 
 
-RANK_CASES = [*range(2, 15), 16]
+PLANE_CASES = [*range(2, 15), 16]
 
 
-@pytest.mark.parametrize("n", RANK_CASES)
-def test_rank_route_equals_or_closure(n):
-    """The closure, count profile and tie-sets read off one rank table per
-    (n, bc) equal those of the per-k OR closure, for every k and bc (at
+@pytest.mark.parametrize("n", PLANE_CASES)
+def test_plane_route_equals_or_closure(n):
+    """The closure, count profile and tie-sets read off the closure plane
+    of each k equal those of the per-k OR closure, for every k and bc (at
     n = 16 for the k of CLOSURE_CASES)."""
     mismatches = []
     for bc in BalanceCondition:
@@ -96,20 +96,37 @@ def test_rank_route_equals_or_closure(n):
     assert mismatches == []
 
 
-def test_profile_blocks_past_the_popcount_table(monkeypatch, fresh_caches):
-    """At n = 20 the count profile reads the rank table in four blocks of
-    2**18 masks, each shifted by the popcount of its first mask: it equals
-    the popcount histogram of the nonfailed masks, and no popcount table
-    past 2**18 entries is built."""
-    sizes = []
-    popcounts = tiesets_mod.popcounts
-    monkeypatch.setattr(tiesets_mod, "popcounts", lambda n: sizes.append(n) or popcounts(n))
-    for bc in (BC2, BC3):
-        for k in (2, 4, 6):
-            masks = np.flatnonzero(nonfailed_closure(20, k, bc))
-            expected = np.bincount(np.bitwise_count(masks), minlength=21)
-            assert count_profile(20, k, bc).tolist() == expected.tolist()
-    assert sizes == [18, 18]
+def test_profile_blocks_equal_popcount_histogram():
+    """At n = 20 and 22 the count profile reads the closure plane in 16 and
+    64 blocks of 2**10 words, each summed at the popcount of its first
+    word: it equals the popcount histogram of the nonfailed masks."""
+    for n in (20, 22):
+        for bc in (BC2, BC3):
+            for k in (2, 4, 6):
+                masks = np.flatnonzero(nonfailed_closure(n, k, bc))
+                expected = np.bincount(np.bitwise_count(masks), minlength=n + 1)
+                assert count_profile(n, k, bc).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("n", [2, 5, 6, 7, 13, 20])
+def test_multi_k_planes_equal_single_k(n, fresh_caches):
+    """Every row of a multi-k planes call equals the plane of its k alone,
+    and every row of a multi-k count profile the profile of its k alone,
+    for every feasible k and bc: a partial word (n < 6), one word, two
+    words, and groups of eight rows that hold at most 2**n bytes."""
+    for bc in BalanceCondition:
+        if bc is BC1 and n % 2:
+            continue
+        ks = tuple(range(1, n + 1))
+        rows = []
+        for planes in tiesets_mod._planes(n, bc, ks):
+            assert n < 6 or planes.nbytes <= 1 << n
+            rows.extend(planes)
+        assert [row.tolist() for row in rows] == [tiesets_mod._plane(n, k, bc).tolist() for k in ks]
+        profiles = count_profile(n, ks, bc)
+        assert profiles.tolist() == [count_profile(n, k, bc).tolist() for k in ks]
+        with pytest.raises(NoTieSets):
+            count_profile(n, (*ks, n + 1), bc)
 
 
 @pytest.mark.parametrize("route", [count_profile, enumerate_min_tiesets, nonfailed_closure])
@@ -124,8 +141,8 @@ def test_routes_raise_from_cold_caches(route, fresh_caches):
 
 def test_sweep_panel_builds_each_table_once(monkeypatch, fresh_caches):
     """A sweep-msntf and a sweep-scv panel over n = 3..12, every k, two r
-    levels and every bc build one rank table per (n, bc), one thinning
-    matrix per (n, r), and each count chain's layers once."""
+    levels and every bc read the balanced masks once per (n, bc), build
+    one thinning matrix per (n, r), and each count chain's layers once."""
     tables, thinnings, layers = Counter(), Counter(), Counter()
     balance = tiesets_mod.balanced_masks
     terms = chain_mod._binomial_terms

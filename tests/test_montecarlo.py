@@ -75,7 +75,8 @@ CUSTOM_PH = validate_ph(
 # splits of each phase's tokens, one gamma per phase).  numpy draws
 # geometric variates by search for p = 1 - r >= 1/3 and by inversion
 # below; r = 0.3 makes most lifetimes tie; 10 000 and 9 000 reps end on a
-# partial batch.
+# partial batch.  The cyclic custom law at r = 0.95 (E[M] = 19) runs many
+# rounds in which most replications hold no token.
 STREAM_DIGESTS = [
     ((2, 2, 0.5, BC3, "EXP"), 10_000,
      "2a961424b36ae17be9b6310f4ffe74913525321cbf381952ec3ac81e399d5ef1",
@@ -95,6 +96,9 @@ STREAM_DIGESTS = [
     ((6, 2, 0.6, BalanceCondition.BC1, "custom"), 10_000,
      "b01c68ec03b1ae656d84dbd7e4a1442f6cd8c8bfb640f543c282ecdffc721c8d",
      "0789056696a98c8061d11cb9bfb4a860518e3db62697601a0092e75696706261"),
+    ((6, 2, 0.95, BC3, "custom"), 9_000,
+     "5199b3b3ffb5556d21a9eaa9ed4472b23f55dcdb56c5f273f9baec62548488ed",
+     "f919aa161c5b7de02e20f2627e101aa64067a7f681d692cd76bed0788b7441c8"),
 ]
 
 

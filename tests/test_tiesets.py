@@ -181,13 +181,16 @@ def test_bc3_has_most_tiesets(n):
 
 
 class TestStructureLayerFootprint:
-    """The balanced masks are listed, not tabled: the rank table is the
-    structure layer's only array over all 2**n masks."""
+    """The balanced masks are listed, not tabled: the closure plane, one
+    bit per mask, is the structure layer's only array over all 2**n
+    masks."""
 
-    def test_enumeration_peaks_near_one_byte_per_mask(self, fresh_caches):
-        # The rank table holds 2**24 bytes.  Built as the product of a
-        # popcount table and a balance table, it peaked at 3.16 * 2**24
-        # bytes; seeded from the listed masks, it peaks at 1.18 * 2**24.
+    def test_enumeration_peaks_below_one_byte_per_mask(self, fresh_caches):
+        # The closure plane holds 2**24 bits.  The byte rank table it
+        # replaced peaked at 1.18 * 2**24 bytes (3.16 * 2**24 as the
+        # product of a popcount and a balance table); the plane route
+        # peaks at 0.47 * 2**24, mostly the balanced-mask search and the
+        # tie-set lookup.
         tracemalloc.start()
         try:
             collection = enumerate_min_tiesets(24, 6, BC3)
@@ -196,7 +199,7 @@ class TestStructureLayerFootprint:
         finally:
             tracemalloc.stop()
         assert len(collection) > 0
-        assert peak <= 1.5 * (1 << 24)
+        assert peak <= 0.75 * (1 << 24)
 
     def test_tiesets_load_no_masked_arrays(self):
         # np.unique imports numpy.ma on its first call, which costs every

@@ -5,11 +5,11 @@ operation keeps the system balanced; a state is nonfailed exactly when
 its operating set contains one (surplus units can be switched off to
 rebalance).  Equivalently, the nonfailed set is the superset closure of
 the balanced sets of at least k units.  It is held as a closure plane,
-one bit per mask, 64 masks to a uint64 word, and closed by OR passes
-over the bits and the words (a bitwise zeta transform: Knuth, TAOCP 4A,
-section 7.1.3).  The tie-sets are its minimal elements, and the exact
-reliability is the polynomial of its count profile, read off the plane
-word by word.
+one bit per mask, 64 masks to a uint64 word: closed inside each word by
+its seeds and across words by OR passes (a bitwise zeta transform:
+Knuth, TAOCP 4A, section 7.1.3).  The tie-sets are its minimal elements,
+and the exact reliability is the polynomial of its count profile, read
+off the plane word by word.
 """
 
 from __future__ import annotations

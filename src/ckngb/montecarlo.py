@@ -185,14 +185,17 @@ def _split(rng: np.random.Generator, tokens: np.ndarray, route):
     """Yield each destination of route with the tokens of every replication
     that take it: a multinomial split as one binomial per destination but
     the last, which takes what is left, so a single destination costs no
-    draw.  Only the replications that still hold tokens are drawn for: a
-    binomial of 0 trials takes nothing from the stream, so the draws are
-    those of a split over the whole batch."""
+    draw.  Once some replications hold no token, only the others are drawn
+    for: a binomial of 0 trials takes nothing from the stream, so the draws
+    are those of a split over the whole batch."""
     dest, given = route
     for d, p in zip(dest[:-1], given[:-1]):
         held = np.flatnonzero(tokens)
-        part = np.zeros_like(tokens)
-        part[held] = rng.binomial(tokens[held], p)
+        if held.size == tokens.size:  # as at the start: no index to pay for
+            part = rng.binomial(tokens, p)
+        else:
+            part = np.zeros_like(tokens)
+            part[held] = rng.binomial(tokens[held], p)
         yield d, part
         tokens = tokens - part
     yield dest[-1], tokens

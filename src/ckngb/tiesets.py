@@ -184,9 +184,9 @@ def count_profile(n: int, k: int | tuple[int, ...], bc: BalanceCondition) -> np.
     Every lifetime quantity depends on the nonfailed set only through these
     counts: after m shocks each unit still operates with probability
     p = r**m, independently, so P{M > m} = sum_j c_j p**j (1 - p)**(n - j).
-    A tuple of thresholds gives one row per threshold, from planes built
-    for all of them at once.  The array is read-only and shared between
-    callers; raises NoTieSets when a nonfailed set is empty.
+    A tuple of thresholds gives one row per threshold in one call, from
+    their planes built eight at a time.  The array is read-only and shared
+    between callers; raises NoTieSets when a nonfailed set is empty.
     """
     if isinstance(k, tuple):
         profile = np.concatenate([_profiles(n, planes) for planes in _planes(n, bc, k)])

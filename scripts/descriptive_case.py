@@ -15,7 +15,7 @@ from ckngb.montecarlo import simulate_sntf, simulate_ttf
 from ckngb.sntf import mean_closed, pmf_direct, sntf_distribution, survival_direct
 from ckngb.system import BalanceCondition, SystemConfig
 from ckngb.tiesets import enumerate_min_tiesets, system_reliability_exact
-from ckngb.ttf import _raw_moments, compound_from_config, pdf_grid, ph_from_preset
+from ckngb.ttf import compound_from_config, failure_time_moments, pdf_grid, ph_from_preset
 
 
 def main() -> None:
@@ -46,9 +46,9 @@ def main() -> None:
         fh.write("z,pdf,survival\n")
         for z, d, s in zip(zs, dens, surv):
             fh.write(f"{z:.12g},{d:.12g},{s:.12g}\n")
-    # one pass of 4 block solves over the consolidated chain gives E[Z^p]
-    # for p = 1..4, and the SCV from the first two as ttf.scv takes it
-    moments = _raw_moments(Z, 4)
+    # E[Z^p] for p = 1..4 from the random sum: the shock count's factorial
+    # moments and the inter-shock moments, with no block solve
+    moments = failure_time_moments(Z.chain, config.shock, 4)
     print("failure-time moments p=1..4:", ", ".join(f"{m:.6f}" for m in moments))
     m1, m2 = moments[:2]
     print(f"failure-time SCV: {(m2 - m1**2) / m1**2:.6f}")

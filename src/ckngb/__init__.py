@@ -54,11 +54,11 @@ from .ttf import (
     ContinuousPhaseType,
     compound_from_config,
     compound_ph,
+    failure_time_moments,
     pdf_grid,
     ph_from_preset,
     ph_mean_scv,
     raw_moment,
-    scv,
 )
 
 __version__ = "0.1.0"

@@ -72,6 +72,8 @@ class ExperimentSpec:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        if self.reps < 2:  # one sample has no variance, so no interval
+            raise ConfigError(f"reps: must be at least 2, got {self.reps}")
         for name, bound in (
             ("m_max", MAX_TABLE_ROWS),
             ("z_steps", MAX_TABLE_ROWS),
@@ -374,20 +376,7 @@ def run_ttf(spec: ExperimentSpec) -> tuple[list[dict], dict]:
         for z, d, s in zip(zs, dens, surv)
     ]
     moments = sntf.mean_closed(chain), sntf.factorial_moment(chain, 2)
-    return rows, _failure_time_summary(*moments, *ttf.ph_mean_scv(Y))
-
-
-def _failure_time_summary(
-    mean_m: float | np.ndarray, fm2: float | np.ndarray, mean_y: float, scv_y: float
-) -> dict:
-    """MTTF and SCV of the failure time Z = Y_1 + ... + Y_M, a random sum,
-    from E[M], E[M(M-1)], E[Y] and SCV[Y]: E[Z] = E[M] E[Y] and
-    SCV[Z] = SCV[Y] / E[M] + Var[M] / E[M]^2.  Floats, or arrays over a
-    stack of chains.  mttf_wald is E[M] E[Y] as well; ``validate`` checks
-    it against the compound law's own E[Z]."""
-    mttf = mean_m * mean_y
-    var_m = fm2 + mean_m - mean_m * mean_m
-    return {"mttf": mttf, "mttf_wald": mttf, "scv": scv_y / mean_m + var_m / (mean_m * mean_m)}
+    return rows, ttf.failure_time_summary(*moments, *ttf.ph_mean_scv(Y))
 
 
 def _sweep_rows(
@@ -423,7 +412,7 @@ def run_sweep_scv(spec: ExperimentSpec) -> list[dict]:
         # every preset on the shock-count moments of the same stack of chains
         moments = sntf.mean_closed(stack), sntf.factorial_moment(stack, 2)
         for preset, law in laws.items():
-            summary = _failure_time_summary(*moments, *law)
+            summary = ttf.failure_time_summary(*moments, *law)
             for (bc, n, k, r), *values in zip(systems, *(summary[c].tolist() for c in columns)):
                 by_point[bc, preset, n, k, r].update(zip(columns, values))
     return rows
@@ -504,7 +493,7 @@ def run_validate(
     if config.shock is not None:
         Z = ttf.compound_ph(chain, config.shock)
         mean_y, _ = ttf.ph_mean_scv(config.shock)
-        mttf = ttf.raw_moment(Z, 1)
+        mttf = ttf.raw_moment(Z)
         gap = abs(mttf - mean * mean_y)
         checks.append(_check("wald_identity", gap <= 1e-8, f"gap {gap:.3e}"))
 

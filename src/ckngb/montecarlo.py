@@ -240,8 +240,8 @@ def _admit(config: SystemConfig) -> None:
 def _draw(config: SystemConfig, seed: int, reps: int, times: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Shock counts per replication and, with times, the failure times
     drawn after them from the same batch streams."""
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    if reps < 2:  # one sample has no variance, so no interval
+        raise ValueError(f"reps must be >= 2, got {reps}")
     if times and config.shock is None:
         raise ConfigError("shock: required for time-to-failure simulation")
     table = nonfailed_closure(config.n, config.k, config.bc)
@@ -263,8 +263,8 @@ def _draw(config: SystemConfig, seed: int, reps: int, times: bool) -> tuple[np.n
 def _summarize(kind: str, samples: np.ndarray, seed: int, integer_bins: bool) -> SimulationResult:
     reps = samples.size
     mean = float(samples.mean())
-    variance = float(samples.var(ddof=1)) if reps > 1 else 0.0
-    stderr = float(np.sqrt(variance / reps)) if reps > 1 else 0.0
+    variance = float(samples.var(ddof=1))
+    stderr = float(np.sqrt(variance / reps))
     if integer_bins:
         top = int(samples.max())
         counts = np.bincount(samples.astype(np.int64), minlength=top + 1)[1:]

@@ -3,17 +3,16 @@
 Inter-shock times follow one phase-type law (alpha, T), a
 ``ContinuousPhaseType`` from ``ph_from_preset`` (three unit-mean presets)
 or from ``validate_ph`` (a custom law).  The failure time is the random
-sum of one inter-shock draw per shock, which is again phase-type: its
-subgenerator combines the inter-shock generator on the diagonal blocks
-with shock transitions routed through the exit rates.  Neither the
-subgenerator nor its matrix exponential is formed: density and survival
-on a grid are read off uniformization series built from the shock
-chain's row action, one series per stride of the grid, and moments
-come from block back-substitution over the shock chain's layers, whose
-diagonal blocks a law inverts once.  The commands take MTTF and SCV from
-the shock-count moments and Y's alone, as Z is a random sum; these block
-solves are the independent route, which ``validate`` checks against
-E[M] E[Y].
+sum Z = Y_1 + ... + Y_M of one inter-shock draw per shock, which is again
+phase-type: its subgenerator combines the inter-shock generator on the
+diagonal blocks with shock transitions routed through the exit rates.
+Neither the subgenerator nor its matrix exponential is formed: density
+and survival on a grid are read off uniformization series built from the
+shock chain's row action, one series per stride of the grid.  Moments
+come from the random sum, M_Z(t) = G_M(M_Y(t)): E[Z^q] from the moments
+of M and Y, and MTTF and SCV from the first two over a stack of chains.
+``raw_moment`` is the phase-type law's own E[Z], one block solve over
+the shock chain's layers, which ``validate`` checks against E[M] E[Y].
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 
 from .chain import CountChain, StateChain, layered_solve
 from .errors import ConfigError, NonConvergence, SingularSystem
-from .sntf import sntf_distribution
+from .sntf import factorial_moment, sntf_distribution
 from .system import SystemConfig
 
 PRESET_LABELS = ("ER", "EXP", "HE")
@@ -91,7 +90,7 @@ def validate_ph(alpha, T) -> ContinuousPhaseType:
     law = ContinuousPhaseType(alpha, T)
     # The failure-time summary divides by the mean squared.  Square by
     # product: a float's ** raises OverflowError where * gives inf.
-    mean, second = _mean_second(law)
+    mean, second = _ph_moments(law, 2)
     if not all(math.isfinite(v) and v >= sys.float_info.min for v in (mean, mean * mean, second)):
         raise ConfigError(
             f"shock: the law's mean, its square and its second moment must be positive normal "
@@ -119,19 +118,21 @@ def ph_from_preset(label: str) -> ContinuousPhaseType:
     raise ConfigError(f"shock.preset: unknown label {label!r}; use ER, EXP or HE")
 
 
-def _mean_second(Y: ContinuousPhaseType) -> tuple[float, float]:
-    """First and second moments from linear solves."""
+def _ph_moments(Y: ContinuousPhaseType, p: int) -> list[float]:
+    """E[Y^i] = i! alpha (-T)^(-i) e, i = 1..p, from p successive solves."""
+    x, moments = np.ones(Y.K), []
     try:
-        x = np.linalg.solve(-Y.T, np.ones(Y.K))
-        y = np.linalg.solve(-Y.T, x)
+        for i in range(1, p + 1):
+            x = np.linalg.solve(-Y.T, x)
+            moments.append(float(math.factorial(i) * (Y.alpha @ x)))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
-    return float(Y.alpha @ x), float(2.0 * (Y.alpha @ y))
+    return moments
 
 
 def ph_mean_scv(Y: ContinuousPhaseType) -> tuple[float, float]:
     """Mean and squared coefficient of variation from linear solves."""
-    mean, second = _mean_second(Y)
+    mean, second = _ph_moments(Y, 2)
     return mean, second / mean**2 - 1.0
 
 
@@ -164,17 +165,6 @@ class CompoundPhaseType:
     @property
     def uniformization_rate(self) -> float:
         return float(np.max(-np.diag(self.shock.T)))
-
-    @cached_property
-    def layer_inverses(self) -> np.ndarray:
-        """Inverses of the diagonal blocks -(T_c + r^s exit alpha^T), one per
-        layer of the shock chain in ``layers`` order, from one stacked call."""
-        stays = np.array([stay[0] for _, stay in self.chain.layers])
-        block = np.outer(self.shock.exit_rates, self.shock.alpha)
-        try:
-            return np.linalg.inv(-(self.shock.T + stays[:, None, None] * block))
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(str(exc)) from exc
 
 
 def compound_ph(chain: StateChain | CountChain, Y: ContinuousPhaseType) -> CompoundPhaseType:
@@ -304,18 +294,22 @@ def pdf_grid(Z: CompoundPhaseType, zs: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _solve_neg_generator(Z: CompoundPhaseType, B: np.ndarray) -> np.ndarray:
     """Solve (-T_Z) X = B by block back-substitution over the shock layers.
 
-    A state's diagonal block is -(T_c + r^s exit alpha^T); only the scalar
-    alpha . X[b] of each solved state b crosses states, through P.  A layer
-    of the state chain shares one block, so its rows take one matrix
-    product.
+    A state's diagonal block is -(T_c + r^s exit alpha^T), inverted as its
+    layer is reached; only the scalar alpha . X[b] of each solved state b
+    crosses states, through P.  A layer of the state chain shares one
+    block, so its rows take one matrix product.
     """
     X = np.zeros((Z.states, Z.K))
     exit_c = Z.shock.exit_rates
     alpha_c = Z.shock.alpha
-    inverses = iter(Z.layer_inverses)
+    block = np.outer(exit_c, alpha_c)
 
     def solve_layer(rows, stay, inflow):
-        solved = (B[rows] + np.multiply.outer(inflow, exit_c)) @ next(inverses).T
+        try:
+            inverse = np.linalg.inv(-(Z.shock.T + stay[0] * block))
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(str(exc)) from exc
+        solved = (B[rows] + np.multiply.outer(inflow, exit_c)) @ inverse.T
         X[rows] = solved
         return solved @ alpha_c
 
@@ -323,26 +317,34 @@ def _solve_neg_generator(Z: CompoundPhaseType, B: np.ndarray) -> np.ndarray:
     return X
 
 
-def _raw_moments(Z: CompoundPhaseType, p: int) -> list[float]:
-    """E[Z^q] = q! alpha (-T_Z)^(-q) (w x e) for q = 1..p, off the p
-    successive block solves X_q = (-T_Z)^(-1) X_(q-1)."""
+def raw_moment(Z: CompoundPhaseType) -> float:
+    """E[Z] = alpha (-T_Z)^(-1) (w x e), from one block solve."""
+    X = _solve_neg_generator(Z, np.repeat(Z.chain.weights[:, None], Z.K, axis=1))
+    return float((_alpha_matrix(Z) * X).sum())
+
+
+def failure_time_moments(chain: StateChain | CountChain, Y: ContinuousPhaseType, p: int) -> list[float]:
+    """E[Z^q], q = 1..p, of the random sum Z = Y_1 + ... + Y_M, M the chain's
+    shock count: with u(t) = M_Y(t) - 1 = sum_i E[Y^i] t^i / i!, Faa di
+    Bruno's M_Z(t) = G_M(1 + u(t)) = 1 + sum_j E[M(M-1)..(M-j+1)] u(t)^j / j!."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    X = np.repeat(Z.chain.weights[:, None], Z.K, axis=1)
-    moments = []
-    for q in range(1, p + 1):
-        X = _solve_neg_generator(Z, X)
-        moments.append(float(math.factorial(q) * (_alpha_matrix(Z) * X).sum()))
-    return moments
+    u = np.array([0.0] + [m / math.factorial(i) for i, m in enumerate(_ph_moments(Y, p), 1)])
+    power, series = np.eye(1, p + 1)[0], np.zeros(p + 1)  # u(t)^0 and M_Z(t) - 1
+    for j in range(1, p + 1):
+        power = np.convolve(power, u)[: p + 1]
+        series += factorial_moment(chain, j) / math.factorial(j) * power
+    return [math.factorial(q) * float(series[q]) for q in range(1, p + 1)]
 
 
-def raw_moment(Z: CompoundPhaseType, p: int) -> float:
-    """E[Z^p] via p successive block solves."""
-    return _raw_moments(Z, p)[-1]
-
-
-def scv(Z: CompoundPhaseType) -> float:
-    """Squared coefficient of variation Var/Mean^2, from the two block
-    solves that give E[Z] and E[Z^2]."""
-    m1, m2 = _raw_moments(Z, 2)
-    return (m2 - m1**2) / m1**2
+def failure_time_summary(
+    mean_m: float | np.ndarray, fm2: float | np.ndarray, mean_y: float, scv_y: float
+) -> dict:
+    """MTTF and SCV of the failure time Z = Y_1 + ... + Y_M, a random sum,
+    from E[M], E[M(M-1)], E[Y] and SCV[Y]: E[Z] = E[M] E[Y] and
+    SCV[Z] = SCV[Y] / E[M] + Var[M] / E[M]^2.  Floats, or arrays over a
+    stack of chains.  mttf_wald is E[M] E[Y] as well; ``validate`` checks
+    it against the compound law's own E[Z]."""
+    mttf = mean_m * mean_y
+    var_m = fm2 + mean_m - mean_m * mean_m
+    return {"mttf": mttf, "mttf_wald": mttf, "scv": scv_y / mean_m + var_m / (mean_m * mean_m)}

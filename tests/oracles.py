@@ -20,9 +20,12 @@ compound subgenerator from it.  ``integrate_pdf`` integrates a failure-time
 density by adaptive Simpson quadrature, one density grid per refinement level.
 ``exact_count_moments`` back-substitutes on the count chain in rational
 arithmetic, ``exact_failure_time_moments`` combines it with Y's moments in
-mpmath into the failure time's MTTF and SCV, and ``exact_pdf_survival``
-tabulates a count-chain failure-time law by ``mpmath.expm`` of its dense
-generator.  The tests compare each with the package's route.
+mpmath into the failure time's MTTF and SCV, ``exact_compound_moments``
+solves a count-chain failure-time law's dense generator in mpmath for
+E[Z^q], ``dense_moments`` solves ``to_dense`` in floats for the same, and
+``exact_pdf_survival`` tabulates a count-chain failure-time law by
+``mpmath.expm`` of its dense generator.  The tests compare each with the
+package's route.
 
 Monte Carlo: ``walk_shock_counts`` finds each replication's failure shock
 from its unit lifetimes one shock at a time, without sort keys.
@@ -30,12 +33,11 @@ from its unit lifetimes one shock at a time, without sort keys.
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 import mpmath
 import numpy as np
 
-from ckngb.chain import _transition_rows
 from ckngb.errors import CapacityExceeded, NoTieSets, NonConvergence, OddNUnsupported
 from ckngb.system import BC3_TOLERANCE_PER_UNIT, BalanceCondition
 from ckngb.tiesets import count_profile
@@ -153,11 +155,20 @@ def tieset_table(masks, n):
 
 def full_transition_matrix(n, r):
     """One-step matrix over all 2**n states in canonical index order
-    (descending mask), each entry r^|b| (1 - r)^(|a| - |b|) for b a subset
-    of a."""
-    masks = np.arange((1 << n) - 1, -1, -1, dtype=np.int64)
-    pops = np.bitwise_count(masks).astype(np.int64)
-    return _transition_rows(masks, pops, r, 0, masks.size)[1]
+    (descending mask, so mask m has index 2**n - 1 - m), written entry by
+    entry: one shock takes state a to each subset b of its units with
+    probability r^|b| (1 - r)^(|a| - |b|), and to no other state."""
+    size = 1 << n
+    full = np.zeros((size, size))
+    for a in range(size):
+        b = a
+        while True:  # every subset b of a, largest first
+            kept = b.bit_count()
+            full[size - 1 - a, size - 1 - b] = r**kept * (1.0 - r) ** (a.bit_count() - kept)
+            if b == 0:
+                break
+            b = (b - 1) & a
+    return full
 
 
 def full_matrix(chain):
@@ -262,6 +273,42 @@ def exact_compound(n, k, bc, r, Y):
     for y in range(K):
         start[0, y] = Y.alpha[y]
     return G, start, dens, surv
+
+
+def exact_compound_moments(n, k, bc, r, Y, p, dps=40):
+    """E[Z^q] = q! start (-G)^(-q) surv for q = 1..p on ``exact_compound``'s
+    law, as mpmath numbers at dps digits.  A shock never adds operating
+    units, so G is block upper triangular in K x K blocks (checked), and
+    each solve runs from the last state up, one ``mpmath.lu_solve`` of a
+    diagonal block per state."""
+    with mpmath.workdps(dps):
+        G, start, _, x = exact_compound(n, k, bc, r, Y)
+        K, dim = Y.K, G.rows
+        assert all(G[i, j] == 0 for i in range(dim) for j in range(i // K * K))
+        diagonal = [-G[a : a + K, a : a + K] for a in range(0, dim, K)]
+        moments = []
+        for q in range(1, p + 1):
+            y = mpmath.zeros(dim, 1)
+            for a in range(dim - K, -1, -K):
+                rhs = mpmath.matrix(
+                    [x[i] + mpmath.fsum(G[i, j] * y[j] for j in range(a + K, dim)) for i in range(a, a + K)]
+                )
+                y[a : a + K, 0] = mpmath.lu_solve(diagonal[a // K], rhs)
+            x = y
+            moments.append(factorial(q) * (start * x)[0])
+    return moments
+
+
+def dense_moments(Z, p):
+    """E[Z^q] = q! alpha (-T_Z)^(-q) (w x e) for q = 1..p by dense LU solves
+    on ``to_dense(Z)``."""
+    neg = -to_dense(Z)
+    x = np.repeat(Z.chain.weights, Z.K)
+    moments = []
+    for q in range(1, p + 1):
+        x = np.linalg.solve(neg, x)
+        moments.append(factorial(q) * float(Z.alpha @ x))
+    return moments
 
 
 def exact_pdf_survival(n, k, bc, r, Y, zs, dps=40):

@@ -186,7 +186,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flag,value",
-        [("z-max", "nan"), ("z-max", "inf"), ("m-max", "0"), ("reps", "0"), ("seed", "-1")],
+        [("z-max", "nan"), ("z-max", "inf"), ("m-max", "0"), ("reps", "0"), ("reps", "1"),
+         ("seed", "-1")],
     )
     def test_bad_flag_is_config_error(self, flag, value, config_file, capsys):
         assert main(["ttf", "--config", config_file(REFERENCE_DOC), f"--{flag}", value]) == 2

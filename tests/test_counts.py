@@ -16,7 +16,6 @@ from ckngb.chain import build_count_chain, check_upper_triangular
 from ckngb.errors import InvariantViolation, NoTieSets, OddNUnsupported
 from ckngb.experiments import (
     DEFAULT_Z_MAX,
-    _failure_time_summary,
     parse_config,
     run_sweep_msntf,
     run_sweep_scv,
@@ -30,8 +29,23 @@ from ckngb.sntf import (
 )
 from ckngb.system import BalanceCondition, SystemConfig
 from ckngb.tiesets import count_profile, enumerate_min_tiesets, nonfailed_closure
-from ckngb.ttf import compound_ph, pdf_grid, ph_from_preset, ph_mean_scv, raw_moment, scv
-from oracles import closure_profile, minimal_masks, or_closure, scan_min_tiesets, tieset_table
+from ckngb.ttf import (
+    compound_ph,
+    failure_time_moments,
+    failure_time_summary,
+    pdf_grid,
+    ph_from_preset,
+    ph_mean_scv,
+    raw_moment,
+)
+from oracles import (
+    closure_profile,
+    dense_moments,
+    minimal_masks,
+    or_closure,
+    scan_min_tiesets,
+    tieset_table,
+)
 
 BC1, BC2, BC3 = BalanceCondition.BC1, BalanceCondition.BC2, BalanceCondition.BC3
 
@@ -244,9 +258,9 @@ def test_batched_sweeps_equal_single_system_calls():
     same system: the mean shock count, and MTTF, its Wald value and SCV
     for each preset from the shock-count moments of the single chain.
     Infeasible systems read ``infeasible``.  MTTF and SCV also agree with
-    ``raw_moment`` and ``scv`` of the compound law: over the 2 394
-    feasible rows the worst relative gaps measured 1.1e-14 (MTTF) and
-    2.8e-14 (SCV), both at r = 0.999, so the bound is 1e-13."""
+    dense solves of the compound subgenerator (``oracles.dense_moments``):
+    over the 2 394 feasible rows the worst relative gaps measured 1.1e-14
+    (MTTF) and 3.0e-14 (SCV), both at r = 0.999, so the bound is 1e-13."""
     ns, ks, rs = list(range(3, 17)), list(range(2, 16)), [0.3, 0.9, 0.999]
     doc = {"n": ns, "k": ks, "r": rs, "bc": ["BC1", "BC2", "BC3"]}
     presets = ["ER", "EXP", "HE"]
@@ -272,11 +286,11 @@ def test_batched_sweeps_equal_single_system_calls():
             continue
         Y = laws[row["preset"]]
         moments = mean_closed(chain), factorial_moment(chain, 2)
-        want = _failure_time_summary(*moments, *ph_mean_scv(Y))
+        want = failure_time_summary(*moments, *ph_mean_scv(Y))
         mismatches += [row] if got != [want["mttf"], want["mttf_wald"], want["scv"]] else []
-        Z = compound_ph(chain, Y)
-        for value, compound in ((row["mttf"], raw_moment(Z, 1)), (row["scv"], scv(Z))):
-            worst = max(worst, abs(value - compound) / compound)
+        m1, m2 = dense_moments(compound_ph(chain, Y), 2)
+        for value, dense in ((row["mttf"], m1), (row["scv"], m2 / m1**2 - 1.0)):
+            worst = max(worst, abs(value - dense) / dense)
     assert sum(chain is not None for chain in expected.values()) > 600
     assert mismatches == []
     assert worst <= 1e-13
@@ -308,9 +322,10 @@ def test_count_chain_matches_state_chain(n):
     either.  pmf and pdf are compared relative to the largest value of their
     series, every other quantity pointwise.  Worst relative gaps measured
     over n = 2..12: mean 1.6e-14, second factorial moment 3.2e-14, MTTF
-    2.1e-14 and SCV 5.4e-14, all at r = 0.999, where 1 - r^s keeps only a
-    few digits (at most 5.1e-15 at the other levels); pmf and survival
-    7.1e-15 pointwise; failure-time density 2.8e-15 and survival 4.4e-15."""
+    (``raw_moment``) 2.1e-14 and SCV (``failure_time_moments``) 4.5e-14,
+    all at r = 0.999, where 1 - r^s keeps only a few digits (at most
+    5.7e-15 at the other levels); pmf and survival 7.1e-15 pointwise;
+    failure-time density 2.8e-15 and survival 4.4e-15."""
     tol = 1e-12
     zs = np.linspace(0.0, DEFAULT_Z_MAX, 41)
     failures = []
@@ -344,8 +359,9 @@ def test_count_chain_matches_state_chain(n):
                     a, b = compound_ph(counts, Y), compound_ph(states, Y)
                     dens_a, surv_a = pdf_grid(a, zs)
                     dens_b, surv_b = pdf_grid(b, zs)
-                    checks[f"mttf {label}"] = _close(raw_moment(a, 1), raw_moment(b, 1), tol)
-                    checks[f"scv {label}"] = _close(scv(a), scv(b), tol)
+                    checks[f"mttf {label}"] = _close(raw_moment(a), raw_moment(b), tol)
+                    (m1a, m2a), (m1b, m2b) = (failure_time_moments(c, Y, 2) for c in (counts, states))
+                    checks[f"scv {label}"] = _close(m2a / m1a**2 - 1.0, m2b / m1b**2 - 1.0, tol)
                     checks[f"pdf {label}"] = _close(dens_a, dens_b, tol, np.abs(dens_b).max())
                     checks[f"ttf survival {label}"] = _close(surv_a, surv_b, tol)
                 failures += [(k, bc.value, r, name) for name, ok in checks.items() if not ok]

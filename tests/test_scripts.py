@@ -42,9 +42,10 @@ def test_script_csv_pinned(script, csv, digest, tmp_path):
 
 
 def test_descriptive_case_moments_in_one_pass(tmp_path, monkeypatch, capsys):
-    """descriptive_case.py reads E[Z^p], p = 1..4, and the SCV off one pass
-    of 4 block solves (asking raw_moment for each p and then scv made 12),
-    and prints the same bytes as the release that recorded this digest."""
+    """descriptive_case.py reads E[Z^p], p = 1..4, and the SCV off one
+    ``failure_time_moments`` call, the shock-count and inter-shock moments
+    with no block solve, and prints the same bytes as the release that
+    recorded this digest."""
     calls = []
     solve = ttf._solve_neg_generator
 
@@ -55,7 +56,7 @@ def test_descriptive_case_moments_in_one_pass(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(ttf, "_solve_neg_generator", counted)
     monkeypatch.setattr(sys, "argv", ["descriptive_case.py", str(tmp_path)])
     runpy.run_path(str(ROOT / "scripts" / "descriptive_case.py"))["main"]()
-    assert len(calls) == 4
+    assert calls == []
     printed = capsys.readouterr().out.encode()
     assert hashlib.sha256(printed).hexdigest() == (
         "28ab25a362ab70390d44204d26f9502ce2e41f49c609057eb0097e738f08ae30"

@@ -17,15 +17,22 @@ from ckngb.ttf import (
     ContinuousPhaseType,
     compound_from_config,
     compound_ph,
+    failure_time_moments,
     pdf_grid,
     ph_from_preset,
     ph_mean_scv,
     raw_moment,
-    scv,
     validate_ph,
 )
 from goldens import COMPOUND_GENERATOR
-from oracles import exact_failure_time_moments, exact_pdf_survival, integrate_pdf, to_dense
+from oracles import (
+    dense_moments,
+    exact_compound_moments,
+    exact_failure_time_moments,
+    exact_pdf_survival,
+    integrate_pdf,
+    to_dense,
+)
 
 BC1, BC2, BC3 = BalanceCondition.BC1, BalanceCondition.BC2, BalanceCondition.BC3
 
@@ -138,8 +145,10 @@ class TestCompound:
             density, survival = at(Z, z)
             assert density == pytest.approx(rate * math.exp(-rate * z), rel=1e-10)
             assert survival == pytest.approx(math.exp(-rate * z), rel=1e-10)
-        assert raw_moment(Z, 1) == pytest.approx(1.0 / rate, rel=1e-12)
-        assert scv(Z) == pytest.approx(1.0, abs=1e-10)
+        assert raw_moment(Z) == pytest.approx(1.0 / rate, rel=1e-12)
+        m1, m2 = failure_time_moments(dist, ph_from_preset("EXP"), 2)
+        assert m1 == pytest.approx(1.0 / rate, rel=1e-12)
+        assert m2 / m1**2 - 1.0 == pytest.approx(1.0, abs=1e-10)
 
     def test_dense_cap(self):
         chain = CountChain(np.zeros((3000, 3000)), np.zeros(3000), np.ones(3000))
@@ -326,15 +335,16 @@ MOMENT_BOUNDS = {0.3: (3e-15, 1e-14), 0.9: (3e-15, 1e-14), 0.999: (1e-13, 2e-13)
 @pytest.mark.parametrize("r", list(MOMENT_BOUNDS))
 @pytest.mark.parametrize("label", PRESET_LABELS)
 def test_moments_against_exact_arithmetic(label, r):
-    """MTTF and SCV by both routes, the random-sum identity of ``run_ttf``'s
-    summary and ``raw_moment`` / ``scv`` of the compound law, against
-    ``oracles.exact_failure_time_moments``.
+    """MTTF and SCV by the random-sum identity of ``run_ttf``'s summary and
+    of ``failure_time_moments``, and MTTF by ``raw_moment``'s block solve,
+    against ``oracles.exact_failure_time_moments``.
 
     Worst relative errors measured over these systems and the three
-    presets (identity / compound): at r = 0.3 and 0.9, MTTF 3.3e-16 /
-    6.3e-16 and SCV 2.8e-15 / 2.6e-15; at r = 0.999, MTTF 1.5e-14 /
-    2.3e-14 and SCV 4.1e-14 / 5.4e-14, where 1 - r^s keeps only a few
-    digits of E[M].  Each bound is about 4x the worse route's worst.
+    presets (summary / failure_time_moments / raw_moment): at r = 0.3 and
+    0.9, MTTF 3.3e-16 / 3.3e-16 / 6.3e-16 and SCV 2.8e-15 / 2.8e-15; at
+    r = 0.999, MTTF 1.5e-14 / 1.5e-14 / 2.3e-14 and SCV 4.1e-14 / 4.1e-14,
+    where 1 - r^s keeps only a few digits of E[M].  Each bound is about 4x
+    the worst route's worst.
     """
     Y = ph_from_preset(label)
     mttf_bound, scv_bound = MOMENT_BOUNDS[r]
@@ -342,10 +352,46 @@ def test_moments_against_exact_arithmetic(label, r):
         exact_mttf, exact_scv = exact_failure_time_moments(n, k, bc, r, Y)
         spec = ExperimentSpec(n=(n,), k=(k,), r=(r,), bc=(bc,), shock=Y, z_steps=1)
         summary = run_ttf(spec)[1]
-        Z = compound_ph(count_distribution(SystemConfig(n, k, r, bc)), Y)
-        for mttf, value in ((summary["mttf"], summary["scv"]), (raw_moment(Z, 1), scv(Z))):
+        chain = count_distribution(SystemConfig(n, k, r, bc))
+        m1, m2 = failure_time_moments(chain, Y, 2)
+        for mttf, value in ((summary["mttf"], summary["scv"]), (m1, m2 / m1**2 - 1.0)):
             assert abs(mttf - exact_mttf) <= mttf_bound * exact_mttf, (n, k, bc)
             assert abs(value - exact_scv) <= scv_bound * exact_scv, (n, k, bc)
+        mttf = raw_moment(compound_ph(chain, Y))
+        assert abs(mttf - exact_mttf) <= mttf_bound * exact_mttf, (n, k, bc)
+
+
+# A 3-phase law that never starts in phase 2 and jumps between phases.
+CYCLIC_PH = validate_ph(
+    np.array([0.6, 0.0, 0.4]),
+    np.array([[-3.0, 1.5, 0.5], [0.5, -2.0, 1.0], [1.0, 0.0, -4.0]]),
+)
+# q -> bound on the relative error of E[Z^q]
+HIGHER_MOMENT_BOUNDS = {1: 5e-14, 2: 1e-13, 3: 1.5e-13, 4: 2e-13}
+
+
+@pytest.mark.parametrize("n", [4, 7, 10, 12])
+def test_higher_moments_against_exact_arithmetic(n):
+    """E[Z^q], q = 1..4, from ``failure_time_moments`` against
+    ``oracles.exact_compound_moments`` (mpmath, 40 digits) for every k,
+    BC2 and BC3, r in {0.3, 0.9, 0.999} and the ER, HE and cyclic laws.
+
+    Worst relative errors measured over the four n (450 laws), all at
+    n=4 k=2 BC2 r=0.999, where 1 - r^s keeps only a few digits of the
+    factorial moments: 1.45e-14, 2.51e-14, 3.56e-14 and 4.67e-14 for
+    q = 1..4.  Each bound is 3.4-4.3x the worst.
+    """
+    laws = (ph_from_preset("ER"), ph_from_preset("HE"), CYCLIC_PH)
+    failures = []
+    for k, bc, r in itertools.product(range(2, n), (BC2, BC3), (0.3, 0.9, 0.999)):
+        chain = count_distribution(SystemConfig(n, k, r, bc))
+        for Y in laws:
+            got = failure_time_moments(chain, Y, 4)
+            exact = exact_compound_moments(n, k, bc, r, Y, 4)
+            for q, (value, want) in enumerate(zip(got, exact), 1):
+                if abs(value - want) > HIGHER_MOMENT_BOUNDS[q] * want:
+                    failures.append((k, bc.value, r, q, value, float(want)))
+    assert failures == []
 
 
 class TestMoments:
@@ -355,48 +401,17 @@ class TestMoments:
             Y = ph_from_preset(label)
             Z = compound_ph(dist, Y)
             mean_y, _ = ph_mean_scv(Y)
-            assert raw_moment(Z, 1) == pytest.approx(
-                mean_closed(dist) * mean_y, abs=1e-8
-            )
+            assert raw_moment(Z) == pytest.approx(mean_closed(dist) * mean_y, abs=1e-8)
 
     def test_against_dense_solves(self, reference_config):
         Z = compound_from_config(reference_config)
-        T = to_dense(Z)
-        x = np.ones(14)
-        for p in (1, 2, 3):
-            x = np.linalg.solve(-T, x)
-            assert raw_moment(Z, p) == pytest.approx(
-                math.factorial(p) * float(Z.alpha @ x), rel=1e-11
-            )
+        want = dense_moments(Z, 3)
+        assert raw_moment(Z) == pytest.approx(want[0], rel=1e-11)
+        assert failure_time_moments(Z.chain, Z.shock, 3) == pytest.approx(want, rel=1e-11)
 
     def test_moment_argument_validation(self, reference_config):
-        Z = compound_from_config(reference_config)
         with pytest.raises(ValueError):
-            raw_moment(Z, 0)
-
-    @pytest.mark.parametrize("order", list(itertools.permutations(("m1", "m2", "scv"))))
-    def test_any_order_matches_a_fresh_law(self, order):
-        """raw_moment and scv equal, bit for bit, p solves from scratch on a
-        law built afresh for each value, whichever is asked first."""
-        Y = validate_ph(
-            np.array([0.6, 0.0, 0.4]),
-            np.array([[-3.0, 1.5, 0.5], [0.5, -2.0, 1.0], [1.0, 0.0, -4.0]]),
-        )
-        config = SystemConfig(8, 3, 0.8, BalanceCondition.BC2)
-        for dist in (count_distribution(config), sntf_distribution(config)):
-
-            def from_scratch(p):
-                Z = compound_ph(dist, Y)
-                X = np.repeat(Z.chain.weights[:, None], Z.K, axis=1)
-                for _ in range(p):
-                    X = ttf._solve_neg_generator(Z, X)
-                return float(math.factorial(p) * (Z.alpha.reshape(Z.states, Z.K) * X).sum())
-
-            m1, m2 = from_scratch(1), from_scratch(2)
-            fresh = {"m1": m1, "m2": m2, "scv": (m2 - m1**2) / m1**2}
-            Z = compound_ph(dist, Y)
-            requests = {"m1": lambda: raw_moment(Z, 1), "m2": lambda: raw_moment(Z, 2), "scv": lambda: scv(Z)}
-            assert [requests[name]() for name in order] == [fresh[name] for name in order]
+            failure_time_moments(sntf_distribution(reference_config), reference_config.shock, 0)
 
     def test_sweep_point_makes_no_compound_solve(self, monkeypatch):
         """MTTF and SCV of one sweep-scv point come from the shock-count
@@ -411,16 +426,16 @@ class TestMoments:
         assert solves == [] and inversions == []
 
     @pytest.mark.parametrize("chain", ["count", "state"])
-    def test_scv_makes_two_block_solves(self, chain, monkeypatch):
-        """E[Z] and E[Z^2] come off one pass, X_1 and then X_2 from X_1,
-        where raw_moment(Z, 1) and raw_moment(Z, 2) made three solves."""
-        solves = []
-        solve = ttf._solve_neg_generator
-        monkeypatch.setattr(ttf, "_solve_neg_generator", lambda Z, B: solves.append(Z) or solve(Z, B))
+    def test_mean_inverts_each_layer_block_once(self, chain, monkeypatch):
+        """raw_moment makes one block solve, which inverts each layer's
+        K x K block once, as it reaches the layer."""
+        inversions = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(a.shape) or inv(a))
         config = SystemConfig(8, 3, 0.8, BalanceCondition.BC2)
         dist = count_distribution(config) if chain == "count" else sntf_distribution(config)
-        assert scv(compound_ph(dist, ph_from_preset("HE"))) > 0.0
-        assert len(solves) == 2
+        assert raw_moment(compound_ph(dist, ph_from_preset("HE"))) > 0.0
+        assert inversions == [(2, 2)] * len(dist.layers)
 
     def test_singular_layer_block_raises(self):
         # a layer that keeps its state at every shock: with exponential
@@ -428,14 +443,12 @@ class TestMoments:
         chain = CountChain(np.array([[1.0]]), np.array([0.0]), np.array([1.0]))
         Z = CompoundPhaseType(np.array([1.0]), chain, ph_from_preset("EXP"))
         with pytest.raises(SingularSystem):
-            raw_moment(Z, 1)
-        with pytest.raises(SingularSystem):
-            scv(Z)
+            raw_moment(Z)
 
     def test_scv_positive_for_degenerate_shock_count(self):
         dist = sntf_distribution(SystemConfig(4, 4, 0.7))
-        Z = compound_ph(dist, ph_from_preset("ER"))
-        assert scv(Z) > 0.0
+        m1, m2 = failure_time_moments(dist, ph_from_preset("ER"), 2)
+        assert m2 / m1**2 - 1.0 > 0.0
 
 
 def test_density_peak_follows_base_distribution():

@@ -437,6 +437,17 @@ class TestMoments:
         assert raw_moment(compound_ph(dist, ph_from_preset("HE"))) > 0.0
         assert inversions == [(2, 2)] * len(dist.layers)
 
+    @pytest.mark.parametrize("chain", ["count", "state"])
+    def test_lower_orders_do_not_depend_on_p(self, chain):
+        """E[Z^q] is the same float whichever p >= q is asked for, so the
+        sweeps' p = 2 values are the first two of a p = 4 call."""
+        config = SystemConfig(8, 3, 0.8, BalanceCondition.BC2)
+        dist = count_distribution(config) if chain == "count" else sntf_distribution(config)
+        for Y in (ph_from_preset("HE"), CYCLIC_PH):
+            full = failure_time_moments(dist, Y, 4)
+            for p in (1, 2, 3):
+                assert failure_time_moments(dist, Y, p) == full[:p]
+
     def test_singular_layer_block_raises(self):
         # a layer that keeps its state at every shock: with exponential
         # inter-shock times its block -(T + 1 * exit alpha^T) is zero

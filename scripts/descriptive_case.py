@@ -27,9 +27,10 @@ def main() -> None:
     print(f"minimum tie-sets ({len(collection)}):", ", ".join(map(str, collection.tiesets)))
     print(f"one-shock reliability: {system_reliability_exact(collection, config.r):.6f}")
 
-    chain = build_consolidated(config.n, config.k, config.bc, config.r)
-    (outdir / "descriptive_chain.csv").write_text(chain_csv(chain))
-    print(f"consolidated chain: {chain.size} transient states -> descriptive_chain.csv")
+    masks, blocks = build_consolidated(config.n, config.k, config.bc, config.r)
+    with open(outdir / "descriptive_chain.csv", "w") as fh:
+        chain_csv(fh, config.n, masks, blocks)
+    print(f"consolidated chain: {masks.size} transient states -> descriptive_chain.csv")
 
     ms = np.arange(1, 31)
     pmf, survival = pmf_direct(config, ms), survival_direct(config, ms)

@@ -2,7 +2,6 @@
 under random shocks, with a Monte Carlo oracle for verification."""
 
 from .chain import (
-    ConsolidatedChain,
     CountChain,
     StateChain,
     build_consolidated,

@@ -11,9 +11,9 @@ Kronecker product of n copies of the 2 x 2 kernel [[1, 0], [1 - r, r]]
 work.  ``StateChain`` is that operator restricted to the nonfailed
 closure: it stores no matrix.  It serves ``sntf_distribution``,
 ``compound_from_config`` and the validation oracle.
-``build_consolidated`` stores the same chain as a dense matrix for the
-chain dump and the golden matrices only, and refuses it above
-MAX_CHAIN_STATES states.
+``build_consolidated`` gives the same chain's rows a block at a time,
+for the chain dump (``chain_csv``) and the golden matrices only: no
+N x N array is made.  It refuses systems above MAX_CHAIN_STATES states.
 
 The count chain carries the same shock-count law on at most n + 1 states.
 Each shock thins the operating count j binomially, and a state with j
@@ -29,8 +29,10 @@ its grid.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import TextIO
 
 import numpy as np
 
@@ -38,9 +40,10 @@ from .errors import CapacityExceeded, InvariantViolation
 from .system import MAX_UNITS, BalanceCondition, SystemState
 from .tiesets import count_profile, nonfailed_closure
 
-# Dense N x N storage caps the dumped chain: 15 000 states take 1.8 GB.
-# Every n <= 14 system fits (the largest, n=14 k=2 BC2, has 14 199);
-# n=16 k=4 BC3 (41 479) does not.
+# The chain dump writes about 2 N^2 bytes, nearly all "0,": 15 000 states
+# make a 450 MB file in about 12 s (14 199 states: 432 MB in 10-12 s and
+# 83 MB peak RSS on a 2-vCPU VM).  Every n <= 14 system fits (the largest,
+# n=14 k=2 BC2, has 14 199); n=16 k=4 BC3 (41 479, 3.4 GB) does not.
 MAX_CHAIN_STATES = 15_000
 
 # The state chain holds a few float64 vectors over all 2**n masks (32 MB
@@ -51,6 +54,8 @@ MAX_STATE_UNITS = 22
 
 # Units that the state chain's butterfly passes on the transposed array.
 _LOW_UNITS = 5
+
+_Rows = Iterator[tuple[np.ndarray, np.ndarray]]  # blocks of (transition, absorb) rows
 
 
 def mstep_prob(xa: SystemState, xb: SystemState, m: int, r: float) -> float:
@@ -76,29 +81,6 @@ def _nonfailed_masks(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
     masks = np.flatnonzero(nonfailed_closure(n, k, bc))[::-1].astype(np.int64)
     masks.flags.writeable = False
     return masks
-
-
-@dataclass(frozen=True, eq=False)
-class ConsolidatedChain:
-    """The consolidated chain stored as a dense matrix, for the chain dump.
-
-    ``transition`` is row-substochastic and upper triangular; ``absorb``
-    holds the per-row probability of jumping to the consolidated failed
-    state.
-    """
-
-    states: tuple[SystemState, ...]
-    masks: np.ndarray
-    transition: np.ndarray
-    absorb: np.ndarray
-    n: int
-    k: int
-    bc: BalanceCondition
-    r: float
-
-    @property
-    def size(self) -> int:
-        return len(self.states)
 
 
 def _transition_rows(
@@ -152,46 +134,45 @@ def _thinning(n: int, r: float) -> np.ndarray:
     return full
 
 
-@lru_cache(maxsize=1)  # a chain at the cap takes 1.8 GB
-def build_consolidated(n: int, k: int, bc: BalanceCondition, r: float) -> ConsolidatedChain:
-    """Consolidated chain at unit reliability r, all-ones state first.
+def build_consolidated(n: int, k: int, bc: BalanceCondition, r: float) -> tuple[np.ndarray, _Rows]:
+    """Consolidated chain at unit reliability r: its nonfailed masks in
+    canonical order, all-ones state first, and its rows in blocks, each the
+    rows' one-shock transition probabilities to every nonfailed state and
+    their probabilities of jumping to the consolidated failed state.
 
-    Raises CapacityExceeded, before allocating the matrix, when the system
-    has more than MAX_CHAIN_STATES nonfailed states.
+    Raises CapacityExceeded, before any row is built, above
+    MAX_CHAIN_STATES nonfailed states.
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"r must lie strictly inside (0, 1), got {r}")
     masks = _nonfailed_masks(n, k, bc)
-    N = masks.size
-    if N > MAX_CHAIN_STATES:
+    if masks.size > MAX_CHAIN_STATES:
         raise CapacityExceeded(
-            f"consolidated chain capped at {MAX_CHAIN_STATES} states, need {N}"
+            f"consolidated chain capped at {MAX_CHAIN_STATES} states, need {masks.size}"
         )
+    return masks, _row_blocks(masks, n, r)
+
+
+def _row_blocks(masks: np.ndarray, n: int, r: float) -> _Rows:
+    N = masks.size
     pops = np.bitwise_count(masks).astype(np.int64)
     by_count = (pops[:, None] == np.arange(n + 1)[None, :]).astype(np.float64)
-    chunk = max(1, (1 << 22) // max(N, 1))
-
-    P = np.zeros((N, N))
-    # failed[i, j]: j-unit subsets of row i's operating units that are failed
-    failed = _binomials(n)[pops]
+    chunk = max(1, (1 << 20) // N)  # 8 MB per float64 block
     for i0 in range(0, N, chunk):
-        i1 = min(N, i0 + chunk)
-        sub, P[i0:i1] = _transition_rows(masks, pops, r, i0, i1)
-        failed[i0:i1] -= sub @ by_count
-    check_upper_triangular(P)
-    # The probability of a failed successor, as a sum of nonnegative terms
-    # rather than 1 - row sum, which cancels where failing is rare.
-    absorb = _binomial_terms(failed, pops, r).sum(axis=1)
-    states = tuple(SystemState(int(m), n) for m in masks)
-    return ConsolidatedChain(states, masks, P, absorb, n, k, bc, r)
+        sub, P = _transition_rows(masks, pops, r, i0, i0 + chunk)
+        check_upper_triangular(P, i0)
+        # failed[i, j]: j-unit subsets of row i's operating units that are failed
+        failed = _binomials(n)[pops[i0 : i0 + chunk]] - sub @ by_count
+        # The probability of a failed successor, as a sum of nonnegative
+        # terms rather than 1 - row sum, which cancels where failing is rare.
+        yield P, _binomial_terms(failed, pops[i0 : i0 + chunk], r).sum(axis=1)
 
 
-def check_upper_triangular(P: np.ndarray) -> None:
-    """Raise InvariantViolation when P stores an entry below the diagonal:
-    a shock never revives a unit, so the chain is upper triangular in
-    canonical order.  Rows are scanned in blocks, so no N x N temporary is
-    made."""
-    if any(np.tril(P[i : i + 256], i - 1).any() for i in range(0, P.shape[0], 256)):
+def check_upper_triangular(P: np.ndarray, first_row: int = 0) -> None:
+    """Raise InvariantViolation when P, rows first_row onwards of a chain's
+    matrix in canonical order, has an entry below the diagonal: a shock
+    never revives a unit."""
+    if np.tril(P, first_row - 1).any():
         raise InvariantViolation("subtransition matrix must be upper triangular")
 
 
@@ -413,20 +394,22 @@ def layered_solve(chain: StateChain | CountChain, solve_layer) -> np.ndarray:
     return carried
 
 
-def chain_csv(chain: ConsolidatedChain) -> str:
-    """Debug dump of the full partitioned matrix with state headers.
+def chain_csv(fh: TextIO, n: int, masks: np.ndarray, blocks: _Rows) -> None:
+    """Write the debug dump of the full partitioned matrix, with state
+    headers, to the open text file fh, one block of rows at a time.
 
     Only nonzero entries are formatted: the chain holds no -0.0, so every
     other cell is "0", as ``f"{0.0:.12g}"`` writes it.
     """
-    N = chain.size
-    labels = [str(s) for s in chain.states] + ["absorbed"]
-    lines = ["state," + ",".join(labels)]
-    for label, row, absorb in zip(labels, chain.transition, chain.absorb):
-        cells = ["0"] * N
-        nonzero = np.flatnonzero(row)
-        for j, v in zip(nonzero.tolist(), row[nonzero].tolist()):
-            cells[j] = f"{v:.12g}"
-        lines.append(f"{label},{','.join(cells)},{absorb:.12g}")
-    lines.append("absorbed," + "0," * N + "1")
-    return "\n".join(lines) + "\n"
+    labels = [format(mask, f"0{n}b") for mask in masks.tolist()]
+    fh.write(f"state,{','.join(labels)},absorbed\n")
+    rest = iter(labels)
+    for P, absorb in blocks:
+        # zip stops at the block's end before it takes the next label
+        for row, a, label in zip(P, absorb.tolist(), rest):
+            cells = ["0"] * masks.size
+            nonzero = np.flatnonzero(row)
+            for j, v in zip(nonzero.tolist(), row[nonzero].tolist()):
+                cells[j] = f"{v:.12g}"
+            fh.write(f"{label},{','.join(cells)},{a:.12g}\n")
+    fh.write("absorbed," + "0," * masks.size + "1\n")

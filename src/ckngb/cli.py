@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -60,9 +61,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open(path: str, option: str):
+    """The file at path opened for writing: an unwritable path is a config error."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{option}: cannot write {path}: {exc.strerror}") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with _open(out, "out") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -78,15 +87,17 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "sntf-pmf":
+        dump = contextlib.nullcontext()
         if args.dump_chain:
-            # built first, so a chain over the state cap fails before any output
+            # the state cap and the dump path fail before any output
             config = spec.single()
-            chain = build_consolidated(config.n, config.k, config.bc, config.r)
-        rows = experiments.run_sntf_pmf(spec, use_matrix=args.matrix)
-        _emit(experiments.rows_to_csv(["m", "pmf", "survival"], rows), spec.out)
-        if args.dump_chain:
-            with open(args.dump_chain, "w", encoding="utf-8") as fh:
-                fh.write(chain_csv(chain))
+            masks, blocks = build_consolidated(config.n, config.k, config.bc, config.r)
+            dump = _open(args.dump_chain, "dump-chain")
+        with dump as fh:
+            rows = experiments.run_sntf_pmf(spec, use_matrix=args.matrix)
+            _emit(experiments.rows_to_csv(["m", "pmf", "survival"], rows), spec.out)
+            if fh:
+                chain_csv(fh, config.n, masks, blocks)
         return EXIT_OK
 
     if args.command == "sntf-moments":

@@ -77,18 +77,17 @@ def _bits(plane: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return words
 
 
-def _planes(n: int, bc: BalanceCondition, ks: tuple[int, ...]):
-    """Closure planes of the thresholds ks, _GROUP_ROWS rows at a time:
-    uint64 arrays (rows, max(1, 2**n // 64)), where bit m % 64 of word
-    m // 64 of the row of k is set when mask m contains a balanced set of
-    at least k units.  Raises NoTieSets, before any work, when a row would
-    be empty.
+def _planes(n: int, bc: BalanceCondition, ks: tuple[int, ...], masks: np.ndarray):
+    """Closure planes of the thresholds ks, _GROUP_ROWS rows at a time, from
+    the balanced masks of n and bc: uint64 arrays (rows, max(1, 2**n // 64)),
+    where bit m % 64 of word m // 64 of the row of k is set when mask m
+    contains a balanced set of at least k units.  Raises NoTieSets, before
+    any work, when a row would be empty.
 
     Each balanced mask seeds its word with all of its supersets inside the
     word (``_UP``); one OR pass per unit above the lowest six lifts every
     word to the word with that unit's bit also set.
     """
-    masks = balanced_masks(n, bc)
     sizes = np.bitwise_count(masks)
     if max(ks) > sizes.max(initial=0):
         raise NoTieSets(f"no tie-sets for n={n}, k={max(ks)}, bc={bc.value}")
@@ -107,7 +106,7 @@ def _planes(n: int, bc: BalanceCondition, ks: tuple[int, ...]):
 @lru_cache(maxsize=2)  # the layer's only cached 2**n-bit array: 128 MB at n = 30
 def _plane(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
     """The closure plane of threshold k, one read-only row."""
-    (plane,) = next(_planes(n, bc, (k,)))
+    (plane,) = next(_planes(n, bc, (k,), balanced_masks(n, bc)))
     plane.flags.writeable = False
     return plane
 
@@ -184,12 +183,19 @@ def count_profile(n: int, k: int | tuple[int, ...], bc: BalanceCondition) -> np.
     Every lifetime quantity depends on the nonfailed set only through these
     counts: after m shocks each unit still operates with probability
     p = r**m, independently, so P{M > m} = sum_j c_j p**j (1 - p)**(n - j).
-    A tuple of thresholds gives one row per threshold in one call, from
-    their planes built eight at a time.  The array is read-only and shared
+    A tuple of thresholds gives one row per threshold in one call: those
+    with the same least balanced-set size at or above them select the same
+    balanced masks and share one plane.  The array is read-only and shared
     between callers; raises NoTieSets when a nonfailed set is empty.
     """
     if isinstance(k, tuple):
-        profile = np.concatenate([_profiles(n, planes) for planes in _planes(n, bc, k)])
+        masks = balanced_masks(n, bc)
+        have = np.bincount(np.bitwise_count(masks), minlength=n + 1).tolist()
+        # a threshold above every size stays itself, for _planes to refuse
+        least = [next((s for s in range(t, n + 1) if have[s]), t) for t in k]
+        ks = tuple(sorted(set(least)))
+        profile = np.concatenate([_profiles(n, group) for group in _planes(n, bc, ks, masks)])
+        profile = profile[[ks.index(s) for s in least]]
     else:
         profile = _profiles(n, _plane(n, k, bc)[None])[0]
     profile.flags.writeable = False

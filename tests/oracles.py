@@ -15,8 +15,9 @@ matrix of unit statuses.
 Chains: the package never materializes the state chain's matrix or the
 compound subgenerator.  ``full_transition_matrix`` writes the one-step
 matrix over all 2**n states entry by entry, ``dense_transition`` reads a
-chain's matrix off its column action, and ``to_dense`` assembles the
-compound subgenerator from it.  ``integrate_pdf`` integrates a failure-time
+chain's matrix off its column action, ``full_matrix`` stacks the chain
+dump's row blocks, and ``to_dense`` assembles the compound subgenerator
+from ``dense_transition``.  ``integrate_pdf`` integrates a failure-time
 density by adaptive Simpson quadrature, one density grid per refinement level.
 ``exact_count_moments`` back-substitutes on the count chain in rational
 arithmetic, ``exact_failure_time_moments`` combines it with Y's moments in
@@ -38,6 +39,7 @@ from math import comb, factorial
 import mpmath
 import numpy as np
 
+from ckngb.chain import build_consolidated
 from ckngb.errors import CapacityExceeded, NoTieSets, NonConvergence, OddNUnsupported
 from ckngb.system import BC3_TOLERANCE_PER_UNIT, BalanceCondition
 from ckngb.tiesets import count_profile
@@ -171,13 +173,15 @@ def full_transition_matrix(n, r):
     return full
 
 
-def full_matrix(chain):
-    """Stochastic (N+1)x(N+1) matrix of a ConsolidatedChain with the
-    absorbing state appended."""
-    N = chain.size
+def full_matrix(n, k, bc, r):
+    """Stochastic (N+1)x(N+1) matrix of the consolidated chain, stacked from
+    the chain dump's row blocks, with the absorbing state appended."""
+    masks, blocks = build_consolidated(n, k, bc, r)
+    transition, absorb = (np.concatenate(parts) for parts in zip(*blocks))
+    N = masks.size
     out = np.zeros((N + 1, N + 1))
-    out[:N, :N] = chain.transition
-    out[:N, N] = chain.absorb
+    out[:N, :N] = transition
+    out[:N, N] = absorb
     out[N, N] = 1.0
     return out
 

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from ckngb.chain import build_consolidated
+from ckngb.chain import build_consolidated, build_state_chain
 from ckngb.montecarlo import simulate_sntf, simulate_ttf
 from ckngb.sntf import (
     factorial_moment,
@@ -66,12 +66,13 @@ def _equivalence_grid():
 def test_criterion_01_consolidated_matrix_golden():
     clear_package_caches()
     start = time.perf_counter()
-    chain = build_consolidated(4, 2, BC3, 0.7)
+    masks, blocks = build_consolidated(4, 2, BC3, 0.7)
+    transition, absorb = (np.concatenate(parts) for parts in zip(*blocks))
     elapsed = time.perf_counter() - start
-    state_ok = [str(s) for s in chain.states] == TABLE_STATES
+    state_ok = [format(mask, "04b") for mask in masks.tolist()] == TABLE_STATES
     entry_gap = max(
-        float(np.abs(chain.transition - CONSOLIDATED_P).max()),
-        float(np.abs(chain.absorb - CONSOLIDATED_ABSORB).max()),
+        float(np.abs(transition - CONSOLIDATED_P).max()),
+        float(np.abs(absorb - CONSOLIDATED_ABSORB).max()),
     )
     _report(
         1,
@@ -129,10 +130,10 @@ def test_criterion_04_consolidation_fidelity():
             bcs = [BC3] if n % 2 else [BC3, BC1, BC2]
             for bc in bcs:
                 for r in (0.3, 0.7):
-                    chain = build_consolidated(n, k, bc, r)
+                    masks = build_state_chain(n, k, bc, r).masks
                     _, surv = pmf_survival_series(sntf_distribution(SystemConfig(n, k, r, bc)), 20)
                     full = full_transition_matrix(n, r)
-                    alive = [s.index - 1 for s in chain.states]
+                    alive = (1 << n) - 1 - masks  # canonical index - 1
                     v = np.zeros(1 << n)
                     v[alive[0]] = 1.0
                     for m in range(1, 21):

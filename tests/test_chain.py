@@ -1,3 +1,7 @@
+import hashlib
+import io
+import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +33,14 @@ def state(*bits):
 
 
 def nonfailed_states(n, k, bc):
-    return build_consolidated(n, k, bc, 0.5).states
+    masks, _ = build_consolidated(n, k, bc, 0.5)
+    return [SystemState(mask, n) for mask in masks.tolist()]
+
+
+def dump(n, k, bc, r):
+    fh = io.StringIO()
+    chain_csv(fh, n, *build_consolidated(n, k, bc, r))
+    return fh.getvalue()
 
 
 class TestNonfailedStates:
@@ -63,45 +74,61 @@ class TestOneStepProb:
 
 
 class TestConsolidated:
+    """The consolidated chain as the dump streams it: ``full_matrix``
+    stacks its row blocks, the transition in [:-1, :-1] and the absorption
+    in the last column."""
+
     def test_reference_matrix(self):
-        chain = build_consolidated(4, 2, BC3, 0.7)
-        assert np.abs(chain.transition - CONSOLIDATED_P).max() < 5e-4
-        assert np.abs(chain.absorb - CONSOLIDATED_ABSORB).max() < 5e-4
+        full = full_matrix(4, 2, BC3, 0.7)
+        assert np.abs(full[:-1, :-1] - CONSOLIDATED_P).max() < 5e-4
+        assert np.abs(full[:-1, -1] - CONSOLIDATED_ABSORB).max() < 5e-4
 
     def test_second_row(self):
-        chain = build_consolidated(4, 2, BC3, 0.7)
+        full = full_matrix(4, 2, BC3, 0.7)
         expected = np.array([0.0, 0.343, 0.0, 0.0, 0.147, 0.0, 0.0])
-        assert np.abs(chain.transition[1] - expected).max() < 5e-4
+        assert np.abs(full[1, :-1] - expected).max() < 5e-4
 
     def test_single_transient_state(self):
-        chain = build_consolidated(2, 2, BC3, 0.6)
-        assert chain.transition == pytest.approx(np.array([[0.36]]))
-        assert chain.absorb == pytest.approx(np.array([0.64]))
+        full = full_matrix(2, 2, BC3, 0.6)
+        assert full[:-1, :-1] == pytest.approx(np.array([[0.36]]))
+        assert full[:-1, -1] == pytest.approx(np.array([0.64]))
 
     @pytest.mark.parametrize("n,k,bc,r", [(4, 2, BC3, 0.7), (6, 3, BC2, 0.5), (6, 2, BC1, 0.9), (7, 3, BC3, 0.3)])
     def test_rows_plus_absorb_are_stochastic(self, n, k, bc, r):
-        chain = build_consolidated(n, k, bc, r)
-        P = chain.transition
-        assert np.abs(P.sum(axis=1) + chain.absorb - 1.0).max() < 1e-12
+        full = full_matrix(n, k, bc, r)
+        P = full[:-1, :-1]
+        assert np.abs(P.sum(axis=1) + full[:-1, -1] - 1.0).max() < 1e-12
         assert (P >= 0).all() and (P <= 1).all()
 
     @pytest.mark.parametrize("n,k,bc,r", [(5, 2, BC3, 0.5), (6, 2, BC2, 0.7), (8, 3, BC3, 0.9)])
     def test_upper_triangular(self, n, k, bc, r):
-        P = build_consolidated(n, k, bc, r).transition
+        P = full_matrix(n, k, bc, r)[:-1, :-1]
         assert not np.tril(P, -1).any()
+
+    def test_row_blocks_equal_state_chain_rows(self):
+        # n=12 k=5 BC3 has 1 130 states, so its rows come in two blocks of
+        # at most 2**20 entries, each checked against the operator's rows
+        masks, blocks = build_consolidated(12, 5, BC3, 0.8)
+        chain = build_state_chain(12, 5, BC3, 0.8)
+        y = np.random.default_rng(12).random(masks.size)
+        Py, absorb = zip(*((P @ y, a) for P, a in blocks))
+        assert len(Py) == 2
+        assert np.array_equal(masks, chain.masks)
+        assert np.abs(np.concatenate(Py) - chain.apply(y)).max() <= 1e-13
+        assert np.abs(np.concatenate(absorb) - chain.absorb).max() <= 1e-15
 
     def test_absorb_matches_exact_arithmetic(self):
         # P{M = 1} from the all-ones state is a sum of rare failed
         # successors; formed as 1 - row sum it keeps only 10 or so digits
         n, k, bc, r = 10, 2, BC1, 0.95
-        chain = build_consolidated(n, k, bc, r)
+        absorb = full_matrix(n, k, bc, r)[:-1, -1]
         rf = Fraction(r)
         exact = sum(
             rf ** mask.bit_count() * (1 - rf) ** (n - mask.bit_count())
             for mask, ok in enumerate(nonfailed_closure(n, k, bc))
             if not ok
         )
-        assert abs(Fraction(float(chain.absorb[0])) - exact) <= Fraction(1, 10**13) * exact
+        assert abs(Fraction(float(absorb[0])) - exact) <= Fraction(1, 10**13) * exact
 
     def test_state_cap_refuses_before_building(self):
         with pytest.raises(CapacityExceeded, match="41479"):
@@ -117,8 +144,7 @@ class TestConsolidated:
         assert largest == 14199 <= MAX_CHAIN_STATES
 
     def test_full_matrix_partition(self):
-        chain = build_consolidated(4, 2, BC3, 0.7)
-        full = full_matrix(chain)
+        full = full_matrix(4, 2, BC3, 0.7)
         assert full.shape == (8, 8)
         assert np.abs(full.sum(axis=1) - 1.0).max() < 1e-12
         assert full[-1, -1] == 1.0
@@ -211,14 +237,15 @@ class TestKronecker:
         "n,k,bc,r", [(4, 2, BC3, 0.7), (6, 3, BC2, 0.5), (8, 2, BC1, 0.9), (8, 3, BC3, 0.95)]
     )
     def test_state_chain_equals_dense_chain(self, n, k, bc, r):
-        dense = build_consolidated(n, k, bc, r)
+        masks, _ = build_consolidated(n, k, bc, r)
+        full = full_matrix(n, k, bc, r)
         chain = build_state_chain(n, k, bc, r)
-        assert np.array_equal(chain.masks, dense.masks)
-        assert np.abs(dense_transition(chain) - dense.transition).max() <= 1e-15
-        assert np.abs(chain.absorb - dense.absorb).max() <= 1e-15
+        assert np.array_equal(chain.masks, masks)
+        assert np.abs(dense_transition(chain) - full[:-1, :-1]).max() <= 1e-15
+        assert np.abs(chain.absorb - full[:-1, -1]).max() <= 1e-15
         # v P from the row action equals the column action's matrix
         v = np.random.default_rng(n).random(chain.size)
-        assert np.abs(chain.step(v) - v @ dense.transition).max() <= 1e-14
+        assert np.abs(chain.step(v) - v @ full[:-1, :-1]).max() <= 1e-14
 
     def test_layers_group_states_by_operating_units(self):
         chain = build_state_chain(6, 2, BC3, 0.8)
@@ -256,35 +283,60 @@ class TestConsolidationFidelity:
     @pytest.mark.parametrize("r", [0.3, 0.7])
     @pytest.mark.parametrize("n,k,bc", [(4, 2, BC3), (5, 3, BC3), (6, 2, BC2), (6, 4, BC1)])
     def test_absorption_matches_full_chain(self, n, k, bc, r):
-        chain = build_consolidated(n, k, bc, r)
+        transition = full_matrix(n, k, bc, r)[:-1, :-1]
         full = full_transition_matrix(n, r)
-        nonfailed_idx = [s.index - 1 for s in chain.states]
+        nonfailed_idx = [s.index - 1 for s in nonfailed_states(n, k, bc)]
         v_full = np.zeros(1 << n)
         v_full[nonfailed_idx[0]] = 1.0
-        v_cons = np.zeros(chain.size)
+        v_cons = np.zeros(transition.shape[0])
         v_cons[0] = 1.0
         for _ in range(20):
             v_full = v_full @ full
-            v_cons = v_cons @ chain.transition
+            v_cons = v_cons @ transition
             absorbed_full = 1.0 - v_full[nonfailed_idx].sum()
             absorbed_cons = 1.0 - v_cons.sum()
             assert abs(absorbed_full - absorbed_cons) < 1e-12
 
 
 def test_chain_csv_layout():
-    chain = build_consolidated(2, 2, BC3, 0.5)
-    text = chain_csv(chain)
-    lines = text.strip().splitlines()
+    lines = dump(2, 2, BC3, 0.5).strip().splitlines()
     assert lines[0] == "state,11,absorbed"
     assert lines[1].startswith("11,0.25,0.75")
     assert lines[2] == "absorbed,0,1"
 
 
+def per_entry_dump(n, k, bc, r):
+    labels = [str(s) for s in nonfailed_states(n, k, bc)] + ["absorbed"]
+    expected = ["state," + ",".join(labels)]
+    for label, row in zip(labels, full_matrix(n, k, bc, r)):
+        expected.append(label + "," + ",".join(f"{v:.12g}" for v in row))
+    return "\n".join(expected) + "\n"
+
+
 @pytest.mark.parametrize("bc", [BC1, BC2, BC3])
 def test_chain_csv_matches_per_entry_format(bc):
-    chain = build_consolidated(8, 2, bc, 0.7)
-    labels = [str(s) for s in chain.states] + ["absorbed"]
-    expected = ["state," + ",".join(labels)]
-    for label, row in zip(labels, full_matrix(chain)):
-        expected.append(label + "," + ",".join(f"{v:.12g}" for v in row))
-    assert chain_csv(chain) == "\n".join(expected) + "\n"
+    assert dump(8, 2, bc, 0.7) == per_entry_dump(8, 2, bc, 0.7)
+
+
+def test_chain_csv_rows_keep_their_labels_across_blocks():
+    # n=12 k=5 BC3: 1 130 states, two row blocks
+    assert dump(12, 5, BC3, 0.7) == per_entry_dump(12, 5, BC3, 0.7)
+
+
+def test_chain_csv_bytes_are_pinned():
+    # SHA-256 of the dump as the dense N x N writer made it
+    digest = hashlib.sha256(dump(10, 3, BC2, 0.95).encode()).hexdigest()
+    assert digest == "463f313ecf2ae2e9a6abd08c758a2a2e3b0ec2504f9f58d847e3c70e91f45ae6"
+
+
+def test_chain_csv_holds_no_square_array():
+    # n=12 k=2 BC2: 3 471 states, an N x N float64 matrix of 96 MB
+    masks, blocks = build_consolidated(12, 2, BC2, 0.8)
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as fh:
+            chain_csv(fh, 12, masks, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < masks.size**2 * 8 // 2

@@ -238,8 +238,8 @@ class TestExitCodes:
 
 class TestChainCap:
     """A chain over its cap is refused fast, before any output and before
-    anything of its size is allocated, with exit 4: the dumped dense chain
-    above MAX_CHAIN_STATES states, the state chain above MAX_STATE_UNITS
+    anything of its size is allocated, with exit 4: the chain dump above
+    MAX_CHAIN_STATES states, the state chain above MAX_STATE_UNITS
     units."""
 
     DUMP_DOC = {"n": 16, "k": 4, "r": 0.8, "bc": "BC3", "shock": {"preset": "HE"}}
@@ -274,7 +274,7 @@ class TestChainCap:
         assert not (tmp_path / "chain.csv").exists()
 
     def test_state_chain_runs_beyond_the_dense_cap(self, config_file, capsys):
-        # n=16 k=4 BC3 has 41 479 nonfailed states, over the dense cap
+        # n=16 k=4 BC3 has 41 479 nonfailed states, over the dump's cap
         cfg = config_file(dict(self.DUMP_DOC, reps=4000))
         assert main(["validate", "--config", cfg]) == 0
         assert main(["sntf-pmf", "--matrix", "--config", cfg, "--m-max", "3"]) == 0
@@ -286,6 +286,26 @@ class TestChainCap:
             assert [float(x) for x in a.split(",")] == pytest.approx(
                 [float(x) for x in b.split(",")], rel=1e-11
             )
+
+
+class TestUnwritablePath:
+    """An output path that cannot be opened is a configuration error, as an
+    unreadable config file is: exit 2, one line on stderr, and no pmf row
+    written to stdout or to the other output."""
+
+    @pytest.mark.parametrize("flag", ["--out", "--dump-chain"])
+    def test_exits_2_before_any_output(self, flag, config_file, tmp_path):
+        missing = str(tmp_path / "missing" / "x.csv")
+        argv = ["sntf-pmf", "--config", config_file(REFERENCE_DOC), "--m-max", "2", flag, missing]
+        done = run_cli(*argv)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith(f"config error: {flag[2:]}: cannot write {missing}: ")
+        assert done.stderr.count("\n") == 1
+        if flag == "--dump-chain":  # the dump is opened before the pmf is written
+            pmf = tmp_path / "pmf.csv"
+            assert run_cli(*argv, "--out", str(pmf)).returncode == 2
+            assert not pmf.exists()
 
 
 class TestSimulationEnvelope:

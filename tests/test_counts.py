@@ -27,7 +27,7 @@ from ckngb.sntf import (
     pmf_survival_series,
     sntf_distribution,
 )
-from ckngb.system import BalanceCondition, SystemConfig
+from ckngb.system import BalanceCondition, SystemConfig, balanced_masks
 from ckngb.tiesets import count_profile, enumerate_min_tiesets, nonfailed_closure
 from ckngb.ttf import (
     compound_ph,
@@ -133,7 +133,7 @@ def test_multi_k_planes_equal_single_k(n, fresh_caches):
             continue
         ks = tuple(range(1, n + 1))
         rows = []
-        for planes in tiesets_mod._planes(n, bc, ks):
+        for planes in tiesets_mod._planes(n, bc, ks, balanced_masks(n, bc)):
             assert n < 6 or planes.nbytes <= 1 << n
             rows.extend(planes)
         assert [row.tolist() for row in rows] == [tiesets_mod._plane(n, k, bc).tolist() for k in ks]
@@ -141,6 +141,25 @@ def test_multi_k_planes_equal_single_k(n, fresh_caches):
         assert profiles.tolist() == [count_profile(n, k, bc).tolist() for k in ks]
         with pytest.raises(NoTieSets):
             count_profile(n, (*ks, n + 1), bc)
+
+
+@pytest.mark.parametrize("n,bc,built", [(11, BC2, 1), (11, BC3, 1), (9, BC3, 3), (12, BC1, 6)])
+def test_multi_k_profile_builds_one_plane_per_mask_set(n, bc, built, monkeypatch, fresh_caches):
+    """Thresholds that select the same balanced masks share one plane: at a
+    prime n, BC2 and BC3 balance only the full set, so k = 2..n-1 all
+    select it."""
+    rows = []
+    planes = tiesets_mod._planes
+
+    def counted_planes(n, bc, ks, masks):
+        rows.extend(ks)
+        yield from planes(n, bc, ks, masks)
+
+    monkeypatch.setattr(tiesets_mod, "_planes", counted_planes)
+    ks = tuple(range(2, n))
+    profiles = count_profile(n, ks, bc).tolist()
+    assert len(rows) == built
+    assert profiles == [count_profile(n, k, bc).tolist() for k in ks]
 
 
 @pytest.mark.parametrize("route", [count_profile, enumerate_min_tiesets, nonfailed_closure])
@@ -381,6 +400,9 @@ def test_triangularity_check_rejects_below_diagonal_entry():
     P[2, 1] = 0.05
     with pytest.raises(InvariantViolation):
         check_upper_triangular(P)
+    check_upper_triangular(P[:2])  # rows 0 and 1 hold no such entry
+    with pytest.raises(InvariantViolation):
+        check_upper_triangular(P[2:], 2)  # rows 2 and 3, checked as a block
 
 
 def test_count_chain_rejects_profile_that_is_not_an_up_set(monkeypatch, fresh_caches):

@@ -32,6 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import comb
 from typing import TextIO
 
 import numpy as np
@@ -41,8 +42,8 @@ from .system import MAX_UNITS, BalanceCondition, SystemState
 from .tiesets import count_profile, nonfailed_closure
 
 # The chain dump writes about 2 N^2 bytes, nearly all "0,": 15 000 states
-# make a 450 MB file in about 12 s (14 199 states: 432 MB in 10-12 s and
-# 83 MB peak RSS on a 2-vCPU VM).  Every n <= 14 system fits (the largest,
+# make a 450 MB file in about 7 s (14 199 states: 432 MB in 6.6-6.8 s and
+# 82 MB peak RSS on a 2-vCPU VM).  Every n <= 14 system fits (the largest,
 # n=14 k=2 BC2, has 14 199); n=16 k=4 BC3 (41 479, 3.4 GB) does not.
 MAX_CHAIN_STATES = 15_000
 
@@ -75,27 +76,25 @@ def mstep_prob(xa: SystemState, xb: SystemState, m: int, r: float) -> float:
     return rm**c1 * (1.0 - rm) ** c2
 
 
-@lru_cache(maxsize=128)
 def _nonfailed_masks(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
     # descending mask == ascending canonical index
-    masks = np.flatnonzero(nonfailed_closure(n, k, bc))[::-1].astype(np.int64)
-    masks.flags.writeable = False
-    return masks
+    return np.flatnonzero(nonfailed_closure(n, k, bc))[::-1].astype(np.int64)
 
 
 def _transition_rows(
     masks: np.ndarray, pops: np.ndarray, r: float, row_start: int, row_stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Subset mask and dense block of one-shock transition probabilities for
-    rows [row_start, row_stop): sub[i, b] says the units of state b are a
-    subset of those of row i, which then becomes b with probability
-    r^|b| (1 - r)^(|i| - |b|)."""
-    sub = (masks[row_start:row_stop, None] & masks[None, :]) == masks[None, :]
+    rows [row_start, row_stop), over the columns from row_start on:
+    sub[i, b] says the units of state b are a subset of those of row i,
+    which then becomes b with probability r^|b| (1 - r)^(|i| - |b|)."""
+    cols = masks[None, row_start:]
+    sub = (masks[row_start:row_stop, None] & cols) == cols
     j = np.arange(int(pops.max()) + 1, dtype=np.float64)
     keep = r**j
     lose = np.append((1.0 - r) ** j, 0.0)  # index -1: not a subset
-    lost = np.where(sub, pops[row_start:row_stop, None] - pops[None, :], -1)
-    return sub, keep[pops][None, :] * lose[lost]
+    lost = np.where(sub, pops[row_start:row_stop, None] - pops[None, row_start:], -1)
+    return sub, keep[pops[row_start:]][None, :] * lose[lost]
 
 
 def _binomial_terms(coef: np.ndarray, a: np.ndarray, r: float) -> np.ndarray:
@@ -105,18 +104,11 @@ def _binomial_terms(coef: np.ndarray, a: np.ndarray, r: float) -> np.ndarray:
     return coef * r ** b[None, :] * (1.0 - r) ** np.maximum(a[:, None] - b[None, :], 0)
 
 
-def _pascal(size: int) -> np.ndarray:
-    """C(a, b) for 0 <= a, b < size, zero for b > a, row by row by Pascal's
-    rule; exact in float64 while C(size - 1, b) < 2^53.  Read-only."""
-    table = np.zeros((size, size))
-    table[:, 0] = 1.0
-    for a in range(1, size):
-        table[a, 1:] = table[a - 1, 1:] + table[a - 1, :-1]
-    table.flags.writeable = False
-    return table
-
-
-_BINOMIALS = _pascal(MAX_UNITS + 1)  # C(30, 15) < 2^53
+# C(a, b) for 0 <= a, b <= MAX_UNITS, zero for b > a; exact, C(30, 15) < 2^53
+_BINOMIALS = np.array(
+    [[comb(a, b) for b in range(MAX_UNITS + 1)] for a in range(MAX_UNITS + 1)], dtype=np.float64
+)
+_BINOMIALS.flags.writeable = False
 
 
 def _binomials(n: int) -> np.ndarray:
@@ -124,21 +116,13 @@ def _binomials(n: int) -> np.ndarray:
     return _BINOMIALS[: n + 1, : n + 1]
 
 
-@lru_cache(maxsize=64)
-def _thinning(n: int, r: float) -> np.ndarray:
-    """[a, b]: the probability that one shock leaves b of a operating units
-    (zero for b > a), for 0 <= a, b <= n; read-only and shared by every k
-    and bc of a sweep."""
-    full = _binomial_terms(_binomials(n), np.arange(n + 1), r)
-    full.flags.writeable = False
-    return full
-
-
 def build_consolidated(n: int, k: int, bc: BalanceCondition, r: float) -> tuple[np.ndarray, _Rows]:
     """Consolidated chain at unit reliability r: its nonfailed masks in
     canonical order, all-ones state first, and its rows in blocks, each the
-    rows' one-shock transition probabilities to every nonfailed state and
-    their probabilities of jumping to the consolidated failed state.
+    rows' one-shock transition probabilities to the nonfailed states from
+    the block's first row on (the last P.shape[1] states; a shock never
+    reaches the states before them) and their probabilities of jumping to
+    the consolidated failed state.
 
     Raises CapacityExceeded, before any row is built, above
     MAX_CHAIN_STATES nonfailed states.
@@ -154,25 +138,29 @@ def build_consolidated(n: int, k: int, bc: BalanceCondition, r: float) -> tuple[
 
 
 def _row_blocks(masks: np.ndarray, n: int, r: float) -> _Rows:
+    # A shock leaves a subset of a state's units, a mask no larger, so with
+    # the masks strictly descending no row reaches a column before its own.
+    if (np.diff(masks) >= 0).any():
+        raise InvariantViolation("nonfailed masks must strictly descend")
     N = masks.size
     pops = np.bitwise_count(masks).astype(np.int64)
     by_count = (pops[:, None] == np.arange(n + 1)[None, :]).astype(np.float64)
     chunk = max(1, (1 << 20) // N)  # 8 MB per float64 block
     for i0 in range(0, N, chunk):
         sub, P = _transition_rows(masks, pops, r, i0, i0 + chunk)
-        check_upper_triangular(P, i0)
+        check_upper_triangular(P)
         # failed[i, j]: j-unit subsets of row i's operating units that are failed
-        failed = _binomials(n)[pops[i0 : i0 + chunk]] - sub @ by_count
+        failed = _binomials(n)[pops[i0 : i0 + chunk]] - sub @ by_count[i0:]
         # The probability of a failed successor, as a sum of nonnegative
         # terms rather than 1 - row sum, which cancels where failing is rare.
         yield P, _binomial_terms(failed, pops[i0 : i0 + chunk], r).sum(axis=1)
 
 
-def check_upper_triangular(P: np.ndarray, first_row: int = 0) -> None:
-    """Raise InvariantViolation when P, rows first_row onwards of a chain's
-    matrix in canonical order, has an entry below the diagonal: a shock
-    never revives a unit."""
-    if np.tril(P, first_row - 1).any():
+def check_upper_triangular(P: np.ndarray) -> None:
+    """Raise InvariantViolation when P, a chain's matrix in canonical order
+    or a block of it whose first row and first column are the same state,
+    has an entry below the diagonal: a shock never revives a unit."""
+    if np.tril(P, -1).any():
         raise InvariantViolation("subtransition matrix must be upper triangular")
 
 
@@ -275,7 +263,6 @@ def state_chain(masks: np.ndarray, n: int, r: float) -> StateChain:
     return StateChain(masks, absorb, layers, n, r)
 
 
-@lru_cache(maxsize=4)
 def build_state_chain(n: int, k: int, bc: BalanceCondition, r: float) -> StateChain:
     """State chain of the system at unit reliability r.
 
@@ -344,12 +331,14 @@ def build_count_chains(n: int, rs: list[float], counts: np.ndarray) -> list[Coun
     """Count chains of the profiles ``counts`` (P, n + 1) at each unit
     reliability in ``rs``, states in ``CountChain``'s order: one stack per
     profile, its members in the order of ``rs``.  The stacks may view
-    arrays they share, and every profile shares one read of each (n, r)
+    arrays they share, and every profile shares one build of each (n, r)
     thinning matrix."""
     for r in rs:
         if not 0.0 < r < 1.0:
             raise ValueError(f"r must lie strictly inside (0, 1), got {r}")
-    full = np.array([_thinning(n, r) for r in rs])
+    # full[i, a, b]: the probability that one shock at rs[i] leaves b of a
+    # operating units (zero for b > a)
+    full = np.array([_binomial_terms(_binomials(n), np.arange(n + 1), r) for r in rs])
     q = counts / _binomials(n)[n]
     # The nonfailed set is an up-set, so q is nondecreasing in j (the LYM
     # inequality).  Rounding c_j / C(n, j) is monotone, so this is exact.
@@ -366,7 +355,7 @@ def build_count_chains(n: int, rs: list[float], counts: np.ndarray) -> list[Coun
     ]
 
 
-@lru_cache(maxsize=16)  # a command reads one system's chain in several calls
+@lru_cache(maxsize=16)  # validate reads one system's chain in several calls
 def build_count_chain(n: int, k: int, bc: BalanceCondition, r: float) -> CountChain:
     """Count chain of the system at unit reliability r, started state first:
     ``build_count_chains`` for one profile and one r."""
@@ -405,11 +394,12 @@ def chain_csv(fh: TextIO, n: int, masks: np.ndarray, blocks: _Rows) -> None:
     fh.write(f"state,{','.join(labels)},absorbed\n")
     rest = iter(labels)
     for P, absorb in blocks:
+        left = "0," * (masks.size - P.shape[1])  # the zeros before its first column
         # zip stops at the block's end before it takes the next label
         for row, a, label in zip(P, absorb.tolist(), rest):
-            cells = ["0"] * masks.size
+            cells = ["0"] * row.size
             nonzero = np.flatnonzero(row)
             for j, v in zip(nonzero.tolist(), row[nonzero].tolist()):
                 cells[j] = f"{v:.12g}"
-            fh.write(f"{label},{','.join(cells)},{a:.12g}\n")
+            fh.write(f"{label},{left}{','.join(cells)},{a:.12g}\n")
     fh.write("absorbed," + "0," * masks.size + "1\n")

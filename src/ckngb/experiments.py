@@ -485,7 +485,7 @@ def run_validate(
     checks.append(_check("consolidation_fidelity", worst <= 1e-12, f"max gap {worst:.3e}"))
 
     mean = sntf.mean_closed(chain)
-    series = sntf.raw_moment_series(config, 1, 1e-12)
+    series = sntf.raw_moment_series(config, 1)
     checks.append(
         _check("mean_closed_vs_series", abs(mean - series) <= 1e-9, f"gap {abs(mean - series):.3e}")
     )

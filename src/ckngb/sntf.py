@@ -36,6 +36,7 @@ from .tiesets import reliability_polynomial
 
 _SERIES_BLOCK = 256
 _SERIES_CAP = 10**7
+_SERIES_TOL = 1e-12  # absolute bound on the series' dropped tail
 
 
 def sntf_distribution(config: SystemConfig) -> StateChain:
@@ -135,18 +136,16 @@ def factorial_moment(chain: StateChain | CountChain, p: int) -> float | np.ndarr
     return moment if moment.ndim else float(moment)
 
 
-def raw_moment_series(config: SystemConfig, p: int, tol: float = 1e-12) -> float:
+def raw_moment_series(config: SystemConfig, p: int) -> float:
     """E[M^p] by truncated summation of the direct pmf.
 
     The cut uses a geometric tail bound with ratio rho = P{M > 1}: the
     nonfailed set is an up-set, so no state survives a shock more often
     than the all-ones start state.  Summation stops once the bound drops
-    below tol (absolute).
+    below _SERIES_TOL.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
     rho = survival_direct(config, 1)
     # 1 - rho as P{M = 1}, a sum of nonnegative terms: the difference
     # rounds to 0 where one shock almost never fails the system.
@@ -166,10 +165,10 @@ def raw_moment_series(config: SystemConfig, p: int, tol: float = 1e-12) -> float
         prev_surv = float(surv[-1])
         m_last = m0 + _SERIES_BLOCK - 1
         bound = prev_surv / fail_1 * (m_last + tail_shift) ** p
-        if bound < tol:
+        if bound < _SERIES_TOL:
             return total
         m0 += _SERIES_BLOCK
         if m0 > _SERIES_CAP:
             raise NonConvergence(
-                f"moment series still above tol={tol} after {_SERIES_CAP} terms"
+                f"moment series still above tol={_SERIES_TOL} after {_SERIES_CAP} terms"
             )

@@ -204,7 +204,7 @@ def _prime_factors(n: int) -> list[int]:
     return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64)  # tiesets re-reads it, for the plane and the tie-set scan
 def balanced_masks(n: int, bc: BalanceCondition) -> np.ndarray:
     """Vectorized twin of the scalar predicates: the nonzero balanced
     masks, as a sorted int64 array.

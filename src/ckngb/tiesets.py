@@ -103,7 +103,7 @@ def _planes(n: int, bc: BalanceCondition, ks: tuple[int, ...], masks: np.ndarray
         yield planes
 
 
-@lru_cache(maxsize=2)  # the layer's only cached 2**n-bit array: 128 MB at n = 30
+@lru_cache(maxsize=2)  # tiesets, simulate and validate re-read it; 128 MB at n = 30
 def _plane(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
     """The closure plane of threshold k, one read-only row."""
     (plane,) = next(_planes(n, bc, (k,), balanced_masks(n, bc)))
@@ -119,7 +119,6 @@ def nonfailed_closure(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
     return np.unpackbits(plane.view(np.uint8), bitorder="little")[: 1 << n].view(bool)
 
 
-@lru_cache(maxsize=128)
 def enumerate_min_tiesets(n: int, k: int, bc: BalanceCondition) -> TieSetCollection:
     """The minimal elements of the nonfailed set.
 
@@ -175,7 +174,7 @@ def _profiles(n: int, planes: np.ndarray) -> np.ndarray:
     return counts[:, : n + 1].astype(np.int64)  # float sums of counts below 2**53 are exact
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128)  # sntf-pmf and validate re-read it
 def count_profile(n: int, k: int | tuple[int, ...], bc: BalanceCondition) -> np.ndarray:
     """c_j for j = 0..n: the number of nonfailed states with exactly j
     operating units.

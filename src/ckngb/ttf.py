@@ -326,9 +326,12 @@ def raw_moment(Z: CompoundPhaseType) -> float:
 def failure_time_moments(chain: StateChain | CountChain, Y: ContinuousPhaseType, p: int) -> list[float]:
     """E[Z^q], q = 1..p, of the random sum Z = Y_1 + ... + Y_M, M the chain's
     shock count: with u(t) = M_Y(t) - 1 = sum_i E[Y^i] t^i / i!, Faa di
-    Bruno's M_Z(t) = G_M(1 + u(t)) = 1 + sum_j E[M(M-1)..(M-j+1)] u(t)^j / j!."""
+    Bruno's M_Z(t) = G_M(1 + u(t)) = 1 + sum_j E[M(M-1)..(M-j+1)] u(t)^j / j!.
+    Takes one chain: a stack of count chains raises ValueError."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
+    if chain.weights.ndim > 1:
+        raise ValueError(f"one chain expected, got a stack of shape {chain.weights.shape[:-1]}")
     u = np.array([0.0] + [m / math.factorial(i) for i, m in enumerate(_ph_moments(Y, p), 1)])
     power, series = np.eye(1, p + 1)[0], np.zeros(p + 1)  # u(t)^0 and M_Z(t) - 1
     for j in range(1, p + 1):
@@ -343,8 +346,9 @@ def failure_time_summary(
     """MTTF and SCV of the failure time Z = Y_1 + ... + Y_M, a random sum,
     from E[M], E[M(M-1)], E[Y] and SCV[Y]: E[Z] = E[M] E[Y] and
     SCV[Z] = SCV[Y] / E[M] + Var[M] / E[M]^2.  Floats, or arrays over a
-    stack of chains.  mttf_wald is E[M] E[Y] as well; ``validate`` checks
-    it against the compound law's own E[Z]."""
+    stack of chains.  mttf_wald is the same E[M] E[Y], and ``validate``
+    does not read it: it checks Wald's identity by comparing the compound
+    law's own E[Z] (``raw_moment``) with E[M] E[Y]."""
     mttf = mean_m * mean_y
     var_m = fm2 + mean_m - mean_m * mean_m
     return {"mttf": mttf, "mttf_wald": mttf, "scv": scv_y / mean_m + var_m / (mean_m * mean_m)}

@@ -177,11 +177,13 @@ def full_matrix(n, k, bc, r):
     """Stochastic (N+1)x(N+1) matrix of the consolidated chain, stacked from
     the chain dump's row blocks, with the absorbing state appended."""
     masks, blocks = build_consolidated(n, k, bc, r)
-    transition, absorb = (np.concatenate(parts) for parts in zip(*blocks))
     N = masks.size
     out = np.zeros((N + 1, N + 1))
-    out[:N, :N] = transition
-    out[:N, N] = absorb
+    row = 0
+    for P, absorb in blocks:  # each block holds the last P.shape[1] columns
+        out[row : row + len(P), N - P.shape[1] : N] = P
+        out[row : row + len(P), N] = absorb
+        row += len(P)
     out[N, N] = 1.0
     return out
 

@@ -149,9 +149,9 @@ def test_criterion_05_closed_moments_vs_series():
     for config in _equivalence_grid():
         dist = sntf_distribution(config)
         mean = mean_closed(dist)
-        worst_mean = max(worst_mean, abs(mean - raw_moment_series(config, 1, 1e-12)))
+        worst_mean = max(worst_mean, abs(mean - raw_moment_series(config, 1)))
         second = factorial_moment(dist, 2) + mean
-        worst_second = max(worst_second, abs(second - raw_moment_series(config, 2, 1e-12)))
+        worst_second = max(worst_second, abs(second - raw_moment_series(config, 2)))
     _report(
         5,
         "closed-form moments match series",

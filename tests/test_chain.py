@@ -10,6 +10,7 @@ import pytest
 from ckngb.chain import (
     MAX_CHAIN_STATES,
     MAX_STATE_UNITS,
+    _row_blocks,
     build_consolidated,
     build_state_chain,
     chain_csv,
@@ -111,11 +112,18 @@ class TestConsolidated:
         masks, blocks = build_consolidated(12, 5, BC3, 0.8)
         chain = build_state_chain(12, 5, BC3, 0.8)
         y = np.random.default_rng(12).random(masks.size)
-        Py, absorb = zip(*((P @ y, a) for P, a in blocks))
+        Py, absorb = zip(*((P @ y[-P.shape[1] :], a) for P, a in blocks))
         assert len(Py) == 2
         assert np.array_equal(masks, chain.masks)
         assert np.abs(np.concatenate(Py) - chain.apply(y)).max() <= 1e-13
         assert np.abs(np.concatenate(absorb) - chain.absorb).max() <= 1e-15
+
+    def test_row_blocks_refuse_masks_out_of_order(self):
+        # each block starts at its first row's column, which holds only
+        # while every subset of a row's mask comes later in the list
+        masks, _ = build_consolidated(4, 2, BC3, 0.7)
+        with pytest.raises(InvariantViolation, match="descend"):
+            next(_row_blocks(masks[::-1], 4, 0.7))
 
     def test_absorb_matches_exact_arithmetic(self):
         # P{M = 1} from the all-ones state is a sum of rare failed

@@ -30,15 +30,36 @@ SCRIPT_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("script,csv,digest", SCRIPT_DIGESTS, ids=[s for s, _, _ in SCRIPT_DIGESTS])
-def test_script_csv_pinned(script, csv, digest, tmp_path):
+def _run_script(script, outdir):
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), str(tmp_path)],
+        [sys.executable, str(ROOT / "scripts" / script), str(outdir)],
         env=env, check=True, capture_output=True, timeout=120,
     )
-    assert hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest() == digest
+
+
+def _digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("script,csv,digest", SCRIPT_DIGESTS, ids=[s for s, _, _ in SCRIPT_DIGESTS])
+def test_script_csv_pinned(script, csv, digest, tmp_path):
+    _run_script(script, tmp_path)
+    assert _digest(tmp_path / csv) == digest
+
+
+# SHA-256 of the CSVs descriptive_case.py writes
+DESCRIPTIVE_DIGESTS = {
+    "descriptive_chain.csv": "400c4ddfc20700db97fa47b10807aaa65b93e6bf08930b955ffd928b572ed9ef",
+    "descriptive_sntf_pmf.csv": "bb744ea4acb0b7bf22eea480b473557ea98e4c8c0e338bd822e8bbf7e810dc19",
+    "descriptive_ttf_pdf.csv": "0827c8b15487e14ce1f56c726ae1da5c58525276e362121b5a06d7d5224a9c5a",
+}
+
+
+def test_descriptive_case_csvs_pinned(tmp_path):
+    _run_script("descriptive_case.py", tmp_path)
+    assert {name: _digest(tmp_path / name) for name in DESCRIPTIVE_DIGESTS} == DESCRIPTIVE_DIGESTS
 
 
 def test_descriptive_case_moments_in_one_pass(tmp_path, monkeypatch, capsys):

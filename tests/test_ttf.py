@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ckngb.chain import CountChain
+from ckngb.chain import CountChain, build_count_chains
 import ckngb.ttf as ttf
 from ckngb.errors import CapacityExceeded, ConfigError, SingularSystem
 from ckngb.experiments import ExperimentSpec, run_sweep_scv, run_ttf
 from ckngb.sntf import count_distribution, mean_closed, sntf_distribution
 from ckngb.system import BalanceCondition, SystemConfig
+from ckngb.tiesets import count_profile
 from ckngb.ttf import (
     PRESET_LABELS,
     CompoundPhaseType,
@@ -412,6 +413,19 @@ class TestMoments:
     def test_moment_argument_validation(self, reference_config):
         with pytest.raises(ValueError):
             failure_time_moments(sntf_distribution(reference_config), reference_config.shock, 0)
+
+    @pytest.mark.parametrize("rs", [[0.5, 0.7, 0.9], [0.5, 0.9]])
+    def test_stacked_chain_is_refused(self, rs, monkeypatch):
+        """The moments read one chain.  A stack's factorial moments would
+        mix with each other (three members broadcast against p + 1 = 3
+        series terms and give one member's E[Z] and another's E[Z^2]), so
+        a stack raises before any solve."""
+        solves, moment = [], ttf.factorial_moment
+        monkeypatch.setattr(ttf, "factorial_moment", lambda *args: solves.append(args) or moment(*args))
+        (stack,) = build_count_chains(6, rs, count_profile(6, 2, BC3)[None])
+        with pytest.raises(ValueError, match="one chain expected"):
+            failure_time_moments(stack, ph_from_preset("HE"), 2)
+        assert solves == []
 
     def test_sweep_point_makes_no_compound_solve(self, monkeypatch):
         """MTTF and SCV of one sweep-scv point come from the shock-count

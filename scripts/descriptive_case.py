@@ -12,10 +12,10 @@ import numpy as np
 
 from ckngb.chain import build_consolidated, chain_csv
 from ckngb.montecarlo import simulate_sntf, simulate_ttf
-from ckngb.sntf import mean_closed, pmf_direct, sntf_distribution, survival_direct
+from ckngb.sntf import count_distribution, mean_closed, pmf_direct, sntf_distribution, survival_direct
 from ckngb.system import BalanceCondition, SystemConfig
 from ckngb.tiesets import enumerate_min_tiesets, system_reliability_exact
-from ckngb.ttf import compound_from_config, failure_time_moments, pdf_grid, ph_from_preset
+from ckngb.ttf import compound_ph, failure_time_moments, pdf_grid, ph_from_preset
 
 
 def main() -> None:
@@ -40,7 +40,7 @@ def main() -> None:
             fh.write(f"{m},{p:.12g},{s:.12g}\n")
     print(f"mean shock count: {mean_closed(sntf_distribution(config)):.6f}")
 
-    Z = compound_from_config(config)
+    Z = compound_ph(count_distribution(config), config.shock)
     zs = np.linspace(0.0, 12.0, 241)
     dens, surv = pdf_grid(Z, zs)
     with open(outdir / "descriptive_ttf_pdf.csv", "w") as fh:

@@ -51,7 +51,6 @@ from .tiesets import (
 from .ttf import (
     CompoundPhaseType,
     ContinuousPhaseType,
-    compound_from_config,
     compound_ph,
     failure_time_moments,
     pdf_grid,

@@ -9,8 +9,8 @@ Kronecker product of n copies of the 2 x 2 kernel [[1, 0], [1 - r, r]]
 (rows and columns: bit value 0, 1).  Its action on a vector over masks
 (``kron_step``, ``kron_apply``) is one butterfly pass per unit, O(n 2^n)
 work.  ``StateChain`` is that operator restricted to the nonfailed
-closure: it stores no matrix.  It serves ``sntf_distribution``,
-``compound_from_config`` and the validation oracle.
+closure: it stores no matrix.  It serves ``sntf_distribution`` and the
+validation oracle.
 ``build_consolidated`` gives the same chain's rows a block at a time,
 for the chain dump (``chain_csv``) and the golden matrices only: no
 N x N array is made.  It refuses systems above MAX_CHAIN_STATES states.

@@ -372,8 +372,8 @@ def run_ttf(spec: ExperimentSpec) -> tuple[list[dict], dict]:
     zs = np.linspace(0.0, spec.z_max, spec.z_steps + 1)
     dens, surv = ttf.pdf_grid(ttf.compound_ph(chain, Y), zs)
     rows = [
-        {"z": float(z), "pdf": float(d), "survival": float(s)}
-        for z, d, s in zip(zs, dens, surv)
+        {"z": z, "pdf": d, "survival": s}
+        for z, d, s in zip(zs.tolist(), dens.tolist(), surv.tolist())
     ]
     moments = sntf.mean_closed(chain), sntf.factorial_moment(chain, 2)
     return rows, ttf.failure_time_summary(*moments, *ttf.ph_mean_scv(Y))

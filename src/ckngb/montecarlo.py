@@ -201,15 +201,14 @@ def _split(rng: np.random.Generator, tokens: np.ndarray, route):
     yield dest[-1], tokens
 
 
-def _phase_sums(rng: np.random.Generator, counts: np.ndarray, Y: ContinuousPhaseType) -> np.ndarray:
-    """Per replication, the sum of counts[i] iid draws of Y.  Y's phase
-    process is followed by token counts, not paths: the counts[i] tokens
-    are split over the start phases, then each round each phase's tokens
-    over its jump row and the exit, until none is left.  The time spent
-    in V visits to a phase of rate q is Gamma(V, 1/q), one draw per phase,
-    and a gamma of shape 0 is 0."""
+def _phase_sums(rng: np.random.Generator, counts: np.ndarray, Y: ContinuousPhaseType, routes) -> np.ndarray:
+    """Per replication, the sum of counts[i] iid draws of Y, whose routes
+    are ``_routes(Y)``.  Y's phase process is followed by token counts, not
+    paths: the counts[i] tokens are split over the start phases, then each
+    round each phase's tokens over its jump row and the exit, until none is
+    left.  The time spent in V visits to a phase of rate q is Gamma(V, 1/q),
+    one draw per phase, and a gamma of shape 0 is 0."""
     K = Y.K
-    routes = _routes(Y)
     visits = np.zeros((K, counts.size))
     tokens = {K: counts}  # held per phase; the start's route is routes[K]
     while tokens:
@@ -247,6 +246,7 @@ def _draw(config: SystemConfig, seed: int, reps: int, times: bool) -> tuple[np.n
     table = nonfailed_closure(config.n, config.k, config.bc)
     _admit(config)
     scratch = _shock_scratch(config.n)
+    routes = _routes(config.shock) if times else None
     counts = np.empty(reps, dtype=np.int64)
     totals = np.empty(reps) if times else None
     start = 0
@@ -255,7 +255,7 @@ def _draw(config: SystemConfig, seed: int, reps: int, times: bool) -> tuple[np.n
         shocks = counts[start : start + size]
         shocks[:] = _shock_counts(rng, size, config, table, scratch)
         if times:
-            totals[start : start + size] = _phase_sums(rng, shocks, config.shock)
+            totals[start : start + size] = _phase_sums(rng, shocks, config.shock, routes)
         start += size
     return counts, totals
 
@@ -267,7 +267,7 @@ def _summarize(kind: str, samples: np.ndarray, seed: int, integer_bins: bool) ->
     stderr = float(np.sqrt(variance / reps))
     if integer_bins:
         top = int(samples.max())
-        counts = np.bincount(samples.astype(np.int64), minlength=top + 1)[1:]
+        counts = np.bincount(samples, minlength=top + 1)[1:]
         edges = np.arange(0.5, top + 1.0)
     else:
         counts, edges = np.histogram(samples, bins=64)

@@ -25,9 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .chain import CountChain, StateChain, layered_solve
-from .errors import ConfigError, NonConvergence, SingularSystem
-from .sntf import factorial_moment, sntf_distribution
-from .system import SystemConfig
+from .errors import CapacityExceeded, ConfigError, NonConvergence, SingularSystem
+from .sntf import factorial_moment
 
 PRESET_LABELS = ("ER", "EXP", "HE")
 
@@ -36,6 +35,14 @@ _POISSON_TAIL = 1e-14
 # point in it, and exp(-50) leaves the Poisson weights far from underflow
 _STEP_BUDGET = 50.0
 _TERM_CAP = 100_000
+# strides one grid may take: the tests and scripts take at most 826, and
+# a grid reaches the cap in about 9 s at n = 21 under a two-phase law
+_STRIDE_CAP = 10_000
+# bytes of a stride's terms: refuses laws of over 147 168 phases, which
+# the count chain (at most 31 K phases) reaches only with K > 4 700
+_TERM_BYTES = 2**27
+# float64 Poisson weights formed at once when reading a stride's points
+_POINT_CHUNK = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,13 +186,6 @@ def compound_ph(chain: StateChain | CountChain, Y: ContinuousPhaseType) -> Compo
     return CompoundPhaseType(alpha.ravel(), chain, Y)
 
 
-def compound_from_config(config: SystemConfig) -> CompoundPhaseType:
-    """Failure-time law on the paper's consolidated chain."""
-    if config.shock is None:
-        raise ConfigError("shock: an inter-shock specification is required")
-    return compound_ph(sntf_distribution(config), config.shock)
-
-
 def _apply_generator_left(Z: CompoundPhaseType, U: np.ndarray) -> np.ndarray:
     """Row-vector product u T_Z with u laid out as an (N, K) array."""
     Tc = Z.shock.T
@@ -198,6 +198,23 @@ def _alpha_matrix(Z: CompoundPhaseType) -> np.ndarray:
     return Z.alpha.reshape(Z.states, Z.K)
 
 
+def _poisson_weights(mu: float) -> np.ndarray:
+    """Poisson(mu) weights w_j = w_(j-1) mu / j, j = 0, 1, ... until they
+    sum to 1 - _POISSON_TAIL: one per term of a series of length mu."""
+    weights = [math.exp(-mu)]
+    cum = weights[0]
+    while cum < 1.0 - _POISSON_TAIL:
+        if len(weights) > _TERM_CAP:
+            raise NonConvergence("uniformization series exceeded its term budget")
+        weights.append(weights[-1] * mu / len(weights))
+        cum += weights[-1]
+    return np.array(weights)
+
+
+# terms in a stride of the full _STEP_BUDGET, the most any stride needs
+_STRIDE_TERMS = _poisson_weights(_STEP_BUDGET).size
+
+
 def pdf_grid(Z: CompoundPhaseType, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Failure-time density -alpha exp(z T_Z) T_Z (w x e) and survival
     P{Z > z} = alpha exp(z T_Z) (w x e) on an ascending grid.
@@ -205,18 +222,23 @@ def pdf_grid(Z: CompoundPhaseType, zs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Uniformization at rate lam: u exp(mu T_Z / lam) is the Poisson(mu)
     mixture of the terms u P^j, P = I + T_Z / lam.  One series serves
     every grid point of a stride, which starts at the last point solved
-    (or z = 0) and spans mu = lam (z - start) <= _STEP_BUDGET.  Past a
-    16 KB batch a term is kept only as its two functionals, density and
-    survival, and as its Poisson weight at the stride's end in the next
-    start vector; a point reads the Poisson(lam (z - start))-weighted sum
-    of those scalars.  The series runs to the Poisson tail of the stride's
-    largest mu, which covers every smaller mu.  A gap with no grid point
-    is crossed one full stride at a time, and once the start vector has
-    underflowed to zero every later point reads zero.
+    (or z = 0), spans mu = lam (z - start) <= _STEP_BUDGET and runs to the
+    Poisson tail of its largest mu.  A point reads the Poisson-weighted sum
+    of the terms' density and survival, and the next stride starts from
+    their weighted sum at the stride's end.  A gap with no grid point is
+    crossed one full stride at a time; once the start vector underflows to
+    zero every later point reads zero.  Raises CapacityExceeded before any
+    term for a law whose stride's terms exceed _TERM_BYTES, and for a grid
+    at its stride past _STRIDE_CAP.
     """
     zs = np.asarray(zs, dtype=np.float64)
     if zs.size and not (np.isfinite(zs).all() and (np.diff(zs) >= 0).all() and zs[0] >= 0):
         raise ValueError("grid must be finite, ascending and nonnegative")
+    if _STRIDE_TERMS * Z.dim * 8 > _TERM_BYTES:
+        raise CapacityExceeded(
+            f"failure-time law of {Z.dim} phases: a stride's {_STRIDE_TERMS} terms exceed "
+            f"{_TERM_BYTES >> 20} MB"
+        )
     values = np.zeros((2, zs.size))  # density and survival per point
     lam = Z.uniformization_rate
     # exit rate of phase (a, j) is absorb[a] * exit_rates[j]
@@ -226,59 +248,36 @@ def pdf_grid(Z: CompoundPhaseType, zs: np.ndarray) -> tuple[np.ndarray, np.ndarr
             np.repeat(Z.chain.weights, Z.K),
         ]
     )
-    # Terms are held only in a batch of at most 16 KB, or of one term when
-    # a term is larger.  A full batch is read, pairwise over the states (a
-    # BLAS product over the state chain loses digits), and folded into the
-    # next start vector, one product each.
-    batch = np.empty((max(1, 2**11 // Z.dim), Z.states, Z.K))
-    flat = batch.reshape(len(batch), -1)
-
     U = _alpha_matrix(Z)
     start = 0.0
-    i = 0
+    i = strides = 0
     while i < zs.size and U.any():
+        strides += 1
+        if strides > _STRIDE_CAP:
+            raise CapacityExceeded(
+                f"failure-time grid to z = {zs[-1]:.6g} needs more than {_STRIDE_CAP} strides"
+            )
         end = start + _STEP_BUDGET / lam
         stop = int(np.searchsorted(zs, end, side="right"))
-        points = stop > i
-        if points:
+        if stop > i:
             end = float(zs[stop - 1])
-        carry = stop < zs.size  # a later point starts from the vector at end
-        mu_end = lam * (end - start)
-        weights = [math.exp(-mu_end)]
-        cum = weights[0]
-        scalars = []
-        next_start = np.zeros(Z.dim)
-
-        def fold(held):
-            # the last `held` terms, in rows 0 .. held - 1
-            if points:
-                scalars.append([np.add.reduce(flat[:held] * f, axis=1) for f in functionals])
-            if carry:
-                next_start[:] += np.array(weights[-held:]) @ flat[:held]
-
-        batch[0] = U
-        j = 0
-        while cum < 1.0 - _POISSON_TAIL:
-            j += 1
-            if j > _TERM_CAP:
-                raise NonConvergence("uniformization series exceeded its term budget")
-            term = batch[(j - 1) % len(batch)]
-            step = _apply_generator_left(Z, term) / lam
-            if j % len(batch) == 0:
-                fold(len(batch))
-            np.add(term, step, out=batch[j % len(batch)])
-            weights.append(weights[-1] * mu_end / j)
-            cum += weights[-1]
-        fold(j % len(batch) + 1)
-        U = next_start.reshape(Z.states, Z.K)
-        if points:
-            S = np.concatenate(scalars, axis=1)  # density and survival by term
-            divisors = np.arange(S.shape[1], dtype=np.float64)
+        weights = _poisson_weights(lam * (end - start))
+        terms = np.empty((weights.size, Z.states, Z.K))
+        terms[0] = U
+        for j in range(1, weights.size):
+            terms[j] = terms[j - 1] + _apply_generator_left(Z, terms[j - 1]) / lam
+        flat = terms.reshape(weights.size, -1)
+        U = (weights @ flat).reshape(Z.states, Z.K)
+        if stop > i:
+            # density and survival by term, pairwise over the phases (a BLAS
+            # product over the state chain loses digits)
+            S = [np.add.reduce(flat * f, axis=1) for f in functionals]
+            divisors = np.arange(weights.size, dtype=np.float64)
             divisors[0] = 1.0
             # Poisson weights of the stride's points, w_j = w_(j-1) mu / j,
-            # for 8 KB of points at a time; a point's sums over j are
+            # for _POINT_CHUNK floats at a time; a point's sums over j are
             # pairwise, so they do not depend on how the points are chunked
-            chunk = max(1, 2**10 // S.shape[1])
+            chunk = max(1, _POINT_CHUNK // weights.size)
             for lo in range(i, stop, chunk):
                 mu = lam * (zs[lo : min(lo + chunk, stop)] - start)
                 W = mu[:, None] / divisors

@@ -14,12 +14,11 @@ from scipy.stats import kstest
 
 import ckngb.montecarlo as montecarlo
 from ckngb import experiments
-from ckngb.montecarlo import SimulationResult, _draw, _phase_sums, simulate_sntf, simulate_ttf
+from ckngb.montecarlo import SimulationResult, _draw, _phase_sums, _routes, simulate_sntf, simulate_ttf
 from ckngb.sntf import count_distribution, mean_closed, sntf_distribution
 from ckngb.system import BalanceCondition, SystemConfig
 from ckngb.tiesets import nonfailed_closure
 from ckngb.ttf import (
-    compound_from_config,
     compound_ph,
     pdf_grid,
     ph_from_preset,
@@ -237,6 +236,11 @@ class CountingRng:
         return self.rng.gamma(shape, scale)
 
 
+def phase_sums(rng, counts, Y):
+    """Y's phase sums, with the routes ``_draw`` builds once per draw."""
+    return _phase_sums(rng, counts, Y, _routes(Y))
+
+
 class TestPhaseVisitSampler:
     @pytest.mark.parametrize("label,binomials,gammas", [("ER", 0, 2), ("EXP", 0, 1), ("HE", 1, 2)])
     def test_draws_per_batch(self, label, binomials, gammas):
@@ -244,16 +248,16 @@ class TestPhaseVisitSampler:
         binomial, so a batch costs the same few calls whatever its counts."""
         rng = CountingRng(20)
         counts = np.random.default_rng(20).geometric(0.01, size=500)
-        _phase_sums(rng, counts, ph_from_preset(label))
+        phase_sums(rng, counts, ph_from_preset(label))
         assert rng.calls == {"binomial": binomials, "gamma": gammas}
 
     @pytest.mark.parametrize("shocks", [1, 5, 40])
     def test_fixed_count_sums(self, shocks):
         """With M fixed, EXP sums are Gamma(M, 1) and ER sums Gamma(2M, 1/2)."""
         counts = np.full(20_000, shocks)
-        exp = _phase_sums(np.random.default_rng(21), counts, ph_from_preset("EXP"))
+        exp = phase_sums(np.random.default_rng(21), counts, ph_from_preset("EXP"))
         assert kstest(exp, "gamma", args=(shocks,)).pvalue > 0.01
-        er = _phase_sums(np.random.default_rng(22), counts, ph_from_preset("ER"))
+        er = phase_sums(np.random.default_rng(22), counts, ph_from_preset("ER"))
         assert kstest(er, "gamma", args=(2 * shocks, 0.0, 0.5)).pvalue > 0.01
 
     @pytest.mark.parametrize("label", ["ER", "EXP", "HE", "custom"])
@@ -261,7 +265,7 @@ class TestPhaseVisitSampler:
         """One-shock draws have Y's mean and SCV; the cyclic custom law
         ends only if the rounds stop once no phase holds a token."""
         Y = CUSTOM_PH if label == "custom" else ph_from_preset(label)
-        draws = _phase_sums(np.random.default_rng(23), np.ones(200_000, dtype=np.int64), Y)
+        draws = phase_sums(np.random.default_rng(23), np.ones(200_000, dtype=np.int64), Y)
         mean, scv = ph_mean_scv(Y)
         assert abs(draws.mean() - mean) <= 4.0 * draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.var(ddof=1) / draws.mean() ** 2 - scv) <= 0.03 * scv
@@ -285,7 +289,8 @@ class TestPhaseVisitSampler:
 class TestFailureTimeOracle:
     def test_reference_mean(self, reference_config):
         result = simulate_ttf(reference_config, seed=31, reps=REPS)
-        analytic = raw_moment(compound_from_config(reference_config))
+        Z = compound_ph(sntf_distribution(reference_config), reference_config.shock)
+        analytic = raw_moment(Z)
         assert abs(result.mean - analytic) <= 3.0 * result.stderr
 
     def test_exponential_survival_closed_form(self):
@@ -316,6 +321,13 @@ class TestSharedDraw:
         assert _results_equal(both, simulate_ttf(reference_config, seed=41, reps=20_000))
         assert _results_equal(both.sntf, simulate_sntf(reference_config, seed=41, reps=20_000))
         assert simulate_ttf(reference_config, seed=41, reps=20_000).sntf is None
+
+    def test_routes_are_built_once_per_draw(self, reference_config, monkeypatch):
+        calls = []
+        original = montecarlo._routes
+        monkeypatch.setattr(montecarlo, "_routes", lambda Y: calls.append(1) or original(Y))
+        simulate_ttf(reference_config, seed=41, reps=20_000)  # three batches
+        assert calls == [1]
 
     def test_validate_draws_the_shock_counts_once(self, monkeypatch):
         doc = {"n": 4, "k": 2, "r": 0.7, "bc": "BC3", "shock": {"preset": "ER"},

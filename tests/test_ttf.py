@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,7 +10,8 @@ from scipy.linalg import expm
 from ckngb.chain import CountChain, build_count_chains
 import ckngb.ttf as ttf
 from ckngb.errors import CapacityExceeded, ConfigError, SingularSystem
-from ckngb.experiments import ExperimentSpec, run_sweep_scv, run_ttf
+from ckngb.cli import main
+from ckngb.experiments import ExperimentSpec, rows_to_csv, run_sweep_scv, run_ttf
 from ckngb.sntf import count_distribution, mean_closed, sntf_distribution
 from ckngb.system import BalanceCondition, SystemConfig
 from ckngb.tiesets import count_profile
@@ -16,7 +19,6 @@ from ckngb.ttf import (
     PRESET_LABELS,
     CompoundPhaseType,
     ContinuousPhaseType,
-    compound_from_config,
     compound_ph,
     failure_time_moments,
     pdf_grid,
@@ -117,20 +119,26 @@ class TestValidatePH:
         validate_ph(np.array([1.0, 0.0, 0.0]), T)
 
 
+@pytest.fixture
+def reference_law(reference_config):
+    """The reference system's failure-time law on its state chain."""
+    return compound_ph(sntf_distribution(reference_config), reference_config.shock)
+
+
 class TestCompound:
-    def test_reference_dimensions(self, reference_config):
-        Z = compound_from_config(reference_config)
+    def test_reference_dimensions(self, reference_law):
+        Z = reference_law
         assert Z.dim == 14
         expected_alpha = np.zeros(14)
         expected_alpha[0] = 1.0
         assert np.array_equal(Z.alpha, expected_alpha)
 
-    def test_reference_generator(self, reference_config):
-        Z = compound_from_config(reference_config)
+    def test_reference_generator(self, reference_law):
+        Z = reference_law
         assert np.abs(to_dense(Z) - COMPOUND_GENERATOR).max() < 5e-4
 
-    def test_generator_is_valid_subgenerator(self, reference_config):
-        T = to_dense(compound_from_config(reference_config))
+    def test_generator_is_valid_subgenerator(self, reference_law):
+        T = to_dense(reference_law)
         off = T - np.diag(np.diag(T))
         assert (off >= 0).all()
         assert (np.diag(T) < 0).all()
@@ -157,23 +165,19 @@ class TestCompound:
         with pytest.raises(CapacityExceeded):
             to_dense(fake)
 
-    def test_missing_shock_spec(self):
-        with pytest.raises(ConfigError):
-            compound_from_config(SystemConfig(4, 2, 0.7, BC3))
-
 
 class TestDensity:
-    def test_zero_at_origin_under_erlang(self, reference_config):
-        Z = compound_from_config(reference_config)
+    def test_zero_at_origin_under_erlang(self, reference_law):
+        Z = reference_law
         assert at(Z, 0.0)[0] == 0.0
 
-    def test_survival_boundary(self, reference_config):
-        Z = compound_from_config(reference_config)
+    def test_survival_boundary(self, reference_law):
+        Z = reference_law
         assert at(Z, 0.0)[1] == 1.0
         assert at(Z, 200.0)[1] < 1e-10
 
-    def test_matches_dense_expm(self, reference_config):
-        Z = compound_from_config(reference_config)
+    def test_matches_dense_expm(self, reference_law):
+        Z = reference_law
         T = to_dense(Z)
         exit_vec = -T @ np.ones(14)
         for z in (0.3, 1.0, 2.5, 6.0):
@@ -183,8 +187,8 @@ class TestDensity:
             assert density == pytest.approx(dense_pdf, rel=1e-10, abs=1e-13)
             assert survival == pytest.approx(dense_surv, rel=1e-10, abs=1e-13)
 
-    def test_grid_matches_single_point(self, reference_config):
-        Z = compound_from_config(reference_config)
+    def test_grid_matches_single_point(self, reference_law):
+        Z = reference_law
         zs = np.linspace(0.0, 8.0, 17)
         dens, surv = pdf_grid(Z, zs)
         for z, d, s in zip(zs, dens, surv):
@@ -192,27 +196,27 @@ class TestDensity:
             assert d == pytest.approx(density, rel=1e-10, abs=1e-14)
             assert s == pytest.approx(survival, rel=1e-10, abs=1e-14)
 
-    def test_grid_rejects_descending(self, reference_config):
-        Z = compound_from_config(reference_config)
+    def test_grid_rejects_descending(self, reference_law):
+        Z = reference_law
         with pytest.raises(ValueError):
             pdf_grid(Z, np.array([1.0, 0.5]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_grid_rejects_non_finite(self, reference_config, bad):
+    def test_grid_rejects_non_finite(self, reference_law, bad):
         with pytest.raises(ValueError):
-            pdf_grid(compound_from_config(reference_config), [0.0, bad])
+            pdf_grid(reference_law, [0.0, bad])
 
-    def test_negative_time_rejected(self, reference_config):
-        Z = compound_from_config(reference_config)
+    def test_negative_time_rejected(self, reference_law):
+        Z = reference_law
         with pytest.raises(ValueError):
             at(Z, -0.1)
 
-    def test_normalization(self, reference_config):
-        Z = compound_from_config(reference_config)
+    def test_normalization(self, reference_law):
+        Z = reference_law
         assert integrate_pdf(Z) == pytest.approx(1.0, abs=1e-6)
 
-    def test_survival_derivative_is_negative_density(self, reference_config):
-        Z = compound_from_config(reference_config)
+    def test_survival_derivative_is_negative_density(self, reference_law):
+        Z = reference_law
         h = 1e-4
         for z in np.linspace(0.2, 6.0, 20):
             slope = (at(Z, z + h)[1] - at(Z, z - h)[1]) / (2.0 * h)
@@ -253,9 +257,9 @@ class TestGridSeries:
         for a, b in zip(coarse, fine):
             assert rel_gap(a[-1], b[-1]) <= 1e-14
 
-    def test_empty_grid(self, reference_config, monkeypatch):
+    def test_empty_grid(self, reference_law, monkeypatch):
         calls = count_applications(monkeypatch)
-        dens, surv = pdf_grid(compound_from_config(reference_config), [])
+        dens, surv = pdf_grid(reference_law, [])
         assert dens.shape == surv.shape == (0,)
         assert calls == []
 
@@ -268,8 +272,8 @@ class TestGridSeries:
         assert surv.tolist() == [1.0, 1.0]
         assert calls == []
 
-    def test_repeated_points_read_the_same_values(self, reference_config):
-        Z = compound_from_config(reference_config)
+    def test_repeated_points_read_the_same_values(self, reference_law):
+        Z = reference_law
         dens, surv = pdf_grid(Z, [0.5, 2.0, 2.0, 2.0, 40.0, 40.0])
         assert dens[1] == dens[2] == dens[3] and surv[1] == surv[2] == surv[3]
         assert dens[4] == dens[5] and surv[4] == surv[5]
@@ -279,17 +283,70 @@ class TestGridSeries:
             assert s == pytest.approx(survival, rel=1e-13)
 
     @pytest.mark.parametrize("strides", [1.0, 2.5, 6.0])
-    def test_stride_end_and_gaps_against_exact(self, reference_config, strides):
+    def test_stride_end_and_gaps_against_exact(self, reference_law, strides):
         """A point exactly one stride from the origin, and gaps of 2.5 and
         6 strides with no point inside, against mpmath.expm at 40 digits.
         Measured worst relative error 1.6e-15 (6 strides), bound 1e-14."""
-        Z = compound_from_config(reference_config)
+        Z = reference_law
         h = ttf._STEP_BUDGET / Z.uniformization_rate
         zs = [0.0, strides * h] if strides == 1.0 else [1.0, 1.0 + strides * h]
         dens, surv = pdf_grid(Z, zs)
         exact = exact_pdf_survival(4, 2, BC3, 0.7, Z.shock, zs)
         assert rel_gap(dens, np.array([float(d) for d, _ in exact])).max() <= 1e-14
         assert rel_gap(surv, np.array([float(s) for _, s in exact])).max() <= 1e-14
+
+    @pytest.mark.parametrize("whole", [False, True])
+    def test_point_chunk_moves_no_value(self, monkeypatch, whole):
+        """Points read one at a time, or all in one chunk, give the same
+        floats as _POINT_CHUNK's 6 chunks here: a point's sum over the
+        terms is its own pairwise row."""
+        Z = compound_ph(count_distribution(SystemConfig(12, 4, 0.9, BC3)), ph_from_preset("HE"))
+        zs = np.linspace(0.0, 10.0, 2001)
+        want = pdf_grid(Z, zs)
+        monkeypatch.setattr(ttf, "_POINT_CHUNK", zs.size * ttf._STRIDE_TERMS if whole else 1)
+        for got, expected in zip(pdf_grid(Z, zs), want):
+            assert np.array_equal(got, expected)
+
+    def test_stride_cap(self, reference_law, monkeypatch):
+        """z = 75 is three strides of 25 out under ER (rate 2); z = 76 takes
+        a fourth, past a cap of three."""
+        want = pdf_grid(reference_law, [75.0])
+        monkeypatch.setattr(ttf, "_STRIDE_CAP", 3)
+        for got, expected in zip(pdf_grid(reference_law, [75.0]), want):
+            assert np.array_equal(got, expected)
+        with pytest.raises(CapacityExceeded, match="more than 3 strides"):
+            pdf_grid(reference_law, [76.0])
+
+    def test_stride_cap_exits_4_with_empty_stdout(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 4, "k": 2, "r": 0.7, "bc": "BC3", "shock": {"preset": "ER"}}))
+        monkeypatch.setattr(ttf, "_STRIDE_CAP", 3)
+        assert main(["ttf", "--config", str(config), "--z-max", "1000"]) == 4
+        assert capsys.readouterr().out == ""
+
+    def test_law_over_the_term_budget_is_refused_before_any_term(self, monkeypatch):
+        """246 519 phases would take 214 MB of terms per stride."""
+        calls = count_applications(monkeypatch)
+        Z = compound_ph(sntf_distribution(SystemConfig(18, 2, 0.8, BC2)), ph_from_preset("EXP"))
+        with pytest.raises(CapacityExceeded, match="law of 246519 phases"):
+            pdf_grid(Z, [1.0])
+        assert calls == []
+
+
+# SHA-256 of run_ttf's CSV on the system-report workload's two systems,
+# recorded while the series still kept its terms in a 16 KB batch
+TTF_CSV_DIGESTS = [
+    ((12, 4, BC3, 0.88, "HE"), "f250013757d4df72c68ee105faf147260b024083389b20435f336125db777390"),
+    ((14, 4, BC2, 0.8, "ER"), "190eb08e6528f4446e225aafbbebb2b11afe5a6c53325be74c4817eb8073cd76"),
+]
+
+
+@pytest.mark.parametrize("system,digest", TTF_CSV_DIGESTS, ids=["n12-HE", "n14-ER"])
+def test_ttf_csv_pinned(system, digest):
+    n, k, bc, r, label = system
+    spec = ExperimentSpec(n=(n,), k=(k,), r=(r,), bc=(bc,), shock=ph_from_preset(label))
+    csv = rows_to_csv(["z", "pdf", "survival"], run_ttf(spec)[0])
+    assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
 
 # (n, k, bc, r), then per preset ER, EXP, HE the z where survival is 1e-10
@@ -404,8 +461,8 @@ class TestMoments:
             mean_y, _ = ph_mean_scv(Y)
             assert raw_moment(Z) == pytest.approx(mean_closed(dist) * mean_y, abs=1e-8)
 
-    def test_against_dense_solves(self, reference_config):
-        Z = compound_from_config(reference_config)
+    def test_against_dense_solves(self, reference_law):
+        Z = reference_law
         want = dense_moments(Z, 3)
         assert raw_moment(Z) == pytest.approx(want[0], rel=1e-11)
         assert failure_time_moments(Z.chain, Z.shock, 3) == pytest.approx(want, rel=1e-11)

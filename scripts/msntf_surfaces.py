@@ -7,7 +7,7 @@ Usage: python scripts/msntf_surfaces.py [OUTDIR] [N_MAX]
 import sys
 from pathlib import Path
 
-from ckngb.experiments import ExperimentSpec, rows_to_csv, run_sweep_msntf
+from ckngb.experiments import INFEASIBLE, ExperimentSpec, rows_to_csv, run_sweep_msntf
 from ckngb.system import BalanceCondition
 
 
@@ -23,8 +23,8 @@ def main() -> None:
     )
     rows = run_sweep_msntf(spec)
     path = outdir / "msntf_surfaces.csv"
-    path.write_text(rows_to_csv(["bc", "n", "k", "r", "msntf"], rows))
-    feasible = sum(1 for row in rows if row["msntf"] != "infeasible")
+    path.write_text(rows_to_csv(rows))
+    feasible = sum(1 for row in rows if row["msntf"] != INFEASIBLE)
     print(f"{len(rows)} grid points ({feasible} feasible) -> {path}")
 
 

@@ -24,7 +24,7 @@ def main() -> None:
     )
     rows = run_sweep_scv(spec)
     path = outdir / "scv_heatmap.csv"
-    path.write_text(rows_to_csv(["bc", "preset", "n", "k", "r", "mttf", "mttf_wald", "scv"], rows))
+    path.write_text(rows_to_csv(rows))
     print(f"{len(rows)} grid points -> {path}")
 
 

@@ -22,6 +22,7 @@ from .errors import (
     NonConvergence,
     SingularSystem,
 )
+from .experiments import format_value
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -95,52 +96,33 @@ def _dispatch(args: argparse.Namespace) -> int:
             dump = _open(args.dump_chain, "dump-chain")
         with dump as fh:
             rows = experiments.run_sntf_pmf(spec, use_matrix=args.matrix)
-            _emit(experiments.rows_to_csv(["m", "pmf", "survival"], rows), spec.out)
+            _emit(experiments.rows_to_csv(rows), spec.out)
             if fh:
                 chain_csv(fh, config.n, masks, blocks)
         return EXIT_OK
 
-    if args.command == "sntf-moments":
-        rows = experiments.run_sntf_moments(spec)
-        header = ["n", "k", "r", "bc", "msntf", "second_moment", "variance"]
-        _emit(experiments.rows_to_csv(header, rows), spec.out)
-        return EXIT_OK
-
     if args.command == "ttf":
         rows, summary = experiments.run_ttf(spec)
-        _emit(experiments.rows_to_csv(["z", "pdf", "survival"], rows), spec.out)
-        line = ",".join(f"{key}={experiments.format_value(val)}" for key, val in summary.items())
-        print(line)
-        return EXIT_OK
-
-    if args.command == "sweep-msntf":
-        rows = experiments.run_sweep_msntf(spec)
-        _emit(experiments.rows_to_csv(["bc", "n", "k", "r", "msntf"], rows), spec.out)
-        return EXIT_OK
-
-    if args.command == "sweep-scv":
-        rows = experiments.run_sweep_scv(spec)
-        header = ["bc", "preset", "n", "k", "r", "mttf", "mttf_wald", "scv"]
-        _emit(experiments.rows_to_csv(header, rows), spec.out)
+        _emit(experiments.rows_to_csv(rows), spec.out)
+        print(",".join(f"{key}={format_value(val)}" for key, val in summary.items()))
         return EXIT_OK
 
     if args.command == "simulate":
         result, rows = experiments.run_simulate(spec, target=args.target)
-        _emit(experiments.rows_to_csv(["bin_left", "bin_right", "count"], rows), spec.out)
+        _emit(experiments.rows_to_csv(rows), spec.out)
         print(
             f"target={result.kind} reps={result.replications} seed={result.seed} "
-            f"mean={result.mean:.12g} variance={result.variance:.12g} "
-            f"half_width_95={result.half_width(0.95):.12g}"
+            f"mean={format_value(result.mean)} variance={format_value(result.variance)} "
+            f"half_width_95={format_value(result.half_width(0.95))}"
         )
         return EXIT_OK
 
-    if args.command == "validate":
-        checks = experiments.run_validate(spec)
-        _emit(experiments.rows_to_csv(["check", "result", "detail"], checks), spec.out)
-        failed = [c for c in checks if c["result"] != "pass"]
-        return EXIT_VALIDATION if failed else EXIT_OK
-
-    raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
+    # every other command prints the one table of its run_* driver:
+    # sntf-moments, sweep-msntf, sweep-scv and validate
+    rows = getattr(experiments, "run_" + args.command.replace("-", "_"))(spec)
+    _emit(experiments.rows_to_csv(rows), spec.out)
+    failed = args.command == "validate" and any(row["result"] != "pass" for row in rows)
+    return EXIT_VALIDATION if failed else EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

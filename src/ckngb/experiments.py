@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -84,22 +84,36 @@ class ExperimentSpec:
                 raise CapacityExceeded(f"{name}: {value} exceeds the bound {bound}")
 
     def single(self) -> SystemConfig:
-        for name, values in (("n", self.n), ("k", self.k), ("r", self.r), ("bc", self.bc)):
+        for name, values in (
+            ("n", self.n), ("k", self.k), ("r", self.r), ("bc", self.bc),
+            ("shock.preset", self.presets),
+        ):
             if len(values) != 1:
                 raise ConfigError(f"{name}: this command needs a single value, got {len(values)}")
         return SystemConfig(self.n[0], self.k[0], self.r[0], self.bc[0], self.shock)
 
 
+def _number(value: Any, path: str, kind: type = float) -> int | float:
+    """A JSON number as kind, int or float.  Booleans and strings are
+    refused; an int may be written as a float with no fractional part, so
+    that 1e30 reaches the bound it exceeds."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():  # also nan, inf
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:  # an int past the largest float
+        raise ConfigError(f"{path}: must be finite, got {value}") from None
+
+
 def _int_list(value: Any, path: str) -> tuple[int, ...]:
     items = value if isinstance(value, list) else [value]
-    out = []
-    for i, item in enumerate(items):
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise ConfigError(f"{path}[{i}]: expected an integer, got {item!r}")
-        out.append(item)
+    out = tuple(_number(item, f"{path}[{i}]", int) for i, item in enumerate(items))
     if not out:
         raise ConfigError(f"{path}: must be nonempty")
-    return tuple(out)
+    return out
 
 
 def _float_list(value: Any, path: str) -> tuple[float, ...]:
@@ -107,10 +121,7 @@ def _float_list(value: Any, path: str) -> tuple[float, ...]:
         for key in ("start", "stop", "step"):
             if key not in value:
                 raise ConfigError(f"{path}.{key}: required in a range spec")
-        try:
-            start, stop, step = (float(value[k]) for k in ("start", "stop", "step"))
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path}: start, stop and step must be numbers") from None
+        start, stop, step = (_number(value[k], path) for k in ("start", "stop", "step"))
         if not all(map(math.isfinite, (start, stop, step))):
             raise ConfigError(f"{path}: start, stop and step must be finite")
         if step <= 0:
@@ -125,14 +136,10 @@ def _float_list(value: Any, path: str) -> tuple[float, ...]:
             raise ConfigError(f"{path}: empty range")
         return vals
     items = value if isinstance(value, list) else [value]
-    out = []
-    for i, item in enumerate(items):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"{path}[{i}]: expected a number, got {item!r}")
-        out.append(float(item))
+    out = tuple(_number(item, f"{path}[{i}]") for i, item in enumerate(items))
     if not out:
         raise ConfigError(f"{path}: must be nonempty")
-    return tuple(out)
+    return out
 
 
 def _parse_shock(obj: Any) -> tuple["ttf.ContinuousPhaseType | None", tuple[str, ...]]:
@@ -194,14 +201,11 @@ def parse_config(doc: Any) -> ExperimentSpec:
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"out: expected a path string, got {out!r}")
 
-    def _opt(key: str, cast: Callable, default: Any, positive: bool = True) -> Any:
+    def _opt(key: str, kind: type, default: Any, positive: bool = True) -> Any:
         if key not in doc:
             return default
-        try:
-            value = cast(doc[key])
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"{key}: expected {cast.__name__}") from None
-        if isinstance(value, float) and not math.isfinite(value):
+        value = _number(doc[key], key, kind)
+        if not math.isfinite(value):
             raise ConfigError(f"{key}: must be finite, got {value}")
         if positive and value <= 0:
             raise ConfigError(f"{key}: must be positive")
@@ -247,10 +251,11 @@ def format_value(value: Any) -> str:
     return str(value)
 
 
-def rows_to_csv(header: list[str], rows: Iterable[dict[str, Any]]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(row[col]) for col in header))
+def rows_to_csv(rows: list[dict[str, Any]]) -> str:
+    """The table as CSV.  The header is the first row's keys, and every
+    row holds the same keys in the same order."""
+    lines = [",".join(rows[0])]
+    lines.extend(",".join(map(format_value, row.values())) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -365,8 +370,6 @@ def run_sntf_moments(spec: ExperimentSpec) -> list[dict]:
 def run_ttf(spec: ExperimentSpec) -> tuple[list[dict], dict]:
     config = spec.single()
     if config.shock is None:
-        if len(spec.presets) > 1:
-            raise ConfigError("shock.preset: this command needs a single preset")
         raise ConfigError("shock: required for the ttf command")
     chain, Y = sntf.count_distribution(config), config.shock
     zs = np.linspace(0.0, spec.z_max, spec.z_steps + 1)

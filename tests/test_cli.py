@@ -175,7 +175,8 @@ class TestExitCodes:
         "r_range",
         [{"start": 0.1, "stop": float("inf"), "step": 0.1},
          {"start": 0.1, "stop": 0.5, "step": float("nan")},
-         {"start": 0.1, "stop": 0.5, "step": "fine"}],
+         {"start": 0.1, "stop": 0.5, "step": "fine"},
+         {"start": "0.1", "stop": 0.5, "step": 0.1}],
     )
     def test_bad_r_range_is_config_error(self, r_range, config_file, capsys):
         doc = {"n": 4, "k": 2, "r": r_range}
@@ -404,6 +405,71 @@ class TestOptionBounds:
         assert (spec.m_max, spec.z_steps, spec.reps) == (
             experiments.MAX_TABLE_ROWS, experiments.MAX_TABLE_ROWS, experiments.MAX_REPS
         )
+
+
+class TestOptionTypes:
+    """A numeric option takes a JSON number, and an integer option one with
+    no fractional part, as n and k do: each of these configs used to run,
+    cast by int() or float() (one pmf row for true, 2 replications for
+    2.9, seed 0 for 0.5)."""
+
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [
+            ("sntf-pmf", "m_max", True),
+            ("sntf-pmf", "m_max", "7"),
+            ("simulate", "reps", 2.9),
+            ("simulate", "seed", 0.5),
+            ("ttf", "z_max", "3"),
+            ("ttf", "z_steps", 12.5),
+            ("sweep-msntf", "threads", False),
+        ],
+    )
+    def test_exits_2_naming_the_key(self, command, key, value, config_file, capsys):
+        assert main([command, "--config", config_file(dict(REFERENCE_DOC, **{key: value}))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: {key}: expected" in captured.err
+
+    @pytest.mark.parametrize("key,path", [("r", "r[0]"), ("z_max", "z_max")])
+    def test_int_past_the_largest_float(self, key, path, config_file, capsys):
+        """10**400 has no float: r used to die with an OverflowError."""
+        doc = dict(REFERENCE_DOC, **{key: 10**400})
+        assert main(["ttf", "--config", config_file(doc)]) == 2
+        assert f"config error: {path}: must be finite" in capsys.readouterr().err
+
+    def test_integral_floats_admitted(self):
+        doc = dict(REFERENCE_DOC, n=4.0, m_max=30.0, reps=2000.0, seed=0.0, z_max=3)
+        spec = experiments.parse_config(doc)
+        values = (spec.n, spec.m_max, spec.reps, spec.seed, spec.z_max)
+        assert values == ((4,), 30, 2000, 0, 3.0)
+        assert [type(v) for v in values[1:]] == [int, int, int, float]
+
+
+class TestSingleSystemPresets:
+    """A single-system command refuses a list of presets, as it refuses a
+    list of n, k, r or bc.  validate used to drop its failure-time checks
+    and exit 0, and simulate --target ttf said "shock: required"."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["tiesets"], ["sntf-pmf"], ["sntf-moments"], ["ttf"], ["simulate"],
+         ["simulate", "--target", "ttf"], ["validate"]],
+        ids=lambda argv: "-".join(argv),
+    )
+    def test_exits_2(self, argv, config_file, capsys):
+        doc = dict(REFERENCE_DOC, shock={"preset": ["ER", "HE"]}, reps=100)
+        assert main([*argv, "--config", config_file(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: shock.preset: this command needs a single value, got 2" in (
+            captured.err
+        )
+
+    def test_one_listed_preset_is_that_preset(self, config_file):
+        doc = dict(REFERENCE_DOC, shock={"preset": ["HE"]})
+        law = experiments.load_config(config_file(doc)).single().shock
+        assert np.array_equal(law.T, ph_from_preset("HE").T)
 
 
 class TestSweepGridBound:

@@ -345,7 +345,7 @@ TTF_CSV_DIGESTS = [
 def test_ttf_csv_pinned(system, digest):
     n, k, bc, r, label = system
     spec = ExperimentSpec(n=(n,), k=(k,), r=(r,), bc=(bc,), shock=ph_from_preset(label))
-    csv = rows_to_csv(["z", "pdf", "survival"], run_ttf(spec)[0])
+    csv = rows_to_csv(run_ttf(spec)[0])
     assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
 

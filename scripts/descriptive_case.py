@@ -13,7 +13,7 @@ from ckngb.experiments import ExperimentSpec, rows_to_csv, run_sntf_pmf, run_ttf
 from ckngb.montecarlo import simulate_sntf, simulate_ttf
 from ckngb.sntf import count_distribution, mean_closed, sntf_distribution
 from ckngb.system import BalanceCondition
-from ckngb.tiesets import enumerate_min_tiesets, system_reliability_exact
+from ckngb.tiesets import enumerate_min_tiesets, system_reliability_exact, tieset_members
 from ckngb.ttf import failure_time_moments, ph_from_preset
 
 
@@ -26,9 +26,10 @@ def main() -> None:
     )
     config = spec.single()
 
-    collection = enumerate_min_tiesets(config.n, config.k, config.bc)
-    print(f"minimum tie-sets ({len(collection)}):", ", ".join(map(str, collection.tiesets)))
-    print(f"one-shock reliability: {system_reliability_exact(collection, config.r):.6f}")
+    masks = enumerate_min_tiesets(config.n, config.k, config.bc)
+    print(f"minimum tie-sets ({len(masks)}):", ", ".join(tieset_members(masks, config.n)))
+    reliability = system_reliability_exact(config.n, config.k, config.bc, config.r)
+    print(f"one-shock reliability: {reliability:.6f}")
 
     masks, blocks = build_consolidated(config.n, config.k, config.bc, config.r)
     with open(outdir / "descriptive_chain.csv", "w") as fh:

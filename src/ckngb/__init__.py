@@ -41,8 +41,6 @@ from .system import (
     unit_angle,
 )
 from .tiesets import (
-    TieSet,
-    TieSetCollection,
     count_profile,
     enumerate_min_tiesets,
     system_reliability_exact,

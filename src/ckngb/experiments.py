@@ -26,6 +26,7 @@ from .tiesets import (
     enumerate_min_tiesets,
     system_reliability_exact,
     system_reliability_product,
+    tieset_members,
 )
 
 DEFAULT_SEED = 20240
@@ -43,6 +44,10 @@ DEFAULT_R_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))  # 0.05 .. 0.95
 # and 549 MB for shock counts, 9-21 s and 806 MB for failure times.
 MAX_TABLE_ROWS = 10**5
 MAX_REPS = 2**25
+
+# The numeric options and their kinds; every one is positive but seed,
+# which is nonnegative
+_OPTIONS = {"m_max": int, "z_max": float, "z_steps": int, "reps": int, "seed": int, "threads": int}
 
 INFEASIBLE = "infeasible"
 # r values per block of a sweep's stacked count chains: a block at n = 12
@@ -72,6 +77,15 @@ class ExperimentSpec:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        for name, kind in _OPTIONS.items():
+            value = _number(getattr(self, name), name, kind)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name}: must be finite, got {value}")
+            if name == "seed" and value < 0:
+                raise ConfigError(f"{name}: must be nonnegative")
+            if name != "seed" and value <= 0:
+                raise ConfigError(f"{name}: must be positive")
+            object.__setattr__(self, name, value)
         if self.reps < 2:  # one sample has no variance, so no interval
             raise ConfigError(f"reps: must be at least 2, got {self.reps}")
         for name, bound in (
@@ -201,18 +215,6 @@ def parse_config(doc: Any) -> ExperimentSpec:
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"out: expected a path string, got {out!r}")
 
-    def _opt(key: str, kind: type, default: Any, positive: bool = True) -> Any:
-        if key not in doc:
-            return default
-        value = _number(doc[key], key, kind)
-        if not math.isfinite(value):
-            raise ConfigError(f"{key}: must be finite, got {value}")
-        if positive and value <= 0:
-            raise ConfigError(f"{key}: must be positive")
-        if value < 0:
-            raise ConfigError(f"{key}: must be nonnegative")
-        return value
-
     return ExperimentSpec(
         n=n,
         k=k,
@@ -221,12 +223,7 @@ def parse_config(doc: Any) -> ExperimentSpec:
         presets=presets,
         shock=shock,
         out=out,
-        m_max=_opt("m_max", int, DEFAULT_M_MAX),
-        z_max=_opt("z_max", float, DEFAULT_Z_MAX),
-        z_steps=_opt("z_steps", int, DEFAULT_Z_STEPS),
-        reps=_opt("reps", int, DEFAULT_REPS),
-        seed=_opt("seed", int, DEFAULT_SEED, positive=False),
-        threads=_opt("threads", int, 1),
+        **{key: doc[key] for key in _OPTIONS if key in doc},
     )
 
 
@@ -328,11 +325,11 @@ def _count_stacks(spec: ExperimentSpec) -> Iterator[tuple[list[tuple], chain_mod
 
 def run_tiesets(spec: ExperimentSpec) -> str:
     config = spec.single()
-    collection = enumerate_min_tiesets(config.n, config.k, config.bc)
-    lines = [f"count,{len(collection)}"]
-    lines.extend(str(t) for t in collection.tiesets)
-    lines.append(f"reliability_exact,{format_value(system_reliability_exact(collection, config.r))}")
-    lines.append(f"reliability_product,{format_value(system_reliability_product(collection, config.r))}")
+    n, k, bc, r = config.n, config.k, config.bc, config.r
+    masks = enumerate_min_tiesets(n, k, bc)
+    lines = [f"count,{len(masks)}", *tieset_members(masks, n)]
+    lines.append(f"reliability_exact,{format_value(system_reliability_exact(n, k, bc, r))}")
+    lines.append(f"reliability_product,{format_value(system_reliability_product(masks, r))}")
     return "\n".join(lines) + "\n"
 
 

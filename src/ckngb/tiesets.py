@@ -8,13 +8,13 @@ the balanced sets of at least k units.  It is held as a closure plane,
 one bit per mask, 64 masks to a uint64 word: closed inside each word by
 its seeds and across words by OR passes (a bitwise zeta transform:
 Knuth, TAOCP 4A, section 7.1.3).  The tie-sets are its minimal elements,
-and the exact reliability is the polynomial of its count profile, read
-off the plane word by word.
+held, like the balanced sets, as int masks and turned into unit lists
+only for printing; the exact reliability is the polynomial of its count
+profile, read off the plane word by word.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
@@ -34,39 +34,6 @@ _BIT = np.uint64(1) << _T.astype(np.uint64)
 _UP = np.bitwise_or.reduce(np.where((_T & _T[:, None]) == _T[:, None], _BIT, 0), axis=1)
 # Bit t of _CLASSES[c] is set when t has c set bits.
 _CLASSES = np.bitwise_or.reduce(np.where(np.bitwise_count(_T) == _T[:7, None], _BIT, 0), axis=1)
-
-
-@dataclass(frozen=True)
-class TieSet:
-    members: tuple[int, ...]  # sorted 1-based unit indices
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def mask(self, n: int) -> int:
-        m = 0
-        for i in self.members:
-            m |= 1 << (n - i)
-        return m
-
-    def __str__(self) -> str:
-        return ",".join([str(i) for i in self.members])
-
-
-@dataclass(frozen=True)
-class TieSetCollection:
-    """All minimum tie-sets of one system, in deterministic order
-    (ascending cardinality, then lexicographic member order)."""
-
-    tiesets: tuple[TieSet, ...]
-    n: int
-    k: int
-    bc: BalanceCondition
-    masks: tuple[int, ...]  # aligned with tiesets
-
-    def __len__(self) -> int:
-        return len(self.tiesets)
 
 
 def _bits(plane: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -119,8 +86,9 @@ def nonfailed_closure(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
     return np.unpackbits(plane.view(np.uint8), bitorder="little")[: 1 << n].view(bool)
 
 
-def enumerate_min_tiesets(n: int, k: int, bc: BalanceCondition) -> TieSetCollection:
-    """The minimal elements of the nonfailed set.
+def enumerate_min_tiesets(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
+    """The minimal elements of the nonfailed set, as int64 masks in
+    ascending size, then lexicographic unit order.
 
     A minimal nonfailed mask is itself a balanced set of at least k units
     (any unit outside the balanced set it contains could be removed), and
@@ -138,15 +106,16 @@ def enumerate_min_tiesets(n: int, k: int, bc: BalanceCondition) -> TieSetCollect
     # when only those n - |S| of its n neighbours are set.
     minimal = _bits(plane, bits[:, None] ^ masks).sum(axis=0) == n - np.bitwise_count(masks)
     masks = masks[minimal][::-1]
-    masks = masks[np.argsort(np.bitwise_count(masks), kind="stable")]
+    return masks[np.argsort(np.bitwise_count(masks), kind="stable")].astype(np.int64)
+
+
+def tieset_members(masks: np.ndarray, n: int) -> list[str]:
+    """Each tie-set's units, 1-based and ascending, as the line ``1,3``."""
     # Unit i is bit n - i, so column j of this bit matrix is unit j + 1, and
     # its nonzeros come row by row in ascending unit order.
-    units = (np.nonzero(masks[:, None] & bits[::-1])[1] + 1).tolist()
+    units = (np.nonzero(masks[:, None] & (1 << np.arange(n - 1, -1, -1)))[1] + 1).tolist()
     sizes = np.bitwise_count(masks).tolist()
-    tiesets = tuple(
-        TieSet(tuple(units[end - size : end])) for size, end in zip(sizes, accumulate(sizes))
-    )
-    return TieSetCollection(tiesets, n, k, bc, tuple(masks.tolist()))
+    return [",".join(map(str, units[end - size : end])) for size, end in zip(sizes, accumulate(sizes))]
 
 
 def _profiles(n: int, planes: np.ndarray) -> np.ndarray:
@@ -210,18 +179,19 @@ def reliability_polynomial(n: int, k: int, bc: BalanceCondition, p: float | np.n
     return (count_profile(n, k, bc) * (p**j * (1.0 - p) ** (n - j))).sum(axis=-1)
 
 
-def system_reliability_product(collection: TieSetCollection, r: float) -> float:
-    """Product-form reliability 1 - prod_T (1 - r^|T|).
+def system_reliability_product(masks: np.ndarray, r: float) -> float:
+    """Product-form reliability 1 - prod_T (1 - r^|T|) over the tie-set
+    masks.
 
     Treats tie-set events as independent; with overlapping tie-sets this
     deviates from the exact expectation (see system_reliability_exact).
     """
     prod = 1.0
-    for tie in collection.tiesets:
-        prod *= 1.0 - r**tie.size
+    for size in np.bitwise_count(masks).tolist():
+        prod *= 1.0 - r**size
     return 1.0 - prod
 
 
-def system_reliability_exact(collection: TieSetCollection, r: float) -> float:
+def system_reliability_exact(n: int, k: int, bc: BalanceCondition, r: float) -> float:
     """Exact one-shot reliability h(r), read off the count profile."""
-    return float(reliability_polynomial(collection.n, collection.k, collection.bc, r))
+    return float(reliability_polynomial(n, k, bc, r))

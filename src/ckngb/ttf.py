@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .chain import CountChain, StateChain, layered_solve
-from .errors import CapacityExceeded, ConfigError, NonConvergence, SingularSystem
+from .errors import CapacityExceeded, ConfigError, SingularSystem
 from .sntf import factorial_moment
 
 PRESET_LABELS = ("ER", "EXP", "HE")
@@ -34,7 +34,6 @@ _POISSON_TAIL = 1e-14
 # max uniformization rate*length of a stride; one series serves every grid
 # point in it, and exp(-50) leaves the Poisson weights far from underflow
 _STEP_BUDGET = 50.0
-_TERM_CAP = 100_000
 # strides one grid may take: the tests and scripts take at most 826, and
 # a grid reaches the cap in about 9 s at n = 21 under a two-phase law
 _STRIDE_CAP = 10_000
@@ -204,8 +203,6 @@ def _poisson_weights(mu: float) -> np.ndarray:
     weights = [math.exp(-mu)]
     cum = weights[0]
     while cum < 1.0 - _POISSON_TAIL:
-        if len(weights) > _TERM_CAP:
-            raise NonConvergence("uniformization series exceeded its term budget")
         weights.append(weights[-1] * mu / len(weights))
         cum += weights[-1]
     return np.array(weights)

@@ -6,6 +6,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -444,6 +445,45 @@ class TestOptionTypes:
         values = (spec.n, spec.m_max, spec.reps, spec.seed, spec.z_max)
         assert values == ((4,), 30, 2000, 0, 3.0)
         assert [type(v) for v in values[1:]] == [int, int, int, float]
+
+
+class TestSpecOptions:
+    """An ExperimentSpec built in Python, as the scripts and the benchmark
+    build theirs, checks its options as a config does.  Before, only the
+    config parser checked them: m_max=0 died in rows_to_csv with an
+    IndexError, m_max=2.5 in run_sntf_pmf with a TypeError, seed=-1 in
+    numpy, z_max=-1.0 in the grid check, and z_max=0.0 and threads=0 ran."""
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("m_max", 0, "m_max: must be positive"),
+            ("m_max", 2.5, "m_max: expected an integer"),
+            ("seed", -1, "seed: must be nonnegative"),
+            ("z_max", -1.0, "z_max: must be positive"),
+            ("z_max", 0.0, "z_max: must be positive"),
+            ("z_max", float("inf"), "z_max: must be finite"),
+            ("threads", 0, "threads: must be positive"),
+            ("reps", True, "reps: expected an integer"),
+        ],
+    )
+    def test_refused_where_made(self, key, value, message):
+        with pytest.raises(ConfigError, match=message):
+            experiments.ExperimentSpec(n=(4,), k=(2,), r=(0.7,), bc=(BC3,), **{key: value})
+
+    def test_replace_checks(self):
+        spec = experiments.parse_config(REFERENCE_DOC)
+        with pytest.raises(ConfigError, match="threads: must be positive"):
+            replace(spec, threads=0)
+
+    def test_refusal_comes_before_bound(self, config_file, capsys):
+        """A bad option exits 2 even beside an option past its bound."""
+        over = experiments.MAX_TABLE_ROWS + 1
+        with pytest.raises(ConfigError, match="seed: must be nonnegative"):
+            experiments.ExperimentSpec(n=(4,), k=(2,), r=(0.7,), bc=(BC3,), m_max=over, seed=-1)
+        doc = dict(REFERENCE_DOC, m_max=over, seed=-1)
+        assert main(["sntf-pmf", "--config", config_file(doc)]) == 2
+        assert "seed: must be nonnegative" in capsys.readouterr().err
 
 
 class TestSingleSystemPresets:

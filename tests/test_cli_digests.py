@@ -1,7 +1,8 @@
 """Every command's stdout, byte for byte, and its exit code, pinned by
 SHA-256 on the reference system, on n=12 k=4 BC3 HE r=0.88 and on both
-sweeps over n = 3..8.  The CLI runs in process; the whole set takes a
-fraction of a second.
+sweeps over n = 3..8; and the tiesets stdout on the benchmark's
+tieset-scan systems and on n=24 k=6 BC3, all at r = 0.8.  The CLI runs in
+process; the whole set takes under a second.
 
 The figure scripts' descriptive tables are the commands' own tables: the
 pmf CSV is ``sntf-pmf --m-max 30`` and the failure-time CSV is ``ttf``
@@ -70,6 +71,21 @@ CASES = [
 ] + [("sweep", SWEEP, command, [command]) for command in ("sweep-msntf", "sweep-scv")]
 
 
+# (n, k, bc) -> SHA-256 of the tiesets stdout at r = 0.8, recorded before
+# the tie-sets were returned as masks
+TIESET_DIGESTS = {
+    (16, 3, "BC2"): "71f1acb982453d416f971658a824435e84d57a2e089e31e851e7a0b93937ac6e",
+    (16, 3, "BC3"): "71f1acb982453d416f971658a824435e84d57a2e089e31e851e7a0b93937ac6e",
+    (16, 5, "BC2"): "4894261502d67748ccb29e56aee58428730b02aced4d9dd8a0d9177b64694c10",
+    (16, 5, "BC3"): "4894261502d67748ccb29e56aee58428730b02aced4d9dd8a0d9177b64694c10",
+    (16, 7, "BC2"): "b9997a38249f9688f239341de9cc8ebd48138d07b791d35b793b8d222020d6ad",
+    (16, 7, "BC3"): "b9997a38249f9688f239341de9cc8ebd48138d07b791d35b793b8d222020d6ad",
+    (18, 4, "BC2"): "56c2eaa30cb953b2305663af57559b1a871ccaed7c084ee080bd752f64bffc88",
+    (18, 4, "BC3"): "1964b324d4991b53419761c8e7b4fb554f2a394d6e05f568401502cc6e24fc34",
+    (24, 6, "BC3"): "f228b258c9b8ac63f79967139b5226b878bf3d300b6ae335b16d1cb997842aef",
+}
+
+
 def run(argv, doc, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
@@ -84,6 +100,13 @@ def run(argv, doc, tmp_path, capsys):
 def test_stdout_pinned(name, doc, label, argv, tmp_path, capsys):
     code, out = run(argv, doc, tmp_path, capsys)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == DIGESTS[name, label]
+
+
+@pytest.mark.parametrize("n,k,bc", TIESET_DIGESTS, ids=[f"n{n}-k{k}-{bc}" for n, k, bc in TIESET_DIGESTS])
+def test_tiesets_pinned(n, k, bc, tmp_path, capsys):
+    doc = {"n": n, "k": k, "r": 0.8, "bc": bc}
+    code, out = run(["tiesets"], doc, tmp_path, capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, TIESET_DIGESTS[n, k, bc])
 
 
 def test_descriptive_tables_are_the_command_tables(tmp_path, capsys, monkeypatch):

@@ -69,7 +69,7 @@ def test_closure_equals_tieset_table():
     for n, k, bc in CLOSURE_CASES:
         expected = _outcome(lambda: scan_min_tiesets(n, k, bc))
         got = _outcome(lambda: nonfailed_closure(n, k, bc))
-        minimal = _outcome(lambda: enumerate_min_tiesets(n, k, bc).masks)
+        minimal = _outcome(lambda: tuple(enumerate_min_tiesets(n, k, bc).tolist()))
         if isinstance(expected, type):
             same = got is expected and minimal is expected
         else:
@@ -95,7 +95,7 @@ def test_plane_route_equals_or_closure(n):
             got = [
                 _outcome(lambda: nonfailed_closure(n, k, bc)),
                 _outcome(lambda: count_profile(n, k, bc)),
-                _outcome(lambda: enumerate_min_tiesets(n, k, bc).masks),
+                _outcome(lambda: tuple(enumerate_min_tiesets(n, k, bc).tolist())),
             ]
             if isinstance(expected, type):
                 same = got == [expected] * 3

@@ -17,33 +17,44 @@ from ckngb.tiesets import (
     enumerate_min_tiesets,
     system_reliability_exact,
     system_reliability_product,
+    tieset_members,
 )
 from oracles import bit_matrix_table, is_nonfailed, scan_min_tiesets, structure_function, tieset_table
 
 BC1, BC2, BC3 = BalanceCondition.BC1, BalanceCondition.BC2, BalanceCondition.BC3
 
 
-def members(collection):
-    return [t.members for t in collection.tiesets]
+def members(masks, n):
+    return [SystemState(m, n).operating_units() for m in masks.tolist()]
 
 
 class TestEnumeration:
     def test_square_k2(self):
-        assert members(enumerate_min_tiesets(4, 2, BC3)) == [(1, 3), (2, 4)]
+        assert members(enumerate_min_tiesets(4, 2, BC3), 4) == [(1, 3), (2, 4)]
 
     def test_two_units(self):
-        assert members(enumerate_min_tiesets(2, 2, BC3)) == [(1, 2)]
+        assert members(enumerate_min_tiesets(2, 2, BC3), 2) == [(1, 2)]
 
     def test_k_equals_n(self):
-        assert members(enumerate_min_tiesets(4, 4, BC3)) == [(1, 2, 3, 4)]
+        assert members(enumerate_min_tiesets(4, 4, BC3), 4) == [(1, 2, 3, 4)]
+
+    def test_masks_are_an_int64_array(self):
+        masks = enumerate_min_tiesets(6, 3, BC3)
+        assert isinstance(masks, np.ndarray) and masks.dtype == np.int64
 
     def test_deterministic_order(self):
-        collection = enumerate_min_tiesets(6, 3, BC3)
-        sizes = [t.size for t in collection.tiesets]
+        ties = members(enumerate_min_tiesets(6, 3, BC3), 6)
+        sizes = [len(t) for t in ties]
         assert sizes == sorted(sizes)
-        for a, b in zip(collection.tiesets, collection.tiesets[1:]):
-            if a.size == b.size:
-                assert a.members < b.members
+        for a, b in zip(ties, ties[1:]):
+            if len(a) == len(b):
+                assert a < b
+
+    @pytest.mark.parametrize("n,k,bc", [(4, 2, BC3), (6, 3, BC3), (9, 3, BC2), (12, 4, BC1)])
+    def test_printed_members(self, n, k, bc):
+        masks = enumerate_min_tiesets(n, k, bc)
+        expected = [",".join(map(str, units)) for units in members(masks, n)]
+        assert tieset_members(masks, n) == expected
 
     def test_no_tiesets_raised(self, monkeypatch, fresh_caches):
         def none_balanced(n, bc):
@@ -74,32 +85,30 @@ def test_completeness_against_pairwise_oracle(n, bc):
     if bc is BC1 and n % 2:
         return
     for k in range(2, n + 1):
-        collection = enumerate_min_tiesets(n, k, bc)
-        assert [t.mask(n) for t in collection.tiesets] == _oracle_min_tiesets(n, k, bc)
+        assert enumerate_min_tiesets(n, k, bc).tolist() == _oracle_min_tiesets(n, k, bc)
 
 
 @pytest.mark.parametrize("n,k,bc", [(6, 3, BC3), (8, 2, BC3), (8, 3, BC1), (9, 3, BC2), (10, 4, BC3)])
 def test_minimality(n, k, bc):
-    collection = enumerate_min_tiesets(n, k, bc)
-    for tie in collection.tiesets:
-        for drop in tie.members:
-            rest = tuple(i for i in tie.members if i != drop)
+    for tie in members(enumerate_min_tiesets(n, k, bc), n):
+        for drop in tie:
+            rest = tuple(i for i in tie if i != drop)
             smaller = SystemState.from_units(rest, n)
             assert len(rest) < k or not is_balanced(smaller, bc)
 
 
 class TestNonfailed:
     def test_table_rows(self):
-        collection = enumerate_min_tiesets(4, 2, BC3)
-        assert is_nonfailed(SystemState.from_bits((1, 1, 1, 0)), collection)
-        assert not is_nonfailed(SystemState.from_bits((1, 1, 0, 0)), collection)
-        assert not is_nonfailed(SystemState(0, 4), collection)
+        masks = enumerate_min_tiesets(4, 2, BC3)
+        assert is_nonfailed(SystemState.from_bits((1, 1, 1, 0)), masks)
+        assert not is_nonfailed(SystemState.from_bits((1, 1, 0, 0)), masks)
+        assert not is_nonfailed(SystemState(0, 4), masks)
 
     def test_structure_function_rows(self):
-        collection = enumerate_min_tiesets(4, 2, BC3)
-        assert structure_function(SystemState.from_bits((1, 0, 1, 0)), collection) == 1
-        assert structure_function(SystemState.from_bits((1, 0, 0, 1)), collection) == 0
-        assert structure_function(SystemState.from_bits((1, 1, 1, 1)), collection) == 1
+        masks = enumerate_min_tiesets(4, 2, BC3)
+        assert structure_function(SystemState.from_bits((1, 0, 1, 0)), masks) == 1
+        assert structure_function(SystemState.from_bits((1, 0, 0, 1)), masks) == 0
+        assert structure_function(SystemState.from_bits((1, 1, 1, 1)), masks) == 1
 
     @pytest.mark.parametrize("bc", [BC1, BC2, BC3])
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 9])
@@ -107,29 +116,29 @@ class TestNonfailed:
         if bc is BC1 and n % 2:
             return
         for k in (2, max(2, n // 2), n):
-            collection = enumerate_min_tiesets(n, k, bc)
-            table = tieset_table(collection.masks, n)
+            masks = enumerate_min_tiesets(n, k, bc)
+            table = tieset_table(masks, n)
             for mask in range(1 << n):
                 s = SystemState(mask, n)
-                observed = structure_function(s, collection)
-                assert observed == int(is_nonfailed(s, collection)) == int(table[mask])
+                observed = structure_function(s, masks)
+                assert observed == int(is_nonfailed(s, masks)) == int(table[mask])
 
 
 @given(st.integers(2, 10), st.data())
 def test_monotone_structure(n, data):
     k = data.draw(st.integers(2, n))
-    collection = enumerate_min_tiesets(n, k, BC3)
+    masks = enumerate_min_tiesets(n, k, BC3)
     inner = data.draw(st.integers(0, (1 << n) - 1))
     extra = data.draw(st.integers(0, (1 << n) - 1))
     outer = inner | extra
-    if is_nonfailed(SystemState(inner, n), collection):
-        assert is_nonfailed(SystemState(outer, n), collection)
+    if is_nonfailed(SystemState(inner, n), masks):
+        assert is_nonfailed(SystemState(outer, n), masks)
 
 
 class TestReliability:
     def test_product_form_examples(self):
-        collection = enumerate_min_tiesets(4, 2, BC3)
-        assert system_reliability_product(collection, 0.7) == pytest.approx(
+        masks = enumerate_min_tiesets(4, 2, BC3)
+        assert system_reliability_product(masks, 0.7) == pytest.approx(
             1.0 - (1.0 - 0.49) ** 2, abs=1e-15
         )
         pair = enumerate_min_tiesets(2, 2, BC3)
@@ -137,18 +146,15 @@ class TestReliability:
         assert system_reliability_product(pair, 0.1) < system_reliability_product(pair, 0.9)
 
     def test_exact_enumeration_examples(self):
-        collection = enumerate_min_tiesets(4, 2, BC3)
-        assert system_reliability_exact(collection, 0.7) == pytest.approx(0.7399, abs=1e-12)
-        pair = enumerate_min_tiesets(2, 2, BC3)
-        assert system_reliability_exact(pair, 0.5) == pytest.approx(0.25)
-        assert system_reliability_exact(collection, 1.0 - 1e-12) == pytest.approx(1.0)
+        assert system_reliability_exact(4, 2, BC3, 0.7) == pytest.approx(0.7399, abs=1e-12)
+        assert system_reliability_exact(2, 2, BC3, 0.5) == pytest.approx(0.25)
+        assert system_reliability_exact(4, 2, BC3, 1.0 - 1e-12) == pytest.approx(1.0)
 
     def test_exact_equals_one_shock_survival(self):
         # independent route through the consolidated chain
         for n, k, r in [(4, 2, 0.7), (6, 3, 0.6), (8, 4, 0.85)]:
-            collection = enumerate_min_tiesets(n, k, BC3)
             config = SystemConfig(n, k, r, BC3)
-            assert system_reliability_exact(collection, r) == pytest.approx(
+            assert system_reliability_exact(n, k, BC3, r) == pytest.approx(
                 pmf_survival_series(sntf_distribution(config), 1)[1][0], abs=1e-12
             )
 
@@ -158,17 +164,15 @@ class TestReliability:
         # every state that contains a tie-set of the subset scan
         pops = np.bitwise_count(np.arange(1 << n))
         table = tieset_table(scan_min_tiesets(n, k, bc), n)
-        collection = enumerate_min_tiesets(n, k, bc)
         for r in (0.3, 0.7, 0.95):
             enumerated = (r**pops * (1.0 - r) ** (n - pops))[table].sum()
-            assert system_reliability_exact(collection, r) == pytest.approx(enumerated, rel=1e-14)
+            assert system_reliability_exact(n, k, bc, r) == pytest.approx(enumerated, rel=1e-14)
 
     def test_overlapping_tiesets_break_product_form(self):
         # size-4 and size-3 tie-sets share units here, so the independence
         # shortcut deviates from the exact expectation
-        collection = enumerate_min_tiesets(6, 3, BC3)
-        exact = system_reliability_exact(collection, 0.7)
-        product = system_reliability_product(collection, 0.7)
+        exact = system_reliability_exact(6, 3, BC3, 0.7)
+        product = system_reliability_product(enumerate_min_tiesets(6, 3, BC3), 0.7)
         assert abs(exact - product) > 1e-3
 
 
@@ -193,12 +197,12 @@ class TestStructureLayerFootprint:
         # tie-set lookup.
         tracemalloc.start()
         try:
-            collection = enumerate_min_tiesets(24, 6, BC3)
-            system_reliability_exact(collection, 0.8)
+            masks = enumerate_min_tiesets(24, 6, BC3)
+            system_reliability_exact(24, 6, BC3, 0.8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(collection) > 0
+        assert len(masks) > 0
         assert peak <= 0.75 * (1 << 24)
 
     def test_tiesets_load_no_masked_arrays(self):

@@ -7,7 +7,6 @@ from .chain import (
     build_consolidated,
     build_count_chain,
     build_state_chain,
-    mstep_prob,
 )
 from .errors import (
     CapacityExceeded,
@@ -30,16 +29,7 @@ from .sntf import (
     sntf_distribution,
     survival_direct,
 )
-from .system import (
-    BalanceCondition,
-    SystemConfig,
-    SystemState,
-    is_balanced,
-    is_balanced_bc1,
-    is_balanced_bc2,
-    is_balanced_bc3,
-    unit_angle,
-)
+from .system import BalanceCondition, SystemConfig
 from .tiesets import (
     count_profile,
     enumerate_min_tiesets,

@@ -24,7 +24,11 @@ w = e on the state chain.  A shock never adds an operating unit, so P is
 block upper triangular over layers of equal operating count:
 ``layered_solve`` back-substitutes one layer at a time on either chain,
 or on a stack of count chains of one size, which is how a sweep solves
-its grid.
+its grid.  q is the system's survival signature (Coolen &
+Coolen-Maturi, Complex Systems and Dependability, 2012), and the count
+chain is the signature representation of the lifetime (Samaniego,
+System Signatures and their Applications in Engineering Reliability,
+2007).
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import CapacityExceeded, InvariantViolation
-from .system import MAX_UNITS, BalanceCondition, SystemState
+from .system import MAX_UNITS, BalanceCondition
 from .tiesets import count_profile, nonfailed_closure
 
 # The chain dump writes about 2 N^2 bytes, nearly all "0,": 15 000 states
@@ -49,31 +53,15 @@ MAX_CHAIN_STATES = 15_000
 
 # The state chain holds a few float64 vectors over all 2**n masks (32 MB
 # each at n = 22), and its layered solves take one transform per layer,
-# O(n^2 2^n): `validate` at n = 22 takes about 40 s, n = 24 would take
-# minutes.
+# O(n^2 2^n): at n = 22, k = 2, BC2 (r = 0.8) `validate` took 19 s and
+# 417 MB and `sntf-pmf --matrix` 16.6 s as whole processes on a 2-vCPU
+# VM; n = 24 would take minutes.
 MAX_STATE_UNITS = 22
 
 # Units that the state chain's butterfly passes on the transposed array.
 _LOW_UNITS = 5
 
 _Rows = Iterator[tuple[np.ndarray, np.ndarray]]  # blocks of (transition, absorb) rows
-
-
-def mstep_prob(xa: SystemState, xb: SystemState, m: int, r: float) -> float:
-    """m-step transition probability (r^m)^c1 (1-r^m)^c2, with c1, c2 and
-    c3 the units operating in both states, in xa only and in xb only; zero
-    if a failed unit would have to revive (c3 > 0)."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if xa.n != xb.n:
-        raise ValueError("states must share the unit count")
-    c1 = (xa.mask & xb.mask).bit_count()
-    c2 = (xa.mask & ~xb.mask).bit_count()
-    c3 = (~xa.mask & xb.mask).bit_count()
-    if c3 > 0:
-        return 0.0
-    rm = r**m
-    return rm**c1 * (1.0 - rm) ** c2
 
 
 def _nonfailed_masks(n: int, k: int, bc: BalanceCondition) -> np.ndarray:

@@ -359,7 +359,7 @@ def run_sntf_moments(spec: ExperimentSpec) -> list[dict]:
             "bc": config.bc.value,
             "msntf": mean,
             "second_moment": second,
-            "variance": second - mean**2,
+            "variance": sntf.variance(chain),
         }
     ]
 
@@ -375,7 +375,7 @@ def run_ttf(spec: ExperimentSpec) -> tuple[list[dict], dict]:
         {"z": z, "pdf": d, "survival": s}
         for z, d, s in zip(zs.tolist(), dens.tolist(), surv.tolist())
     ]
-    moments = sntf.mean_closed(chain), sntf.factorial_moment(chain, 2)
+    moments = sntf.mean_closed(chain), sntf.variance(chain)
     return rows, ttf.failure_time_summary(*moments, *ttf.ph_mean_scv(Y))
 
 
@@ -410,7 +410,7 @@ def run_sweep_scv(spec: ExperimentSpec) -> list[dict]:
     laws = {preset: ttf.ph_mean_scv(ttf.ph_from_preset(preset)) for preset in spec.presets}
     for systems, stack in _count_stacks(spec):
         # every preset on the shock-count moments of the same stack of chains
-        moments = sntf.mean_closed(stack), sntf.factorial_moment(stack, 2)
+        moments = sntf.mean_closed(stack), sntf.variance(stack)
         for preset, law in laws.items():
             summary = ttf.failure_time_summary(*moments, *law)
             for (bc, n, k, r), *values in zip(systems, *(summary[c].tolist() for c in columns)):

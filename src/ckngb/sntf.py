@@ -136,6 +136,19 @@ def factorial_moment(chain: StateChain | CountChain, p: int) -> float | np.ndarr
     return moment if moment.ndim else float(moment)
 
 
+def variance(chain: StateChain | CountChain) -> float | np.ndarray:
+    """Var[M] from the moments of D = M - 1: with E[D] = e_0 P (I - P)^(-1) w
+    and E[D(D-1)] = 2 e_0 P^2 (I - P)^(-2) w, each a sum of nonnegative
+    products, Var[M] = E[D(D-1)] + E[D] (1 - E[D]).  E[M^2] - E[M]^2
+    cancels where E[M] is close to 1.  A float, or an array of one variance
+    per member of a stack of count chains."""
+    shifted = _solve(chain, chain.apply(chain.weights))
+    second = _solve(chain, chain.apply(shifted))
+    mean_d = shifted[..., 0]
+    var = 2.0 * second[..., 0] + mean_d * (1.0 - mean_d)
+    return var if var.ndim else float(var)
+
+
 def raw_moment_series(config: SystemConfig, p: int) -> float:
     """E[M^p] by truncated summation of the direct pmf.
 

@@ -1,8 +1,10 @@
-"""System states on the circular layout and the three balance conditions.
+"""Operating sets on the circular layout and the three balance conditions.
 
 Units are equispaced on a circle, numbered counterclockwise with unit 1
-at angle zero.  A state records which units still operate.  The balance
-predicates decide whether an operating set keeps the layout balanced:
+at angle zero.  An operating set is an n-bit mask: unit i is bit n - i,
+so unit 1 is the most significant bit and ``format(mask, f"0{n}b")``
+lists the units left to right.  ``balanced_masks`` lists the nonzero
+masks that keep the layout balanced under each condition:
 
 * BC1 - a pair of perpendicular symmetry axes exists,
 * BC2 - the operating set has a nontrivial rotational symmetry,
@@ -11,11 +13,10 @@ predicates decide whether an operating set keeps the layout balanced:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,134 +45,6 @@ class BalanceCondition(Enum):
             return cls(str(value).upper())
         except ValueError:
             raise ConfigError(f"bc: unknown balance condition {value!r}") from None
-
-
-@dataclass(frozen=True)
-class SystemState:
-    """Operating pattern of the n units, packed into a bitmask.
-
-    Unit i (1-based) occupies bit n - i, so unit 1 is the most significant
-    bit.  The canonical state index is ``2**n - mask``: the all-ones state
-    has index 1 and the all-zeros state index 2**n, and descending masks
-    enumerate states in ascending index order.
-    """
-
-    mask: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_UNITS:
-            raise ConfigError(f"n: must satisfy 1 <= n <= {MAX_UNITS}, got {self.n}")
-        if not 0 <= self.mask < (1 << self.n):
-            raise ConfigError(f"mask: out of range for n={self.n}")
-
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "SystemState":
-        n = len(bits)
-        mask = 0
-        for b in bits:
-            mask = (mask << 1) | (1 if b else 0)
-        return cls(mask, n)
-
-    @classmethod
-    def from_units(cls, units: Iterable[int], n: int) -> "SystemState":
-        mask = 0
-        for i in units:
-            if not 1 <= i <= n:
-                raise ConfigError(f"unit index {i} out of range 1..{n}")
-            mask |= 1 << (n - i)
-        return cls(mask, n)
-
-    @classmethod
-    def full(cls, n: int) -> "SystemState":
-        return cls((1 << n) - 1, n)
-
-    @property
-    def index(self) -> int:
-        return (1 << self.n) - self.mask
-
-    def bit(self, i: int) -> int:
-        """Status of unit i (1-based): 1 operating, 0 failed."""
-        return (self.mask >> (self.n - i)) & 1
-
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.mask >> (self.n - i)) & 1 for i in range(1, self.n + 1))
-
-    def operating_units(self) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.n + 1) if self.bit(i))
-
-    def __str__(self) -> str:  # "1010"-style, unit 1 leftmost
-        return format(self.mask, f"0{self.n}b")
-
-
-def unit_angle(i: int, n: int) -> float:
-    """Angular position of unit i on the n-unit circle; unit 1 sits at 0."""
-    if not 1 <= i <= n:
-        raise ConfigError(f"unit index {i} out of range 1..{n}")
-    return 2.0 * math.pi * (i - 1) / n
-
-
-def is_balanced_bc3(state: SystemState) -> bool:
-    """Center of gravity of the operating units lies at the origin."""
-    if state.mask == 0:
-        return False
-    sx = 0.0
-    sy = 0.0
-    for i in state.operating_units():
-        theta = unit_angle(i, state.n)
-        sx += math.cos(theta)
-        sy += math.sin(theta)
-    return math.hypot(sx, sy) <= BC3_TOLERANCE_PER_UNIT * state.n
-
-
-def _reflection_invariant(positions: frozenset[int], axis: int, n: int) -> bool:
-    # Reflection across the axis at angle pi*axis/n maps position p to axis - p.
-    return all((axis - p) % n in positions for p in positions)
-
-
-def is_balanced_bc1(state: SystemState) -> bool:
-    """A pair of perpendicular symmetry axes of the operating set exists.
-
-    Candidate axes are the n dihedral axes of the regular n-gon (angles
-    pi*j/n); a perpendicular pair among them exists only for even n.
-    """
-    n = state.n
-    if n % 2 != 0:
-        raise OddNUnsupported(f"BC1 needs an even unit count, got n={n}")
-    if state.mask == 0:
-        return False
-    positions = frozenset(n - 1 - b for b in range(n) if (state.mask >> b) & 1)
-    half = n // 2
-    for j in range(half):
-        if _reflection_invariant(positions, j, n) and _reflection_invariant(
-            positions, j + half, n
-        ):
-            return True
-    return False
-
-
-def is_balanced_bc2(state: SystemState) -> bool:
-    """The operating set is invariant under some nontrivial rotation."""
-    n = state.n
-    if state.mask == 0:
-        return False
-    full = (1 << n) - 1
-    for s in range(1, n):
-        rotated = ((state.mask >> s) | (state.mask << (n - s))) & full
-        if rotated == state.mask:
-            return True
-    return False
-
-
-_PREDICATES = {
-    BalanceCondition.BC1: is_balanced_bc1,
-    BalanceCondition.BC2: is_balanced_bc2,
-    BalanceCondition.BC3: is_balanced_bc3,
-}
-
-
-def is_balanced(state: SystemState, bc: BalanceCondition) -> bool:
-    return _PREDICATES[bc](state)
 
 
 # Up to this many units BC3 tests all 2**n centroid sums at once (64 KB at
@@ -206,8 +79,7 @@ def _prime_factors(n: int) -> list[int]:
 
 @lru_cache(maxsize=64)  # tiesets re-reads it, for the plane and the tie-set scan
 def balanced_masks(n: int, bc: BalanceCondition) -> np.ndarray:
-    """Vectorized twin of the scalar predicates: the nonzero balanced
-    masks, as a sorted int64 array.
+    """The nonzero masks balanced under bc, as a sorted int64 array.
 
     BC3 adds the centroid sums of the low and the high bits of each mask;
     BC1 and BC2 list their balanced masks from the repeated words they

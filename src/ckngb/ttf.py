@@ -337,14 +337,13 @@ def failure_time_moments(chain: StateChain | CountChain, Y: ContinuousPhaseType,
 
 
 def failure_time_summary(
-    mean_m: float | np.ndarray, fm2: float | np.ndarray, mean_y: float, scv_y: float
+    mean_m: float | np.ndarray, var_m: float | np.ndarray, mean_y: float, scv_y: float
 ) -> dict:
     """MTTF and SCV of the failure time Z = Y_1 + ... + Y_M, a random sum,
-    from E[M], E[M(M-1)], E[Y] and SCV[Y]: E[Z] = E[M] E[Y] and
+    from E[M], Var[M], E[Y] and SCV[Y]: E[Z] = E[M] E[Y] and
     SCV[Z] = SCV[Y] / E[M] + Var[M] / E[M]^2.  Floats, or arrays over a
     stack of chains.  mttf_wald is the same E[M] E[Y], and ``validate``
     does not read it: it checks Wald's identity by comparing the compound
     law's own E[Z] (``raw_moment``) with E[M] E[Y]."""
     mttf = mean_m * mean_y
-    var_m = fm2 + mean_m - mean_m * mean_m
     return {"mttf": mttf, "mttf_wald": mttf, "scv": scv_y / mean_m + var_m / (mean_m * mean_m)}

@@ -6,7 +6,7 @@ bit-packed closure plane, and the tie-sets off the balanced masks;
 table alone.  ``or_closure`` builds the nonfailed set of one k by an OR
 pass per unit, and ``closure_profile`` and ``minimal_masks`` read its
 count profile and its minimal elements off it, one pass over the masks
-per unit.  ``is_nonfailed`` tests one state against an array of
+per unit.  ``is_nonfailed`` tests one mask against an array of
 tie-set masks and ``structure_function`` evaluates the paper's
 structure function 1 - prod_T (1 - prod_{i in T} x_i) on it.
 ``bit_matrix_table`` builds the balance table itself from the 2**n x n
@@ -129,18 +129,17 @@ def minimal_masks(table, n):
     return tuple(int(m) for m in masks[np.argsort(np.bitwise_count(masks), kind="stable")])
 
 
-def is_nonfailed(state, masks):
+def is_nonfailed(mask, masks):
     """True when the operating set contains at least one of the tie-set
     masks."""
-    return any((state.mask & t) == t for t in masks.tolist())
+    return any((mask & t) == t for t in masks.tolist())
 
 
-def structure_function(state, masks):
+def structure_function(mask, n, masks):
     """1 - prod_T (1 - prod_{i in T} x_i) over the tie-set masks, evaluated
     in exact integers; unit i of a mask is its bit n - i."""
-    n = state.n
     prod = 1
-    bits = state.bits()
+    bits = [(mask >> (n - i)) & 1 for i in range(1, n + 1)]
     for t in masks.tolist():
         inner = 1
         for i in range(1, n + 1):

@@ -17,11 +17,10 @@ from ckngb.chain import (
     check_up_set,
     kron_apply,
     kron_step,
-    mstep_prob,
     state_chain,
 )
 from ckngb.errors import CapacityExceeded, InvariantViolation
-from ckngb.system import BalanceCondition, SystemState
+from ckngb.system import BalanceCondition
 from ckngb.tiesets import count_profile, nonfailed_closure
 from goldens import CONSOLIDATED_ABSORB, CONSOLIDATED_P, TABLE_STATES
 from oracles import dense_transition, full_matrix, full_transition_matrix
@@ -29,13 +28,19 @@ from oracles import dense_transition, full_matrix, full_transition_matrix
 BC1, BC2, BC3 = BalanceCondition.BC1, BalanceCondition.BC2, BalanceCondition.BC3
 
 
-def state(*bits):
-    return SystemState.from_bits(bits)
+def index(mask, n):
+    """Row of the mask in full_transition_matrix: canonical order, the
+    all-ones state first."""
+    return (1 << n) - 1 - mask
 
 
-def nonfailed_states(n, k, bc):
+def nonfailed_masks(n, k, bc):
     masks, _ = build_consolidated(n, k, bc, 0.5)
-    return [SystemState(mask, n) for mask in masks.tolist()]
+    return masks.tolist()
+
+
+def labels(masks, n):
+    return [format(mask, f"0{n}b") for mask in masks]
 
 
 def dump(n, k, bc, r):
@@ -46,32 +51,31 @@ def dump(n, k, bc, r):
 
 class TestNonfailedStates:
     def test_reference_listing(self):
-        states = nonfailed_states(4, 2, BC3)
-        assert [str(s) for s in states] == TABLE_STATES
+        assert labels(nonfailed_masks(4, 2, BC3), 4) == TABLE_STATES
 
     def test_single_state_systems(self):
-        assert [str(s) for s in nonfailed_states(2, 2, BC3)] == ["11"]
-        assert [str(s) for s in nonfailed_states(4, 4, BC3)] == ["1111"]
+        assert labels(nonfailed_masks(2, 2, BC3), 2) == ["11"]
+        assert labels(nonfailed_masks(4, 4, BC3), 4) == ["1111"]
 
     def test_ascending_index(self):
-        states = nonfailed_states(6, 2, BC3)
-        indices = [s.index for s in states]
+        masks = nonfailed_masks(6, 2, BC3)
+        indices = [index(mask, 6) for mask in masks]
         assert indices == sorted(indices)
-        assert states[0].mask == 0b111111
+        assert masks[0] == 0b111111
 
 
 class TestOneStepProb:
     def test_self_transition_of_full_state(self):
-        full = state(1, 1, 1, 1)
-        assert mstep_prob(full, full, 1, 0.7) == pytest.approx(0.2401, abs=1e-15)
+        full = full_transition_matrix(4, 0.7)
+        assert full[index(0b1111, 4), index(0b1111, 4)] == pytest.approx(0.2401, abs=1e-15)
 
     def test_two_failures(self):
-        assert mstep_prob(state(1, 1, 1, 1), state(1, 0, 1, 0), 1, 0.7) == pytest.approx(
-            0.0441, abs=1e-15
-        )
+        full = full_transition_matrix(4, 0.7)
+        assert full[index(0b1111, 4), index(0b1010, 4)] == pytest.approx(0.0441, abs=1e-15)
 
     def test_revival_impossible(self):
-        assert mstep_prob(state(1, 0, 1, 0), state(1, 1, 1, 1), 1, 0.7) == 0.0
+        full = full_transition_matrix(4, 0.7)
+        assert full[index(0b1010, 4), index(0b1111, 4)] == 0.0
 
 
 class TestConsolidated:
@@ -164,59 +168,38 @@ class TestConsolidated:
 
 
 class TestMStep:
-    def test_one_step_matches_full_matrix(self):
-        full = full_transition_matrix(4, 0.7)
-        for mask_a in range(16):
-            for mask_b in range(16):
-                a, b = SystemState(mask_a, 4), SystemState(mask_b, 4)
-                assert mstep_prob(a, b, 1, 0.7) == pytest.approx(
-                    full[a.index - 1, b.index - 1], abs=1e-15
-                )
+    """The paper's m-step transition probability (r^m)^c1 (1 - r^m)^c2: m
+    shocks at unit reliability r act as one shock at r^m, since a unit
+    survives m shocks with probability r^m."""
 
-    def test_rejects_mismatched_unit_counts(self):
-        with pytest.raises(ValueError):
-            mstep_prob(SystemState(3, 2), SystemState(3, 3), 1, 0.7)
-
-    def test_dead_units_stay_dead(self):
-        assert mstep_prob(state(1, 0, 1, 0), state(1, 1, 1, 0), 5, 0.7) == 0.0
-
-    def test_two_step_example(self):
-        # equals the explicit 2-step product on the full 16-state chain
-        value = mstep_prob(state(1, 1, 1, 1), state(1, 0, 1, 0), 2, 0.7)
-        assert value == pytest.approx(0.06245001, abs=1e-12)
-        full = full_transition_matrix(4, 0.7)
-        two_step = full @ full
-        a = state(1, 1, 1, 1).index - 1
-        b = state(1, 0, 1, 0).index - 1
-        assert value == pytest.approx(two_step[a, b], abs=1e-12)
-
-    @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("r", [0.3, 0.7])
-    def test_equals_full_chain_powers(self, n, r):
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_m_shocks_equal_one_shock_at_r_to_the_m(self, n, r):
         full = full_transition_matrix(n, r)
         power = np.eye(1 << n)
-        states = [SystemState((1 << n) - 1 - idx, n) for idx in range(1 << n)]
         for m in range(1, 7):
             power = power @ full
-            direct = np.array(
-                [[mstep_prob(a, b, m, r) for b in states] for a in states]
-            )
-            assert np.abs(direct - power).max() < 1e-12
+            # worst measured gap 1.0e-15, at n = 6
+            assert np.abs(power - full_transition_matrix(n, r**m)).max() <= 4e-15
+
+    def test_two_step_example(self):
+        a, b = index(0b1111, 4), index(0b1010, 4)
+        full = full_transition_matrix(4, 0.7)
+        assert (full @ full)[a, b] == pytest.approx(0.06245001, abs=1e-12)
+        assert full_transition_matrix(4, 0.7**2)[a, b] == pytest.approx(0.06245001, abs=1e-12)
 
     @pytest.mark.parametrize("r", [0.3, 0.7])
-    @pytest.mark.parametrize("n", [6, 8])
-    def test_equals_full_chain_powers_sampled(self, n, r):
-        full = full_transition_matrix(n, r)
-        rng = np.random.default_rng(11)
-        idx = rng.integers(0, 1 << n, size=(300, 2))
-        for m in (2, 5, 6):
-            power = np.linalg.matrix_power(full, m)
-            for ia, ib in idx:
-                a = SystemState((1 << n) - 1 - ia, n)
-                b = SystemState((1 << n) - 1 - ib, n)
-                assert mstep_prob(a, b, m, r) == pytest.approx(
-                    power[ia, ib], abs=1e-12
-                )
+    @pytest.mark.parametrize("n,k,bc", [(4, 2, BC3), (6, 3, BC2), (6, 2, BC1), (7, 3, BC3)])
+    def test_consolidated_chain_powers(self, n, k, bc, r):
+        # A shock never leads from a failed state back to a nonfailed one
+        # (the nonfailed set is an up-set), so the m-th power of the
+        # nonfailed block is the nonfailed block of the m-th power
+        P = full_matrix(n, k, bc, r)[:-1, :-1]
+        power = np.eye(P.shape[0])
+        for m in range(1, 7):
+            power = power @ P
+            # worst measured gap 1.4e-17
+            assert np.abs(power - full_matrix(n, k, bc, r**m)[:-1, :-1]).max() <= 4e-15
 
 
 class TestFullChain:
@@ -293,7 +276,7 @@ class TestConsolidationFidelity:
     def test_absorption_matches_full_chain(self, n, k, bc, r):
         transition = full_matrix(n, k, bc, r)[:-1, :-1]
         full = full_transition_matrix(n, r)
-        nonfailed_idx = [s.index - 1 for s in nonfailed_states(n, k, bc)]
+        nonfailed_idx = [index(mask, n) for mask in nonfailed_masks(n, k, bc)]
         v_full = np.zeros(1 << n)
         v_full[nonfailed_idx[0]] = 1.0
         v_cons = np.zeros(transition.shape[0])
@@ -314,9 +297,9 @@ def test_chain_csv_layout():
 
 
 def per_entry_dump(n, k, bc, r):
-    labels = [str(s) for s in nonfailed_states(n, k, bc)] + ["absorbed"]
-    expected = ["state," + ",".join(labels)]
-    for label, row in zip(labels, full_matrix(n, k, bc, r)):
+    rows = labels(nonfailed_masks(n, k, bc), n) + ["absorbed"]
+    expected = ["state," + ",".join(rows)]
+    for label, row in zip(rows, full_matrix(n, k, bc, r)):
         expected.append(label + "," + ",".join(f"{v:.12g}" for v in row))
     return "\n".join(expected) + "\n"
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ckngb.errors import NoTieSets
+from ckngb.experiments import parse_config, run_sntf_moments
 from ckngb.sntf import (
     count_distribution,
     factorial_moment,
@@ -167,6 +169,43 @@ def test_closed_moments_match_exact_arithmetic_as_r_nears_one(r, bound):
     for chain in (count_distribution(config), sntf_distribution(config)):
         assert abs(Fraction(mean_closed(chain)) - mean) <= Fraction(bound) * mean
         assert abs(Fraction(factorial_moment(chain, 2)) - fm2) <= Fraction(bound) * fm2
+
+
+# Worst relative error of the printed variance over the grid below, and
+# the bound, about twice that.  E[M^2] - E[M]^2 lost every digit at
+# r <= 0.01 (relative error 1), 0.09 at r = 0.05 and 1.2e-8 at r = 0.2.
+VARIANCE_BOUNDS = {
+    1e-6: 1e-15,  # 4.7e-16
+    1e-3: 1e-15,  # 4.5e-16
+    0.01: 1e-15,  # 3.4e-16
+    0.05: 1.2e-15,  # 5.1e-16
+    0.2: 1.2e-15,  # 5.8e-16
+    0.5: 1e-15,  # 2.9e-16
+    0.9: 2e-15,  # 9.6e-16
+    0.99: 1e-14,  # 5.1e-15
+    0.9999: 1e-12,  # 4.9e-13, the cancellation of 1 - r^s in the solve
+}
+
+
+@pytest.mark.parametrize("r,bound", VARIANCE_BOUNDS.items())
+def test_sntf_moments_variance_matches_exact_arithmetic(r, bound):
+    """``sntf-moments``' variance against Var[M] = E[M(M-1)] + E[M] - E[M]^2
+    in rational arithmetic, for n = 4..12 even, every k and balance
+    condition (105 systems)."""
+    systems = 0
+    for n in range(4, 13, 2):
+        for k in range(2, n + 1):
+            for bc in BalanceCondition:
+                spec = parse_config({"n": n, "k": k, "r": r, "bc": bc.value})
+                try:
+                    (row,) = run_sntf_moments(spec)
+                except NoTieSets:
+                    continue
+                mean, fm2 = exact_count_moments(n, k, bc, r)
+                exact = fm2 + mean - mean * mean
+                assert abs(Fraction(row["variance"]) - exact) <= Fraction(bound) * exact, (n, k, bc)
+                systems += 1
+    assert systems == 105
 
 
 def test_series_moments_match_exact_arithmetic_near_one():

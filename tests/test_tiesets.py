@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import ckngb.tiesets as tiesets_mod
 from ckngb.errors import NoTieSets
 from ckngb.sntf import pmf_survival_series, sntf_distribution
-from ckngb.system import BalanceCondition, SystemConfig, SystemState, is_balanced
+from ckngb.system import BalanceCondition, SystemConfig
 from ckngb.tiesets import (
     enumerate_min_tiesets,
     system_reliability_exact,
@@ -24,8 +24,13 @@ from oracles import bit_matrix_table, is_nonfailed, scan_min_tiesets, structure_
 BC1, BC2, BC3 = BalanceCondition.BC1, BalanceCondition.BC2, BalanceCondition.BC3
 
 
+def units(mask, n):
+    """The units of a mask, ascending: unit i is bit n - i."""
+    return tuple(i for i in range(1, n + 1) if mask >> (n - i) & 1)
+
+
 def members(masks, n):
-    return [SystemState(m, n).operating_units() for m in masks.tolist()]
+    return [units(m, n) for m in masks.tolist()]
 
 
 class TestEnumeration:
@@ -76,7 +81,7 @@ def _oracle_min_tiesets(n, k, bc):
         for m in candidates
         if not any(other != m and (m & other) == other for other in candidates)
     ]
-    return sorted(minimal, key=lambda m: (m.bit_count(), SystemState(m, n).operating_units()))
+    return sorted(minimal, key=lambda m: (m.bit_count(), units(m, n)))
 
 
 @pytest.mark.parametrize("bc", [BC1, BC2, BC3])
@@ -90,25 +95,25 @@ def test_completeness_against_pairwise_oracle(n, bc):
 
 @pytest.mark.parametrize("n,k,bc", [(6, 3, BC3), (8, 2, BC3), (8, 3, BC1), (9, 3, BC2), (10, 4, BC3)])
 def test_minimality(n, k, bc):
-    for tie in members(enumerate_min_tiesets(n, k, bc), n):
-        for drop in tie:
-            rest = tuple(i for i in tie if i != drop)
-            smaller = SystemState.from_units(rest, n)
-            assert len(rest) < k or not is_balanced(smaller, bc)
+    table = bit_matrix_table(n, bc)
+    for tie in enumerate_min_tiesets(n, k, bc).tolist():
+        for drop in units(tie, n):
+            smaller = tie & ~(1 << (n - drop))
+            assert smaller.bit_count() < k or not table[smaller]
 
 
 class TestNonfailed:
     def test_table_rows(self):
         masks = enumerate_min_tiesets(4, 2, BC3)
-        assert is_nonfailed(SystemState.from_bits((1, 1, 1, 0)), masks)
-        assert not is_nonfailed(SystemState.from_bits((1, 1, 0, 0)), masks)
-        assert not is_nonfailed(SystemState(0, 4), masks)
+        assert is_nonfailed(0b1110, masks)
+        assert not is_nonfailed(0b1100, masks)
+        assert not is_nonfailed(0, masks)
 
     def test_structure_function_rows(self):
         masks = enumerate_min_tiesets(4, 2, BC3)
-        assert structure_function(SystemState.from_bits((1, 0, 1, 0)), masks) == 1
-        assert structure_function(SystemState.from_bits((1, 0, 0, 1)), masks) == 0
-        assert structure_function(SystemState.from_bits((1, 1, 1, 1)), masks) == 1
+        assert structure_function(0b1010, 4, masks) == 1
+        assert structure_function(0b1001, 4, masks) == 0
+        assert structure_function(0b1111, 4, masks) == 1
 
     @pytest.mark.parametrize("bc", [BC1, BC2, BC3])
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 9])
@@ -119,9 +124,8 @@ class TestNonfailed:
             masks = enumerate_min_tiesets(n, k, bc)
             table = tieset_table(masks, n)
             for mask in range(1 << n):
-                s = SystemState(mask, n)
-                observed = structure_function(s, masks)
-                assert observed == int(is_nonfailed(s, masks)) == int(table[mask])
+                observed = structure_function(mask, n, masks)
+                assert observed == int(is_nonfailed(mask, masks)) == int(table[mask])
 
 
 @given(st.integers(2, 10), st.data())
@@ -131,8 +135,8 @@ def test_monotone_structure(n, data):
     inner = data.draw(st.integers(0, (1 << n) - 1))
     extra = data.draw(st.integers(0, (1 << n) - 1))
     outer = inner | extra
-    if is_nonfailed(SystemState(inner, n), masks):
-        assert is_nonfailed(SystemState(outer, n), masks)
+    if is_nonfailed(inner, masks):
+        assert is_nonfailed(outer, masks)
 
 
 class TestReliability:

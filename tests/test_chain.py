@@ -188,6 +188,14 @@ class TestMStep:
         assert (full @ full)[a, b] == pytest.approx(0.06245001, abs=1e-12)
         assert full_transition_matrix(4, 0.7**2)[a, b] == pytest.approx(0.06245001, abs=1e-12)
 
+    def test_dead_units_stay_dead(self):
+        # five shocks never revive unit 3: 1010 -> 1110 has probability 0,
+        # while every subset of 1010 stays reachable
+        five = full_transition_matrix(4, 0.7**5)
+        assert five[index(0b1010, 4), index(0b1110, 4)] == 0.0
+        row = five[index(0b1010, 4)]
+        assert [mask for mask in range(16) if row[index(mask, 4)] > 0] == [0b0000, 0b0010, 0b1000, 0b1010]
+
     @pytest.mark.parametrize("r", [0.3, 0.7])
     @pytest.mark.parametrize("n,k,bc", [(4, 2, BC3), (6, 3, BC2), (6, 2, BC1), (7, 3, BC3)])
     def test_consolidated_chain_powers(self, n, k, bc, r):

@@ -81,6 +81,33 @@ class TestMasksAgreeWithBitMatrixOracle:
             masks[0] = 1
 
 
+GRID = [(n, bc) for n in range(2, 17) for bc in (BC1, BC2, BC3) if bc is not BC1 or n % 2 == 0]
+
+
+@pytest.mark.parametrize("n,bc", GRID)
+def test_balanced_set_closed_under_rotation_and_reflection(n, bc):
+    # every condition is geometric, so the dihedral group of the circle maps
+    # balanced sets to balanced sets; a one-step rotation and the reflection
+    # p -> n - 1 - p generate that group
+    masks = balanced_masks(n, bc)
+    rotated = (masks >> 1) | ((masks & 1) << (n - 1))
+    reflected = np.zeros_like(masks)
+    for p in range(n):
+        reflected |= ((masks >> p) & 1) << (n - 1 - p)
+    assert np.array_equal(np.sort(rotated), masks)
+    assert np.array_equal(np.sort(reflected), masks)
+
+
+@pytest.mark.parametrize("n,bc", GRID)
+def test_complement_of_balanced_proper_subset_is_balanced(n, bc):
+    # the full set is balanced, so a symmetry or a zero centroid of a set
+    # carries over to its complement
+    full = (1 << n) - 1
+    masks = balanced_masks(n, bc)
+    assert masks[-1] == full
+    assert np.array_equal(np.sort(full ^ masks[:-1]), masks[:-1])
+
+
 @given(st.integers(2, 12), st.data())
 def test_bc3_invariant_under_rotation(n, data):
     mask = data.draw(st.integers(0, (1 << n) - 1))

@@ -7,7 +7,7 @@ per nonfailed state plus absorption.  One shock thins every unit
 independently, so the one-step matrix over all 2**n states is the
 Kronecker product of n copies of the 2 x 2 kernel [[1, 0], [1 - r, r]]
 (rows and columns: bit value 0, 1).  Its action on a vector over masks
-(``kron_step``, ``kron_apply``) is one butterfly pass per unit, O(n 2^n)
+(``kron_step``) is one butterfly pass per unit, O(n 2^n)
 work.  ``StateChain`` is that operator restricted to the nonfailed
 closure: it stores no matrix.  It serves ``sntf_distribution`` and the
 validation oracle.
@@ -53,8 +53,8 @@ MAX_CHAIN_STATES = 15_000
 
 # The state chain holds a few float64 vectors over all 2**n masks (32 MB
 # each at n = 22), and its layered solves take one transform per layer,
-# O(n^2 2^n): at n = 22, k = 2, BC2 (r = 0.8) `validate` took 19 s and
-# 417 MB and `sntf-pmf --matrix` 16.6 s as whole processes on a 2-vCPU
+# O(n^2 2^n): at n = 22, k = 2, BC2 (r = 0.8) `validate` took 14-15 s and
+# 423 MB and `sntf-pmf --matrix` 16.6 s as whole processes on a 2-vCPU
 # VM; n = 24 would take minutes.
 MAX_STATE_UNITS = 22
 
@@ -190,12 +190,6 @@ def kron_step(f: np.ndarray, r: float) -> np.ndarray:
     return _butterfly(f.copy(), r, row=True)
 
 
-def kron_apply(f: np.ndarray, r: float) -> np.ndarray:
-    """Column action K f for f over all 2**n masks:
-    (K f)_S = sum over subsets T of S of r^|T| (1 - r)^(|S| - |T|) f_T."""
-    return _butterfly(f.copy(), r, row=False)
-
-
 @dataclass(frozen=True, eq=False)
 class StateChain:
     """The consolidated chain as an operator, with no stored matrix.
@@ -211,14 +205,29 @@ class StateChain:
     """
 
     masks: np.ndarray
-    absorb: np.ndarray
-    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
     n: int
     r: float
 
     @property
     def size(self) -> int:
         return self.masks.size
+
+    @cached_property
+    def absorb(self) -> np.ndarray:
+        failed = np.ones(1 << self.n)
+        failed[self.masks] = 0.0
+        # The probability of a failed successor, as a sum of nonnegative
+        # terms rather than 1 - row sum, which cancels where failing is rare.
+        return _butterfly(failed, self.r, row=False)[self.masks]
+
+    @cached_property
+    def layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        pops = np.bitwise_count(self.masks)
+        return tuple(
+            (rows, np.full(1, self.r**s))
+            for s in range(self.n + 1)
+            if (rows := np.flatnonzero(pops == s)).size
+        )
 
     @property
     def weights(self) -> np.ndarray:
@@ -237,20 +246,6 @@ class StateChain:
         return _butterfly(self._spread(y), self.r, row=False)[self.masks[rows]]
 
 
-def state_chain(masks: np.ndarray, n: int, r: float) -> StateChain:
-    """The chain over the given nonfailed masks, listed in descending order."""
-    failed = np.ones(1 << n)
-    failed[masks] = 0.0
-    # The probability of a failed successor, as a sum of nonnegative terms
-    # rather than 1 - row sum, which cancels where failing is rare.
-    absorb = _butterfly(failed, r, row=False)[masks]
-    pops = np.bitwise_count(masks)
-    layers = tuple(
-        (rows, np.full(1, r**s)) for s in range(n + 1) if (rows := np.flatnonzero(pops == s)).size
-    )
-    return StateChain(masks, absorb, layers, n, r)
-
-
 def build_state_chain(n: int, k: int, bc: BalanceCondition, r: float) -> StateChain:
     """State chain of the system at unit reliability r.
 
@@ -261,7 +256,7 @@ def build_state_chain(n: int, k: int, bc: BalanceCondition, r: float) -> StateCh
         raise ValueError(f"r must lie strictly inside (0, 1), got {r}")
     if n > MAX_STATE_UNITS:
         raise CapacityExceeded(f"state chain capped at n <= {MAX_STATE_UNITS} units, got n={n}")
-    return state_chain(_nonfailed_masks(n, k, bc), n, r)
+    return StateChain(_nonfailed_masks(n, k, bc), n, r)
 
 
 def check_up_set(masks: np.ndarray, n: int) -> None:

@@ -447,6 +447,14 @@ def run_validate(
     hook for corrupting the chain under inspection."""
     config = spec.single()
     chain = chain_override or chain_mod.build_state_chain(config.n, config.k, config.bc, config.r)
+    # Drawn first, so a config past the simulation bound is refused before
+    # the slow checks; its rows still come last.
+    if config.shock is None:
+        sim = montecarlo.simulate_sntf(config, spec.seed, spec.reps)
+    else:
+        # one pass: the failure times are drawn on the same shock counts
+        sim_t = montecarlo.simulate_ttf(config, spec.seed, spec.reps, with_sntf=True)
+        sim = sim_t.sntf
     checks: list[dict] = []
 
     row_err = float(np.abs(chain.apply(np.ones(chain.size)) + chain.absorb - 1.0).max())
@@ -497,12 +505,6 @@ def run_validate(
         gap = abs(mttf - mean * mean_y)
         checks.append(_check("wald_identity", gap <= 1e-8, f"gap {gap:.3e}"))
 
-    if config.shock is None:
-        sim = montecarlo.simulate_sntf(config, spec.seed, spec.reps)
-    else:
-        # one pass: the failure times are drawn on the same shock counts
-        sim_t = montecarlo.simulate_ttf(config, spec.seed, spec.reps, with_sntf=True)
-        sim = sim_t.sntf
     hw99 = sim.half_width(0.99)
     inside = abs(sim.mean - mean) <= hw99
     checks.append(

@@ -59,12 +59,15 @@ class SimulationResult:
     seed: int
     mean: float
     variance: float
-    stderr: float
     hist_edges: np.ndarray
     hist_counts: np.ndarray
     # a failure-time result may carry the summary of the shock counts its
     # failure times were drawn from: the same counts simulate_sntf draws
     sntf: SimulationResult | None = None
+
+    @property
+    def stderr(self) -> float:
+        return float(np.sqrt(self.variance / self.replications))
 
     def half_width(self, level: float = 0.95) -> float:
         """Normal-approximation half width of the mean's confidence
@@ -260,12 +263,8 @@ def _draw(config: SystemConfig, seed: int, reps: int, times: bool) -> tuple[np.n
     return counts, totals
 
 
-def _summarize(kind: str, samples: np.ndarray, seed: int, integer_bins: bool) -> SimulationResult:
-    reps = samples.size
-    mean = float(samples.mean())
-    variance = float(samples.var(ddof=1))
-    stderr = float(np.sqrt(variance / reps))
-    if integer_bins:
+def _summarize(kind: str, samples: np.ndarray, seed: int) -> SimulationResult:
+    if kind == "sntf":
         top = int(samples.max())
         counts = np.bincount(samples, minlength=top + 1)[1:]
         edges = np.arange(0.5, top + 1.0)
@@ -273,11 +272,10 @@ def _summarize(kind: str, samples: np.ndarray, seed: int, integer_bins: bool) ->
         counts, edges = np.histogram(samples, bins=64)
     return SimulationResult(
         kind=kind,
-        replications=reps,
+        replications=samples.size,
         seed=seed,
-        mean=mean,
-        variance=variance,
-        stderr=stderr,
+        mean=float(samples.mean()),
+        variance=float(samples.var(ddof=1)),
         hist_edges=edges,
         hist_counts=counts,
     )
@@ -285,7 +283,7 @@ def _summarize(kind: str, samples: np.ndarray, seed: int, integer_bins: bool) ->
 
 def simulate_sntf(config: SystemConfig, seed: int, reps: int) -> SimulationResult:
     """Empirical shock-count-to-failure distribution."""
-    return _summarize("sntf", _draw(config, seed, reps, times=False)[0], seed, integer_bins=True)
+    return _summarize("sntf", _draw(config, seed, reps, times=False)[0], seed)
 
 
 def simulate_ttf(config: SystemConfig, seed: int, reps: int, with_sntf: bool = False) -> SimulationResult:
@@ -293,7 +291,7 @@ def simulate_ttf(config: SystemConfig, seed: int, reps: int, with_sntf: bool = F
     first and that many inter-shock times are summed.  with_sntf also
     summarises those shock counts, as simulate_sntf would, in ``.sntf``."""
     counts, times = _draw(config, seed, reps, times=True)
-    result = _summarize("ttf", times, seed, integer_bins=False)
+    result = _summarize("ttf", times, seed)
     if with_sntf:
-        result = replace(result, sntf=_summarize("sntf", counts, seed, integer_bins=True))
+        result = replace(result, sntf=_summarize("sntf", counts, seed))
     return result

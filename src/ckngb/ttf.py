@@ -147,14 +147,20 @@ class CompoundPhaseType:
     """Failure-time law: shock-count phases crossed with inter-shock phases.
 
     P{Z > z} = alpha exp(z T_Z) (w x e), with w the shock-count weights
-    (all ones for a plain phase-type law).  Kept in factored form:
-    T_Z = I x T_c + P x (exit alpha^T), with P the shock chain's one-step
-    matrix, which only acts through the chain.
+    (all ones for a plain phase-type law), started in chain state 0 with
+    the shock law's initial phases: alpha = e_0 x beta, of length N*K.
+    Kept in factored form: T_Z = I x T_c + P x (exit beta^T), with P the
+    shock chain's one-step matrix, which only acts through the chain.
     """
 
-    alpha: np.ndarray  # length N*K
     chain: StateChain | CountChain  # shock-count chain, N states
     shock: ContinuousPhaseType
+
+    @property
+    def alpha(self) -> np.ndarray:
+        alpha = np.zeros((self.states, self.K))
+        alpha[0] = self.shock.alpha
+        return alpha.ravel()
 
     @property
     def states(self) -> int:
@@ -174,15 +180,15 @@ class CompoundPhaseType:
 
 
 def compound_ph(chain: StateChain | CountChain, Y: ContinuousPhaseType) -> CompoundPhaseType:
-    """Random sum of per-shock durations as one phase-type distribution,
-    started in chain state 0 with Y's initial phase law: alpha = e_0 x beta.
+    """Random sum of per-shock durations as one phase-type distribution.
 
     Its dimension is the shock-count chain's size times Y.K, so the chain's
-    own bounds are the only cap it needs.
+    own bounds are the only cap it needs.  Takes one chain: a stack of
+    count chains raises ValueError.
     """
-    alpha = np.zeros((chain.size, Y.K))
-    alpha[0] = Y.alpha
-    return CompoundPhaseType(alpha.ravel(), chain, Y)
+    if chain.weights.ndim > 1:
+        raise ValueError(f"one chain expected, got a stack of shape {chain.weights.shape[:-1]}")
+    return CompoundPhaseType(chain, Y)
 
 
 def _apply_generator_left(Z: CompoundPhaseType, U: np.ndarray) -> np.ndarray:
@@ -191,10 +197,6 @@ def _apply_generator_left(Z: CompoundPhaseType, U: np.ndarray) -> np.ndarray:
     out = U @ Tc
     out += Z.chain.step(U @ Z.shock.exit_rates)[:, None] * Z.shock.alpha
     return out
-
-
-def _alpha_matrix(Z: CompoundPhaseType) -> np.ndarray:
-    return Z.alpha.reshape(Z.states, Z.K)
 
 
 def _poisson_weights(mu: float) -> np.ndarray:
@@ -245,7 +247,7 @@ def pdf_grid(Z: CompoundPhaseType, zs: np.ndarray) -> tuple[np.ndarray, np.ndarr
             np.repeat(Z.chain.weights, Z.K),
         ]
     )
-    U = _alpha_matrix(Z)
+    U = Z.alpha.reshape(Z.states, Z.K)
     start = 0.0
     i = strides = 0
     while i < zs.size and U.any():
@@ -316,7 +318,7 @@ def _solve_neg_generator(Z: CompoundPhaseType, B: np.ndarray) -> np.ndarray:
 def raw_moment(Z: CompoundPhaseType) -> float:
     """E[Z] = alpha (-T_Z)^(-1) (w x e), from one block solve."""
     X = _solve_neg_generator(Z, np.repeat(Z.chain.weights[:, None], Z.K, axis=1))
-    return float((_alpha_matrix(Z) * X).sum())
+    return float((Z.alpha.reshape(X.shape) * X).sum())
 
 
 def failure_time_moments(chain: StateChain | CountChain, Y: ContinuousPhaseType, p: int) -> list[float]:

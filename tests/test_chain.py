@@ -10,14 +10,13 @@ import pytest
 from ckngb.chain import (
     MAX_CHAIN_STATES,
     MAX_STATE_UNITS,
+    StateChain,
     _row_blocks,
     build_consolidated,
     build_state_chain,
     chain_csv,
     check_up_set,
-    kron_apply,
     kron_step,
-    state_chain,
 )
 from ckngb.errors import CapacityExceeded, InvariantViolation
 from ckngb.system import BalanceCondition
@@ -224,13 +223,14 @@ class TestKronecker:
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("r", [0.3, 0.7, 0.999])
     def test_step_and_apply_equal_dense_matrix(self, n, r):
+        full = full_transition_matrix(n, r)
         # full is in canonical order (descending mask); flip it to mask order
-        dense = full_transition_matrix(n, r)[::-1, ::-1]
-        eye = np.eye(1 << n)
-        rows = np.array([kron_step(e, r) for e in eye])
-        columns = np.array([kron_apply(e, r) for e in eye]).T
-        assert np.abs(rows - dense).max() <= 1e-15
-        assert np.abs(columns - dense).max() <= 1e-15
+        rows = np.array([kron_step(e, r) for e in np.eye(1 << n)])
+        assert np.abs(rows - full[::-1, ::-1]).max() <= 1e-15
+        # with every mask a state, in canonical order, the chain's column
+        # action is the whole operator's
+        columns = dense_transition(StateChain(np.arange(1 << n)[::-1], n, r))
+        assert np.abs(columns - full).max() <= 1e-15
 
     @pytest.mark.parametrize(
         "n,k,bc,r", [(4, 2, BC3, 0.7), (6, 3, BC2, 0.5), (8, 2, BC1, 0.9), (8, 3, BC3, 0.95)]
@@ -273,7 +273,7 @@ class TestKronecker:
         # absorb sums the failed successors, so every row sums to one even
         # for a set that is not an up-set; check_up_set is what rejects it
         masks = np.array([0b1111, 0b1010, 0b0101, 0b0001])
-        chain = state_chain(masks, 4, 0.7)
+        chain = StateChain(masks, 4, 0.7)
         rows = chain.apply(np.ones(chain.size)) + chain.absorb
         assert np.abs(rows - 1.0).max() <= 1e-15
 

@@ -16,9 +16,9 @@ import pytest
 import ckngb.experiments as experiments
 import ckngb.montecarlo as montecarlo
 import ckngb.sntf as sntf
-from ckngb.chain import MAX_STATE_UNITS, build_state_chain, state_chain
+from ckngb.chain import MAX_STATE_UNITS, StateChain, build_state_chain
 from ckngb.cli import main
-from ckngb.errors import ConfigError, NoTieSets, NonConvergence
+from ckngb.errors import CapacityExceeded, ConfigError, NoTieSets, NonConvergence
 from ckngb.system import BalanceCondition
 from ckngb.ttf import PRESET_LABELS, ph_from_preset, ph_mean_scv, validate_ph
 
@@ -936,7 +936,7 @@ class TestValidateNegativeControl:
         # built from the masks as given, so every row still sums to one
         spec = experiments.parse_config(REFERENCE_DOC)
         masks = build_state_chain(4, 2, BC3, 0.7).masks
-        corrupted = state_chain(masks[masks != 0b1110], 4, 0.7)
+        corrupted = StateChain(masks[masks != 0b1110], 4, 0.7)
         checks = experiments.run_validate(spec, chain_override=corrupted)
         by_name = {c["check"]: c for c in checks}
         assert by_name["row_stochasticity"]["result"] == "fail"
@@ -947,6 +947,20 @@ class TestValidateNegativeControl:
         doc = {"n": 12, "k": 2, "r": 0.999, "bc": "BC3", "reps": 2000}
         assert main(["validate", "--config", config_file(doc)]) == 0
         assert "mean_closed_vs_series,pass" in capsys.readouterr().out
+
+    def test_validate_past_the_simulation_bound_refuses_first(self, config_file, capsys, monkeypatch):
+        """E[M] = 7.5e5 at r = 0.999999: the Monte Carlo draw refuses the
+        config at MAX_MEAN_SHOCKS before raw_moment_series runs to its
+        10^7-term cap, which took 3 s."""
+        series = []
+        monkeypatch.setattr(sntf, "raw_moment_series", lambda *args: series.append(args))
+        doc = {"n": 4, "k": 2, "r": 0.999999, "bc": "BC3", "shock": {"preset": "ER"}}
+        with pytest.raises(CapacityExceeded, match="exceeds the simulation bound"):
+            experiments.run_validate(experiments.parse_config(doc))
+        assert main(["validate", "--config", config_file(doc)]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "exceeds the simulation bound" in err
+        assert series == []
 
     def test_larger_system_consolidation_check(self):
         spec = experiments.parse_config({"n": 8, "k": 3, "r": 0.7, "bc": "BC3", "reps": 20000})

@@ -1,3 +1,6 @@
+import csv
+import io
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ckngb.errors import NoTieSets
-from ckngb.experiments import parse_config, run_sntf_moments
+from ckngb.experiments import parse_config, rows_to_csv, run_sntf_moments, run_sweep_msntf
 from ckngb.sntf import (
     count_distribution,
     factorial_moment,
@@ -206,6 +209,37 @@ def test_sntf_moments_variance_matches_exact_arithmetic(r, bound):
                 assert abs(Fraction(row["variance"]) - exact) <= Fraction(bound) * exact, (n, k, bc)
                 systems += 1
     assert systems == 105
+
+
+def correctly_rounded(x, digits=12):
+    """The decimal of ``digits`` significant digits nearest the positive
+    Fraction x, ties to even, as a Fraction."""
+    e = math.floor(math.log10(x)) - digits + 1
+    while x >= Fraction(10) ** (e + digits):
+        e += 1
+    while x < Fraction(10) ** (e + digits - 1):
+        e -= 1
+    return round(x / Fraction(10) ** e) * Fraction(10) ** e
+
+
+def test_sweep_msntf_prints_correctly_rounded_means():
+    """Every value sweep-msntf prints (``.12g``) is the correctly rounded
+    12-digit decimal of the exact E[M] from ``exact_count_moments``, over
+    n = 3..12, every k, every balance condition and r in {0.5, 0.7, 0.9}
+    (420 values).  No tie allowance: the worst relative error of the
+    floats is 2.8e-16, and the exact value nearest a 12-digit rounding
+    boundary is 5.1e-14 relative away from it."""
+    doc = {"n": list(range(3, 13)), "k": list(range(2, 13)), "r": [0.5, 0.7, 0.9]}
+    table = rows_to_csv(run_sweep_msntf(parse_config(dict(doc, bc=["BC1", "BC2", "BC3"]))))
+    values = 0
+    for row in csv.DictReader(io.StringIO(table)):
+        if row["msntf"] == "infeasible":
+            continue
+        n, k, bc, r = int(row["n"]), int(row["k"]), BalanceCondition(row["bc"]), float(row["r"])
+        mean, _ = exact_count_moments(n, k, bc, r)
+        assert Fraction(row["msntf"]) == correctly_rounded(mean), row
+        values += 1
+    assert values == 420
 
 
 def test_series_moments_match_exact_arithmetic_near_one():

@@ -161,7 +161,7 @@ class TestCompound:
 
     def test_dense_cap(self):
         chain = CountChain(np.zeros((3000, 3000)), np.zeros(3000), np.ones(3000))
-        fake = CompoundPhaseType(np.zeros(6000), chain, ph_from_preset("ER"))
+        fake = CompoundPhaseType(chain, ph_from_preset("ER"))
         with pytest.raises(CapacityExceeded):
             to_dense(fake)
 
@@ -476,12 +476,16 @@ class TestMoments:
         """The moments read one chain.  A stack's factorial moments would
         mix with each other (three members broadcast against p + 1 = 3
         series terms and give one member's E[Z] and another's E[Z^2]), so
-        a stack raises before any solve."""
+        a stack raises before any solve.  So does the compound law, where
+        raw_moment and pdf_grid failed inside numpy on the stack."""
         solves, moment = [], ttf.factorial_moment
         monkeypatch.setattr(ttf, "factorial_moment", lambda *args: solves.append(args) or moment(*args))
         (stack,) = build_count_chains(6, rs, count_profile(6, 2, BC3)[None])
-        with pytest.raises(ValueError, match="one chain expected"):
+        shape = rf"one chain expected, got a stack of shape \({len(rs)},\)"
+        with pytest.raises(ValueError, match=shape):
             failure_time_moments(stack, ph_from_preset("HE"), 2)
+        with pytest.raises(ValueError, match=shape):
+            compound_ph(stack, ph_from_preset("ER"))
         assert solves == []
 
     def test_sweep_point_makes_no_compound_solve(self, monkeypatch):
@@ -523,7 +527,7 @@ class TestMoments:
         # a layer that keeps its state at every shock: with exponential
         # inter-shock times its block -(T + 1 * exit alpha^T) is zero
         chain = CountChain(np.array([[1.0]]), np.array([0.0]), np.array([1.0]))
-        Z = CompoundPhaseType(np.array([1.0]), chain, ph_from_preset("EXP"))
+        Z = CompoundPhaseType(chain, ph_from_preset("EXP"))
         with pytest.raises(SingularSystem):
             raw_moment(Z)
 

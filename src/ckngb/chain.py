@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import comb
 from typing import TextIO
 
@@ -338,7 +338,6 @@ def build_count_chains(n: int, rs: list[float], counts: np.ndarray) -> list[Coun
     ]
 
 
-@lru_cache(maxsize=16)  # validate reads one system's chain in several calls
 def build_count_chain(n: int, k: int, bc: BalanceCondition, r: float) -> CountChain:
     """Count chain of the system at unit reliability r, started state first:
     ``build_count_chains`` for one profile and one r."""

@@ -166,6 +166,9 @@ def _parse_shock(obj: Any) -> tuple["ttf.ContinuousPhaseType | None", tuple[str,
         return None, ("ER",)
     if not isinstance(obj, dict):
         raise ConfigError("shock: expected an object")
+    unknown = set(obj) - {"preset", "alpha", "T"}
+    if unknown:
+        raise ConfigError(f"shock: unknown keys {sorted(unknown)}")
     if "preset" in obj and ("alpha" in obj or "T" in obj):
         raise ConfigError("shock: give either preset or (alpha, T), not both")
     if "preset" in obj:
@@ -187,10 +190,7 @@ def _parse_shock(obj: Any) -> tuple["ttf.ContinuousPhaseType | None", tuple[str,
     raise ConfigError("shock: expected preset or (alpha, T)")
 
 
-_KNOWN_KEYS = {
-    "n", "k", "r", "bc", "shock", "out",
-    "m_max", "z_max", "z_steps", "reps", "seed", "threads",
-}
+_KNOWN_KEYS = {"n", "k", "r", "bc", "shock", "out", *_OPTIONS}
 
 
 def parse_config(doc: Any) -> ExperimentSpec:

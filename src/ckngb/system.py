@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -77,7 +76,6 @@ def _prime_factors(n: int) -> list[int]:
     return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
 
 
-@lru_cache(maxsize=64)  # tiesets re-reads it, for the plane and the tie-set scan
 def balanced_masks(n: int, bc: BalanceCondition) -> np.ndarray:
     """The nonzero masks balanced under bc, as a sorted int64 array.
 

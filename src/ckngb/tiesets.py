@@ -70,19 +70,11 @@ def _planes(n: int, bc: BalanceCondition, ks: tuple[int, ...], masks: np.ndarray
         yield planes
 
 
-@lru_cache(maxsize=2)  # tiesets, simulate and validate re-read it; 128 MB at n = 30
-def _plane(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
-    """The closure plane of threshold k, one read-only row."""
-    (plane,) = next(_planes(n, bc, (k,), balanced_masks(n, bc)))
-    plane.flags.writeable = False
-    return plane
-
-
 def nonfailed_closure(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
     """Bool array over all 2**n bitmasks: the operating set contains a
     balanced set of at least k units, the closure plane of k unpacked.
     Raises NoTieSets when it is empty."""
-    plane = _plane(n, k, bc).astype("<u8", copy=False)
+    plane = _structure(n, k, bc)[1].astype("<u8", copy=False)
     return np.unpackbits(plane.view(np.uint8), bitorder="little")[: 1 << n].view(bool)
 
 
@@ -98,8 +90,7 @@ def enumerate_min_tiesets(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
     all bits in one lookup.  Raises NoTieSets when the nonfailed set is
     empty.
     """
-    plane = _plane(n, k, bc)
-    masks = balanced_masks(n, bc)
+    masks, plane, _ = _structure(n, k, bc)
     masks = masks[np.bitwise_count(masks) >= k].astype(np.int32)  # n <= 30 bits
     bits = np.int32(1) << np.arange(n, dtype=np.int32)
     # S plus an absent bit is a superset of S, so always set: S is minimal
@@ -143,7 +134,18 @@ def _profiles(n: int, planes: np.ndarray) -> np.ndarray:
     return counts[:, : n + 1].astype(np.int64)  # float sums of counts below 2**53 are exact
 
 
-@lru_cache(maxsize=128)  # sntf-pmf and validate re-read it
+@lru_cache(maxsize=2)  # every command re-reads it; the plane is 128 MB at n = 30
+def _structure(n: int, k: int, bc: BalanceCondition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The system's structure as three read-only arrays: the balanced masks
+    of n and bc, the closure plane of k (one row) and its count profile.
+    Raises NoTieSets when the nonfailed set is empty."""
+    masks = balanced_masks(n, bc)
+    (plane,) = next(_planes(n, bc, (k,), masks))
+    profile = _profiles(n, plane[None])[0]
+    plane.flags.writeable = profile.flags.writeable = False
+    return masks, plane, profile
+
+
 def count_profile(n: int, k: int | tuple[int, ...], bc: BalanceCondition) -> np.ndarray:
     """c_j for j = 0..n: the number of nonfailed states with exactly j
     operating units.
@@ -153,21 +155,19 @@ def count_profile(n: int, k: int | tuple[int, ...], bc: BalanceCondition) -> np.
     p = r**m, independently, so P{M > m} = sum_j c_j p**j (1 - p)**(n - j).
     A tuple of thresholds gives one row per threshold in one call: those
     with the same least balanced-set size at or above them select the same
-    balanced masks and share one plane.  The array is read-only and shared
-    between callers; raises NoTieSets when a nonfailed set is empty.
+    balanced masks and share one plane.  The profile of an int k is
+    read-only and shared between callers; raises NoTieSets when a
+    nonfailed set is empty.
     """
-    if isinstance(k, tuple):
-        masks = balanced_masks(n, bc)
-        have = np.bincount(np.bitwise_count(masks), minlength=n + 1).tolist()
-        # a threshold above every size stays itself, for _planes to refuse
-        least = [next((s for s in range(t, n + 1) if have[s]), t) for t in k]
-        ks = tuple(sorted(set(least)))
-        profile = np.concatenate([_profiles(n, group) for group in _planes(n, bc, ks, masks)])
-        profile = profile[[ks.index(s) for s in least]]
-    else:
-        profile = _profiles(n, _plane(n, k, bc)[None])[0]
-    profile.flags.writeable = False
-    return profile
+    if not isinstance(k, tuple):
+        return _structure(n, k, bc)[2]
+    masks = balanced_masks(n, bc)
+    have = np.bincount(np.bitwise_count(masks), minlength=n + 1).tolist()
+    # a threshold above every size stays itself, for _planes to refuse
+    least = [next((s for s in range(t, n + 1) if have[s]), t) for t in k]
+    ks = tuple(sorted(set(least)))
+    profile = np.concatenate([_profiles(n, group) for group in _planes(n, bc, ks, masks)])
+    return profile[[ks.index(s) for s in least]]
 
 
 def reliability_polynomial(n: int, k: int, bc: BalanceCondition, p: float | np.ndarray) -> np.ndarray:

@@ -109,6 +109,18 @@ class TestLoadConfig:
         assert main(["ttf", "--config", config_file(doc)]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "shock",
+        [{"preset": "HE", "alpa": [1.0]}, {"alpha": [1.0], "T": [[-1.0]], "presets": "HE"}],
+        ids=["preset-with-stray-key", "custom-with-stray-key"],
+    )
+    def test_shock_unknown_keys_refused(self, shock, config_file, capsys):
+        """A misspelt key inside shock is refused, not dropped, whichever
+        law the other keys give."""
+        assert main(["ttf", "--config", config_file(dict(REFERENCE_DOC, shock=shock))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "shock: unknown keys" in captured.err
+
     def test_custom_ph_rejected(self, config_file):
         doc = dict(REFERENCE_DOC, shock={"alpha": [0.5, 0.6], "T": [[-2.0, 1.0], [0.0, -3.0]]})
         with pytest.raises(ConfigError, match="shock.alpha"):

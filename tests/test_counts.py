@@ -2,6 +2,7 @@
 operating-count chain against the state-level consolidated chain, and the
 explicit checks of the invariants the solvers rely on."""
 
+import json
 from collections import Counter
 from functools import cached_property
 
@@ -13,6 +14,7 @@ import ckngb.sntf as sntf_mod
 import ckngb.tiesets as tiesets_mod
 import ckngb.ttf as ttf_mod
 from ckngb.chain import build_count_chain, check_upper_triangular
+from ckngb.cli import main
 from ckngb.errors import InvariantViolation, NoTieSets, OddNUnsupported
 from ckngb.experiments import (
     DEFAULT_Z_MAX,
@@ -39,6 +41,7 @@ from ckngb.ttf import (
     ph_mean_scv,
     raw_moment,
 )
+from helpers import clear_package_caches
 from oracles import (
     closure_profile,
     dense_moments,
@@ -137,7 +140,7 @@ def test_multi_k_planes_equal_single_k(n, fresh_caches):
         for planes in tiesets_mod._planes(n, bc, ks, balanced_masks(n, bc)):
             assert n < 6 or planes.nbytes <= 1 << n
             rows.extend(planes)
-        assert [row.tolist() for row in rows] == [tiesets_mod._plane(n, k, bc).tolist() for k in ks]
+        assert [row.tolist() for row in rows] == [tiesets_mod._structure(n, k, bc)[1].tolist() for k in ks]
         profiles = count_profile(n, ks, bc)
         assert profiles.tolist() == [count_profile(n, k, bc).tolist() for k in ks]
         with pytest.raises(NoTieSets):
@@ -175,8 +178,8 @@ def test_routes_raise_from_cold_caches(route, fresh_caches):
 
 def test_sweep_panel_builds_each_table_once(monkeypatch, fresh_caches):
     """A sweep-msntf and a sweep-scv panel over n = 3..12, every k, two r
-    levels and every bc read the balanced masks once per (n, bc), build
-    one thinning matrix per (n, r) in each sweep, and each count chain's
+    levels and every bc each read the balanced masks once per (n, bc) and
+    build one thinning matrix per (n, r), and build each count chain's
     layers once."""
     tables, thinnings, layers = Counter(), Counter(), Counter()
     balance = tiesets_mod.balanced_masks
@@ -202,17 +205,66 @@ def test_sweep_panel_builds_each_table_once(monkeypatch, fresh_caches):
     monkeypatch.setattr(chain_mod, "_binomial_terms", counted_terms)
     monkeypatch.setattr(chain_mod.CountChain, "layers", counted)
     ns, rs = list(range(3, 13)), [0.7, 0.9]
+    each_table = Counter((n, bc) for n in ns for bc in BalanceCondition if not (bc is BC1 and n % 2))
+    each_thinning = Counter((n, r) for n in ns for r in rs)
     doc = {"n": ns, "k": list(range(2, 12)), "r": rs, "bc": ["BC1", "BC2", "BC3"]}
     run_sweep_msntf(parse_config(doc))
-    assert thinnings == Counter((n, r) for n in ns for r in rs)
+    assert (tables, thinnings) == (each_table, each_thinning)
+    tables.clear()
     thinnings.clear()
     run_sweep_scv(parse_config(dict(doc, shock={"preset": ["ER", "HE"]})))
-
-    assert tables == Counter(
-        (n, bc) for n in ns for bc in BalanceCondition if not (bc is BC1 and n % 2)
-    )
-    assert thinnings == Counter((n, r) for n in ns for r in rs)
+    assert (tables, thinnings) == (each_table, each_thinning)
     assert layers and set(layers.values()) == {1}
+
+
+STRUCTURE_COMMANDS = [
+    ["tiesets"], ["sntf-pmf"], ["sntf-pmf", "--matrix"], ["sntf-moments"], ["ttf"],
+    ["simulate", "--reps", "2000"], ["simulate", "--target", "ttf", "--reps", "2000"],
+    ["validate", "--reps", "2000"],
+]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 4, "k": 2, "r": 0.7, "bc": "BC3", "shock": {"preset": "ER"}},
+        {"n": 12, "k": 4, "r": 0.88, "bc": "BC3", "shock": {"preset": "HE"}},
+    ],
+    ids=["reference", "n12-k4-BC3"],
+)
+def test_each_command_builds_the_structure_once(doc, tmp_path, monkeypatch, capsys, fresh_caches):
+    """Every single-system command, from cold caches, reads the balanced
+    masks once, builds one closure-plane row and reads one count-profile
+    row: the one structure cache serves all of its later reads."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    built = Counter()
+    balance, planes, profiles = tiesets_mod.balanced_masks, tiesets_mod._planes, tiesets_mod._profiles
+
+    def counted_balance(n, bc):
+        built["masks"] += 1
+        return balance(n, bc)
+
+    def counted_planes(n, bc, ks, masks):
+        built["plane rows"] += len(ks)
+        yield from planes(n, bc, ks, masks)
+
+    def counted_profiles(n, rows):
+        built["profile rows"] += len(rows)
+        return profiles(n, rows)
+
+    monkeypatch.setattr(tiesets_mod, "balanced_masks", counted_balance)
+    monkeypatch.setattr(tiesets_mod, "_planes", counted_planes)
+    monkeypatch.setattr(tiesets_mod, "_profiles", counted_profiles)
+    counts = {}
+    for argv in STRUCTURE_COMMANDS:
+        clear_package_caches()
+        built.clear()
+        assert main([*argv, "--config", str(config)]) == 0
+        counts[" ".join(argv)] = dict(built)
+    capsys.readouterr()
+    once = {"masks": 1, "plane rows": 1, "profile rows": 1}
+    assert counts == {" ".join(argv): once for argv in STRUCTURE_COMMANDS}
 
 
 def _chain_sizes(ns, ks, bcs, r):

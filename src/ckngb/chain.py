@@ -24,11 +24,14 @@ w = e on the state chain.  A shock never adds an operating unit, so P is
 block upper triangular over layers of equal operating count:
 ``layered_solve`` back-substitutes one layer at a time on either chain,
 or on a stack of count chains of one size, which is how a sweep solves
-its grid.  q is the system's survival signature (Coolen &
-Coolen-Maturi, Complex Systems and Dependability, 2012), and the count
-chain is the signature representation of the lifetime (Samaniego,
-System Signatures and their Applications in Engineering Reliability,
-2007).
+its grid.  q_j = c_j / C(n, j), the probability that a state of j
+operating units drawn uniformly is nonfailed, is the system's survival
+signature (Coolen & Coolen-Maturi, Complex Systems and Dependability,
+2012), and the count chain is the signature representation of the
+lifetime (Samaniego, System Signatures and their Applications in
+Engineering Reliability, 2007).  Where q_j is 0 or 1 the structure is
+decided by the count alone, which the Monte Carlo oracle uses to look
+up only the states between.
 """
 
 from __future__ import annotations

@@ -426,9 +426,10 @@ def run_simulate(spec: ExperimentSpec, target: str = "sntf") -> tuple[montecarlo
         result = montecarlo.simulate_ttf(config, spec.seed, spec.reps)
     else:
         raise ConfigError(f"target: expected sntf or ttf, got {target!r}")
+    edges = result.hist_edges.tolist()
     rows = [
-        {"bin_left": float(lo), "bin_right": float(hi), "count": int(c)}
-        for lo, hi, c in zip(result.hist_edges[:-1], result.hist_edges[1:], result.hist_counts)
+        {"bin_left": lo, "bin_right": hi, "count": c}
+        for lo, hi, c in zip(edges[:-1], edges[1:], result.hist_counts.tolist())
     ]
     return result, rows
 

@@ -7,23 +7,29 @@ given (config, seed, reps) regardless of how batches are scheduled.
 
 Unit deaths are simulated as geometric lifetimes: unit i survives the
 first L_i - 1 shocks and dies at shock L_i.  Each unit's lifetime and bit
-position are packed into one integer key, so a single in-row sort gives
-the death order; running sums of the dead units' bits give the states
-along it, and the failure shock count M is the lifetime at the first
-failed one.  A failure-time replication then needs only how often each
-phase of the inter-shock law was visited over its M passages: the M
-tokens are split over the start phases, then each phase's tokens over
-its jump row and the exit, round by round until all have exited, and
-the time is the sum over phases of one gamma variate, shape the visit
-count.  These draws come from the same batch stream after the shock
-counts, so one pass yields both samples (``validate`` summarises the
-shock counts of its failure-time pass).  Their number grows with the
-replications, not with the shock count (a cyclic law takes a geometric
-number of rounds, each one vectorised over the batch).  The shock-count
-histogram grows with the mean shock count E[M], which is read off the
-count chain and bounded before any draw (MAX_MEAN_SHOCKS).  A result's
-half width is the normal approximation at level 0.95 or 0.99, from the
-two tabulated quantiles.
+are packed into one integer key, so a single in-row sort gives the death
+order, and the failure shock count M is the lifetime at the first failed
+state along it.  The count profile c_j decides most positions of that
+order (c_j / C(n, j) is the survival signature): a state of j operating
+units is nonfailed whenever c_j = C(n, j) and failed whenever c_j = 0.
+So only the states at the band of positions it leaves undecided (4 of 12
+at n=12 k=4 BC3) are summed from the dead units' bits and looked up in
+the nonfailed table, and the first failed position is the band's start
+plus its nonfailed count.
+
+A failure-time replication then needs only how often each phase of the
+inter-shock law was visited over its M passages: the M tokens are split
+over the start phases, then each phase's tokens over its jump row and
+the exit, round by round until all have exited, and the time is the sum
+over phases of one gamma variate, shape the visit count.  These draws
+come from the same batch stream after the shock counts, so one pass
+yields both samples (``validate`` summarises the shock counts of its
+failure-time pass).  Their number grows with the replications, not with
+the shock count (a cyclic law takes a geometric number of rounds, each
+one vectorised over the batch).  The shock-count histogram grows with
+the mean shock count E[M], which is read off the count chain and bounded
+before any draw (MAX_MEAN_SHOCKS).  A result's half width is the normal
+approximation at level 0.95 or 0.99, from the two tabulated quantiles.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import numpy as np
 from .errors import CapacityExceeded, ConfigError
 from .sntf import count_distribution, mean_closed
 from .system import SystemConfig
-from .tiesets import nonfailed_closure
+from .tiesets import count_profile, nonfailed_closure
 from .ttf import ContinuousPhaseType
 
 BATCH_SIZE = 8192
@@ -103,32 +109,61 @@ def _geometric(rng: np.random.Generator, p: float, out: np.ndarray, spare: np.nd
     if p >= 0.333333333333333333333333:  # numpy's cut, as a double
         np.copyto(out, rng.geometric(p, size=out.shape))
         return
-    # E / -log1p(-p) is numpy's -E / log1p(-p) to the last bit.  Lifetimes
-    # stay far below 2**63, since the admission bound on E[M] keeps p away
-    # from 0.
+    # E / -log1p(-p) is numpy's -E / log1p(-p) to the last bit.
     rng.standard_exponential(out=spare)
     spare /= -math.log1p(-p)
     np.ceil(spare, out=spare)
     np.copyto(out, spare, casting="unsafe")
 
 
-def _shock_scratch(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays for _shock_counts to fill, allocated once per run: the sort
-    keys, the running sums of the dead units' bits and the nonfailed flags
-    of one block of SHOCK_BLOCK replications of n units."""
-    return (
-        np.empty((SHOCK_BLOCK, n), dtype=np.int64),
-        np.empty((SHOCK_BLOCK, n), dtype=np.int64),
-        np.empty((SHOCK_BLOCK, n), dtype=bool),
+def _band(profile: np.ndarray) -> tuple[int, int]:
+    """(t0, w): the death positions whose state the count profile leaves
+    undecided are t0, ..., t0 + w - 1.
+
+    After t + 1 deaths n - 1 - t units operate, and a state with j of them
+    is nonfailed for every j above hi, the greatest j with c_j < C(n, j),
+    and failed for every j below lo, the least j with c_j > 0.  So every
+    position before t0 = n - 1 - hi is nonfailed, position n - lo is
+    failed, and the w = hi - lo + 1 positions between need the table;
+    w is 0 when every state of lo units is nonfailed (k = n, say).
+    """
+    n = profile.size - 1
+    whole = np.array([math.comb(n, j) for j in range(n + 1)])
+    lo = int(np.flatnonzero(profile)[0])
+    hi = int(np.flatnonzero(profile < whole)[-1])
+    return n - 1 - hi, hi - lo + 1
+
+
+@dataclass(frozen=True, eq=False)
+class _Scratch:
+    """Arrays for _shock_counts to fill, allocated once per run, for one
+    block of SHOCK_BLOCK replications of n units, and the band of _band."""
+
+    t0: int  # the band's first position; its width w is len(alive)
+    keys: np.ndarray  # (block, n) sort keys
+    bits: np.ndarray  # (block, n) the dead units' bits; first the exponentials
+    units: np.ndarray  # (block, n) each unit's bit, in every row
+    alive: np.ndarray  # (w, block) the operating units at each band position
+    nonfailed: np.ndarray  # (w, block) bool
+    offsets: np.ndarray  # (block,) flat index of each row's position t0
+
+
+def _shock_scratch(config: SystemConfig) -> _Scratch:
+    n = config.n
+    t0, w = _band(count_profile(n, config.k, config.bc))
+    return _Scratch(
+        t0=t0,
+        keys=np.empty((SHOCK_BLOCK, n), dtype=np.int64),
+        bits=np.empty((SHOCK_BLOCK, n), dtype=np.int64),
+        units=np.tile(np.int64(1) << np.arange(n - 1, -1, -1, dtype=np.int64), (SHOCK_BLOCK, 1)),
+        alive=np.empty((w, SHOCK_BLOCK), dtype=np.int64),
+        nonfailed=np.empty((w, SHOCK_BLOCK), dtype=bool),
+        offsets=np.arange(t0, t0 + SHOCK_BLOCK * n, n, dtype=np.int64),
     )
 
 
 def _shock_counts(
-    rng: np.random.Generator,
-    size: int,
-    config: SystemConfig,
-    table: np.ndarray,
-    scratch: tuple[np.ndarray, np.ndarray, np.ndarray],
+    rng: np.random.Generator, size: int, config: SystemConfig, table: np.ndarray, scratch: _Scratch
 ) -> np.ndarray:
     """Failure shock counts of size replications.  Their lifetimes are
     drawn block by block into scratch, in the order of one (size, n) draw,
@@ -136,36 +171,47 @@ def _shock_counts(
     counts = np.empty(size, dtype=np.int64)
     for start in range(0, size, SHOCK_BLOCK):
         rows = min(SHOCK_BLOCK, size - start)
-        counts[start : start + rows] = _block_counts(rng, config, table, [a[:rows] for a in scratch])
+        counts[start : start + rows] = _block_counts(rng, config, table, scratch, rows)
     return counts
 
 
 def _block_counts(
-    rng: np.random.Generator, config: SystemConfig, table: np.ndarray, scratch: list[np.ndarray]
+    rng: np.random.Generator, config: SystemConfig, table: np.ndarray, scratch: _Scratch, rows: int
 ) -> np.ndarray:
-    n = config.n
-    keys, dead, nonfailed = scratch
-    _geometric(rng, 1.0 - config.r, keys, dead.view(np.float64))
-    # One sort key per unit: its lifetime above its bit position.  Units
-    # dying at the same shock may sort in any order: the nonfailed set is
-    # an up-set, so the first failed state along the death order comes
-    # within the first shock that leaves the system failed.
-    shift = n.bit_length()
-    keys <<= shift
-    keys |= np.arange(n - 1, -1, -1, dtype=np.int64)
+    n, t0 = config.n, scratch.t0
+    keys, bits = scratch.keys[:rows], scratch.bits[:rows]
+    alive, nonfailed = scratch.alive[:, :rows], scratch.nonfailed[:, :rows]
+    w = len(alive)
+    _geometric(rng, 1.0 - config.r, keys, bits.view(np.float64))
+    # One sort key per unit: its lifetime above its bit.  Units dying at
+    # the same shock may sort in any order: the nonfailed set is an up-set,
+    # so the first failed state along the death order comes within the
+    # first shock that leaves the system failed.  The key fits in 63 bits
+    # while lifetimes stay below 2**33 (n <= 30): M is at least the first
+    # death, so the admission bound E[M] <= 10**5 keeps p = 1 - r at or
+    # above 10**-5 / n, and a lifetime, at most 1 + E / p, reaches 2**33
+    # only for an exponential E above 2 800.
+    keys <<= n
+    keys |= scratch.units[:rows]
     keys.sort(axis=1)
-    np.bitwise_and(keys, (1 << shift) - 1, out=dead)
-    np.left_shift(1, dead, out=dead)
-    # running sums of the dead units' bits, column by column: np.cumsum
-    # along rows this short costs several times more
-    for j in range(1, n):
-        dead[:, j] += dead[:, j - 1]
-    alive = np.subtract((1 << n) - 1, dead, out=dead)
+    if w:
+        np.bitwise_and(keys, (1 << n) - 1, out=bits)
+        # The units operating at band position t0 + i are the bits of the
+        # later deaths, summed from the last one back, column by column:
+        # np.cumsum along rows this short costs several times more.
+        last = alive[-1]
+        np.copyto(last, bits[:, n - 1])
+        for t in range(n - 2, t0 + w - 1, -1):
+            last += bits[:, t]
+        for i in range(w - 2, -1, -1):
+            np.add(alive[i + 1], bits[:, t0 + i + 1], out=alive[i])
     # mode="clip" lets take fill out directly; every index is in range
     np.take(table, alive, out=nonfailed, mode="clip")
-    # the first failed state; the last, every unit dead, always is one
-    first_failed = nonfailed.argmin(axis=1)
-    return keys[np.arange(keys.shape[0]), first_failed] >> shift
+    # Along the death order the flags fall from nonfailed to failed once,
+    # so the first failed position is t0 plus the nonfailed ones in the band.
+    first = nonfailed.sum(axis=0, dtype=np.int64)
+    first += scratch.offsets[:rows]
+    return keys.ravel().take(first) >> n
 
 
 def _routes(Y: ContinuousPhaseType) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -248,7 +294,7 @@ def _draw(config: SystemConfig, seed: int, reps: int, times: bool) -> tuple[np.n
         raise ConfigError("shock: required for time-to-failure simulation")
     table = nonfailed_closure(config.n, config.k, config.bc)
     _admit(config)
-    scratch = _shock_scratch(config.n)
+    scratch = _shock_scratch(config)
     routes = _routes(config.shock) if times else None
     counts = np.empty(reps, dtype=np.int64)
     totals = np.empty(reps) if times else None

@@ -14,10 +14,11 @@ from scipy.stats import kstest
 
 import ckngb.montecarlo as montecarlo
 from ckngb import experiments
+from ckngb.errors import NoTieSets, OddNUnsupported
 from ckngb.montecarlo import SimulationResult, _draw, _phase_sums, _routes, simulate_sntf, simulate_ttf
 from ckngb.sntf import count_distribution, mean_closed, sntf_distribution
 from ckngb.system import BalanceCondition, SystemConfig
-from ckngb.tiesets import nonfailed_closure
+from ckngb.tiesets import count_profile, nonfailed_closure
 from ckngb.ttf import (
     compound_ph,
     pdf_grid,
@@ -136,19 +137,41 @@ def test_geometric_draws_match_numpy(p):
 
 @given(
     system=st.sampled_from(
-        [(2, 2, BC3), (5, 3, BC3), (6, 2, BalanceCondition.BC1), (8, 3, BalanceCondition.BC2),
-         (10, 4, BC3), (12, 2, BalanceCondition.BC2)]
+        [(2, 2, BC3), (4, 2, BC3), (5, 3, BC3), (6, 2, BalanceCondition.BC1), (8, 3, BalanceCondition.BC2),
+         (10, 4, BC3), (12, 2, BalanceCondition.BC2), (14, 4, BalanceCondition.BC2), (16, 4, BC3)]
     ),
     r=st.floats(0.01, 0.99),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_shock_counts_match_a_shock_by_shock_walk(system, r, seed):
+    """The band of undecided death positions (_band) has width 0 at n=2
+    and n=5, 1 at n=4 and 5 or 6 at n = 12-16."""
     n, k, bc = system
     table = nonfailed_closure(n, k, bc)
     lifetimes = np.random.default_rng(seed).geometric(1.0 - r, size=(200, n))
-    scratch = montecarlo._shock_scratch(n)
-    counts = montecarlo._shock_counts(np.random.default_rng(seed), 200, SystemConfig(n, k, r, bc), table, scratch)
+    config = SystemConfig(n, k, r, bc)
+    scratch = montecarlo._shock_scratch(config)
+    counts = montecarlo._shock_counts(np.random.default_rng(seed), 200, config, table, scratch)
     assert np.array_equal(counts, walk_shock_counts(lifetimes, table))
+
+
+def test_band_holds_every_undecided_operating_count():
+    """Every state of more than hi operating units is nonfailed and every
+    state of fewer than lo is failed, and both bounds are tight: some state
+    of hi units is failed and some state of lo units is nonfailed."""
+    for n in range(2, 17):
+        pops = np.bitwise_count(np.arange(1 << n))
+        for bc in BalanceCondition:
+            for k in range(2, n + 1):
+                try:
+                    table = nonfailed_closure(n, k, bc)
+                except (NoTieSets, OddNUnsupported):
+                    continue
+                t0, w = montecarlo._band(count_profile(n, k, bc))
+                hi = n - 1 - t0
+                lo = hi - w + 1
+                assert table[pops > hi].all() and not table[pops < lo].any()
+                assert not table[pops == hi].all() and table[pops == lo].any()
 
 
 @pytest.mark.parametrize("r", [0.5, 0.9])  # numpy's search and inversion draws
@@ -162,7 +185,7 @@ def test_shock_counts_do_not_depend_on_the_block_size(r, monkeypatch):
     for block in (montecarlo.SHOCK_BLOCK, 100):
         monkeypatch.setattr(montecarlo, "SHOCK_BLOCK", block)
         rng = np.random.default_rng(5)
-        counts = montecarlo._shock_counts(rng, 1050, config, table, montecarlo._shock_scratch(8))
+        counts = montecarlo._shock_counts(rng, 1050, config, table, montecarlo._shock_scratch(config))
         results.append((counts.tolist(), rng.random()))
     assert results[0] == results[1]
 

@@ -8,10 +8,10 @@ Usage: python scripts/descriptive_case.py [OUTDIR]
 import sys
 from pathlib import Path
 
-from ckngb.chain import build_consolidated, chain_csv
+from ckngb.chain import build_consolidated, build_count_chain, build_state_chain, chain_csv
 from ckngb.experiments import ExperimentSpec, rows_to_csv, run_sntf_pmf, run_ttf
 from ckngb.montecarlo import simulate_sntf, simulate_ttf
-from ckngb.sntf import count_distribution, mean_closed, sntf_distribution
+from ckngb.sntf import mean_closed
 from ckngb.system import BalanceCondition
 from ckngb.tiesets import enumerate_min_tiesets, system_reliability_exact, tieset_members
 from ckngb.ttf import failure_time_moments, ph_from_preset
@@ -31,20 +31,20 @@ def main() -> None:
     reliability = system_reliability_exact(config.n, config.k, config.bc, config.r)
     print(f"one-shock reliability: {reliability:.6f}")
 
-    masks, blocks = build_consolidated(config.n, config.k, config.bc, config.r)
+    masks, blocks = build_consolidated(config)
     with open(outdir / "descriptive_chain.csv", "w") as fh:
         chain_csv(fh, config.n, masks, blocks)
     print(f"consolidated chain: {masks.size} transient states -> descriptive_chain.csv")
 
     # the sntf-pmf and ttf tables, as the commands write them
     (outdir / "descriptive_sntf_pmf.csv").write_text(rows_to_csv(run_sntf_pmf(spec)))
-    print(f"mean shock count: {mean_closed(sntf_distribution(config)):.6f}")
+    print(f"mean shock count: {mean_closed(build_state_chain(config)):.6f}")
 
     rows, summary = run_ttf(spec)
     (outdir / "descriptive_ttf_pdf.csv").write_text(rows_to_csv(rows))
     # E[Z^p] for p = 1..4 from the random sum: the shock count's factorial
     # moments and the inter-shock moments, with no block solve
-    moments = failure_time_moments(count_distribution(config), config.shock, 4)
+    moments = failure_time_moments(build_count_chain(config), config.shock, 4)
     print("failure-time moments p=1..4:", ", ".join(f"{m:.6f}" for m in moments))
     print(f"failure-time SCV: {summary['scv']:.6f}")
 

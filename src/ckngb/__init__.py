@@ -20,13 +20,11 @@ from .errors import (
 )
 from .montecarlo import SimulationResult, simulate_sntf, simulate_ttf
 from .sntf import (
-    count_distribution,
     factorial_moment,
     mean_closed,
     pmf_direct,
     pmf_survival_series,
     raw_moment_series,
-    sntf_distribution,
     survival_direct,
 )
 from .system import BalanceCondition, SystemConfig

@@ -7,10 +7,10 @@ per nonfailed state plus absorption.  One shock thins every unit
 independently, so the one-step matrix over all 2**n states is the
 Kronecker product of n copies of the 2 x 2 kernel [[1, 0], [1 - r, r]]
 (rows and columns: bit value 0, 1).  Its action on a vector over masks
-(``kron_step``) is one butterfly pass per unit, O(n 2^n)
-work.  ``StateChain`` is that operator restricted to the nonfailed
-closure: it stores no matrix.  It serves ``sntf_distribution`` and the
-validation oracle.
+is one butterfly pass per unit, O(n 2^n) work.  ``StateChain`` is that
+operator restricted to a set of masks, with no stored matrix, and
+``build_state_chain`` restricts it to the nonfailed closure.  Each
+``build_*`` constructor takes one SystemConfig, which has checked r.
 ``build_consolidated`` gives the same chain's rows a block at a time,
 for the chain dump (``chain_csv``) and the golden matrices only: no
 N x N array is made.  It refuses systems above MAX_CHAIN_STATES states.
@@ -45,7 +45,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import CapacityExceeded, InvariantViolation
-from .system import MAX_UNITS, BalanceCondition
+from .system import MAX_UNITS, BalanceCondition, SystemConfig
 from .tiesets import count_profile, nonfailed_closure
 
 # The chain dump writes about 2 N^2 bytes, nearly all "0,": 15 000 states
@@ -56,8 +56,8 @@ MAX_CHAIN_STATES = 15_000
 
 # The state chain holds a few float64 vectors over all 2**n masks (32 MB
 # each at n = 22), and its layered solves take one transform per layer,
-# O(n^2 2^n): at n = 22, k = 2, BC2 (r = 0.8) `validate` took 14-15 s and
-# 423 MB and `sntf-pmf --matrix` 16.6 s as whole processes on a 2-vCPU
+# O(n^2 2^n): at n = 22, k = 2, BC2 (r = 0.8) `validate` took 19 s and
+# 455 MB and `sntf-pmf --matrix` 13-14 s as whole processes on a 2-vCPU
 # VM; n = 24 would take minutes.
 MAX_STATE_UNITS = 22
 
@@ -107,8 +107,8 @@ def _binomials(n: int) -> np.ndarray:
     return _BINOMIALS[: n + 1, : n + 1]
 
 
-def build_consolidated(n: int, k: int, bc: BalanceCondition, r: float) -> tuple[np.ndarray, _Rows]:
-    """Consolidated chain at unit reliability r: its nonfailed masks in
+def build_consolidated(config: SystemConfig) -> tuple[np.ndarray, _Rows]:
+    """Consolidated chain of the system: its nonfailed masks in
     canonical order, all-ones state first, and its rows in blocks, each the
     rows' one-shock transition probabilities to the nonfailed states from
     the block's first row on (the last P.shape[1] states; a shock never
@@ -118,14 +118,12 @@ def build_consolidated(n: int, k: int, bc: BalanceCondition, r: float) -> tuple[
     Raises CapacityExceeded, before any row is built, above
     MAX_CHAIN_STATES nonfailed states.
     """
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"r must lie strictly inside (0, 1), got {r}")
-    masks = _nonfailed_masks(n, k, bc)
+    masks = _nonfailed_masks(config.n, config.k, config.bc)
     if masks.size > MAX_CHAIN_STATES:
         raise CapacityExceeded(
             f"consolidated chain capped at {MAX_CHAIN_STATES} states, need {masks.size}"
         )
-    return masks, _row_blocks(masks, n, r)
+    return masks, _row_blocks(masks, config.n, config.r)
 
 
 def _row_blocks(masks: np.ndarray, n: int, r: float) -> _Rows:
@@ -187,12 +185,6 @@ def _butterfly(f: np.ndarray, r: float, row: bool) -> np.ndarray:
     return spare
 
 
-def kron_step(f: np.ndarray, r: float) -> np.ndarray:
-    """Row action f K for f over all 2**n masks: the law of the state one
-    shock later, each operating unit failing with probability 1 - r."""
-    return _butterfly(f.copy(), r, row=True)
-
-
 @dataclass(frozen=True, eq=False)
 class StateChain:
     """The consolidated chain as an operator, with no stored matrix.
@@ -249,17 +241,16 @@ class StateChain:
         return _butterfly(self._spread(y), self.r, row=False)[self.masks[rows]]
 
 
-def build_state_chain(n: int, k: int, bc: BalanceCondition, r: float) -> StateChain:
-    """State chain of the system at unit reliability r.
+def build_state_chain(config: SystemConfig) -> StateChain:
+    """State chain of the system.
 
     Raises CapacityExceeded, before anything of size 2**n is allocated,
     when n > MAX_STATE_UNITS.
     """
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"r must lie strictly inside (0, 1), got {r}")
+    n = config.n
     if n > MAX_STATE_UNITS:
         raise CapacityExceeded(f"state chain capped at n <= {MAX_STATE_UNITS} units, got n={n}")
-    return StateChain(_nonfailed_masks(n, k, bc), n, r)
+    return StateChain(_nonfailed_masks(n, config.k, config.bc), n, config.r)
 
 
 def check_up_set(masks: np.ndarray, n: int) -> None:
@@ -318,10 +309,7 @@ def build_count_chains(n: int, rs: list[float], counts: np.ndarray) -> list[Coun
     reliability in ``rs``, states in ``CountChain``'s order: one stack per
     profile, its members in the order of ``rs``.  The stacks may view
     arrays they share, and every profile shares one build of each (n, r)
-    thinning matrix."""
-    for r in rs:
-        if not 0.0 < r < 1.0:
-            raise ValueError(f"r must lie strictly inside (0, 1), got {r}")
+    thinning matrix.  The caller checks that SystemConfig accepts each r."""
     # full[i, a, b]: the probability that one shock at rs[i] leaves b of a
     # operating units (zero for b > a)
     full = np.array([_binomial_terms(_binomials(n), np.arange(n + 1), r) for r in rs])
@@ -341,10 +329,11 @@ def build_count_chains(n: int, rs: list[float], counts: np.ndarray) -> list[Coun
     ]
 
 
-def build_count_chain(n: int, k: int, bc: BalanceCondition, r: float) -> CountChain:
-    """Count chain of the system at unit reliability r, started state first:
+def build_count_chain(config: SystemConfig) -> CountChain:
+    """Count chain of the system, started state first:
     ``build_count_chains`` for one profile and one r."""
-    (stack,) = build_count_chains(n, [r], count_profile(n, k, bc)[None])
+    profile = count_profile(config.n, config.k, config.bc)
+    (stack,) = build_count_chains(config.n, [config.r], profile[None])
     return CountChain(
         *(np.ascontiguousarray(a[0]) for a in (stack.transition, stack.absorb, stack.weights))
     )

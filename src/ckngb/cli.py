@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 import numpy as np
@@ -52,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("sntf-pmf", "tabulate pmf and survival of the shock count")
     p.add_argument("--matrix", action="store_true", help="use the matrix-power route (cross-check)")
     p.add_argument("--dump-chain", dest="dump_chain", help="also write the consolidated chain as CSV")
-    add("sntf-moments", "mean and second moment of the shock count")
+    add("sntf-moments", "mean, second moment and variance of the shock count")
     add("ttf", "pdf/survival grid and moments of the failure time")
     add("sweep-msntf", "mean shock count over a parameter grid")
     add("sweep-scv", "failure-time mean and SCV over a parameter grid")
@@ -90,9 +91,12 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "sntf-pmf":
         dump = contextlib.nullcontext()
         if args.dump_chain:
-            # the state cap and the dump path fail before any output
+            # the same file for both, the state cap and the dump path fail
+            # before any output
+            if spec.out and os.path.realpath(spec.out) == os.path.realpath(args.dump_chain):
+                raise ConfigError(f"dump-chain: {args.dump_chain} is also the pmf table's out path")
             config = spec.single()
-            masks, blocks = build_consolidated(config.n, config.k, config.bc, config.r)
+            masks, blocks = build_consolidated(config)
             dump = _open(args.dump_chain, "dump-chain")
         with dump as fh:
             rows = experiments.run_sntf_pmf(spec, use_matrix=args.matrix)

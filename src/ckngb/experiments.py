@@ -336,7 +336,7 @@ def run_tiesets(spec: ExperimentSpec) -> str:
 def run_sntf_pmf(spec: ExperimentSpec, use_matrix: bool = False) -> list[dict]:
     config = spec.single()
     if use_matrix:
-        pmf, surv = sntf.pmf_survival_series(sntf.sntf_distribution(config), spec.m_max)
+        pmf, surv = sntf.pmf_survival_series(chain_mod.build_state_chain(config), spec.m_max)
     else:
         ms = np.arange(1, spec.m_max + 1)
         pmf, surv = sntf.pmf_direct(config, ms), sntf.survival_direct(config, ms)
@@ -348,7 +348,7 @@ def run_sntf_pmf(spec: ExperimentSpec, use_matrix: bool = False) -> list[dict]:
 
 def run_sntf_moments(spec: ExperimentSpec) -> list[dict]:
     config = spec.single()
-    chain = sntf.count_distribution(config)
+    chain = chain_mod.build_count_chain(config)
     mean = sntf.mean_closed(chain)
     second = sntf.factorial_moment(chain, 2) + mean
     return [
@@ -368,7 +368,7 @@ def run_ttf(spec: ExperimentSpec) -> tuple[list[dict], dict]:
     config = spec.single()
     if config.shock is None:
         raise ConfigError("shock: required for the ttf command")
-    chain, Y = sntf.count_distribution(config), config.shock
+    chain, Y = chain_mod.build_count_chain(config), config.shock
     zs = np.linspace(0.0, spec.z_max, spec.z_steps + 1)
     dens, surv = ttf.pdf_grid(ttf.compound_ph(chain, Y), zs)
     rows = [
@@ -447,7 +447,7 @@ def run_validate(
     """Oracle cross-checks for one configuration; chain_override is a test
     hook for corrupting the chain under inspection."""
     config = spec.single()
-    chain = chain_override or chain_mod.build_state_chain(config.n, config.k, config.bc, config.r)
+    chain = chain_override or chain_mod.build_state_chain(config)
     # Drawn first, so a config past the simulation bound is refused before
     # the slow checks; its rows still come last.
     if config.shock is None:
@@ -485,12 +485,15 @@ def run_validate(
 
     # The unconsolidated chain over all 2**n states, started where the
     # chain starts: its mass on the nonfailed masks is the chain's survival.
-    full = np.zeros(1 << chain.n)
-    full[chain.masks[0]] = 1.0
+    # Its states are every mask in canonical order, descending, so
+    # full[::-1] is indexed by mask.
+    every = chain_mod.StateChain(np.arange(1 << chain.n)[::-1], chain.n, chain.r)
+    full = np.zeros(every.size)
+    full[::-1][chain.masks[0]] = 1.0
     worst = 0.0
     for m in range(1, fidelity_steps + 1):
-        full = chain_mod.kron_step(full, chain.r)
-        worst = max(worst, abs(full[chain.masks].sum() - surv_m[m - 1]))
+        full = every.step(full)
+        worst = max(worst, abs(full[::-1][chain.masks].sum() - surv_m[m - 1]))
     checks.append(_check("consolidation_fidelity", worst <= 1e-12, f"max gap {worst:.3e}"))
 
     mean = sntf.mean_closed(chain)

@@ -39,8 +39,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .chain import build_count_chain
 from .errors import CapacityExceeded, ConfigError
-from .sntf import count_distribution, mean_closed
+from .sntf import mean_closed
 from .system import SystemConfig
 from .tiesets import count_profile, nonfailed_closure
 from .ttf import ContinuousPhaseType
@@ -277,7 +278,7 @@ def _phase_sums(rng: np.random.Generator, counts: np.ndarray, Y: ContinuousPhase
 def _admit(config: SystemConfig) -> None:
     """Refuse before any draw a run whose histogram would not fit: its
     length grows with the mean shock count E[M]."""
-    mean = mean_closed(count_distribution(config))
+    mean = mean_closed(build_count_chain(config))
     if not mean <= MAX_MEAN_SHOCKS:
         raise CapacityExceeded(
             f"mean shock count {mean:.4g} at r={config.r} exceeds the simulation "

@@ -3,9 +3,9 @@
 A law is a chain: a substochastic one-step matrix P and a weight vector
 w, started in the all-ones state, which is chain state 0 on both chains.
 So P{M > m} = e_0 P^m w.  The operating-count chain
-(``count_distribution``, at most n + 1 states, w = q) serves the CLI
-commands, and the paper's consolidated chain (``sntf_distribution``, one
-state per nonfailed state, w = e, held as an operator that stores no
+(``chain.build_count_chain``, at most n + 1 states, w = q) serves the CLI
+commands, and the paper's consolidated chain (``chain.build_state_chain``,
+one state per nonfailed state, w = e, held as an operator that stores no
 matrix) serves ``sntf-pmf --matrix`` and the validation oracle.  Every
 function of a law below takes either chain, through its row action v P,
 column action P y and layers.
@@ -27,7 +27,6 @@ from .chain import (
     _binomial_terms,
     _binomials,
     build_count_chain,
-    build_state_chain,
     layered_solve,
 )
 from .errors import NonConvergence
@@ -37,16 +36,6 @@ from .tiesets import reliability_polynomial
 _SERIES_BLOCK = 256
 _SERIES_CAP = 10**7
 _SERIES_TOL = 1e-12  # absolute bound on the series' dropped tail
-
-
-def sntf_distribution(config: SystemConfig) -> StateChain:
-    """Shock-count law on the paper's consolidated chain, state by state."""
-    return build_state_chain(config.n, config.k, config.bc, config.r)
-
-
-def count_distribution(config: SystemConfig) -> CountChain:
-    """The same shock-count law on the operating-count chain."""
-    return build_count_chain(config.n, config.k, config.bc, config.r)
 
 
 def _dot(v: np.ndarray, w: np.ndarray) -> float:
@@ -104,7 +93,7 @@ def pmf_direct(config: SystemConfig, m: int | np.ndarray) -> float | np.ndarray:
     """
     p = _powers(config.r, m, 1)
     n = config.n
-    chain = build_count_chain(n, config.k, config.bc, config.r)
+    chain = build_count_chain(config)
     reach = _binomial_terms(_binomials(n)[n:], np.array([n]), p[..., None])
     pmf = reach[..., n - np.arange(chain.size)] @ chain.absorb
     return pmf if p.ndim else float(pmf[0])

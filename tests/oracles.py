@@ -41,7 +41,7 @@ import numpy as np
 
 from ckngb.chain import build_consolidated
 from ckngb.errors import CapacityExceeded, NoTieSets, NonConvergence, OddNUnsupported
-from ckngb.system import BC3_TOLERANCE_PER_UNIT, BalanceCondition
+from ckngb.system import BC3_TOLERANCE_PER_UNIT, BalanceCondition, SystemConfig
 from ckngb.tiesets import count_profile
 from ckngb.ttf import pdf_grid
 
@@ -179,7 +179,7 @@ def full_transition_matrix(n, r):
 def full_matrix(n, k, bc, r):
     """Stochastic (N+1)x(N+1) matrix of the consolidated chain, stacked from
     the chain dump's row blocks, with the absorbing state appended."""
-    masks, blocks = build_consolidated(n, k, bc, r)
+    masks, blocks = build_consolidated(SystemConfig(n, k, r, bc))
     N = masks.size
     out = np.zeros((N + 1, N + 1))
     row = 0

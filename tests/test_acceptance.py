@@ -16,7 +16,6 @@ from ckngb.sntf import (
     pmf_direct,
     pmf_survival_series,
     raw_moment_series,
-    sntf_distribution,
 )
 from ckngb.system import BalanceCondition, SystemConfig, balanced_masks
 from ckngb.tiesets import enumerate_min_tiesets
@@ -66,7 +65,7 @@ def _equivalence_grid():
 def test_criterion_01_consolidated_matrix_golden():
     clear_package_caches()
     start = time.perf_counter()
-    masks, blocks = build_consolidated(4, 2, BC3, 0.7)
+    masks, blocks = build_consolidated(SystemConfig(4, 2, 0.7, BC3))
     transition, absorb = (np.concatenate(parts) for parts in zip(*blocks))
     elapsed = time.perf_counter() - start
     state_ok = [format(mask, "04b") for mask in masks.tolist()] == TABLE_STATES
@@ -84,7 +83,7 @@ def test_criterion_01_consolidated_matrix_golden():
 
 def test_criterion_02_compound_golden():
     start = time.perf_counter()
-    dist = sntf_distribution(SystemConfig(4, 2, 0.7, BC3))
+    dist = build_state_chain(SystemConfig(4, 2, 0.7, BC3))
     Z = compound_ph(dist, ph_from_preset("ER"))
     dense = to_dense(Z)
     elapsed = time.perf_counter() - start
@@ -109,7 +108,7 @@ def test_criterion_03_pmf_route_equivalence():
     worst = 0.0
     count = 0
     for config in _equivalence_grid():
-        dist = sntf_distribution(config)
+        dist = build_state_chain(config)
         pmf_m, _ = pmf_survival_series(dist, 50)
         for m in range(1, 51):
             worst = max(worst, abs(pmf_m[m - 1] - pmf_direct(config, m)))
@@ -130,8 +129,8 @@ def test_criterion_04_consolidation_fidelity():
             bcs = [BC3] if n % 2 else [BC3, BC1, BC2]
             for bc in bcs:
                 for r in (0.3, 0.7):
-                    masks = build_state_chain(n, k, bc, r).masks
-                    _, surv = pmf_survival_series(sntf_distribution(SystemConfig(n, k, r, bc)), 20)
+                    masks = build_state_chain(SystemConfig(n, k, r, bc)).masks
+                    _, surv = pmf_survival_series(build_state_chain(SystemConfig(n, k, r, bc)), 20)
                     full = full_transition_matrix(n, r)
                     alive = (1 << n) - 1 - masks  # canonical index - 1
                     v = np.zeros(1 << n)
@@ -147,7 +146,7 @@ def test_criterion_05_closed_moments_vs_series():
     worst_mean = 0.0
     worst_second = 0.0
     for config in _equivalence_grid():
-        dist = sntf_distribution(config)
+        dist = build_state_chain(config)
         mean = mean_closed(dist)
         worst_mean = max(worst_mean, abs(mean - raw_moment_series(config, 1)))
         second = factorial_moment(dist, 2) + mean
@@ -161,7 +160,7 @@ def test_criterion_05_closed_moments_vs_series():
 
 
 def _mttf_12(k: float, r: float) -> float:
-    dist = sntf_distribution(SystemConfig(12, k, r, BC3))
+    dist = build_state_chain(SystemConfig(12, k, r, BC3))
     return raw_moment(compound_ph(dist, ph_from_preset("ER")))
 
 
@@ -195,7 +194,7 @@ def test_criterion_07_wald_identity():
         SystemConfig(12, k, r, BC3) for k in (4, 6, 8) for r in (0.5, 0.7, 0.9)
     ]
     for config in configs:
-        dist = sntf_distribution(config)
+        dist = build_state_chain(config)
         mean_m = mean_closed(dist)
         for label in PRESETS:
             Y = ph_from_preset(label)
@@ -217,7 +216,7 @@ def test_criterion_08_preset_fidelity():
 def test_criterion_09_scv_ordering():
     values = {}
     for k in (4, 6, 8):
-        dist = sntf_distribution(SystemConfig(12, k, 0.9, BC3))
+        dist = build_state_chain(SystemConfig(12, k, 0.9, BC3))
         for label in PRESETS:
             m1, m2 = failure_time_moments(dist, ph_from_preset(label), 2)
             values[(k, label)] = m2 / m1**2 - 1.0
@@ -236,7 +235,7 @@ def test_criterion_10_geometric_special_case():
     for n in range(2, 9):
         for r in (0.3, 0.7):
             config = SystemConfig(n, n, r, BC3)
-            dist = sntf_distribution(config)
+            dist = build_state_chain(config)
             pmf_m, _ = pmf_survival_series(dist, 30)
             success = 1.0 - r**n
             for m in range(1, 31):
@@ -249,7 +248,7 @@ def test_criterion_10_geometric_special_case():
 def test_criterion_11_monte_carlo_agreement():
     config = SystemConfig(4, 2, 0.7, BC3, ph_from_preset("ER"))
     reps = 10**6
-    dist = sntf_distribution(config)
+    dist = build_state_chain(config)
     analytic_mean = mean_closed(dist)
     analytic_mttf = raw_moment(compound_ph(dist, ph_from_preset("ER")))
 
@@ -291,7 +290,7 @@ def test_criterion_12_balance_condition_containment():
     for k in (4, 6, 8):
         for r in (0.5, 0.7, 0.9):
             means = {
-                bc: mean_closed(sntf_distribution(SystemConfig(12, k, r, bc)))
+                bc: mean_closed(build_state_chain(SystemConfig(12, k, r, bc)))
                 for bc in (BC1, BC2, BC3)
             }
             if not means[BC3] >= means[BC2] - 1e-9:

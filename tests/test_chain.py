@@ -16,10 +16,9 @@ from ckngb.chain import (
     build_state_chain,
     chain_csv,
     check_up_set,
-    kron_step,
 )
 from ckngb.errors import CapacityExceeded, InvariantViolation
-from ckngb.system import BalanceCondition
+from ckngb.system import BalanceCondition, SystemConfig
 from ckngb.tiesets import count_profile, nonfailed_closure
 from goldens import CONSOLIDATED_ABSORB, CONSOLIDATED_P, TABLE_STATES
 from oracles import dense_transition, full_matrix, full_transition_matrix
@@ -34,7 +33,7 @@ def index(mask, n):
 
 
 def nonfailed_masks(n, k, bc):
-    masks, _ = build_consolidated(n, k, bc, 0.5)
+    masks, _ = build_consolidated(SystemConfig(n, k, 0.5, bc))
     return masks.tolist()
 
 
@@ -44,7 +43,7 @@ def labels(masks, n):
 
 def dump(n, k, bc, r):
     fh = io.StringIO()
-    chain_csv(fh, n, *build_consolidated(n, k, bc, r))
+    chain_csv(fh, n, *build_consolidated(SystemConfig(n, k, r, bc)))
     return fh.getvalue()
 
 
@@ -112,8 +111,8 @@ class TestConsolidated:
     def test_row_blocks_equal_state_chain_rows(self):
         # n=12 k=5 BC3 has 1 130 states, so its rows come in two blocks of
         # at most 2**20 entries, each checked against the operator's rows
-        masks, blocks = build_consolidated(12, 5, BC3, 0.8)
-        chain = build_state_chain(12, 5, BC3, 0.8)
+        masks, blocks = build_consolidated(SystemConfig(12, 5, 0.8, BC3))
+        chain = build_state_chain(SystemConfig(12, 5, 0.8, BC3))
         y = np.random.default_rng(12).random(masks.size)
         Py, absorb = zip(*((P @ y[-P.shape[1] :], a) for P, a in blocks))
         assert len(Py) == 2
@@ -124,7 +123,7 @@ class TestConsolidated:
     def test_row_blocks_refuse_masks_out_of_order(self):
         # each block starts at its first row's column, which holds only
         # while every subset of a row's mask comes later in the list
-        masks, _ = build_consolidated(4, 2, BC3, 0.7)
+        masks, _ = build_consolidated(SystemConfig(4, 2, 0.7, BC3))
         with pytest.raises(InvariantViolation, match="descend"):
             next(_row_blocks(masks[::-1], 4, 0.7))
 
@@ -143,7 +142,7 @@ class TestConsolidated:
 
     def test_state_cap_refuses_before_building(self):
         with pytest.raises(CapacityExceeded, match="41479"):
-            build_consolidated(16, 4, BC3, 0.8)
+            build_consolidated(SystemConfig(16, 4, 0.8, BC3))
 
     def test_state_cap_admits_every_system_up_to_14_units(self):
         largest = max(
@@ -160,10 +159,6 @@ class TestConsolidated:
         assert np.abs(full.sum(axis=1) - 1.0).max() < 1e-12
         assert full[-1, -1] == 1.0
         assert not full[-1, :-1].any()
-
-    def test_rejects_degenerate_r(self):
-        with pytest.raises(ValueError):
-            build_consolidated(4, 2, BC3, 1.0)
 
 
 class TestMStep:
@@ -224,21 +219,20 @@ class TestKronecker:
     @pytest.mark.parametrize("r", [0.3, 0.7, 0.999])
     def test_step_and_apply_equal_dense_matrix(self, n, r):
         full = full_transition_matrix(n, r)
-        # full is in canonical order (descending mask); flip it to mask order
-        rows = np.array([kron_step(e, r) for e in np.eye(1 << n)])
-        assert np.abs(rows - full[::-1, ::-1]).max() <= 1e-15
-        # with every mask a state, in canonical order, the chain's column
-        # action is the whole operator's
-        columns = dense_transition(StateChain(np.arange(1 << n)[::-1], n, r))
-        assert np.abs(columns - full).max() <= 1e-15
+        # with every mask a state, in canonical order (descending mask), the
+        # chain's row and column actions are the whole operator's
+        chain = StateChain(np.arange(1 << n)[::-1], n, r)
+        rows = np.array([chain.step(e) for e in np.eye(1 << n)])
+        assert np.abs(rows - full).max() <= 1e-15
+        assert np.abs(dense_transition(chain) - full).max() <= 1e-15
 
     @pytest.mark.parametrize(
         "n,k,bc,r", [(4, 2, BC3, 0.7), (6, 3, BC2, 0.5), (8, 2, BC1, 0.9), (8, 3, BC3, 0.95)]
     )
     def test_state_chain_equals_dense_chain(self, n, k, bc, r):
-        masks, _ = build_consolidated(n, k, bc, r)
+        masks, _ = build_consolidated(SystemConfig(n, k, r, bc))
         full = full_matrix(n, k, bc, r)
-        chain = build_state_chain(n, k, bc, r)
+        chain = build_state_chain(SystemConfig(n, k, r, bc))
         assert np.array_equal(chain.masks, masks)
         assert np.abs(dense_transition(chain) - full[:-1, :-1]).max() <= 1e-15
         assert np.abs(chain.absorb - full[:-1, -1]).max() <= 1e-15
@@ -247,7 +241,7 @@ class TestKronecker:
         assert np.abs(chain.step(v) - v @ full[:-1, :-1]).max() <= 1e-14
 
     def test_layers_group_states_by_operating_units(self):
-        chain = build_state_chain(6, 2, BC3, 0.8)
+        chain = build_state_chain(SystemConfig(6, 2, 0.8, BC3))
         sizes = np.bitwise_count(chain.masks).tolist()
         seen = []
         for rows, stay in chain.layers:
@@ -261,10 +255,10 @@ class TestKronecker:
 
     def test_state_cap_refuses_before_building(self):
         with pytest.raises(CapacityExceeded, match=f"n <= {MAX_STATE_UNITS}"):
-            build_state_chain(MAX_STATE_UNITS + 2, 6, BC3, 0.8)
+            build_state_chain(SystemConfig(MAX_STATE_UNITS + 2, 6, 0.8, BC3))
 
     def test_up_set_check(self):
-        chain = build_state_chain(6, 2, BC2, 0.7)
+        chain = build_state_chain(SystemConfig(6, 2, 0.7, BC2))
         check_up_set(chain.masks, 6)
         with pytest.raises(InvariantViolation):
             check_up_set(chain.masks[1:], 6)  # the all-ones state dropped
@@ -330,7 +324,7 @@ def test_chain_csv_bytes_are_pinned():
 
 def test_chain_csv_holds_no_square_array():
     # n=12 k=2 BC2: 3 471 states, an N x N float64 matrix of 96 MB
-    masks, blocks = build_consolidated(12, 2, BC2, 0.8)
+    masks, blocks = build_consolidated(SystemConfig(12, 2, 0.8, BC2))
     tracemalloc.start()
     try:
         with open(os.devnull, "w") as fh:

@@ -19,7 +19,7 @@ import ckngb.sntf as sntf
 from ckngb.chain import MAX_STATE_UNITS, StateChain, build_state_chain
 from ckngb.cli import main
 from ckngb.errors import CapacityExceeded, ConfigError, NoTieSets, NonConvergence
-from ckngb.system import BalanceCondition
+from ckngb.system import BalanceCondition, SystemConfig
 from ckngb.ttf import PRESET_LABELS, ph_from_preset, ph_mean_scv, validate_ph
 
 BC3 = BalanceCondition.BC3
@@ -709,6 +709,20 @@ class TestCommands:
         header = dump.read_text().splitlines()[0]
         assert header == "state,1111,1110,1101,1011,1010,0111,0101,absorbed"
 
+    def test_dump_chain_into_the_out_file_is_refused(self, config_file, tmp_path):
+        # one file for both tables would hold the dump followed by the tail
+        # of the pmf table; the paths are compared once resolved
+        out = tmp_path / "both.csv"
+        (tmp_path / "alias").symlink_to(tmp_path)
+        for dump in (out, tmp_path / "." / "both.csv", tmp_path / "alias" / "both.csv"):
+            result = run_cli(
+                "sntf-pmf", "--config", config_file(REFERENCE_DOC), "--out", str(out),
+                "--dump-chain", str(dump),
+            )
+            assert (result.returncode, result.stdout) == (2, "")
+            assert "dump-chain:" in result.stderr
+            assert not out.exists()
+
     def test_sntf_moments(self, config_file, tmp_path):
         out = tmp_path / "moments.csv"
         assert main(["sntf-moments", "--config", config_file(REFERENCE_DOC), "--out", str(out)]) == 0
@@ -936,7 +950,7 @@ class TestByteStability:
 class TestValidateNegativeControl:
     def test_corrupted_chain_fails_row_check(self, config_file):
         spec = experiments.parse_config(REFERENCE_DOC)
-        chain = build_state_chain(4, 2, BC3, 0.7)
+        chain = build_state_chain(SystemConfig(4, 2, 0.7, BC3))
         corrupted = copy.copy(chain)
         object.__setattr__(corrupted, "absorb", chain.absorb + 0.05)
         checks = experiments.run_validate(spec, chain_override=corrupted)
@@ -947,12 +961,16 @@ class TestValidateNegativeControl:
         # 1110 dropped while its subset 1010 stays nonfailed.  The chain is
         # built from the masks as given, so every row still sums to one
         spec = experiments.parse_config(REFERENCE_DOC)
-        masks = build_state_chain(4, 2, BC3, 0.7).masks
+        masks = build_state_chain(SystemConfig(4, 2, 0.7, BC3)).masks
         corrupted = StateChain(masks[masks != 0b1110], 4, 0.7)
         checks = experiments.run_validate(spec, chain_override=corrupted)
         by_name = {c["check"]: c for c in checks}
         assert by_name["row_stochasticity"]["result"] == "fail"
         assert float(by_name["row_stochasticity"]["detail"].split()[-1]) <= 1e-12
+        # the walk over every mask carries mass through 1110 on to 1010,
+        # where the chain absorbs it at 1110
+        assert by_name["consolidation_fidelity"]["result"] == "fail"
+        assert by_name["consolidation_fidelity"]["detail"] == "max gap 1.623e-02"
 
     def test_validate_when_one_shock_almost_never_fails(self, config_file, capsys):
         # 1 - P{M > 1} rounds to 0 here; the series must still converge

@@ -13,7 +13,7 @@ import ckngb.chain as chain_mod
 import ckngb.sntf as sntf_mod
 import ckngb.tiesets as tiesets_mod
 import ckngb.ttf as ttf_mod
-from ckngb.chain import build_count_chain, check_upper_triangular
+from ckngb.chain import build_count_chain, build_state_chain, check_upper_triangular
 from ckngb.cli import main
 from ckngb.errors import InvariantViolation, NoTieSets, OddNUnsupported
 from ckngb.experiments import (
@@ -22,14 +22,7 @@ from ckngb.experiments import (
     run_sweep_msntf,
     run_sweep_scv,
 )
-from ckngb.sntf import (
-    count_distribution,
-    factorial_moment,
-    mean_closed,
-    pmf_survival_series,
-    sntf_distribution,
-    variance,
-)
+from ckngb.sntf import factorial_moment, mean_closed, pmf_survival_series, variance
 from ckngb.system import BalanceCondition, SystemConfig, balanced_masks
 from ckngb.tiesets import count_profile, enumerate_min_tiesets, nonfailed_closure
 from ckngb.ttf import (
@@ -275,7 +268,7 @@ def _chain_sizes(ns, ks, bcs, r):
             for bc in bcs:
                 if 2 <= k <= n - 1 and not (bc is BC1 and n % 2):
                     try:
-                        sizes.add(build_count_chain(n, k, bc, r).size)
+                        sizes.add(build_count_chain(SystemConfig(n, k, r, bc)).size)
                     except NoTieSets:
                         pass
     return sizes
@@ -345,7 +338,7 @@ def test_batched_sweeps_equal_single_system_calls():
     for row in msntf_rows:
         bc, n, k, r = row["bc"], row["n"], row["k"], row["r"]
         try:
-            chain = count_distribution(SystemConfig(n, k, r, BalanceCondition(bc)))
+            chain = build_count_chain(SystemConfig(n, k, r, BalanceCondition(bc)))
         except (NoTieSets, OddNUnsupported):
             expected[bc, n, k, r] = None
             mismatches += [row] if row["msntf"] != "infeasible" else []
@@ -410,10 +403,10 @@ def test_count_chain_matches_state_chain(n):
             for r in (0.3, 0.7, 0.95, 0.999):
                 config = SystemConfig(n, k, r, bc)
                 try:
-                    counts = count_distribution(config)
+                    counts = build_count_chain(config)
                 except NoTieSets:
                     continue
-                states = sntf_distribution(config)
+                states = build_state_chain(config)
                 q = counts.weights
                 assert (np.diff(q) <= 0.0).all()  # nondecreasing in j = n - state
                 assert (counts.absorb >= 0.0).all()
@@ -443,7 +436,7 @@ def test_count_chain_matches_state_chain(n):
 
 
 def test_count_chain_is_small_and_starts_full():
-    chain = build_count_chain(12, 4, BC3, 0.9)
+    chain = build_count_chain(SystemConfig(12, 4, 0.9, BC3))
     assert chain.size == 12 - 4 + 1  # j = 12 down to 4
     assert chain.weights[0] == 1.0
     assert not np.tril(chain.transition, -1).any()
@@ -465,4 +458,4 @@ def test_count_chain_rejects_profile_that_is_not_an_up_set(monkeypatch, fresh_ca
     profile = np.array([0, 0, 6, 1, 1])
     monkeypatch.setattr(chain_mod, "count_profile", lambda n, k, bc: profile)
     with pytest.raises(InvariantViolation):
-        build_count_chain(4, 2, BC3, 0.7)
+        build_count_chain(SystemConfig(4, 2, 0.7, BC3))

@@ -14,9 +14,10 @@ from scipy.stats import kstest
 
 import ckngb.montecarlo as montecarlo
 from ckngb import experiments
+from ckngb.chain import build_count_chain, build_state_chain
 from ckngb.errors import NoTieSets, OddNUnsupported
 from ckngb.montecarlo import SimulationResult, _draw, _phase_sums, _routes, simulate_sntf, simulate_ttf
-from ckngb.sntf import count_distribution, mean_closed, sntf_distribution
+from ckngb.sntf import mean_closed
 from ckngb.system import BalanceCondition, SystemConfig
 from ckngb.tiesets import count_profile, nonfailed_closure
 from ckngb.ttf import (
@@ -220,7 +221,7 @@ class TestShockCountOracle:
 
     def test_reference_mean(self, reference_config):
         result = simulate_sntf(reference_config, seed=12, reps=REPS)
-        analytic = mean_closed(sntf_distribution(reference_config))
+        analytic = mean_closed(build_state_chain(reference_config))
         assert abs(result.mean - analytic) <= 3.0 * result.stderr
 
     def test_first_shock_probability(self, reference_config):
@@ -239,7 +240,7 @@ class TestShockCountOracle:
     def test_other_balance_conditions(self, n, k, bc, r):
         config = SystemConfig(n, k, r, bc)
         result = simulate_sntf(config, seed=15, reps=REPS)
-        analytic = mean_closed(sntf_distribution(config))
+        analytic = mean_closed(build_state_chain(config))
         assert abs(result.mean - analytic) <= 2.5758 * result.stderr
 
 
@@ -300,7 +301,7 @@ class TestPhaseVisitSampler:
         law = CUSTOM_PH if label == "custom" else ph_from_preset(label)
         config = replace(reference_config, shock=law)
         times = np.sort(_draw(config, 24, 20_000, times=True)[1])
-        survival = pdf_grid(compound_ph(count_distribution(config), law), times)[1]
+        survival = pdf_grid(compound_ph(build_count_chain(config), law), times)[1]
 
         def cdf(z):
             assert np.array_equal(z, times)
@@ -312,7 +313,7 @@ class TestPhaseVisitSampler:
 class TestFailureTimeOracle:
     def test_reference_mean(self, reference_config):
         result = simulate_ttf(reference_config, seed=31, reps=REPS)
-        Z = compound_ph(sntf_distribution(reference_config), reference_config.shock)
+        Z = compound_ph(build_state_chain(reference_config), reference_config.shock)
         analytic = raw_moment(Z)
         assert abs(result.mean - analytic) <= 3.0 * result.stderr
 

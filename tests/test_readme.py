@@ -18,8 +18,8 @@ EXPORTS = {
     "NonConvergence", "OddNUnsupported", "SingularSystem",
     "CountChain", "StateChain", "build_consolidated", "build_count_chain", "build_state_chain",
     "SimulationResult", "simulate_sntf", "simulate_ttf",
-    "count_distribution", "factorial_moment", "mean_closed", "pmf_direct",
-    "pmf_survival_series", "raw_moment_series", "sntf_distribution", "survival_direct",
+    "factorial_moment", "mean_closed", "pmf_direct", "pmf_survival_series",
+    "raw_moment_series", "survival_direct",
     "count_profile", "enumerate_min_tiesets", "system_reliability_exact",
     "system_reliability_product",
     "CompoundPhaseType", "ContinuousPhaseType", "compound_ph", "failure_time_moments",
@@ -50,4 +50,4 @@ def test_package_exports():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert names == EXPORTS
-    assert len(EXPORTS) == 38
+    assert len(EXPORTS) == 36

@@ -8,16 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ckngb.chain import build_count_chain, build_state_chain
 from ckngb.errors import NoTieSets
 from ckngb.experiments import parse_config, rows_to_csv, run_sntf_moments, run_sweep_msntf
 from ckngb.sntf import (
-    count_distribution,
     factorial_moment,
     mean_closed,
     pmf_direct,
     pmf_survival_series,
     raw_moment_series,
-    sntf_distribution,
     survival_direct,
 )
 from ckngb.system import BalanceCondition, SystemConfig
@@ -29,7 +28,7 @@ BC1, BC2, BC3 = BalanceCondition.BC1, BalanceCondition.BC2, BalanceCondition.BC3
 
 @pytest.fixture
 def reference(reference_config):
-    return sntf_distribution(reference_config)
+    return build_state_chain(reference_config)
 
 
 class TestDistribution:
@@ -38,10 +37,10 @@ class TestDistribution:
         assert dense_transition(reference).shape == (7, 7)
 
     def test_single_state_cases(self):
-        d = sntf_distribution(SystemConfig(2, 2, 0.6))
+        d = build_state_chain(SystemConfig(2, 2, 0.6))
         assert d.masks[0] == 2**2 - 1
         assert dense_transition(d) == pytest.approx(np.array([[0.36]]))
-        d = sntf_distribution(SystemConfig(4, 4, 0.6))
+        d = build_state_chain(SystemConfig(4, 4, 0.6))
         assert dense_transition(d) == pytest.approx(np.array([[0.6**4]]))
 
 
@@ -52,7 +51,7 @@ class TestPmf:
 
     def test_geometric_law(self):
         r = 0.7
-        pmf, _ = pmf_survival_series(sntf_distribution(SystemConfig(2, 2, r)), 30)
+        pmf, _ = pmf_survival_series(build_state_chain(SystemConfig(2, 2, r)), 30)
         for m in range(1, 31):
             expected = (r**2) ** (m - 1) * (1 - r**2)
             assert abs(pmf[m - 1] - expected) < 1e-15
@@ -79,7 +78,7 @@ class TestSurvival:
 
     def test_geometric_survival(self):
         r = 0.4
-        _, surv = pmf_survival_series(sntf_distribution(SystemConfig(2, 2, r)), 11)
+        _, surv = pmf_survival_series(build_state_chain(SystemConfig(2, 2, r)), 11)
         for m in range(1, 12):
             assert surv[m - 1] == pytest.approx(r ** (2 * m), abs=1e-15)
 
@@ -112,7 +111,7 @@ class TestSurvival:
 def test_direct_equals_matrix_random_configs(n, r, m, data):
     k = data.draw(st.integers(2, n))
     config = SystemConfig(n, k, r, BC3)
-    pmf, _ = pmf_survival_series(sntf_distribution(config), m)
+    pmf, _ = pmf_survival_series(build_state_chain(config), m)
     assert abs(pmf[m - 1] - pmf_direct(config, m)) < 1e-12
 
 
@@ -152,7 +151,7 @@ def test_matrix_route_matches_exact_arithmetic(n, k, bc, r):
         p = rf**m
         return sum(c * p**j * (1 - p) ** (n - j) for j, c in enumerate(counts))
 
-    pmf, surv = pmf_survival_series(sntf_distribution(SystemConfig(n, k, r, bc)), 50)
+    pmf, surv = pmf_survival_series(build_state_chain(SystemConfig(n, k, r, bc)), 50)
     exact = [survival_exact(m) for m in range(51)]
     for m in range(1, 51):
         want = exact[m - 1] - exact[m]
@@ -169,7 +168,7 @@ def test_closed_moments_match_exact_arithmetic_as_r_nears_one(r, bound):
     the layered solve's 1 - r^s, which cancels the rounded r^s."""
     config = SystemConfig(12, 2, r, BC3)
     mean, fm2 = exact_count_moments(12, 2, BC3, r)
-    for chain in (count_distribution(config), sntf_distribution(config)):
+    for chain in (build_count_chain(config), build_state_chain(config)):
         assert abs(Fraction(mean_closed(chain)) - mean) <= Fraction(bound) * mean
         assert abs(Fraction(factorial_moment(chain, 2)) - fm2) <= Fraction(bound) * fm2
 
@@ -258,7 +257,7 @@ def test_series_moments_match_exact_arithmetic_near_one():
 class TestMoments:
     def test_geometric_mean(self):
         for r in (0.2, 0.5, 0.8):
-            d = sntf_distribution(SystemConfig(2, 2, r))
+            d = build_state_chain(SystemConfig(2, 2, r))
             assert mean_closed(d) == pytest.approx(1.0 / (1.0 - r**2), rel=1e-14)
 
     def test_mean_matches_series(self, reference, reference_config):
@@ -271,7 +270,7 @@ class TestMoments:
 
     def test_geometric_second_factorial(self):
         for r in (0.3, 0.6):
-            d = sntf_distribution(SystemConfig(2, 2, r))
+            d = build_state_chain(SystemConfig(2, 2, r))
             expected = 2.0 * r**2 / (1.0 - r**2) ** 2
             assert factorial_moment(d, 2) == pytest.approx(expected, rel=1e-12)
 
@@ -288,12 +287,12 @@ class TestMoments:
         # P{M = 1} = 3.6e-17, so 1 - P{M > 1} rounds to 0
         config = SystemConfig(12, 2, 0.999, BC3)
         assert raw_moment_series(config, 1) == pytest.approx(
-            mean_closed(count_distribution(config)), rel=1e-12
+            mean_closed(build_count_chain(config)), rel=1e-12
         )
 
     def test_mean_monotone_in_r(self):
         means = [
-            mean_closed(sntf_distribution(SystemConfig(5, 3, r)))
+            mean_closed(build_state_chain(SystemConfig(5, 3, r)))
             for r in np.arange(0.1, 0.95, 0.1)
         ]
         assert all(b > a for a, b in zip(means, means[1:]))

@@ -10,8 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ckngb.tiesets as tiesets_mod
+from ckngb.chain import build_state_chain
 from ckngb.errors import NoTieSets
-from ckngb.sntf import pmf_survival_series, sntf_distribution
+from ckngb.sntf import pmf_survival_series
 from ckngb.system import BalanceCondition, SystemConfig
 from ckngb.tiesets import (
     enumerate_min_tiesets,
@@ -159,7 +160,7 @@ class TestReliability:
         for n, k, r in [(4, 2, 0.7), (6, 3, 0.6), (8, 4, 0.85)]:
             config = SystemConfig(n, k, r, BC3)
             assert system_reliability_exact(n, k, BC3, r) == pytest.approx(
-                pmf_survival_series(sntf_distribution(config), 1)[1][0], abs=1e-12
+                pmf_survival_series(build_state_chain(config), 1)[1][0], abs=1e-12
             )
 
     @pytest.mark.parametrize("n,k,bc", [(12, 4, BC3), (16, 3, BC2), (16, 4, BC3)])

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ckngb.chain import CountChain, build_count_chains
+from ckngb.chain import CountChain, build_count_chain, build_count_chains, build_state_chain
 import ckngb.ttf as ttf
 from ckngb.errors import CapacityExceeded, ConfigError, SingularSystem
 from ckngb.cli import main
 from ckngb.experiments import ExperimentSpec, rows_to_csv, run_sweep_scv, run_ttf
-from ckngb.sntf import count_distribution, mean_closed, sntf_distribution
+from ckngb.sntf import mean_closed
 from ckngb.system import BalanceCondition, SystemConfig
 from ckngb.tiesets import count_profile
 from ckngb.ttf import (
@@ -122,7 +122,7 @@ class TestValidatePH:
 @pytest.fixture
 def reference_law(reference_config):
     """The reference system's failure-time law on its state chain."""
-    return compound_ph(sntf_distribution(reference_config), reference_config.shock)
+    return compound_ph(build_state_chain(reference_config), reference_config.shock)
 
 
 class TestCompound:
@@ -147,7 +147,7 @@ class TestCompound:
     def test_geometric_compound_of_exponentials_is_exponential(self):
         r = 0.6
         rate = 1.0 - r**2
-        dist = sntf_distribution(SystemConfig(2, 2, r))
+        dist = build_state_chain(SystemConfig(2, 2, r))
         Z = compound_ph(dist, ph_from_preset("EXP"))
         assert to_dense(Z) == pytest.approx(np.array([[-rate]]))
         for z in (0.0, 0.5, 2.0, 7.0):
@@ -243,7 +243,7 @@ class TestGridSeries:
     def test_default_grid_takes_one_series(self, monkeypatch):
         # A series per grid step applied the generator 1 800 times here.
         calls = count_applications(monkeypatch)
-        Z = compound_ph(count_distribution(SystemConfig(12, 4, 0.9, BC3)), ph_from_preset("HE"))
+        Z = compound_ph(build_count_chain(SystemConfig(12, 4, 0.9, BC3)), ph_from_preset("HE"))
         pdf_grid(Z, np.linspace(0.0, 10.0, 201))
         assert 0 < len(calls) <= 100
 
@@ -251,7 +251,7 @@ class TestGridSeries:
         """z = 10 read off a 2-point grid and off a 10^5 + 1-point grid:
         both take one series over [0, 10].  A series per grid step put
         them 4.6e-11 apart."""
-        Z = compound_ph(count_distribution(SystemConfig(12, 4, 0.9, BC3)), ph_from_preset("HE"))
+        Z = compound_ph(build_count_chain(SystemConfig(12, 4, 0.9, BC3)), ph_from_preset("HE"))
         coarse = pdf_grid(Z, [0.0, 10.0])
         fine = pdf_grid(Z, np.linspace(0.0, 10.0, 100_001))
         for a, b in zip(coarse, fine):
@@ -265,7 +265,7 @@ class TestGridSeries:
 
     def test_grid_of_only_the_origin(self, reference_config, monkeypatch):
         calls = count_applications(monkeypatch)
-        Z = compound_ph(sntf_distribution(reference_config), ph_from_preset("EXP"))
+        Z = compound_ph(build_state_chain(reference_config), ph_from_preset("EXP"))
         dens, surv = pdf_grid(Z, [0.0, 0.0])
         # density at 0 is the first shock's failure probability times the exit rate 1
         assert dens.tolist() == [Z.chain.absorb[0]] * 2
@@ -300,7 +300,7 @@ class TestGridSeries:
         """Points read one at a time, or all in one chunk, give the same
         floats as _POINT_CHUNK's 6 chunks here: a point's sum over the
         terms is its own pairwise row."""
-        Z = compound_ph(count_distribution(SystemConfig(12, 4, 0.9, BC3)), ph_from_preset("HE"))
+        Z = compound_ph(build_count_chain(SystemConfig(12, 4, 0.9, BC3)), ph_from_preset("HE"))
         zs = np.linspace(0.0, 10.0, 2001)
         want = pdf_grid(Z, zs)
         monkeypatch.setattr(ttf, "_POINT_CHUNK", zs.size * ttf._STRIDE_TERMS if whole else 1)
@@ -327,7 +327,7 @@ class TestGridSeries:
     def test_law_over_the_term_budget_is_refused_before_any_term(self, monkeypatch):
         """246 519 phases would take 214 MB of terms per stride."""
         calls = count_applications(monkeypatch)
-        Z = compound_ph(sntf_distribution(SystemConfig(18, 2, 0.8, BC2)), ph_from_preset("EXP"))
+        Z = compound_ph(build_state_chain(SystemConfig(18, 2, 0.8, BC2)), ph_from_preset("EXP"))
         with pytest.raises(CapacityExceeded, match="law of 246519 phases"):
             pdf_grid(Z, [1.0])
         assert calls == []
@@ -374,7 +374,7 @@ def test_grid_against_exact_arithmetic(system, tails, label):
     Y = ph_from_preset(label)
     zs = [0.05, 10.0, tails[PRESET_LABELS.index(label)]]
     n, k, bc, r = system
-    dens, surv = pdf_grid(compound_ph(count_distribution(SystemConfig(n, k, r, bc)), Y), zs)
+    dens, surv = pdf_grid(compound_ph(build_count_chain(SystemConfig(n, k, r, bc)), Y), zs)
     exact = exact_pdf_survival(n, k, bc, r, Y, zs)
     exact_dens = np.array([float(d) for d, _ in exact])
     exact_surv = np.array([float(s) for _, s in exact])
@@ -410,7 +410,7 @@ def test_moments_against_exact_arithmetic(label, r):
         exact_mttf, exact_scv = exact_failure_time_moments(n, k, bc, r, Y)
         spec = ExperimentSpec(n=(n,), k=(k,), r=(r,), bc=(bc,), shock=Y, z_steps=1)
         summary = run_ttf(spec)[1]
-        chain = count_distribution(SystemConfig(n, k, r, bc))
+        chain = build_count_chain(SystemConfig(n, k, r, bc))
         m1, m2 = failure_time_moments(chain, Y, 2)
         for mttf, value in ((summary["mttf"], summary["scv"]), (m1, m2 / m1**2 - 1.0)):
             assert abs(mttf - exact_mttf) <= mttf_bound * exact_mttf, (n, k, bc)
@@ -442,7 +442,7 @@ def test_higher_moments_against_exact_arithmetic(n):
     laws = (ph_from_preset("ER"), ph_from_preset("HE"), CYCLIC_PH)
     failures = []
     for k, bc, r in itertools.product(range(2, n), (BC2, BC3), (0.3, 0.9, 0.999)):
-        chain = count_distribution(SystemConfig(n, k, r, bc))
+        chain = build_count_chain(SystemConfig(n, k, r, bc))
         for Y in laws:
             got = failure_time_moments(chain, Y, 4)
             exact = exact_compound_moments(n, k, bc, r, Y, 4)
@@ -454,7 +454,7 @@ def test_higher_moments_against_exact_arithmetic(n):
 
 class TestMoments:
     def test_wald_identity(self, reference_config):
-        dist = sntf_distribution(reference_config)
+        dist = build_state_chain(reference_config)
         for label in ("ER", "EXP", "HE"):
             Y = ph_from_preset(label)
             Z = compound_ph(dist, Y)
@@ -469,7 +469,7 @@ class TestMoments:
 
     def test_moment_argument_validation(self, reference_config):
         with pytest.raises(ValueError):
-            failure_time_moments(sntf_distribution(reference_config), reference_config.shock, 0)
+            failure_time_moments(build_state_chain(reference_config), reference_config.shock, 0)
 
     @pytest.mark.parametrize("rs", [[0.5, 0.7, 0.9], [0.5, 0.9]])
     def test_stacked_chain_is_refused(self, rs, monkeypatch):
@@ -508,7 +508,7 @@ class TestMoments:
         inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(a.shape) or inv(a))
         config = SystemConfig(8, 3, 0.8, BalanceCondition.BC2)
-        dist = count_distribution(config) if chain == "count" else sntf_distribution(config)
+        dist = build_count_chain(config) if chain == "count" else build_state_chain(config)
         assert raw_moment(compound_ph(dist, ph_from_preset("HE"))) > 0.0
         assert inversions == [(2, 2)] * len(dist.layers)
 
@@ -517,7 +517,7 @@ class TestMoments:
         """E[Z^q] is the same float whichever p >= q is asked for, so the
         sweeps' p = 2 values are the first two of a p = 4 call."""
         config = SystemConfig(8, 3, 0.8, BalanceCondition.BC2)
-        dist = count_distribution(config) if chain == "count" else sntf_distribution(config)
+        dist = build_count_chain(config) if chain == "count" else build_state_chain(config)
         for Y in (ph_from_preset("HE"), CYCLIC_PH):
             full = failure_time_moments(dist, Y, 4)
             for p in (1, 2, 3):
@@ -532,14 +532,14 @@ class TestMoments:
             raw_moment(Z)
 
     def test_scv_positive_for_degenerate_shock_count(self):
-        dist = sntf_distribution(SystemConfig(4, 4, 0.7))
+        dist = build_state_chain(SystemConfig(4, 4, 0.7))
         m1, m2 = failure_time_moments(dist, ph_from_preset("ER"), 2)
         assert m2 / m1**2 - 1.0 > 0.0
 
 
 def test_density_peak_follows_base_distribution():
     # same system, smoother inter-shock law -> density peaks later
-    dist = sntf_distribution(SystemConfig(12, 6, 0.9, BC3))
+    dist = build_state_chain(SystemConfig(12, 6, 0.9, BC3))
     zs = np.linspace(0.0, 12.0, 161)
     dens_er, _ = pdf_grid(compound_ph(dist, ph_from_preset("ER")), zs)
     dens_he, _ = pdf_grid(compound_ph(dist, ph_from_preset("HE")), zs)

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import CapacityExceeded, InvariantViolation
 from .system import MAX_UNITS, BalanceCondition, SystemConfig
-from .tiesets import count_profile, nonfailed_closure
+from .tiesets import _bits, _structure, count_profile
 
 # The chain dump writes about 2 N^2 bytes, nearly all "0,": 15 000 states
 # make a 450 MB file in about 7 s (14 199 states: 432 MB in 6.6-6.8 s and
@@ -68,8 +68,10 @@ _Rows = Iterator[tuple[np.ndarray, np.ndarray]]  # blocks of (transition, absorb
 
 
 def _nonfailed_masks(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
-    # descending mask == ascending canonical index
-    return np.flatnonzero(nonfailed_closure(n, k, bc))[::-1].astype(np.int64)
+    # the plane's set bits, in its nonzero words; descending mask == ascending canonical index
+    plane = _structure(n, k, bc)[1]
+    masks = (np.flatnonzero(plane)[:, None] << 6) | np.arange(64)
+    return masks[_bits(plane, masks) == 1][::-1].copy()
 
 
 def _transition_rows(
@@ -115,14 +117,13 @@ def build_consolidated(config: SystemConfig) -> tuple[np.ndarray, _Rows]:
     reaches the states before them) and their probabilities of jumping to
     the consolidated failed state.
 
-    Raises CapacityExceeded, before any row is built, above
-    MAX_CHAIN_STATES nonfailed states.
+    Raises CapacityExceeded, before any mask is listed, above
+    MAX_CHAIN_STATES nonfailed states (their number is the profile's sum).
     """
+    size = int(count_profile(config.n, config.k, config.bc).sum())
+    if size > MAX_CHAIN_STATES:
+        raise CapacityExceeded(f"consolidated chain capped at {MAX_CHAIN_STATES} states, need {size}")
     masks = _nonfailed_masks(config.n, config.k, config.bc)
-    if masks.size > MAX_CHAIN_STATES:
-        raise CapacityExceeded(
-            f"consolidated chain capped at {MAX_CHAIN_STATES} states, need {masks.size}"
-        )
     return masks, _row_blocks(masks, config.n, config.r)
 
 

@@ -83,6 +83,15 @@ def _dispatch(args: argparse.Namespace) -> int:
     # each flag given stands in for the config key of its name
     flags = ("out", "seed", "reps", "m_max", "z_max")
     spec = experiments.load_config(args.config, **{name: getattr(args, name) for name in flags})
+    # an output path that resolves to the config or to the other output
+    # would be written over: refused before any run or output
+    taken = {os.path.realpath(args.config): "the config file"}
+    for option, path in (("out", spec.out), ("dump-chain", getattr(args, "dump_chain", None))):
+        if path:
+            real = os.path.realpath(path)
+            if real in taken:
+                raise ConfigError(f"{option}: {path} is also {taken[real]}")
+            taken[real] = "the out path"
 
     if args.command == "tiesets":
         _emit(experiments.run_tiesets(spec), spec.out)
@@ -91,10 +100,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "sntf-pmf":
         dump = contextlib.nullcontext()
         if args.dump_chain:
-            # the same file for both, the state cap and the dump path fail
-            # before any output
-            if spec.out and os.path.realpath(spec.out) == os.path.realpath(args.dump_chain):
-                raise ConfigError(f"dump-chain: {args.dump_chain} is also the pmf table's out path")
+            # the state cap and the dump path fail before any output
             config = spec.single()
             masks, blocks = build_consolidated(config)
             dump = _open(args.dump_chain, "dump-chain")

@@ -13,9 +13,9 @@ state along it.  The count profile c_j decides most positions of that
 order (c_j / C(n, j) is the survival signature): a state of j operating
 units is nonfailed whenever c_j = C(n, j) and failed whenever c_j = 0.
 So only the states at the band of positions it leaves undecided (4 of 12
-at n=12 k=4 BC3) are summed from the dead units' bits and looked up in
-the nonfailed table, and the first failed position is the band's start
-plus its nonfailed count.
+at n=12 k=4 BC3) are summed from the sorted keys, whose low n bits are
+the dead units' bits, and read as bits of the closure plane; the first
+failed position is the band's start plus its nonfailed count.
 
 A failure-time replication then needs only how often each phase of the
 inter-shock law was visited over its M passages: the M tokens are split
@@ -43,7 +43,7 @@ from .chain import build_count_chain
 from .errors import CapacityExceeded, ConfigError
 from .sntf import mean_closed
 from .system import SystemConfig
-from .tiesets import count_profile, nonfailed_closure
+from .tiesets import _bits, _structure, count_profile
 from .ttf import ContinuousPhaseType
 
 BATCH_SIZE = 8192
@@ -125,7 +125,7 @@ def _band(profile: np.ndarray) -> tuple[int, int]:
     is nonfailed for every j above hi, the greatest j with c_j < C(n, j),
     and failed for every j below lo, the least j with c_j > 0.  So every
     position before t0 = n - 1 - hi is nonfailed, position n - lo is
-    failed, and the w = hi - lo + 1 positions between need the table;
+    failed, and the w = hi - lo + 1 positions between need the plane;
     w is 0 when every state of lo units is nonfailed (k = n, say).
     """
     n = profile.size - 1
@@ -138,14 +138,16 @@ def _band(profile: np.ndarray) -> tuple[int, int]:
 @dataclass(frozen=True, eq=False)
 class _Scratch:
     """Arrays for _shock_counts to fill, allocated once per run, for one
-    block of SHOCK_BLOCK replications of n units, and the band of _band."""
+    block of SHOCK_BLOCK replications of n units, and the band of _band,
+    whose states _bits reads off the closure plane into int64 buffers."""
 
     t0: int  # the band's first position; its width w is len(alive)
     keys: np.ndarray  # (block, n) sort keys
-    bits: np.ndarray  # (block, n) the dead units' bits; first the exponentials
+    spare: np.ndarray  # (block, n) float64, the exponentials
     units: np.ndarray  # (block, n) each unit's bit, in every row
     alive: np.ndarray  # (w, block) the operating units at each band position
-    nonfailed: np.ndarray  # (w, block) bool
+    nonfailed: np.ndarray  # (w, block) their plane words, then bits 0 or 1
+    shifts: np.ndarray  # (w, block) the words' indices, then the bit shifts
     offsets: np.ndarray  # (block,) flat index of each row's position t0
 
 
@@ -155,64 +157,58 @@ def _shock_scratch(config: SystemConfig) -> _Scratch:
     return _Scratch(
         t0=t0,
         keys=np.empty((SHOCK_BLOCK, n), dtype=np.int64),
-        bits=np.empty((SHOCK_BLOCK, n), dtype=np.int64),
+        spare=np.empty((SHOCK_BLOCK, n)),
         units=np.tile(np.int64(1) << np.arange(n - 1, -1, -1, dtype=np.int64), (SHOCK_BLOCK, 1)),
         alive=np.empty((w, SHOCK_BLOCK), dtype=np.int64),
-        nonfailed=np.empty((w, SHOCK_BLOCK), dtype=bool),
+        nonfailed=np.empty((w, SHOCK_BLOCK), dtype=np.int64),
+        shifts=np.empty((w, SHOCK_BLOCK), dtype=np.int64),
         offsets=np.arange(t0, t0 + SHOCK_BLOCK * n, n, dtype=np.int64),
     )
 
 
 def _shock_counts(
-    rng: np.random.Generator, size: int, config: SystemConfig, table: np.ndarray, scratch: _Scratch
+    rng: np.random.Generator, size: int, config: SystemConfig, plane: np.ndarray, scratch: _Scratch
 ) -> np.ndarray:
-    """Failure shock counts of size replications.  Their lifetimes are
-    drawn block by block into scratch, in the order of one (size, n) draw,
-    so the stream does not depend on the block size."""
+    """Failure shock counts of size replications whose nonfailed states are
+    the set bits of plane, drawn block by block into scratch in the order of
+    one (size, n) draw, so the stream does not depend on the block size."""
+    n, t0, w = config.n, scratch.t0, len(scratch.alive)
     counts = np.empty(size, dtype=np.int64)
     for start in range(0, size, SHOCK_BLOCK):
         rows = min(SHOCK_BLOCK, size - start)
-        counts[start : start + rows] = _block_counts(rng, config, table, scratch, rows)
+        keys, alive = scratch.keys[:rows], scratch.alive[:, :rows]
+        _geometric(rng, 1.0 - config.r, keys, scratch.spare[:rows])
+        # One sort key per unit: its lifetime above its bit.  Units dying at
+        # the same shock may sort in any order: the nonfailed set is an
+        # up-set, so the first failed state along the death order comes
+        # within the first shock that leaves the system failed.  The key
+        # fits in 63 bits while lifetimes stay below 2**33 (n <= 30): M is
+        # at least the first death, so the admission bound E[M] <= 10**5
+        # keeps p = 1 - r at or above 10**-5 / n, and a lifetime, at most
+        # 1 + E / p, reaches 2**33 only for an exponential E above 2 800.
+        keys <<= n
+        keys |= scratch.units[:rows]
+        keys.sort(axis=1)
+        if w:
+            # The units operating at band position t0 + i are the bits of
+            # the later deaths, summed from the last one back, one column at
+            # a time (np.cumsum along rows this short costs several times
+            # more).  Whole keys are summed: the bits are distinct, so their
+            # sum is the low n bits of the keys' sum, kept by int64 wrapping.
+            last = alive[-1]
+            np.copyto(last, keys[:, n - 1])
+            for t in range(n - 2, t0 + w - 1, -1):
+                last += keys[:, t]
+            for i in range(w - 2, -1, -1):
+                np.add(alive[i + 1], keys[:, t0 + i + 1], out=alive[i])
+            alive &= (1 << n) - 1
+        nonfailed = _bits(plane, alive, scratch.nonfailed[:, :rows], scratch.shifts[:, :rows])
+        # Along the death order the flags fall from nonfailed to failed once,
+        # so the first failed position is t0 plus the nonfailed ones.
+        first = nonfailed.sum(axis=0, dtype=np.int64)
+        first += scratch.offsets[:rows]
+        counts[start : start + rows] = keys.ravel().take(first) >> n
     return counts
-
-
-def _block_counts(
-    rng: np.random.Generator, config: SystemConfig, table: np.ndarray, scratch: _Scratch, rows: int
-) -> np.ndarray:
-    n, t0 = config.n, scratch.t0
-    keys, bits = scratch.keys[:rows], scratch.bits[:rows]
-    alive, nonfailed = scratch.alive[:, :rows], scratch.nonfailed[:, :rows]
-    w = len(alive)
-    _geometric(rng, 1.0 - config.r, keys, bits.view(np.float64))
-    # One sort key per unit: its lifetime above its bit.  Units dying at
-    # the same shock may sort in any order: the nonfailed set is an up-set,
-    # so the first failed state along the death order comes within the
-    # first shock that leaves the system failed.  The key fits in 63 bits
-    # while lifetimes stay below 2**33 (n <= 30): M is at least the first
-    # death, so the admission bound E[M] <= 10**5 keeps p = 1 - r at or
-    # above 10**-5 / n, and a lifetime, at most 1 + E / p, reaches 2**33
-    # only for an exponential E above 2 800.
-    keys <<= n
-    keys |= scratch.units[:rows]
-    keys.sort(axis=1)
-    if w:
-        np.bitwise_and(keys, (1 << n) - 1, out=bits)
-        # The units operating at band position t0 + i are the bits of the
-        # later deaths, summed from the last one back, column by column:
-        # np.cumsum along rows this short costs several times more.
-        last = alive[-1]
-        np.copyto(last, bits[:, n - 1])
-        for t in range(n - 2, t0 + w - 1, -1):
-            last += bits[:, t]
-        for i in range(w - 2, -1, -1):
-            np.add(alive[i + 1], bits[:, t0 + i + 1], out=alive[i])
-    # mode="clip" lets take fill out directly; every index is in range
-    np.take(table, alive, out=nonfailed, mode="clip")
-    # Along the death order the flags fall from nonfailed to failed once,
-    # so the first failed position is t0 plus the nonfailed ones in the band.
-    first = nonfailed.sum(axis=0, dtype=np.int64)
-    first += scratch.offsets[:rows]
-    return keys.ravel().take(first) >> n
 
 
 def _routes(Y: ContinuousPhaseType) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -293,7 +289,7 @@ def _draw(config: SystemConfig, seed: int, reps: int, times: bool) -> tuple[np.n
         raise ValueError(f"reps must be >= 2, got {reps}")
     if times and config.shock is None:
         raise ConfigError("shock: required for time-to-failure simulation")
-    table = nonfailed_closure(config.n, config.k, config.bc)
+    plane = _structure(config.n, config.k, config.bc)[1]
     _admit(config)
     scratch = _shock_scratch(config)
     routes = _routes(config.shock) if times else None
@@ -303,7 +299,7 @@ def _draw(config: SystemConfig, seed: int, reps: int, times: bool) -> tuple[np.n
     for batch, size in enumerate(_batch_sizes(reps)):
         rng = _batch_rng(seed, batch)
         shocks = counts[start : start + size]
-        shocks[:] = _shock_counts(rng, size, config, table, scratch)
+        shocks[:] = _shock_counts(rng, size, config, plane, scratch)
         if times:
             totals[start : start + size] = _phase_sums(rng, shocks, config.shock, routes)
         start += size

@@ -36,10 +36,15 @@ _UP = np.bitwise_or.reduce(np.where((_T & _T[:, None]) == _T[:, None], _BIT, 0),
 _CLASSES = np.bitwise_or.reduce(np.where(np.bitwise_count(_T) == _T[:7, None], _BIT, 0), axis=1)
 
 
-def _bits(plane: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """The bit of each mask in the plane, 0 or 1."""
-    words = plane.take(masks >> 6)
-    words >>= (masks & 63).astype(np.uint8)
+def _bits(plane: np.ndarray, masks: np.ndarray, out=None, shifts=None) -> np.ndarray:
+    """The bit of each mask in the plane, 0 or 1, as int64; out and shifts,
+    int64 arrays of the masks' shape, spare new ones."""
+    shifts = np.right_shift(masks, 6, out=shifts)
+    # int64 words take int64 shifts uncast; every index is in range, and
+    # mode="clip" lets take fill out directly
+    words = np.take(plane.view(np.int64), shifts, out=out, mode="clip")
+    np.bitwise_and(masks, 63, out=shifts)
+    words >>= shifts
     words &= 1
     return words
 
@@ -68,14 +73,6 @@ def _planes(n: int, bc: BalanceCondition, ks: tuple[int, ...], masks: np.ndarray
             halves = planes.reshape(group.size, -1, 2, 1 << b)  # axis 2 is mask bit b + 6
             halves[:, :, 1] |= halves[:, :, 0]
         yield planes
-
-
-def nonfailed_closure(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
-    """Bool array over all 2**n bitmasks: the operating set contains a
-    balanced set of at least k units, the closure plane of k unpacked.
-    Raises NoTieSets when it is empty."""
-    plane = _structure(n, k, bc)[1].astype("<u8", copy=False)
-    return np.unpackbits(plane.view(np.uint8), bitorder="little")[: 1 << n].view(bool)
 
 
 def enumerate_min_tiesets(n: int, k: int, bc: BalanceCondition) -> np.ndarray:

@@ -2,6 +2,10 @@
 
 import sys
 
+import numpy as np
+
+from ckngb.tiesets import _bits, _structure
+
 PACKAGE = "ckngb"
 
 
@@ -25,3 +29,9 @@ def clear_package_caches() -> None:
     package function outlives that test."""
     for cache in package_caches().values():
         cache.cache_clear()
+
+
+def plane_table(n, k, bc):
+    """The closure plane of k read at every one of the 2**n masks through
+    the package's plane-bit reader, as a bool table."""
+    return _bits(_structure(n, k, bc)[1], np.arange(1 << n)) == 1

@@ -19,9 +19,9 @@ from ckngb.chain import (
 )
 from ckngb.errors import CapacityExceeded, InvariantViolation
 from ckngb.system import BalanceCondition, SystemConfig
-from ckngb.tiesets import count_profile, nonfailed_closure
+from ckngb.tiesets import count_profile
 from goldens import CONSOLIDATED_ABSORB, CONSOLIDATED_P, TABLE_STATES
-from oracles import dense_transition, full_matrix, full_transition_matrix
+from oracles import dense_transition, full_matrix, full_transition_matrix, or_closure
 
 BC1, BC2, BC3 = BalanceCondition.BC1, BalanceCondition.BC2, BalanceCondition.BC3
 
@@ -135,7 +135,7 @@ class TestConsolidated:
         rf = Fraction(r)
         exact = sum(
             rf ** mask.bit_count() * (1 - rf) ** (n - mask.bit_count())
-            for mask, ok in enumerate(nonfailed_closure(n, k, bc))
+            for mask, ok in enumerate(or_closure(n, k, bc).tolist())
             if not ok
         )
         assert abs(Fraction(float(absorb[0])) - exact) <= Fraction(1, 10**13) * exact
@@ -143,6 +143,20 @@ class TestConsolidated:
     def test_state_cap_refuses_before_building(self):
         with pytest.raises(CapacityExceeded, match="41479"):
             build_consolidated(SystemConfig(16, 4, 0.8, BC3))
+
+    def test_state_cap_refuses_before_listing_the_masks(self):
+        # the cap reads the number of states off the count profile, so a
+        # large system is refused without a list of its states or a table
+        # over its 2**24 masks
+        count_profile(24, 6, BC3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityExceeded, match="need"):
+                build_consolidated(SystemConfig(24, 6, 0.8, BC3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 16
 
     def test_state_cap_admits_every_system_up_to_14_units(self):
         largest = max(

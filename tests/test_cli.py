@@ -723,6 +723,33 @@ class TestCommands:
             assert "dump-chain:" in result.stderr
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["tiesets", "--out"], ["sntf-pmf", "--out"], ["sntf-pmf", "--dump-chain"], ["simulate", "--out"]],
+    )
+    def test_output_onto_the_config_is_refused(self, argv, config_file, tmp_path, monkeypatch, capsys):
+        # the run would leave its table in the config, which the next run
+        # then refuses as invalid JSON; the paths are compared once resolved
+        config = config_file(REFERENCE_DOC)
+        before = Path(config).read_bytes()
+        (tmp_path / "alias").symlink_to(tmp_path)
+        for name in ("run_tiesets", "run_sntf_pmf", "run_simulate"):
+            monkeypatch.setattr(experiments, name, lambda *a, **kw: pytest.fail("ran before the refusal"))
+        for path in (config, str(tmp_path / "." / "config.json"), str(tmp_path / "alias" / "config.json")):
+            assert main([argv[0], "--config", config, argv[1], path]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and f"{argv[1][2:]}: {path} is also the config file" in err
+            assert Path(config).read_bytes() == before
+
+    def test_out_key_naming_the_config_is_refused(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**REFERENCE_DOC, "out": str(tmp_path / "alias" / "config.json")}))
+        (tmp_path / "alias").symlink_to(tmp_path)
+        before = config.read_bytes()
+        result = run_cli("sntf-moments", "--config", str(config))
+        assert (result.returncode, result.stdout) == (2, "")
+        assert "out:" in result.stderr and config.read_bytes() == before
+
     def test_sntf_moments(self, config_file, tmp_path):
         out = tmp_path / "moments.csv"
         assert main(["sntf-moments", "--config", config_file(REFERENCE_DOC), "--out", str(out)]) == 0

@@ -24,7 +24,7 @@ from ckngb.experiments import (
 )
 from ckngb.sntf import factorial_moment, mean_closed, pmf_survival_series, variance
 from ckngb.system import BalanceCondition, SystemConfig, balanced_masks
-from ckngb.tiesets import count_profile, enumerate_min_tiesets, nonfailed_closure
+from ckngb.tiesets import count_profile, enumerate_min_tiesets
 from ckngb.ttf import (
     compound_ph,
     failure_time_moments,
@@ -34,7 +34,7 @@ from ckngb.ttf import (
     ph_mean_scv,
     raw_moment,
 )
-from helpers import clear_package_caches
+from helpers import clear_package_caches, plane_table
 from oracles import (
     closure_profile,
     dense_moments,
@@ -60,12 +60,13 @@ def _outcome(compute):
 
 
 def test_closure_equals_tieset_table():
-    """The closure equals the table of the subset scan's tie-sets, and its
-    minimal elements are those tie-sets in the scan's order."""
+    """The closure plane, read at every mask, equals the table of the
+    subset scan's tie-sets, and its minimal elements are those tie-sets in
+    the scan's order."""
     mismatches = []
     for n, k, bc in CLOSURE_CASES:
         expected = _outcome(lambda: scan_min_tiesets(n, k, bc))
-        got = _outcome(lambda: nonfailed_closure(n, k, bc))
+        got = _outcome(lambda: plane_table(n, k, bc))
         minimal = _outcome(lambda: tuple(enumerate_min_tiesets(n, k, bc).tolist()))
         if isinstance(expected, type):
             same = got is expected and minimal is expected
@@ -81,16 +82,16 @@ PLANE_CASES = [*range(2, 15), 16]
 
 @pytest.mark.parametrize("n", PLANE_CASES)
 def test_plane_route_equals_or_closure(n):
-    """The closure, count profile and tie-sets read off the closure plane
-    of each k equal those of the per-k OR closure, for every k and bc (at
-    n = 16 for the k of CLOSURE_CASES)."""
+    """The nonfailed masks, count profile and tie-sets read off the closure
+    plane of each k equal those of the per-k OR closure, for every k and bc
+    (at n = 16 for the k of CLOSURE_CASES)."""
     mismatches = []
     for bc in BalanceCondition:
         ks = range(2, n + 1) if n < 16 else [k for m, k, b in CLOSURE_CASES if (m, b) == (n, bc)]
         for k in ks:
             expected = _outcome(lambda: or_closure(n, k, bc))
             got = [
-                _outcome(lambda: nonfailed_closure(n, k, bc)),
+                _outcome(lambda: chain_mod._nonfailed_masks(n, k, bc).tolist()),
                 _outcome(lambda: count_profile(n, k, bc)),
                 _outcome(lambda: tuple(enumerate_min_tiesets(n, k, bc).tolist())),
             ]
@@ -98,7 +99,7 @@ def test_plane_route_equals_or_closure(n):
                 same = got == [expected] * 3
             else:
                 same = (
-                    np.array_equal(got[0], expected)
+                    got[0] == np.flatnonzero(expected)[::-1].tolist()
                     and got[1].tolist() == closure_profile(expected, n).tolist()
                     and got[2] == minimal_masks(expected, n)
                 )
@@ -110,11 +111,12 @@ def test_plane_route_equals_or_closure(n):
 def test_profile_blocks_equal_popcount_histogram():
     """At n = 20 and 22 the count profile reads the closure plane in 16 and
     64 blocks of 2**10 words, each summed at the popcount of its first
-    word: it equals the popcount histogram of the nonfailed masks."""
+    word: it equals the popcount histogram of the nonfailed masks, listed
+    off the plane's set bits."""
     for n in (20, 22):
         for bc in (BC2, BC3):
             for k in (2, 4, 6):
-                masks = np.flatnonzero(nonfailed_closure(n, k, bc))
+                masks = chain_mod._nonfailed_masks(n, k, bc)
                 expected = np.bincount(np.bitwise_count(masks), minlength=n + 1)
                 assert count_profile(n, k, bc).tolist() == expected.tolist()
 
@@ -159,7 +161,7 @@ def test_multi_k_profile_builds_one_plane_per_mask_set(n, bc, built, monkeypatch
     assert profiles == [count_profile(n, k, bc).tolist() for k in ks]
 
 
-@pytest.mark.parametrize("route", [count_profile, enumerate_min_tiesets, nonfailed_closure])
+@pytest.mark.parametrize("route", [count_profile, enumerate_min_tiesets, chain_mod._nonfailed_masks])
 def test_routes_raise_from_cold_caches(route, fresh_caches):
     """Each route raises NoTieSets on its own, with no closure built first.
     The set of all n units is balanced under every bc, so only k > n has
@@ -370,7 +372,7 @@ def test_profile_counts_nonfailed_states_by_operating_units():
 def test_empty_closure_raises_no_tiesets(monkeypatch, fresh_caches):
     monkeypatch.setattr(tiesets_mod, "balanced_masks", lambda n, bc: np.zeros(0, dtype=np.int64))
     with pytest.raises(NoTieSets):
-        nonfailed_closure(4, 2, BC3)
+        chain_mod._nonfailed_masks(4, 2, BC3)
     with pytest.raises(NoTieSets):
         count_profile(4, 2, BC3)
 

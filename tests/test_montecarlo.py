@@ -2,6 +2,7 @@ import hashlib
 import math
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import walk_shock_counts
+from helpers import plane_table
+from oracles import or_closure, walk_shock_counts
 from scipy.stats import kstest
 
 import ckngb.montecarlo as montecarlo
@@ -19,7 +21,7 @@ from ckngb.errors import NoTieSets, OddNUnsupported
 from ckngb.montecarlo import SimulationResult, _draw, _phase_sums, _routes, simulate_sntf, simulate_ttf
 from ckngb.sntf import mean_closed
 from ckngb.system import BalanceCondition, SystemConfig
-from ckngb.tiesets import count_profile, nonfailed_closure
+from ckngb.tiesets import _structure, count_profile
 from ckngb.ttf import (
     compound_ph,
     pdf_grid,
@@ -29,7 +31,7 @@ from ckngb.ttf import (
     validate_ph,
 )
 
-BC3 = BalanceCondition.BC3
+BC1, BC2, BC3 = BalanceCondition.BC1, BalanceCondition.BC2, BalanceCondition.BC3
 REPS = 100_000
 
 
@@ -146,26 +148,28 @@ def test_geometric_draws_match_numpy(p):
 )
 def test_shock_counts_match_a_shock_by_shock_walk(system, r, seed):
     """The band of undecided death positions (_band) has width 0 at n=2
-    and n=5, 1 at n=4 and 5 or 6 at n = 12-16."""
+    and n=5, 1 at n=4 and 5 or 6 at n = 12-16.  The counts read the closure
+    plane; the walk reads the oracle's OR closure."""
     n, k, bc = system
-    table = nonfailed_closure(n, k, bc)
+    plane = _structure(n, k, bc)[1]
     lifetimes = np.random.default_rng(seed).geometric(1.0 - r, size=(200, n))
     config = SystemConfig(n, k, r, bc)
     scratch = montecarlo._shock_scratch(config)
-    counts = montecarlo._shock_counts(np.random.default_rng(seed), 200, config, table, scratch)
-    assert np.array_equal(counts, walk_shock_counts(lifetimes, table))
+    counts = montecarlo._shock_counts(np.random.default_rng(seed), 200, config, plane, scratch)
+    assert np.array_equal(counts, walk_shock_counts(lifetimes, or_closure(n, k, bc)))
 
 
 def test_band_holds_every_undecided_operating_count():
     """Every state of more than hi operating units is nonfailed and every
     state of fewer than lo is failed, and both bounds are tight: some state
-    of hi units is failed and some state of lo units is nonfailed."""
+    of hi units is failed and some state of lo units is nonfailed, in the
+    closure plane as the shock counts read it."""
     for n in range(2, 17):
         pops = np.bitwise_count(np.arange(1 << n))
         for bc in BalanceCondition:
             for k in range(2, n + 1):
                 try:
-                    table = nonfailed_closure(n, k, bc)
+                    table = plane_table(n, k, bc)
                 except (NoTieSets, OddNUnsupported):
                     continue
                 t0, w = montecarlo._band(count_profile(n, k, bc))
@@ -181,14 +185,49 @@ def test_shock_counts_do_not_depend_on_the_block_size(r, monkeypatch):
     of one (size, n) draw, so blocks of 100 (the last one partial) give
     the counts and the next draw of a single block."""
     config = SystemConfig(8, 3, r, BalanceCondition.BC2)
-    table = nonfailed_closure(8, 3, BalanceCondition.BC2)
+    plane = _structure(8, 3, BalanceCondition.BC2)[1]
     results = []
     for block in (montecarlo.SHOCK_BLOCK, 100):
         monkeypatch.setattr(montecarlo, "SHOCK_BLOCK", block)
         rng = np.random.default_rng(5)
-        counts = montecarlo._shock_counts(rng, 1050, config, table, montecarlo._shock_scratch(config))
+        counts = montecarlo._shock_counts(rng, 1050, config, plane, montecarlo._shock_scratch(config))
         results.append((counts.tolist(), rng.random()))
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("n", [12, 14, 16])
+def test_shock_counts_order_with_the_nonfailed_set(n):
+    """The lifetimes depend on the seed, n and r alone, so a smaller
+    nonfailed set fails no later in every replication: M_BC1 <= M_BC2 <=
+    M_BC3 (the balanced sets nest) and M_(k+1) <= M_k (the closures nest).
+    An exact order, with no tolerance."""
+    counts = {
+        (k, bc): _draw(SystemConfig(n, k, 0.85, bc), 3, 20_000, times=False)[0]
+        for k in range(3, 7)
+        for bc in BalanceCondition
+    }
+    for k in range(3, 7):
+        assert (counts[k, BC1] <= counts[k, BC2]).all() and (counts[k, BC2] <= counts[k, BC3]).all()
+    for (k, bc), drawn in counts.items():
+        if k > 3:
+            assert (drawn <= counts[k - 1, bc]).all()
+    assert (counts[6, BC1] < counts[3, BC3]).any()
+
+
+def test_draw_holds_no_byte_per_mask(fresh_caches):
+    """The shock counts read the closure plane's bits, 2**24 bits at n = 24,
+    and form no array over all masks: the bool table they once read took
+    2**24 bytes."""
+    config = SystemConfig(24, 6, 0.8, BC3)
+    _structure(24, 6, BC3)
+    tracemalloc.start()
+    try:
+        counts = _draw(config, 1, 20_000, times=False)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.min() >= 1
+    assert peak <= 0.25 * (1 << 24)
 
 
 class TestHalfWidth:

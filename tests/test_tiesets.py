@@ -13,7 +13,7 @@ import ckngb.tiesets as tiesets_mod
 from ckngb.chain import build_state_chain
 from ckngb.errors import NoTieSets
 from ckngb.sntf import pmf_survival_series
-from ckngb.system import BalanceCondition, SystemConfig
+from ckngb.system import BalanceCondition, SystemConfig, balanced_masks
 from ckngb.tiesets import (
     enumerate_min_tiesets,
     system_reliability_exact,
@@ -187,6 +187,22 @@ def test_bc3_has_most_tiesets(n):
         count3 = len(enumerate_min_tiesets(n, k, BC3))
         assert count3 >= len(enumerate_min_tiesets(n, k, BC1))
         assert count3 >= len(enumerate_min_tiesets(n, k, BC2))
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_closure_planes_nest(n):
+    """Word by word, the closure plane of k + 1 lies inside the plane of k,
+    and at each k the plane of BC1 inside that of BC2 and the plane of BC2
+    inside that of BC3: their balanced sets nest."""
+    conditions = (BC2, BC3) if n % 2 else (BC1, BC2, BC3)
+    ks = tuple(range(1, n + 1))
+    planes = [
+        np.concatenate(list(tiesets_mod._planes(n, bc, ks, balanced_masks(n, bc)))) for bc in conditions
+    ]
+    for rows in planes:
+        assert not (rows[1:] & ~rows[:-1]).any()
+    for inner, outer in zip(planes, planes[1:]):
+        assert not (inner & ~outer).any()
 
 
 class TestStructureLayerFootprint:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from ckngb.chain import build_consolidated, build_count_chain, build_state_chain, chain_csv
 from ckngb.experiments import ExperimentSpec, rows_to_csv, run_sntf_pmf, run_ttf
-from ckngb.montecarlo import simulate_sntf, simulate_ttf
+from ckngb.montecarlo import simulate_ttf
 from ckngb.sntf import mean_closed
 from ckngb.system import BalanceCondition
 from ckngb.tiesets import enumerate_min_tiesets, system_reliability_exact, tieset_members
@@ -48,8 +48,9 @@ def main() -> None:
     print("failure-time moments p=1..4:", ", ".join(f"{m:.6f}" for m in moments))
     print(f"failure-time SCV: {summary['scv']:.6f}")
 
-    counts = simulate_sntf(config, seed=20240, reps=200_000)
-    times = simulate_ttf(config, seed=20240, reps=200_000)
+    # one pass: the failure times are drawn on the same shock counts
+    times = simulate_ttf(config, seed=20240, reps=200_000, with_sntf=True)
+    counts = times.sntf
     print(
         f"simulated mean shock count {counts.mean:.4f} +/- {counts.half_width(0.95):.4f}, "
         f"simulated mean failure time {times.mean:.4f} +/- {times.half_width(0.95):.4f}"

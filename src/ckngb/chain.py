@@ -56,8 +56,8 @@ MAX_CHAIN_STATES = 15_000
 
 # The state chain holds a few float64 vectors over all 2**n masks (32 MB
 # each at n = 22), and its layered solves take one transform per layer,
-# O(n^2 2^n): at n = 22, k = 2, BC2 (r = 0.8) `validate` took 19 s and
-# 455 MB and `sntf-pmf --matrix` 13-14 s as whole processes on a 2-vCPU
+# O(n^2 2^n): at n = 22, k = 2, BC2 (r = 0.8) `validate` took 21-24 s and
+# 362 MB and `sntf-pmf --matrix` 10-14 s as whole processes on a 2-vCPU
 # VM; n = 24 would take minutes.
 MAX_STATE_UNITS = 22
 
@@ -227,8 +227,8 @@ class StateChain:
 
     @property
     def weights(self) -> np.ndarray:
-        """Every state of this chain is nonfailed: w = e."""
-        return np.ones(self.size)
+        """Every state of this chain is nonfailed: w = e, a read-only view."""
+        return np.broadcast_to(1.0, self.size)
 
     def _spread(self, v: np.ndarray) -> np.ndarray:
         full = np.zeros(1 << self.n)

@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import os
 import sys
+from collections.abc import Iterator
+from typing import TextIO
 
 import numpy as np
 
@@ -63,63 +66,76 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open(path: str, option: str):
-    """The file at path opened for writing: an unwritable path is a config error."""
+@contextlib.contextmanager
+def _staged(path: str, option: str) -> Iterator[TextIO]:
+    """A new file beside path's resolved target, open for writing, that
+    replaces the target when the block succeeds and is removed when it
+    raises, so a failed run leaves an existing target as it was.  A path
+    that cannot be written is a config error, raised before any run."""
+    real = os.path.realpath(path)
+    # a device or a pipe, such as /dev/null or /dev/stdout, is written in place
+    special = os.path.exists(path) and not os.path.isfile(path)
+    staged = path if special else f"{os.path.dirname(real)}/.{os.path.basename(real)}.{os.getpid()}.tmp"
     try:
-        return open(path, "w", encoding="utf-8")
+        if os.path.isfile(path) and not os.access(path, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        fh = open(staged, "w" if special else "x", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{option}: cannot write {path}: {exc.strerror}") from None
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if not special:
+            os.remove(staged)
+        raise
+    if not special:
+        os.replace(staged, real)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with _open(out, "out") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _dispatch(args: argparse.Namespace) -> int:
+def _dispatch(args: argparse.Namespace, outputs: contextlib.ExitStack) -> int:
     # each flag given stands in for the config key of its name
     flags = ("out", "seed", "reps", "m_max", "z_max")
     spec = experiments.load_config(args.config, **{name: getattr(args, name) for name in flags})
     # an output path that resolves to the config or to the other output
     # would be written over: refused before any run or output
     taken = {os.path.realpath(args.config): "the config file"}
-    for option, path in (("out", spec.out), ("dump-chain", getattr(args, "dump_chain", None))):
+    paths = {"out": spec.out, "dump-chain": getattr(args, "dump_chain", None)}
+    for option, path in paths.items():
         if path:
             real = os.path.realpath(path)
             if real in taken:
                 raise ConfigError(f"{option}: {path} is also {taken[real]}")
             taken[real] = "the out path"
+    if args.command == "sntf-pmf" and args.dump_chain:
+        # the state cap fails before any output file is made
+        config = spec.single()
+        masks, blocks = build_consolidated(config)
+    # every output is staged before the run, and takes its path once the
+    # command succeeds
+    files = {option: outputs.enter_context(_staged(path, option)) for option, path in paths.items() if path}
+    out = files.get("out", sys.stdout)
 
     if args.command == "tiesets":
-        _emit(experiments.run_tiesets(spec), spec.out)
+        out.write(experiments.run_tiesets(spec))
         return EXIT_OK
 
     if args.command == "sntf-pmf":
-        dump = contextlib.nullcontext()
+        rows = experiments.run_sntf_pmf(spec, use_matrix=args.matrix)
+        out.write(experiments.rows_to_csv(rows))
         if args.dump_chain:
-            # the state cap and the dump path fail before any output
-            config = spec.single()
-            masks, blocks = build_consolidated(config)
-            dump = _open(args.dump_chain, "dump-chain")
-        with dump as fh:
-            rows = experiments.run_sntf_pmf(spec, use_matrix=args.matrix)
-            _emit(experiments.rows_to_csv(rows), spec.out)
-            if fh:
-                chain_csv(fh, config.n, masks, blocks)
+            chain_csv(files["dump-chain"], config.n, masks, blocks)
         return EXIT_OK
 
     if args.command == "ttf":
         rows, summary = experiments.run_ttf(spec)
-        _emit(experiments.rows_to_csv(rows), spec.out)
+        out.write(experiments.rows_to_csv(rows))
         print(",".join(f"{key}={format_value(val)}" for key, val in summary.items()))
         return EXIT_OK
 
     if args.command == "simulate":
         result, rows = experiments.run_simulate(spec, target=args.target)
-        _emit(experiments.rows_to_csv(rows), spec.out)
+        out.write(experiments.rows_to_csv(rows))
         print(
             f"target={result.kind} reps={result.replications} seed={result.seed} "
             f"mean={format_value(result.mean)} variance={format_value(result.variance)} "
@@ -130,7 +146,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     # every other command prints the one table of its run_* driver:
     # sntf-moments, sweep-msntf, sweep-scv and validate
     rows = getattr(experiments, "run_" + args.command.replace("-", "_"))(spec)
-    _emit(experiments.rows_to_csv(rows), spec.out)
+    out.write(experiments.rows_to_csv(rows))
     failed = args.command == "validate" and any(row["result"] != "pass" for row in rows)
     return EXIT_VALIDATION if failed else EXIT_OK
 
@@ -138,7 +154,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        with contextlib.ExitStack() as outputs:
+            return _dispatch(args, outputs)
     except ConfigError as exc:  # includes OddNUnsupported
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -317,8 +317,8 @@ def _solve_neg_generator(Z: CompoundPhaseType, B: np.ndarray) -> np.ndarray:
 
 def raw_moment(Z: CompoundPhaseType) -> float:
     """E[Z] = alpha (-T_Z)^(-1) (w x e), from one block solve."""
-    X = _solve_neg_generator(Z, np.repeat(Z.chain.weights[:, None], Z.K, axis=1))
-    return float((Z.alpha.reshape(X.shape) * X).sum())
+    X = _solve_neg_generator(Z, np.broadcast_to(Z.chain.weights[:, None], (Z.states, Z.K)))
+    return float(np.multiply(Z.alpha.reshape(X.shape), X, out=X).sum())
 
 
 def failure_time_moments(chain: StateChain | CountChain, Y: ContinuousPhaseType, p: int) -> list[float]:

@@ -17,7 +17,8 @@ from ckngb.chain import (
     chain_csv,
     check_up_set,
 )
-from ckngb.errors import CapacityExceeded, InvariantViolation
+from ckngb import sntf, ttf
+from ckngb.errors import CapacityExceeded, InvariantViolation, NoTieSets, OddNUnsupported
 from ckngb.system import BalanceCondition, SystemConfig
 from ckngb.tiesets import count_profile
 from goldens import CONSOLIDATED_ABSORB, CONSOLIDATED_P, TABLE_STATES
@@ -303,6 +304,73 @@ class TestConsolidationFidelity:
             absorbed_full = 1.0 - v_full[nonfailed_idx].sum()
             absorbed_cons = 1.0 - v_cons.sum()
             assert abs(absorbed_full - absorbed_cons) < 1e-12
+
+
+class OnesWeights(StateChain):
+    """The state chain with w = e as a new float64 array per read."""
+
+    @property
+    def weights(self):
+        return np.ones(self.size)
+
+
+def _state_chains(rs):
+    for n in range(2, 11):
+        for k in range(2, n + 1):
+            for bc in BalanceCondition:
+                for r in rs:
+                    try:
+                        yield build_state_chain(SystemConfig(n, k, r, bc))
+                    except (NoTieSets, OddNUnsupported):
+                        pass
+
+
+class TestBroadcastWeights:
+    """The state chain's w = e is one read-only float broadcast over its
+    states, and every solve returns the same floats as with a new array of
+    ones: each reads w by value, never by layout."""
+
+    def test_weights_are_read_only(self):
+        w = build_state_chain(SystemConfig(6, 2, 0.8, BC3)).weights
+        assert w.shape == (w.size,) and (w == 1.0).all()
+        with pytest.raises(ValueError):
+            w[0] = 2.0
+
+    def test_solves_equal_those_with_an_array_of_ones(self):
+        mismatches = []
+        for chain in _state_chains([0.3, 0.8, 0.999]):
+            ones = OnesWeights(chain.masks, chain.n, chain.r)
+            for solve in (
+                lambda c: sntf.pmf_survival_series(c, 30),
+                sntf.mean_closed,
+                lambda c: sntf.factorial_moment(c, 2),
+                sntf.variance,
+            ):
+                got, expected = np.asarray(solve(chain)), np.asarray(solve(ones))
+                if not np.array_equal(got, expected):
+                    mismatches.append((chain.n, chain.r, chain.masks.size))
+        assert mismatches == []
+
+    def test_raw_moment_equals_the_repeated_weights_product(self):
+        custom = ttf.validate_ph(
+            [0.3, 0.2, 0.1, 0.25, 0.15],
+            [
+                [-4.0, 1.0, 0.5, 0.0, 0.0],
+                [0.0, -2.5, 1.0, 0.5, 0.0],
+                [0.0, 0.0, -1.5, 0.0, 0.5],
+                [0.0, 0.0, 0.0, -0.8, 0.3],
+                [0.0, 0.0, 0.0, 0.0, -3.0],
+            ],
+        )
+        laws = [ttf.ph_from_preset("ER"), ttf.ph_from_preset("HE"), custom]
+        mismatches = []
+        for chain in _state_chains([0.3, 0.8, 0.999]):
+            for Y in laws:
+                Z = ttf.compound_ph(chain, Y)
+                X = ttf._solve_neg_generator(Z, np.repeat(Z.chain.weights[:, None], Z.K, axis=1))
+                if ttf.raw_moment(Z) != float((Z.alpha.reshape(X.shape) * X).sum()):
+                    mismatches.append((chain.n, chain.r, chain.masks.size, Y.K))
+        assert mismatches == []
 
 
 def test_chain_csv_layout():

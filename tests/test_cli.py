@@ -322,6 +322,97 @@ class TestUnwritablePath:
             assert not pmf.exists()
 
 
+class TestStagedOutputs:
+    """Each output is written into a new file beside its resolved target,
+    made before the run, which takes the target's place only once the
+    command succeeds: a bad path exits 2 before any work, and a failed run
+    leaves an existing target as it was, with no file left beside it."""
+
+    COMMANDS = {
+        "tiesets": "run_tiesets",
+        "sntf-pmf": "run_sntf_pmf",
+        "sntf-moments": "run_sntf_moments",
+        "ttf": "run_ttf",
+        "sweep-msntf": "run_sweep_msntf",
+        "sweep-scv": "run_sweep_scv",
+        "simulate": "run_simulate",
+        "validate": "run_validate",
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_bad_out_exits_2_before_the_run(self, command, config_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(experiments, self.COMMANDS[command], lambda *a, **kw: pytest.fail("ran"))
+        missing = str(tmp_path / "nodir" / "x.csv")
+        assert main([command, "--config", config_file(REFERENCE_DOC), "--out", missing]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"config error: out: cannot write {missing}: ")
+
+    @pytest.mark.parametrize("flag", ["--out", "--dump-chain"])
+    def test_unwritable_target_exits_2_before_the_run(self, flag, config_file, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "x.csv"
+        target.write_text("keep\n")
+        target.chmod(0o444)
+        # root may write any file, so the answer for the target follows its mode bits
+        real_access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: path != str(target) and real_access(path, mode))
+        monkeypatch.setattr(experiments, "run_sntf_pmf", lambda *a, **kw: pytest.fail("ran"))
+        assert main(["sntf-pmf", "--config", config_file(REFERENCE_DOC), flag, str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"config error: {flag[2:]}: cannot write {target}: Permission denied\n"
+        assert target.read_text() == "keep\n"
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "x.csv"]
+
+    @pytest.mark.parametrize(
+        "doc,argv",
+        [
+            # one nonfailed state to dump, and a state chain over its cap
+            ({"n": 23, "k": 2, "r": 0.8, "bc": "BC3"}, ["sntf-pmf", "--matrix", "--dump-chain", "d.csv"]),
+            # E[M] = 7.5e5, past the simulation bound
+            ({"n": 4, "k": 2, "r": 0.999999, "bc": "BC3", "shock": {"preset": "ER"}}, ["validate"]),
+        ],
+        ids=["dump-chain", "validate"],
+    )
+    def test_failed_run_leaves_existing_outputs_as_they_were(self, doc, argv, config_file, tmp_path):
+        cfg = config_file(doc)
+        outputs = {"out.csv": "keep out\n", "d.csv": "keep dump\n"}
+        for name, text in outputs.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a) if a in outputs else a for a in argv]
+        done = run_cli(*argv, "--config", cfg, "--out", str(tmp_path / "out.csv"))
+        assert (done.returncode, done.stdout) == (4, "")
+        assert {name: (tmp_path / name).read_text() for name in outputs} == outputs
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "d.csv", "out.csv"]
+
+    def test_run_that_raises_removes_its_staged_file(self, config_file, tmp_path, monkeypatch):
+        def explode(*args, **kwargs):
+            raise NonConvergence("forced")
+
+        monkeypatch.setattr(experiments, "run_sntf_moments", explode)
+        out = tmp_path / "moments.csv"
+        out.write_text("keep\n")
+        assert main(["sntf-moments", "--config", config_file(REFERENCE_DOC), "--out", str(out)]) == 4
+        assert out.read_text() == "keep\n"
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "moments.csv"]
+
+    def test_success_writes_through_a_symlink_with_the_mode_of_a_new_file(self, config_file, tmp_path):
+        target = tmp_path / "pmf.csv"
+        target.write_text("old\n")
+        target.chmod(0o600)
+        (tmp_path / "link.csv").symlink_to(target)
+        open(tmp_path / "probe", "w").close()
+        argv = ["sntf-pmf", "--config", config_file(REFERENCE_DOC), "--m-max", "2"]
+        assert main(argv + ["--out", str(tmp_path / "link.csv")]) == 0
+        assert (tmp_path / "link.csv").is_symlink()
+        assert target.read_text().splitlines()[0] == "m,pmf,survival"
+        assert target.stat().st_mode == (tmp_path / "probe").stat().st_mode
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "link.csv", "pmf.csv", "probe"]
+
+    def test_device_is_written_in_place(self, config_file):
+        argv = ["sntf-pmf", "--config", config_file(REFERENCE_DOC), "--m-max", "2"]
+        assert main(argv + ["--out", os.devnull]) == 0
+        assert Path(os.devnull).is_char_device()
+
+
 class TestSimulationEnvelope:
     """Simulations whose histogram grows past the Monte Carlo bound as
     r -> 1 exit 4 before any draw: with default reps, n=6 k=2 BC3 ER ran
@@ -998,6 +1089,15 @@ class TestValidateNegativeControl:
         # where the chain absorbs it at 1110
         assert by_name["consolidation_fidelity"]["result"] == "fail"
         assert by_name["consolidation_fidelity"]["detail"] == "max gap 1.623e-02"
+
+    def test_builds_no_state_chain_but_the_one_under_test(self, monkeypatch):
+        # the consolidation check steps one vector over every mask itself
+        spec = experiments.parse_config(REFERENCE_DOC)
+        chain = build_state_chain(spec.single())
+        for name in ("StateChain", "build_state_chain"):
+            monkeypatch.setattr(experiments.chain_mod, name, lambda *a, name=name: pytest.fail(f"called {name}"))
+        checks = experiments.run_validate(spec, chain_override=chain)
+        assert [c["result"] for c in checks] == ["pass"] * len(checks)
 
     def test_validate_when_one_shock_almost_never_fails(self, config_file, capsys):
         # 1 - P{M > 1} rounds to 0 here; the series must still converge

@@ -49,8 +49,8 @@ from .system import MAX_UNITS, BalanceCondition, SystemConfig
 from .tiesets import _bits, _structure, count_profile
 
 # The chain dump writes about 2 N^2 bytes, nearly all "0,": 15 000 states
-# make a 450 MB file in about 7 s (14 199 states: 432 MB in 6.6-6.8 s and
-# 82 MB peak RSS on a 2-vCPU VM).  Every n <= 14 system fits (the largest,
+# make a 450 MB file in about 7 s (14 199 states: 432 MB in 3.7-5.0 s and
+# 61-67 MB peak RSS on a 2-vCPU VM).  Every n <= 14 system fits (the largest,
 # n=14 k=2 BC2, has 14 199); n=16 k=4 BC3 (41 479, 3.4 GB) does not.
 MAX_CHAIN_STATES = 15_000
 
@@ -72,22 +72,6 @@ def _nonfailed_masks(n: int, k: int, bc: BalanceCondition) -> np.ndarray:
     plane = _structure(n, k, bc)[1]
     masks = (np.flatnonzero(plane)[:, None] << 6) | np.arange(64)
     return masks[_bits(plane, masks) == 1][::-1].copy()
-
-
-def _transition_rows(
-    masks: np.ndarray, pops: np.ndarray, r: float, row_start: int, row_stop: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Subset mask and dense block of one-shock transition probabilities for
-    rows [row_start, row_stop), over the columns from row_start on:
-    sub[i, b] says the units of state b are a subset of those of row i,
-    which then becomes b with probability r^|b| (1 - r)^(|i| - |b|)."""
-    cols = masks[None, row_start:]
-    sub = (masks[row_start:row_stop, None] & cols) == cols
-    j = np.arange(int(pops.max()) + 1, dtype=np.float64)
-    keep = r**j
-    lose = np.append((1.0 - r) ** j, 0.0)  # index -1: not a subset
-    lost = np.where(sub, pops[row_start:row_stop, None] - pops[None, row_start:], -1)
-    return sub, keep[pops[row_start:]][None, :] * lose[lost]
 
 
 def _binomial_terms(coef: np.ndarray, a: np.ndarray, r: float) -> np.ndarray:
@@ -129,7 +113,8 @@ def build_consolidated(config: SystemConfig) -> tuple[np.ndarray, _Rows]:
 
 def _row_blocks(masks: np.ndarray, n: int, r: float) -> _Rows:
     # A shock leaves a subset of a state's units, a mask no larger, so with
-    # the masks strictly descending no row reaches a column before its own.
+    # the masks strictly descending no row reaches a column before its own:
+    # every block, from its first row's column on, is upper triangular.
     if (np.diff(masks) >= 0).any():
         raise InvariantViolation("nonfailed masks must strictly descend")
     N = masks.size
@@ -137,21 +122,16 @@ def _row_blocks(masks: np.ndarray, n: int, r: float) -> _Rows:
     by_count = (pops[:, None] == np.arange(n + 1)[None, :]).astype(np.float64)
     chunk = max(1, (1 << 20) // N)  # 8 MB per float64 block
     for i0 in range(0, N, chunk):
-        sub, P = _transition_rows(masks, pops, r, i0, i0 + chunk)
-        check_upper_triangular(P)
+        cols, a = masks[i0:], pops[i0 : i0 + chunk]
+        # sub[i, b]: the units of state b are a subset of those of row i,
+        # which one shock leaves with probability r^|b| (1 - r)^(|i| - |b|)
+        sub = (masks[i0 : i0 + chunk, None] & cols) == cols
+        P = np.where(sub, _binomial_terms(np.ones(n + 1), a, r)[:, pops[i0:]], 0.0)
         # failed[i, j]: j-unit subsets of row i's operating units that are failed
-        failed = _binomials(n)[pops[i0 : i0 + chunk]] - sub @ by_count[i0:]
+        failed = _binomials(n)[a] - sub @ by_count[i0:]
         # The probability of a failed successor, as a sum of nonnegative
         # terms rather than 1 - row sum, which cancels where failing is rare.
-        yield P, _binomial_terms(failed, pops[i0 : i0 + chunk], r).sum(axis=1)
-
-
-def check_upper_triangular(P: np.ndarray) -> None:
-    """Raise InvariantViolation when P, a chain's matrix in canonical order
-    or a block of it whose first row and first column are the same state,
-    has an entry below the diagonal: a shock never revives a unit."""
-    if np.tril(P, -1).any():
-        raise InvariantViolation("subtransition matrix must be upper triangular")
+        yield P, _binomial_terms(failed, a, r).sum(axis=1)
 
 
 def _butterfly(f: np.ndarray, r: float, row: bool) -> np.ndarray:

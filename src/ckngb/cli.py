@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 infeasible system (no tie-sets), 4 numerical failure.
+3 infeasible system (no tie-sets), 4 numerical failure, 143 ended by
+SIGTERM.
 """
 
 from __future__ import annotations
@@ -10,7 +11,9 @@ import argparse
 import contextlib
 import errno
 import os
+import signal
 import sys
+import threading
 from collections.abc import Iterator
 from typing import TextIO
 
@@ -33,6 +36,7 @@ EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
+EXIT_TERMINATED = 128 + signal.SIGTERM
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,8 +155,16 @@ def _dispatch(args: argparse.Namespace, outputs: contextlib.ExitStack) -> int:
     return EXIT_VALIDATION if failed else EXIT_OK
 
 
+def _terminate(signum, frame) -> None:
+    raise SystemExit(EXIT_TERMINATED)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # SIGTERM unwinds the run as SystemExit, so a staged output is removed
+    # and its target left as it was; only the main thread may set a handler
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _terminate) if on_main else None
     try:
         with contextlib.ExitStack() as outputs:
             return _dispatch(args, outputs)
@@ -167,6 +179,9 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    finally:
+        if on_main:  # previous is None when it was not set from Python
+            signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -185,18 +185,48 @@ class TestExitCodes:
         assert f"{key}:" in captured.err
 
     @pytest.mark.parametrize(
-        "r_range",
-        [{"start": 0.1, "stop": float("inf"), "step": 0.1},
-         {"start": 0.1, "stop": 0.5, "step": float("nan")},
-         {"start": 0.1, "stop": 0.5, "step": "fine"},
-         {"start": "0.1", "stop": 0.5, "step": 0.1}],
+        "r_range,message",
+        [({"start": 0.1, "stop": float("inf"), "step": 0.1}, "r: start, stop and step must be finite"),
+         ({"start": 0.1, "stop": 0.5, "step": float("nan")}, "r: start, stop and step must be finite"),
+         ({"start": 0.1, "stop": 0.5, "step": "fine"}, "r: expected a number"),
+         ({"start": "0.1", "stop": 0.5, "step": 0.1}, "r: expected a number"),
+         ({"start": 0.1, "step": 0.1}, "r.stop: required in a range spec"),
+         ({"start": 0.1, "stop": 0.5, "step": 0}, "r.step: must be positive"),
+         ({"start": 0.5, "stop": 0.1, "step": 0.1}, "r: empty range")],
+        ids=["stop-inf", "step-nan", "step-string", "start-string", "no-stop", "step-zero",
+             "start-past-stop"],
     )
-    def test_bad_r_range_is_config_error(self, r_range, config_file, capsys):
+    def test_bad_r_range_is_config_error(self, r_range, message, config_file, capsys):
         doc = {"n": 4, "k": 2, "r": r_range}
         assert main(["sweep-msntf", "--config", config_file(doc)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "r:" in captured.err
+        assert captured.err.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize(
+        "command,text,message",
+        [
+            ("sweep-msntf", json.dumps([REFERENCE_DOC]), "config: top level must be an object"),
+            ("sweep-msntf", json.dumps({"k": 2}), "n: required"),
+            ("sweep-msntf", json.dumps(dict(REFERENCE_DOC, n=[])), "n: must be nonempty"),
+            ("sweep-msntf", json.dumps(dict(REFERENCE_DOC, r=[])), "r: must be nonempty"),
+            ("sweep-msntf", json.dumps(dict(REFERENCE_DOC, bc=[])), "bc: must be nonempty"),
+            ("ttf", json.dumps({"n": 4, "k": 2, "r": 0.7}), "shock: required for the ttf command"),
+            ("ttf", None, "config: cannot read"),
+        ],
+        ids=["top-level-array", "no-n", "empty-n", "empty-r", "empty-bc", "ttf-without-shock",
+             "unreadable-config"],
+    )
+    def test_refused_document_is_config_error(self, command, text, message, tmp_path, capsys):
+        """Each refusal of the config document exits 2 with empty stdout and
+        its own message; a None text is a config path that does not exist."""
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        assert main([command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {message}")
 
     @pytest.mark.parametrize(
         "flag,value",
@@ -382,6 +412,31 @@ class TestStagedOutputs:
         assert (done.returncode, done.stdout) == (4, "")
         assert {name: (tmp_path / name).read_text() for name in outputs} == outputs
         assert sorted(os.listdir(tmp_path)) == ["config.json", "d.csv", "out.csv"]
+
+    def test_sigterm_removes_the_staged_file(self, config_file, tmp_path):
+        """SIGTERM ends the run with exit 143 through the same unwinding as
+        a raised error.  The default action ended the process at once and
+        left the staged file beside the target."""
+        cfg = config_file({"n": 20, "k": 2, "r": 0.8, "bc": "BC2", "shock": {"preset": "HE"}})
+        out = tmp_path / "v.csv"
+        out.write_text("keep\n")
+        child = subprocess.Popen(
+            [sys.executable, "-m", "ckngb.cli", "validate", "--config", cfg, "--reps", "1000",
+             "--out", str(out)],
+            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not list(tmp_path.glob(".v.csv.*.tmp")):
+                assert child.poll() is None and time.monotonic() < deadline, "no staged file"
+                time.sleep(0.01)
+            child.terminate()
+            stdout, _ = child.communicate(timeout=30)
+        finally:
+            child.kill()
+        assert (child.returncode, stdout) == (143, "")
+        assert out.read_text() == "keep\n"
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "v.csv"]
 
     def test_run_that_raises_removes_its_staged_file(self, config_file, tmp_path, monkeypatch):
         def explode(*args, **kwargs):
@@ -700,8 +755,9 @@ class TestMalformedLaw:
 
     @pytest.mark.parametrize(
         "shock",
-        [{"alpha": ["a", 1], "T": [[-2, 1], [0, -3]]}, {"alpha": [0.5, 0.5], "T": [[-1, 0], [0]]}],
-        ids=["non-numeric-alpha", "ragged-T"],
+        [{"alpha": ["a", 1], "T": [[-2, 1], [0, -3]]}, {"alpha": [0.5, 0.5], "T": [[-1, 0], [0]]},
+         {"alpha": [0.5, 0.5], "T": [[-1.0]]}],
+        ids=["non-numeric-alpha", "ragged-T", "shape-mismatch"],
     )
     def test_exits_2(self, shock, config_file, capsys):
         doc = dict(REFERENCE_DOC, n=6, r=0.8, shock=shock)
@@ -923,6 +979,11 @@ class TestCommands:
         calls.clear()
         experiments.run_validate(spec)
         assert 1 <= sum(calls.values()) <= 3
+
+    def test_simulate_refuses_an_unknown_target(self):
+        spec = experiments.parse_config(REFERENCE_DOC)
+        with pytest.raises(ConfigError, match="target: expected sntf or ttf, got 'x'"):
+            experiments.run_simulate(spec, target="x")
 
     def test_validate_passes_on_reference(self, config_file, tmp_path):
         out = tmp_path / "checks.csv"

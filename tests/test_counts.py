@@ -13,7 +13,7 @@ import ckngb.chain as chain_mod
 import ckngb.sntf as sntf_mod
 import ckngb.tiesets as tiesets_mod
 import ckngb.ttf as ttf_mod
-from ckngb.chain import build_count_chain, build_state_chain, check_upper_triangular
+from ckngb.chain import build_count_chain, build_state_chain
 from ckngb.cli import main
 from ckngb.errors import InvariantViolation, NoTieSets, OddNUnsupported
 from ckngb.experiments import (
@@ -442,17 +442,6 @@ def test_count_chain_is_small_and_starts_full():
     assert chain.size == 12 - 4 + 1  # j = 12 down to 4
     assert chain.weights[0] == 1.0
     assert not np.tril(chain.transition, -1).any()
-
-
-def test_triangularity_check_rejects_below_diagonal_entry():
-    P = np.triu(np.full((4, 4), 0.1))
-    check_upper_triangular(P)
-    P[2, 1] = 0.05
-    with pytest.raises(InvariantViolation):
-        check_upper_triangular(P)
-    check_upper_triangular(P[:2])  # rows 0 and 1 hold no such entry
-    with pytest.raises(InvariantViolation):
-        check_upper_triangular(P[1:, 1:])  # a block from state 1 on, as the dump checks it
 
 
 def test_count_chain_rejects_profile_that_is_not_an_up_set(monkeypatch, fresh_caches):

@@ -140,6 +140,11 @@ class TestSystemConfig:
         cfg = SystemConfig(4, 2, 0.7, BC3)
         assert (cfg.n, cfg.k, cfg.r, cfg.bc, cfg.shock) == (4, 2, 0.7, BC3, None)
 
+    @pytest.mark.parametrize("n,k", [(4.0, 2), (4, 2.0), ("4", 2)])
+    def test_non_integer_n_or_k(self, n, k):
+        with pytest.raises(ConfigError, match="n, k: must be integers"):
+            SystemConfig(n, k, 0.7)
+
     def test_k_bounds(self):
         with pytest.raises(ConfigError):
             SystemConfig(4, 1, 0.5)

@@ -531,6 +531,12 @@ class TestMoments:
         with pytest.raises(SingularSystem):
             raw_moment(Z)
 
+    def test_law_with_singular_generator_raises(self):
+        # built by hand past validate_ph: phase 1 never exits, so -T is singular
+        Y = ttf.ContinuousPhaseType(np.array([1.0, 0.0]), np.array([[-1.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(SingularSystem):
+            ph_mean_scv(Y)
+
     def test_scv_positive_for_degenerate_shock_count(self):
         dist = build_state_chain(SystemConfig(4, 4, 0.7))
         m1, m2 = failure_time_moments(dist, ph_from_preset("ER"), 2)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import build_count_chain
+from .chain import _binomials, build_count_chain
 from .errors import CapacityExceeded, ConfigError
 from .sntf import mean_closed
 from .system import SystemConfig
@@ -129,9 +129,8 @@ def _band(profile: np.ndarray) -> tuple[int, int]:
     w is 0 when every state of lo units is nonfailed (k = n, say).
     """
     n = profile.size - 1
-    whole = np.array([math.comb(n, j) for j in range(n + 1)])
     lo = int(np.flatnonzero(profile)[0])
-    hi = int(np.flatnonzero(profile < whole)[-1])
+    hi = int(np.flatnonzero(profile < _binomials(n)[n])[-1])
     return n - 1 - hi, hi - lo + 1
 
 

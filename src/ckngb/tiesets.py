@@ -21,7 +21,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import NoTieSets
-from .system import BalanceCondition, balanced_masks
+from .system import MAX_UNITS, BalanceCondition, balanced_masks
 
 # Closure planes are built 8 rows at a time: 8 rows of 2**n bits are 2**n
 # bytes.  The count profile reads them in blocks of 2**10 words.
@@ -34,6 +34,8 @@ _BIT = np.uint64(1) << _T.astype(np.uint64)
 _UP = np.bitwise_or.reduce(np.where((_T & _T[:, None]) == _T[:, None], _BIT, 0), axis=1)
 # Bit t of _CLASSES[c] is set when t has c set bits.
 _CLASSES = np.bitwise_or.reduce(np.where(np.bitwise_count(_T) == _T[:7, None], _BIT, 0), axis=1)
+# _LABELS[j] is the printed label of unit j + 1.
+_LABELS = np.array([str(unit) for unit in range(1, MAX_UNITS + 1)], dtype=object)
 
 
 def _bits(plane: np.ndarray, masks: np.ndarray, out=None, shifts=None) -> np.ndarray:
@@ -101,9 +103,9 @@ def tieset_members(masks: np.ndarray, n: int) -> list[str]:
     """Each tie-set's units, 1-based and ascending, as the line ``1,3``."""
     # Unit i is bit n - i, so column j of this bit matrix is unit j + 1, and
     # its nonzeros come row by row in ascending unit order.
-    units = (np.nonzero(masks[:, None] & (1 << np.arange(n - 1, -1, -1)))[1] + 1).tolist()
+    labels = _LABELS[np.nonzero(masks[:, None] & (1 << np.arange(n - 1, -1, -1)))[1]].tolist()
     sizes = np.bitwise_count(masks).tolist()
-    return [",".join(map(str, units[end - size : end])) for size, end in zip(sizes, accumulate(sizes))]
+    return [",".join(labels[end - size : end]) for size, end in zip(sizes, accumulate(sizes))]
 
 
 def _profiles(n: int, planes: np.ndarray) -> np.ndarray:

@@ -72,7 +72,8 @@ CASES = [
 
 
 # (n, k, bc) -> SHA-256 of the tiesets stdout at r = 0.8, recorded before
-# the tie-sets were returned as masks
+# the tie-sets were returned as masks; the n = 20 and 22 rows before each
+# line was joined from one label table
 TIESET_DIGESTS = {
     (16, 3, "BC2"): "71f1acb982453d416f971658a824435e84d57a2e089e31e851e7a0b93937ac6e",
     (16, 3, "BC3"): "71f1acb982453d416f971658a824435e84d57a2e089e31e851e7a0b93937ac6e",
@@ -82,6 +83,10 @@ TIESET_DIGESTS = {
     (16, 7, "BC3"): "b9997a38249f9688f239341de9cc8ebd48138d07b791d35b793b8d222020d6ad",
     (18, 4, "BC2"): "56c2eaa30cb953b2305663af57559b1a871ccaed7c084ee080bd752f64bffc88",
     (18, 4, "BC3"): "1964b324d4991b53419761c8e7b4fb554f2a394d6e05f568401502cc6e24fc34",
+    (20, 6, "BC2"): "90046c5d23b83c14a211911ead1ca90f30954ff69b515f2aa4b384befcf8ca76",
+    (20, 6, "BC3"): "aea9ac9dac3f1e6fef8d15eea309a44d97085c5405756b12099a90a207f1383c",
+    (22, 6, "BC2"): "cf1b35f359e99d1a6875ab54c85b6c8774e0056096a0af0c750d1495b01b43c2",
+    (22, 6, "BC3"): "cf1b35f359e99d1a6875ab54c85b6c8774e0056096a0af0c750d1495b01b43c2",
     (24, 6, "BC3"): "f228b258c9b8ac63f79967139b5226b878bf3d300b6ae335b16d1cb997842aef",
 }
 

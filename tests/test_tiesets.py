@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ckngb.tiesets as tiesets_mod
@@ -61,6 +61,14 @@ class TestEnumeration:
         masks = enumerate_min_tiesets(n, k, bc)
         expected = [",".join(map(str, units)) for units in members(masks, n)]
         assert tieset_members(masks, n) == expected
+
+    @pytest.mark.parametrize("n", range(2, 31))
+    @settings(derandomize=True, max_examples=10)
+    @given(data=st.data())
+    def test_members_equal_the_per_unit_join(self, n, data):
+        masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=40))
+        expected = [",".join(map(str, units(mask, n))) for mask in masks]
+        assert tieset_members(np.array(masks, dtype=np.int64), n) == expected
 
     def test_no_tiesets_raised(self, monkeypatch, fresh_caches):
         def none_balanced(n, bc):
